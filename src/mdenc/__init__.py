@@ -12,7 +12,7 @@ from .data import CVPlan, Dataset, generate_synthetic, load_csv, load_keel, make
 from .encoders import EncoderModel, encode, encode_batch, fit
 from .errors import MdencError
 from .probe import EvalReport, balanced_accuracy, knn1_pixel, knn1_tabular, run_cv_eval
-from .raster import Canvas, PolarLayout
+from .raster import PolarLayout
 from .scaling import ScalerParams
 from .stats import combined_5x2cv_f_test, f_distribution_sf, mean_ranks, wilcoxon_signed_rank
 
@@ -20,7 +20,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CVPlan",
-    "Canvas",
     "Dataset",
     "EncoderModel",
     "EvalReport",

@@ -11,7 +11,6 @@ import json
 import math
 import time
 from dataclasses import asdict, dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -121,7 +120,3 @@ def linearity_fit(records) -> tuple[float, float, float]:
 
 def records_to_jsonl(records) -> str:
     return "".join(json.dumps(r.to_dict()) + "\n" for r in records)
-
-
-def save_jsonl(records, path) -> None:
-    Path(path).write_text(records_to_jsonl(records))

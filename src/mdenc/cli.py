@@ -101,11 +101,11 @@ def cmd_encode(args) -> int:
     rows = _parse_rows(args.rows, ds.n_instances)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    canvases = encoders.encode_batch(model, ds.X[rows], jobs=args.jobs)
+    images = encoders.encode_batch(model, ds.X[rows], jobs=args.jobs)
     suffix = "ppm" if args.channels == 3 else "pgm"
     writer = write_ppm if args.channels == 3 else write_pgm
-    for row, canvas in zip(rows, canvases):
-        writer(canvas, out_dir / f"{ds.name}_{row}.{suffix}")
+    for row, image in zip(rows, images):
+        writer(image, out_dir / f"{ds.name}_{row}.{suffix}")
     print(f"wrote {len(rows)} {suffix} files to {out_dir}")
     return 0
 

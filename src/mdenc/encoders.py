@@ -8,8 +8,9 @@
   against pixel-distance ranks, then emits one grayscale intensity per
   feature (the only non-binarized encoder).
 
-Fitting touches training data only; after fitting, ``encode`` is a pure
-function of (model, sample) and may run concurrently across samples.
+Fitting touches training data only. After fitting, ``encode_batch`` checks
+the rows once and ``encode_<kind>`` draws them into one ``(N, H, W)`` uint8
+array: a pure function of (model, rows) that may run concurrently.
 """
 
 from __future__ import annotations
@@ -23,12 +24,12 @@ from pathlib import Path
 import numpy as np
 
 from . import _font, scaling
+from ._doc import from_doc, to_doc
 from ._ranking import rank_average
 from .data import Dataset
 from .errors import CapacityError, FitError, ParameterError, ShapeError, StateError
-from .raster import Canvas, PolarLayout, draw_polyline, fill_polygon, polar_layout, polar_vertices
+from .raster import PolarLayout, draw_polyline, fill_polygon, polar_layout, polar_vertices
 
-KINDS = ("retire", "stml", "igtd")
 DEFAULT_CANVAS = (224, 224)
 DEFAULT_IGTD_MAX_ITERS = 1000
 DEFAULT_IGTD_PATIENCE = 3
@@ -41,6 +42,10 @@ class GridLayout:
     rows: int
     cols: int
     n: int
+
+    def __post_init__(self):
+        if min(self.rows, self.cols, self.n) < 1 or self.n > self.rows * self.cols:
+            raise ParameterError(f"{self.n} features do not fit a {self.rows}x{self.cols} grid")
 
     def cell_rect(self, f: int, width: int, height: int) -> tuple[int, int, int, int]:
         """(x0, y0, x1, y1) bounds of feature f's cell; the last row and
@@ -64,9 +69,12 @@ class IgtdMapping:
     error_trace: tuple[float, ...]
 
     def __post_init__(self):
-        a = np.ascontiguousarray(self.assignment, dtype=np.int64)
-        if a.ndim != 1 or len(set(a.tolist())) != a.size:
-            raise ParameterError("assignment must be a permutation vector")
+        a = np.asarray(self.assignment)
+        if (min(self.rows, self.cols) < 1 or a.ndim != 1 or a.size == 0
+                or a.dtype.kind not in "iu" or np.unique(a).size != a.size
+                or a.min() < 0 or a.max() >= self.rows * self.cols):
+            raise ParameterError(f"assignment must hit distinct cells of the {self.rows}x{self.cols} grid")
+        a = np.array(a, dtype=np.int64)
         a.setflags(write=False)
         object.__setattr__(self, "assignment", a)
         object.__setattr__(self, "error_trace", tuple(float(e) for e in self.error_trace))
@@ -86,17 +94,24 @@ class EncoderModel:
     scaler: scaling.ScalerParams | None
     layout: PolarLayout | GridLayout | IgtdMapping
 
+    def __post_init__(self):
+        if not isinstance(self.layout, LAYOUTS.get(self.kind, ())):
+            raise StateError(f"{self.kind!r} model with a {type(self.layout).__name__} layout")
+        if len(self.canvas_size) != 2 or min(self.canvas_size) < 1:
+            raise ParameterError(f"canvas size must be at least 1x1, got {self.canvas_size}")
+        if (self.scaler is None) != (self.kind == "stml"):
+            raise StateError(f"a {self.kind} model {'takes no' if self.scaler else 'needs a'} scaler")
+        if self.scaler is not None and self.scaler.n_features != self.layout.n:
+            raise ShapeError(f"layout has {self.layout.n} features, "
+                             f"scaler has {self.scaler.n_features}")
+        if isinstance(self.layout, IgtdMapping) and \
+                tuple(self.canvas_size) != (self.layout.cols, self.layout.rows):
+            raise ShapeError(f"an igtd canvas is its {self.layout.cols}x{self.layout.rows} grid")
 
-def _require_kind(model, kind: str) -> None:
-    if not isinstance(model, EncoderModel) or model.kind != kind or model.layout is None:
-        raise StateError(f"model is not a fitted {kind} encoder")
 
-
-def _as_vector(x, n: int) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (n,):
-        raise ShapeError(f"expected a feature vector of length {n}, got shape {x.shape}")
-    return x
+# one layout type per encoder kind; the kind order is the CLI's choice order
+LAYOUTS = {"retire": PolarLayout, "stml": GridLayout, "igtd": IgtdMapping}
+KINDS = tuple(LAYOUTS)
 
 
 # ---------------------------------------------------------------------------
@@ -112,19 +127,22 @@ def fit_retire(ds_train: Dataset, l: float = scaling.DEFAULT_L,
     return EncoderModel("retire", (int(size[0]), int(size[1])), scaler, layout)
 
 
-def encode_retire(model: EncoderModel, x) -> Canvas:
-    """Binarized radar silhouette of one sample plus the radius-1.0 border."""
-    _require_kind(model, "retire")
-    scaled = scaling.transform(model.scaler, _as_vector(x, model.layout.n))
-    c = Canvas(*model.canvas_size)
-    verts = polar_vertices(model.layout, scaled)
-    if model.layout.n >= 3:
-        fill_polygon(c, verts)
-    else:
-        draw_polyline(c, verts)  # single point or chord
-    border = polar_vertices(model.layout, np.ones(model.layout.n))
-    draw_polyline(c, border, closed=model.layout.n >= 3)
-    return c
+def encode_retire(model: EncoderModel, X: np.ndarray) -> np.ndarray:
+    """Binarized radar silhouette of each row plus the radius-1.0 border."""
+    layout = model.layout
+    polygon = layout.n >= 3
+    border = polar_vertices(layout, np.ones(layout.n))
+    width, height = model.canvas_size
+    out = np.zeros((X.shape[0], height, width), dtype=np.uint8)
+    for image, row in zip(out, X):
+        # one row at a time: a batch transform adds (N, n) float64 temporaries
+        verts = polar_vertices(layout, scaling.transform(model.scaler, row))
+        if polygon:
+            fill_polygon(image, verts)
+        else:
+            draw_polyline(image, verts)  # single point or chord
+        draw_polyline(image, border, closed=polygon)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -157,23 +175,21 @@ def fit_stml(ds_train: Dataset, size: tuple[int, int] = DEFAULT_CANVAS) -> Encod
     return EncoderModel("stml", (width, height), None, GridLayout(rows, cols, n))
 
 
-def encode_stml(model: EncoderModel, x) -> Canvas:
+def encode_stml(model: EncoderModel, X: np.ndarray) -> np.ndarray:
     """Render each raw feature value as centered glyph text in its cell at
     the largest integer scale that fits (minimum 1, clipped to the cell)."""
-    _require_kind(model, "stml")
-    layout = model.layout
-    x = _as_vector(x, layout.n)
     width, height = model.canvas_size
-    c = Canvas(width, height)
-    for f in range(layout.n):
-        x0, y0, x1, y1 = layout.cell_rect(f, width, height)
-        text = format_value(float(x[f]))
-        tw, th = _font.text_size(text)
-        scale = max(1, min((x1 - x0) // tw, (y1 - y0) // th))
-        px = x0 + (x1 - x0 - tw * scale) // 2
-        py = y0 + (y1 - y0 - th * scale) // 2
-        _font.draw_text(c.pixels, text, px, py, scale, clip=(x0, y0, x1, y1))
-    return c
+    cells = [model.layout.cell_rect(f, width, height) for f in range(model.layout.n)]
+    out = np.zeros((X.shape[0], height, width), dtype=np.uint8)
+    for image, row in zip(out, X):
+        for (x0, y0, x1, y1), value in zip(cells, row):
+            text = format_value(float(value))
+            tw, th = _font.text_size(text)
+            scale = max(1, min((x1 - x0) // tw, (y1 - y0) // th))
+            px = x0 + (x1 - x0 - tw * scale) // 2
+            py = y0 + (y1 - y0 - th * scale) // 2
+            _font.draw_text(image, text, px, py, scale, clip=(x0, y0, x1, y1))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -306,17 +322,15 @@ def fit_igtd(ds_train: Dataset, max_iters: int = DEFAULT_IGTD_MAX_ITERS,
     return EncoderModel("igtd", (cols, rows), scaler, mapping)
 
 
-def encode_igtd(model: EncoderModel, x) -> Canvas:
+def encode_igtd(model: EncoderModel, X: np.ndarray) -> np.ndarray:
     """One grayscale pixel per feature: round(255 * scaled value) in its
-    assigned cell; unassigned cells stay 0. The canvas is the grid itself,
+    assigned cell; unassigned cells stay 0. The image is the grid itself,
     one pixel per cell, and is the only non-binarized encoder output."""
-    _require_kind(model, "igtd")
     mapping = model.layout
-    scaled = scaling.transform(model.scaler, _as_vector(x, mapping.n))
-    img = np.zeros((mapping.rows, mapping.cols), dtype=np.uint8)
+    out = np.zeros((X.shape[0], mapping.rows, mapping.cols), dtype=np.uint8)
     r, c = divmod(mapping.assignment, mapping.cols)
-    img[r, c] = np.rint(255.0 * scaled).astype(np.uint8)
-    return Canvas(mapping.cols, mapping.rows, img)
+    out[:, r, c] = np.rint(255.0 * scaling.transform(model.scaler, X)).astype(np.uint8)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -335,81 +349,43 @@ def fit(kind: str, ds_train: Dataset, *, l: float = scaling.DEFAULT_L,
     raise ParameterError(f"unknown encoder kind {kind!r}")
 
 
-def encode(model: EncoderModel, x) -> Canvas:
+def encode_batch(model: EncoderModel, X, jobs: int = 1) -> np.ndarray:
+    """Encode the rows of matrix ``X`` in order into one ``(N, H, W)``
+    uint8 array. With jobs > 1 the rows are mapped over a process pool in
+    contiguous chunks; output ordering is preserved."""
     if not isinstance(model, EncoderModel):
         raise StateError("not a fitted encoder model")
-    if model.kind == "retire":
-        return encode_retire(model, x)
-    if model.kind == "stml":
-        return encode_stml(model, x)
-    if model.kind == "igtd":
-        return encode_igtd(model, x)
-    raise StateError(f"unknown encoder kind {model.kind!r}")
-
-
-def _encode_rows(job) -> list[Canvas]:
-    model, rows = job
-    return [encode(model, row) for row in rows]
-
-
-def encode_batch(model: EncoderModel, X, jobs: int = 1) -> list[Canvas]:
-    """Encode matrix rows in order. With jobs > 1 the rows are mapped over
-    a process pool in contiguous chunks; output ordering is preserved."""
     X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2:
-        raise ShapeError("encode_batch expects a 2-d matrix of rows")
+    if X.ndim != 2 or X.shape[1] != model.layout.n:
+        raise ShapeError(f"expected rows of {model.layout.n} features, got shape {X.shape}")
+    bad = np.flatnonzero(~np.isfinite(X).all(axis=1))
+    if bad.size:
+        raise ParameterError(f"row {bad[0]} holds a non-finite feature value")
     if jobs <= 1 or X.shape[0] < 2 * jobs:
-        return [encode(model, row) for row in X]
-    chunks = np.array_split(X, jobs)
+        # looked up by name so a wrapper installed on this module takes effect
+        return globals()[f"encode_{model.kind}"](model, X)
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        parts = pool.map(_encode_rows, [(model, chunk) for chunk in chunks])
-        return [canvas for part in parts for canvas in part]
+        return np.concatenate(list(pool.map(encode_batch, [model] * jobs,
+                                            np.array_split(X, jobs))))
+
+
+def encode(model: EncoderModel, x) -> np.ndarray:
+    """Encode one feature vector into an ``(H, W)`` uint8 image."""
+    return encode_batch(model, np.asarray(x, dtype=np.float64)[None])[0]
 
 
 # ---------------------------------------------------------------------------
 # serialization
 
 def model_to_dict(model: EncoderModel) -> dict:
-    doc = {
-        "kind": model.kind,
-        "canvas_size": list(model.canvas_size),
-        "scaler": None if model.scaler is None else scaling.to_dict(model.scaler),
-    }
-    layout = model.layout
-    if model.kind == "retire":
-        doc["layout"] = {"cx": layout.cx, "cy": layout.cy, "rmax": layout.rmax, "n": layout.n}
-    elif model.kind == "stml":
-        doc["layout"] = {"rows": layout.rows, "cols": layout.cols, "n": layout.n}
-    elif model.kind == "igtd":
-        doc["layout"] = {
-            "rows": layout.rows,
-            "cols": layout.cols,
-            "assignment": layout.assignment.tolist(),
-            "error_trace": list(layout.error_trace),
-        }
-    else:
-        raise StateError(f"unknown encoder kind {model.kind!r}")
-    return doc
+    return to_doc(model)
 
 
 def model_from_dict(doc: dict) -> EncoderModel:
-    kind = doc.get("kind")
-    layout_doc = doc.get("layout")
-    if kind not in KINDS or not isinstance(layout_doc, dict):
+    kind = doc.get("kind") if isinstance(doc, dict) else None
+    if kind not in KINDS:
         raise StateError("document does not describe a fitted encoder model")
-    scaler = None if doc.get("scaler") is None else scaling.from_dict(doc["scaler"])
-    size = tuple(int(v) for v in doc["canvas_size"])
-    if kind == "retire":
-        layout = PolarLayout(float(layout_doc["cx"]), float(layout_doc["cy"]),
-                             float(layout_doc["rmax"]), int(layout_doc["n"]))
-    elif kind == "stml":
-        layout = GridLayout(int(layout_doc["rows"]), int(layout_doc["cols"]),
-                            int(layout_doc["n"]))
-    else:
-        layout = IgtdMapping(int(layout_doc["rows"]), int(layout_doc["cols"]),
-                             np.asarray(layout_doc["assignment"], dtype=np.int64),
-                             tuple(layout_doc["error_trace"]))
-    return EncoderModel(kind, size, scaler, layout)
+    return from_doc(EncoderModel, doc, "model", layout=LAYOUTS[kind])
 
 
 def save_model(model: EncoderModel, path) -> None:

@@ -45,7 +45,7 @@ class StateError(MdencError):
 
 
 class CapacityError(MdencError):
-    """Canvas too small to hold the requested layout."""
+    """Image too small to hold the requested layout."""
 
 
 class MetricError(MdencError):

@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import encoders, scaling
+from ._doc import from_doc, to_doc
 from .data import CVPlan, Dataset
 from .errors import MetricError, ParameterError, ShapeError
 
@@ -39,41 +40,38 @@ def _sq_distances(queries: np.ndarray, refs: np.ndarray) -> np.ndarray:
     return q2[:, None] + r2[None, :] - 2.0 * (queries @ refs.T)
 
 
-def knn1_pixel(train_images, train_labels, test_images) -> np.ndarray:
-    """Label of the training image at minimal squared pixel distance;
-    ties break toward the lowest training index."""
-    train_images = list(train_images)
-    test_images = list(test_images)
-    if not train_images:
+def _nearest_label(refs: np.ndarray, labels, queries: np.ndarray) -> np.ndarray:
+    """Label of the reference row at minimal squared distance from each
+    query row; ties break toward the lowest reference index."""
+    if refs.shape[0] == 0:
         raise MetricError("empty training set")
-    shape = train_images[0].pixels.shape
-    for img in train_images + test_images:
-        if img.pixels.shape != shape:
-            raise ShapeError("canvas dimensions differ")
-    labels = np.asarray(train_labels)
-    if labels.shape != (len(train_images),):
-        raise ShapeError("one label per training image required")
-    if not test_images:
+    labels = np.asarray(labels)
+    if labels.shape != (refs.shape[0],):
+        raise ShapeError("one label per training row required")
+    if queries.shape[0] == 0:
         return labels[:0]
-    refs = np.stack([img.pixels.reshape(-1) for img in train_images]).astype(np.float64)
-    queries = np.stack([img.pixels.reshape(-1) for img in test_images]).astype(np.float64)
-    nearest = np.argmin(_sq_distances(queries, refs), axis=1)
-    return labels[nearest]
+    return labels[np.argmin(_sq_distances(queries, refs), axis=1)]
+
+
+def knn1_pixel(train_images, train_labels, test_images) -> np.ndarray:
+    """1-NN on ``(N, H, W)`` image stacks by squared pixel distance; ties
+    break toward the lowest training index."""
+    train_images = np.asarray(train_images)
+    test_images = np.asarray(test_images)
+    if train_images.ndim != 3 or train_images.shape[1:] != test_images.shape[1:]:
+        raise ShapeError("image stacks must be (N, H, W) with equal image sizes")
+    pixels = train_images.shape[1] * train_images.shape[2]
+    return _nearest_label(train_images.reshape(-1, pixels).astype(np.float64), train_labels,
+                          test_images.reshape(-1, pixels).astype(np.float64))
 
 
 def knn1_tabular(X_train, y_train, X_test, scaler: scaling.ScalerParams) -> np.ndarray:
     """1-NN with Euclidean distance on scaled feature vectors."""
     refs = scaling.transform(scaler, np.asarray(X_train, dtype=np.float64))
     queries = scaling.transform(scaler, np.asarray(X_test, dtype=np.float64))
-    if refs.ndim != 2 or refs.shape[0] == 0:
-        raise MetricError("empty training set")
-    labels = np.asarray(y_train)
-    if labels.shape != (refs.shape[0],):
-        raise ShapeError("one label per training row required")
-    if queries.shape[0] == 0:
-        return labels[:0]
-    nearest = np.argmin(_sq_distances(np.atleast_2d(queries), refs), axis=1)
-    return labels[nearest]
+    if refs.ndim != 2:
+        raise ShapeError("training rows must form a 2-d matrix")
+    return _nearest_label(refs, y_train, np.atleast_2d(queries))
 
 
 @dataclass(frozen=True)
@@ -85,30 +83,15 @@ class EvalReport:
     encoder: str
     per_split_bac: tuple[float, ...]
     mean_bac: float
-    fold_predictions: tuple[tuple[int, ...], ...]
+    fold_predictions: tuple[tuple[int, ...], ...] = ()
     config: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "dataset": self.dataset,
-            "encoder": self.encoder,
-            "per_split_bac": list(self.per_split_bac),
-            "mean_bac": self.mean_bac,
-            "fold_predictions": [list(p) for p in self.fold_predictions],
-            "config": self.config,
-        }
+        return to_doc(self)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "EvalReport":
-        return cls(
-            dataset=str(doc["dataset"]),
-            encoder=str(doc["encoder"]),
-            per_split_bac=tuple(float(v) for v in doc["per_split_bac"]),
-            mean_bac=float(doc["mean_bac"]),
-            fold_predictions=tuple(tuple(int(v) for v in p)
-                                   for p in doc.get("fold_predictions", [])),
-            config=dict(doc.get("config", {})),
-        )
+        return from_doc(cls, doc, "report")
 
     def save_json(self, path) -> None:
         Path(path).write_text(json.dumps(self.to_dict(), indent=2))

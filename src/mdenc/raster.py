@@ -1,17 +1,18 @@
-"""Deterministic 2-d rasterization: canvas, integer line stepping, even-odd
-scanline polygon fill, and polar vertex placement.
+"""Deterministic 2-d rasterization into bare (height, width) uint8 arrays:
+integer line stepping, even-odd scanline polygon fill, polar vertex
+placement and PGM/PPM export.
 
 Coordinate convention: origin at the top-left corner, x rightward, y
 downward; pixel (i, j) is sampled at its center (i + 0.5, j + 0.5).
 Drawing operations write only 0 or 255, so any sequence of them leaves a
-binarized canvas, and they avoid platform-dependent evaluation orders so
-identical inputs produce byte-identical canvases everywhere.
+binarized image, and they avoid platform-dependent evaluation orders so
+identical inputs produce byte-identical images everywhere.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -21,26 +22,9 @@ from .errors import CapacityError, ParameterError, ShapeError
 DEFAULT_MARGIN = 4.0
 
 
-@dataclass
-class Canvas:
-    """Width x height single-channel image, row-major uint8 in ``pixels``."""
-
-    width: int
-    height: int
-    pixels: np.ndarray = field(default=None, repr=False)
-
-    def __post_init__(self):
-        if self.width < 1 or self.height < 1:
-            raise ParameterError("canvas must be at least 1x1")
-        if self.pixels is None:
-            self.pixels = np.zeros((self.height, self.width), dtype=np.uint8)
-        else:
-            self.pixels = np.ascontiguousarray(self.pixels, dtype=np.uint8)
-            if self.pixels.shape != (self.height, self.width):
-                raise ShapeError(
-                    f"pixel buffer shape {self.pixels.shape} does not match "
-                    f"{self.width}x{self.height}"
-                )
+def _check_image(pixels) -> None:
+    if not isinstance(pixels, np.ndarray) or pixels.ndim != 2 or pixels.dtype != np.uint8:
+        raise ShapeError("an image must be a 2-d uint8 array")
 
 
 @dataclass(frozen=True)
@@ -112,29 +96,30 @@ def _line_pixels(x0: int, y0: int, x1: int, y1: int):
             y += sy
 
 
-def draw_polyline(c: Canvas, pts, closed: bool = False) -> Canvas:
-    """Stroke 1-pixel-wide segments between consecutive points.
+def draw_polyline(pixels: np.ndarray, pts, closed: bool = False) -> np.ndarray:
+    """Stroke 1-pixel-wide segments between consecutive points into
+    ``pixels`` and return it.
 
     Endpoints are mapped to their containing pixels before stepping;
-    off-canvas pixels are clipped silently. A single point plots one pixel.
+    off-image pixels are clipped silently. A single point plots one pixel.
     """
+    _check_image(pixels)
     mapped = [_pixel_of(float(p[0]), float(p[1])) for p in np.asarray(pts, dtype=np.float64).reshape(-1, 2)]
     if not mapped:
         raise ParameterError("need at least one point")
-    pix = c.pixels
-    w, h = c.width, c.height
+    h, w = pixels.shape
     if len(mapped) == 1:
         x, y = mapped[0]
         if 0 <= x < w and 0 <= y < h:
-            pix[y, x] = 255
-        return c
+            pixels[y, x] = 255
+        return pixels
     if closed:
         mapped.append(mapped[0])
     for (x0, y0), (x1, y1) in zip(mapped, mapped[1:]):
         for x, y in _line_pixels(x0, y0, x1, y1):
             if 0 <= x < w and 0 <= y < h:
-                pix[y, x] = 255
-    return c
+                pixels[y, x] = 255
+    return pixels
 
 
 def _twice_signed_area(pts: np.ndarray) -> float:
@@ -173,34 +158,39 @@ def scanline_fill_mask(pts, width: int, height: int) -> np.ndarray:
     return mask
 
 
-def fill_polygon(c: Canvas, pts) -> Canvas:
+def fill_polygon(pixels: np.ndarray, pts) -> np.ndarray:
     """Fill with the even-odd scanline mask, then stroke the closed outline
-    so the silhouette boundary is never broken.
+    so the silhouette boundary is never broken; returns ``pixels``.
 
     A degenerate polygon (zero signed area) falls back to the stroke alone.
     """
+    _check_image(pixels)
     pts = np.asarray(pts, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[0] < 3:
         raise ParameterError("polygon needs at least 3 points")
     if _twice_signed_area(pts) != 0.0:
-        c.pixels[scanline_fill_mask(pts, c.width, c.height)] = 255
-    return draw_polyline(c, pts, closed=True)
+        pixels[scanline_fill_mask(pts, pixels.shape[1], pixels.shape[0])] = 255
+    return draw_polyline(pixels, pts, closed=True)
 
 
-def to_pgm(c: Canvas) -> bytes:
+def to_pgm(pixels: np.ndarray) -> bytes:
     """Binary PGM (P5, maxval 255) — the canonical bit-exact export."""
-    return f"P5\n{c.width} {c.height}\n255\n".encode("ascii") + c.pixels.tobytes()
+    _check_image(pixels)
+    height, width = pixels.shape
+    return f"P5\n{width} {height}\n255\n".encode("ascii") + pixels.tobytes()
 
 
-def to_ppm(c: Canvas) -> bytes:
+def to_ppm(pixels: np.ndarray) -> bytes:
     """Binary PPM (P6) with the gray plane replicated into 3 channels."""
-    rgb = np.repeat(c.pixels[:, :, None], 3, axis=2)
-    return f"P6\n{c.width} {c.height}\n255\n".encode("ascii") + rgb.tobytes()
+    _check_image(pixels)
+    height, width = pixels.shape
+    rgb = np.repeat(pixels[:, :, None], 3, axis=2)
+    return f"P6\n{width} {height}\n255\n".encode("ascii") + rgb.tobytes()
 
 
-def write_pgm(c: Canvas, path) -> None:
-    Path(path).write_bytes(to_pgm(c))
+def write_pgm(pixels: np.ndarray, path) -> None:
+    Path(path).write_bytes(to_pgm(pixels))
 
 
-def write_ppm(c: Canvas, path) -> None:
-    Path(path).write_bytes(to_ppm(c))
+def write_ppm(pixels: np.ndarray, path) -> None:
+    Path(path).write_bytes(to_ppm(pixels))

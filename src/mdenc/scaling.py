@@ -9,9 +9,7 @@ l > 0 and u < 1 leaves that headroom on the canvas.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -42,6 +40,9 @@ class ScalerParams:
             raise ParameterError("mins and maxs must be 1-d arrays of equal length")
         if np.any(mins > maxs):
             raise ParameterError("every min must be <= the corresponding max")
+        with np.errstate(over="ignore", invalid="ignore"):
+            if not np.isfinite(maxs - mins).all():
+                raise FitError("every feature needs a finite range (max - min)")
         if not (0.0 <= self.l < self.u <= 1.0):
             raise ParameterError(
                 f"bounds must satisfy 0 <= l < u <= 1, got l={self.l}, u={self.u}"
@@ -66,7 +67,8 @@ def matrix_fingerprint(X) -> str:
 
 
 def fit(X_train, l: float = DEFAULT_L, u: float = DEFAULT_U) -> ScalerParams:
-    """Learn column-wise extrema from a non-empty training matrix."""
+    """Learn column-wise extrema from a non-empty training matrix; every
+    column needs a finite range."""
     if not (0.0 <= l < u <= 1.0):
         raise ParameterError(f"bounds must satisfy 0 <= l < u <= 1, got l={l}, u={u}")
     X = np.asarray(X_train, dtype=np.float64)
@@ -100,31 +102,3 @@ def transform(params: ScalerParams, x) -> np.ndarray:
     np.copyto(out, np.clip(out, l, u), where=in_range)
     np.copyto(out, 0.5 * (l + u), where=(span == 0.0))
     return out
-
-
-def to_dict(params: ScalerParams) -> dict:
-    return {
-        "mins": params.mins.tolist(),
-        "maxs": params.maxs.tolist(),
-        "l": params.l,
-        "u": params.u,
-        "fit_fingerprint": params.fit_fingerprint,
-    }
-
-
-def from_dict(doc: dict) -> ScalerParams:
-    return ScalerParams(
-        np.asarray(doc["mins"], dtype=np.float64),
-        np.asarray(doc["maxs"], dtype=np.float64),
-        float(doc["l"]),
-        float(doc["u"]),
-        str(doc["fit_fingerprint"]),
-    )
-
-
-def save_json(params: ScalerParams, path) -> None:
-    Path(path).write_text(json.dumps(to_dict(params), indent=2))
-
-
-def load_json(path) -> ScalerParams:
-    return from_dict(json.loads(Path(path).read_text()))

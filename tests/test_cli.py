@@ -111,6 +111,18 @@ class TestEncode:
                      "--rows", "100000", "--out", str(tmp_path / "x")])
         assert code == 2
 
+    def test_malformed_model_exits_2(self, tmp_path, keel_file, capsys):
+        model_path = tmp_path / "model.json"
+        main(["fit", "--dataset", str(keel_file), "--encoder", "retire",
+              "--out", str(model_path)])
+        doc = json.loads(model_path.read_text())
+        del doc["layout"]["n"]
+        model_path.write_text(json.dumps(doc))
+        code = main(["encode", "--dataset", str(keel_file), "--model", str(model_path),
+                     "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert "model.layout" in capsys.readouterr().err
+
 
 class TestEval:
     def test_tabular_report(self, tmp_path, csv_file):
@@ -191,6 +203,15 @@ class TestStats:
                      str(tmp_path / "d1_retire.json"), str(tmp_path / "d1_stml.json"),
                      str(tmp_path / "d2_retire.json")])
         assert code == 2
+
+    def test_malformed_report_exits_2(self, tmp_path, capsys):
+        good = fake_report(tmp_path, "d1", "retire", [0.8] * 10)
+        bad = fake_report(tmp_path, "d1", "stml", [0.7] * 10)
+        doc = json.loads(bad.read_text())
+        del doc["mean_bac"]
+        bad.write_text(json.dumps(doc))
+        assert main(["stats", "--reports", str(good), str(bad)]) == 2
+        assert "mean_bac" in capsys.readouterr().err
 
 
 class TestBench:

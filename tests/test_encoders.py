@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -76,10 +77,10 @@ class TestRetire:
     def test_minima_give_small_nonempty_polygon(self):
         ds = toy_dataset(5, seed=3)
         model = encoders.fit_retire(ds, l=0.05, u=0.95, size=(64, 64))
-        canvas = encoders.encode_retire(model, ds.X.min(axis=0))
+        canvas = encoders.encode(model, ds.X.min(axis=0))
         scaled = scaling.transform(model.scaler, ds.X.min(axis=0))
         mask = scanline_fill_mask(polar_vertices(model.layout, scaled), 64, 64)
-        assert canvas.pixels.any()
+        assert canvas.any()
         ys, xs = np.nonzero(mask)
         if len(xs):
             radii = np.hypot(xs + 0.5 - 32.0, ys + 0.5 - 32.0)
@@ -88,17 +89,17 @@ class TestRetire:
     def test_border_present_even_for_minimal_sample(self):
         ds = toy_dataset(4, seed=1)
         model = encoders.fit_retire(ds, size=(64, 64))
-        canvas = encoders.encode_retire(model, ds.X.min(axis=0))
+        canvas = encoders.encode(model, ds.X.min(axis=0))
         # the all-ones border polygon passes through 12 o'clock at rmax
         top = polar_vertices(model.layout, np.ones(4))[0]
-        assert canvas.pixels[int(top[1]), int(top[0])] == 255
+        assert canvas[int(top[1]), int(top[0])] == 255
 
     def test_identical_scaled_vectors_byte_identical(self):
         ds = toy_dataset(6, seed=2)
         model = encoders.fit_retire(ds, size=(64, 64))
-        a = encoders.encode_retire(model, ds.X[0])
-        b = encoders.encode_retire(model, ds.X[0].copy())
-        assert a.pixels.tobytes() == b.pixels.tobytes()
+        a = encoders.encode(model, ds.X[0])
+        b = encoders.encode(model, ds.X[0].copy())
+        assert a.tobytes() == b.tobytes()
 
     def test_vertex_radius_monotone_in_feature(self):
         ds = toy_dataset(4, seed=5)
@@ -121,14 +122,14 @@ class TestRetire:
         model = encoders.fit_retire(ds, size=(224, 224))
         scaled = scaling.transform(model.scaler, x)
         base_mask = scanline_fill_mask(polar_vertices(model.layout, scaled), 224, 224).sum()
-        base_full = int((encoders.encode_retire(model, x).pixels == 255).sum())
+        base_full = int((encoders.encode(model, x) == 255).sum())
         for shift in range(1, 4):
             rolled = Dataset("t", np.roll(ds.X, shift, axis=1), ds.y,
                              ds.feature_names, ds.class_names)
             m2 = encoders.fit_retire(rolled, size=(224, 224))
             scaled2 = scaling.transform(m2.scaler, np.roll(x, shift))
             mask2 = scanline_fill_mask(polar_vertices(m2.layout, scaled2), 224, 224).sum()
-            full2 = int((encoders.encode_retire(m2, np.roll(x, shift)).pixels == 255).sum())
+            full2 = int((encoders.encode(m2, np.roll(x, shift)) == 255).sum())
             assert mask2 == base_mask
             assert abs(full2 - base_full) <= 6 * 4  # stroke discretization
 
@@ -136,18 +137,20 @@ class TestRetire:
         for n in (1, 2):
             ds = toy_dataset(n, seed=n)
             model = encoders.fit_retire(ds, size=(32, 32))
-            canvas = encoders.encode_retire(model, ds.X[0])
-            assert canvas.pixels.any()
-            assert set(np.unique(canvas.pixels)) <= {0, 255}
+            canvas = encoders.encode(model, ds.X[0])
+            assert canvas.any()
+            assert set(np.unique(canvas)) <= {0, 255}
 
     def test_wrong_kind_or_shape(self):
         ds = toy_dataset(3)
         stml = encoders.fit_stml(ds)
-        with pytest.raises(StateError):
-            encoders.encode_retire(stml, ds.X[0])
         retire = encoders.fit_retire(ds)
+        with pytest.raises(StateError):
+            encoders.EncoderModel("retire", stml.canvas_size, retire.scaler, stml.layout)
         with pytest.raises(ShapeError):
-            encoders.encode_retire(retire, np.zeros(5))
+            encoders.encode(retire, np.zeros(5))
+        with pytest.raises(ShapeError):
+            encoders.encode_batch(retire, np.zeros(3))
 
 
 class TestFormatValue:
@@ -202,7 +205,7 @@ class TestStml:
         ds = Dataset("one", np.array([[1.0], [0.5]]), np.array([0, 1]),
                      ("f0",), ("a", "b"))
         model = encoders.fit_stml(ds, size=(224, 224))
-        canvas = encoders.encode_stml(model, np.array([1.0]))
+        canvas = encoders.encode(model, np.array([1.0]))
         # independent rendering of "1.000" centered at the largest scale
         text = "1.000"
         tw, th = _font.text_size(text)
@@ -210,27 +213,27 @@ class TestStml:
         expected = np.zeros((224, 224), dtype=np.uint8)
         _font.draw_text(expected, text, (224 - tw * scale) // 2,
                         (224 - th * scale) // 2, scale, (0, 0, 224, 224))
-        assert np.array_equal(canvas.pixels, expected)
+        assert np.array_equal(canvas, expected)
 
     def test_deterministic(self):
         ds = toy_dataset(6, seed=4)
         model = encoders.fit_stml(ds, size=(128, 128))
-        a = encoders.encode_stml(model, ds.X[3])
-        b = encoders.encode_stml(model, ds.X[3])
-        assert a.pixels.tobytes() == b.pixels.tobytes()
+        a = encoders.encode(model, ds.X[3])
+        b = encoders.encode(model, ds.X[3])
+        assert a.tobytes() == b.tobytes()
 
     def test_every_cell_written(self):
         ds = toy_dataset(6, seed=4)
         model = encoders.fit_stml(ds, size=(224, 224))
-        canvas = encoders.encode_stml(model, ds.X[0])
+        canvas = encoders.encode(model, ds.X[0])
         for f in range(6):
             x0, y0, x1, y1 = model.layout.cell_rect(f, 224, 224)
-            assert canvas.pixels[y0:y1, x0:x1].any()
+            assert canvas[y0:y1, x0:x1].any()
 
     def test_shape_error(self):
         model = encoders.fit_stml(toy_dataset(3))
         with pytest.raises(ShapeError):
-            encoders.encode_stml(model, np.zeros(4))
+            encoders.encode(model, np.zeros(4))
 
 
 def igtd_rank_matrices(model, ds):
@@ -310,18 +313,18 @@ class TestIgtd:
     def test_intensities(self):
         ds = toy_dataset(5, seed=9)
         model = encoders.fit_igtd(ds, l=0.05, u=0.95, seed=0)
-        top = encoders.encode_igtd(model, ds.X.max(axis=0))
+        top = encoders.encode(model, ds.X.max(axis=0))
         rows, cols = divmod(model.layout.assignment, model.layout.cols)
-        assert (top.pixels[rows, cols] == 242).all()  # round(255 * 0.95)
-        bottom = encoders.encode_igtd(model, ds.X.min(axis=0))
-        assert (bottom.pixels[rows, cols] == 13).all()  # round(255 * 0.05)
+        assert (top[rows, cols] == 242).all()  # round(255 * 0.95)
+        bottom = encoders.encode(model, ds.X.min(axis=0))
+        assert (bottom[rows, cols] == 13).all()  # round(255 * 0.05)
 
     def test_surplus_cells_blank(self):
         ds = toy_dataset(5, seed=9)
         model = encoders.fit_igtd(ds, seed=0)
-        canvas = encoders.encode_igtd(model, ds.X.max(axis=0))
-        assert canvas.pixels.size == 6
-        assert int((canvas.pixels == 0).sum()) == 1
+        canvas = encoders.encode(model, ds.X.max(axis=0))
+        assert canvas.size == 6
+        assert int((canvas == 0).sum()) == 1
 
     def test_preconditions(self):
         with pytest.raises(FitError):
@@ -354,9 +357,17 @@ class TestGenericSurface:
         model = encoders.fit("retire", ds, size=(32, 32))
         serial = encoders.encode_batch(model, ds.X, jobs=1)
         parallel = encoders.encode_batch(model, ds.X, jobs=2)
-        assert len(serial) == len(parallel) == 12
-        for a, b in zip(serial, parallel):
-            assert a.pixels.tobytes() == b.pixels.tobytes()
+        assert serial.shape == parallel.shape == (12, 32, 32)
+        assert serial.dtype == parallel.dtype == np.uint8
+        assert serial.tobytes() == parallel.tobytes()
+        for row, image in zip(ds.X, serial):
+            assert np.array_equal(encoders.encode(model, row), image)
+
+    LAYOUT_KEYS = {
+        "retire": ["cx", "cy", "rmax", "n"],
+        "stml": ["rows", "cols", "n"],
+        "igtd": ["rows", "cols", "assignment", "error_trace"],
+    }
 
     def test_model_json_round_trip(self, tmp_path):
         ds = toy_dataset(5, seed=11)
@@ -366,9 +377,91 @@ class TestGenericSurface:
             encoders.save_model(model, path)
             again = encoders.load_model(path)
             x = ds.X[1]
-            assert encoders.encode(model, x).pixels.tobytes() == \
-                encoders.encode(again, x).pixels.tobytes()
+            assert encoders.encode(model, x).tobytes() == \
+                encoders.encode(again, x).tobytes()
+            # key order is part of the file format
+            doc = json.loads(path.read_text())
+            assert list(doc) == ["kind", "canvas_size", "scaler", "layout"]
+            assert list(doc["layout"]) == self.LAYOUT_KEYS[kind]
+            if model.scaler is None:
+                assert doc["scaler"] is None and again.scaler is None
+                continue
+            # scaler parameters survive exactly, as plain JSON
+            assert list(doc["scaler"]) == ["mins", "maxs", "l", "u", "fit_fingerprint"]
+            assert np.array_equal(model.scaler.mins, again.scaler.mins)
+            assert np.array_equal(model.scaler.maxs, again.scaler.maxs)
+            assert (model.scaler.l, model.scaler.u) == (again.scaler.l, again.scaler.u)
+            assert model.scaler.fit_fingerprint == again.scaler.fit_fingerprint
 
     def test_model_from_bad_document(self):
         with pytest.raises(StateError):
             encoders.model_from_dict({"kind": "bogus", "layout": {}})
+        with pytest.raises(StateError):
+            encoders.model_from_dict(["retire"])
+
+    @staticmethod
+    def model_doc(kind):
+        return encoders.model_to_dict(encoders.fit(kind, toy_dataset(5, seed=2),
+                                                   size=(64, 64)))
+
+    @pytest.mark.parametrize("kind, path, value", [
+        ("retire", ("layout", "n"), None),
+        ("retire", ("canvas_size",), None),
+        ("retire", ("scaler", "mins"), None),
+        ("retire", ("layout", "extra"), 1),
+        ("retire", ("layout", "n"), "5"),
+        ("retire", ("layout", "n"), True),
+        ("retire", ("layout", "cx"), float("nan")),
+        ("retire", ("canvas_size",), [64]),
+        ("retire", ("scaler",), None),
+        ("retire", ("scaler", "mins"), [0.0, "a", 0.0, 0.0, 0.0]),
+        ("stml", ("layout",), [3, 2, 5]),
+        ("stml", ("scaler",), {}),
+        ("igtd", ("layout", "error_trace"), 3.0),
+    ])
+    def test_malformed_document_raises_state_error(self, kind, path, value):
+        doc = self.model_doc(kind)
+        *parents, key = path
+        node = doc
+        for name in parents:
+            node = node[name]
+        if value is None and key != "scaler":
+            del node[key]
+        else:
+            node[key] = value
+        with pytest.raises(StateError):
+            encoders.model_from_dict(doc)
+
+    @pytest.mark.parametrize("assignment", [
+        [0, 1, 2, 3, 6], [0, 1, 2, 3, -1], [0, 1, 2, 3, 3], [0.0, 1.0, 2.0, 3.0, 4.0]])
+    def test_igtd_assignment_must_hit_distinct_grid_cells(self, assignment):
+        doc = self.model_doc("igtd")  # 5 features on a 2x3 grid
+        doc["layout"]["assignment"] = assignment
+        with pytest.raises(ParameterError):
+            encoders.model_from_dict(doc)
+
+    @pytest.mark.parametrize("kind", ["retire", "igtd"])
+    def test_layout_width_must_match_scaler(self, kind):
+        doc = self.model_doc(kind)
+        doc["scaler"]["mins"].pop()
+        doc["scaler"]["maxs"].pop()
+        with pytest.raises(ShapeError):
+            encoders.model_from_dict(doc)
+
+    def test_igtd_canvas_is_its_grid(self):
+        doc = self.model_doc("igtd")
+        doc["canvas_size"] = [64, 64]
+        with pytest.raises(ShapeError):
+            encoders.model_from_dict(doc)
+
+    @pytest.mark.parametrize("kind", encoders.KINDS)
+    def test_non_finite_rows_rejected(self, kind):
+        ds = toy_dataset(5, seed=1)
+        model = encoders.fit(kind, ds, size=(64, 64))
+        for bad in (np.nan, np.inf, -np.inf):
+            X = ds.X[:3].copy()
+            X[1, 2] = bad
+            with pytest.raises(ParameterError, match="row 1 "):
+                encoders.encode_batch(model, X)
+            with pytest.raises(ParameterError, match="row 0 "):
+                encoders.encode(model, X[1])

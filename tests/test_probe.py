@@ -3,13 +3,12 @@ import pytest
 
 from mdenc import scaling
 from mdenc.data import Dataset, generate_synthetic, make_cv_plan
-from mdenc.errors import MetricError, ParameterError, ShapeError
+from mdenc.errors import MetricError, ParameterError, ShapeError, StateError
 from mdenc.probe import EvalReport, balanced_accuracy, knn1_pixel, knn1_tabular, run_cv_eval
-from mdenc.raster import Canvas
 
 
-def canvases(arrays):
-    return [Canvas(a.shape[1], a.shape[0], a.astype(np.uint8)) for a in arrays]
+def stack(arrays):
+    return np.asarray(arrays, dtype=np.uint8)
 
 
 class TestBalancedAccuracy:
@@ -40,16 +39,16 @@ class TestBalancedAccuracy:
 class TestKnnPixel:
     def test_exact_copy_wins(self):
         rng = np.random.default_rng(1)
-        train = canvases(rng.integers(0, 256, size=(4, 8, 8)))
+        train = stack(rng.integers(0, 256, size=(4, 8, 8)))
         labels = np.array([0, 1, 2, 3])
-        pred = knn1_pixel(train, labels, [train[2]])
+        pred = knn1_pixel(train, labels, train[2:3])
         assert pred.tolist() == [2]
 
     def test_one_image_per_class(self):
         a = np.zeros((8, 8)); a[0, 0] = 255
         b = np.zeros((8, 8)); b[7, 7] = 255
-        train = canvases([a, b])
-        test = canvases([b.copy()])
+        train = stack([a, b])
+        test = stack([b.copy()])
         assert knn1_pixel(train, [0, 1], test).tolist() == [1]
 
     def test_matches_bruteforce_oracle(self):
@@ -58,7 +57,7 @@ class TestKnnPixel:
             train_arrays = rng.integers(0, 256, size=(3, 8, 8))
             test_arrays = rng.integers(0, 256, size=(2, 8, 8))
             labels = rng.integers(0, 3, size=3)
-            pred = knn1_pixel(canvases(train_arrays), labels, canvases(test_arrays))
+            pred = knn1_pixel(stack(train_arrays), labels, stack(test_arrays))
             for t, got in zip(test_arrays, pred):
                 dists = [((t.astype(float) - tr.astype(float)) ** 2).sum()
                          for tr in train_arrays]
@@ -66,17 +65,17 @@ class TestKnnPixel:
 
     def test_tie_breaks_to_lowest_index(self):
         img = np.full((4, 4), 7)
-        train = canvases([img, img.copy()])
-        pred = knn1_pixel(train, [5, 9], canvases([img.copy()]))
+        train = stack([img, img.copy()])
+        pred = knn1_pixel(train, [5, 9], stack([img.copy()]))
         assert pred.tolist() == [5]
 
     def test_dimension_mismatch(self):
         with pytest.raises(ShapeError):
-            knn1_pixel(canvases([np.zeros((4, 4))]), [0], canvases([np.zeros((5, 5))]))
+            knn1_pixel(stack([np.zeros((4, 4))]), [0], stack([np.zeros((5, 5))]))
 
     def test_empty_training_set(self):
         with pytest.raises(MetricError):
-            knn1_pixel([], [], canvases([np.zeros((4, 4))]))
+            knn1_pixel(stack(np.zeros((0, 4, 4))), [], stack([np.zeros((4, 4))]))
 
 
 class TestKnnTabular:
@@ -171,3 +170,18 @@ class TestRunCvEval:
         path = tmp_path / "report.json"
         report.save_json(path)
         assert EvalReport.load_json(path) == report
+
+    @pytest.mark.parametrize("change", [
+        {"mean_bac": None}, {"per_split_bac": "0.5"}, {"fold_predictions": [[0.5]]},
+        {"dataset": 3}, {"config": []}, {"extra": 1}])
+    def test_malformed_report_raises_state_error(self, change):
+        doc = EvalReport("d", "retire", (0.5, 0.6), 0.55, ((0, 1),), {}).to_dict()
+        for key, value in change.items():
+            if value is None:
+                del doc[key]
+            else:
+                doc[key] = value
+        with pytest.raises(StateError):
+            EvalReport.from_dict(doc)
+        with pytest.raises(StateError):
+            EvalReport.from_dict([doc])

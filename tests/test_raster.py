@@ -5,7 +5,6 @@ import pytest
 
 from mdenc.errors import CapacityError, ParameterError, ShapeError
 from mdenc.raster import (
-    Canvas,
     PolarLayout,
     draw_polyline,
     fill_polygon,
@@ -17,8 +16,12 @@ from mdenc.raster import (
 )
 
 
-def set_pixels(canvas):
-    ys, xs = np.nonzero(canvas.pixels)
+def blank(width, height):
+    return np.zeros((height, width), dtype=np.uint8)
+
+
+def set_pixels(image):
+    ys, xs = np.nonzero(image)
     return set(zip(xs.tolist(), ys.tolist()))
 
 
@@ -93,38 +96,46 @@ class TestPolarVertices:
 
 class TestDrawPolyline:
     def test_horizontal_segment(self):
-        c = draw_polyline(Canvas(8, 8), [(1.5, 2.5), (5.5, 2.5)])
+        c = draw_polyline(blank(8, 8), [(1.5, 2.5), (5.5, 2.5)])
         assert set_pixels(c) == {(x, 2) for x in range(1, 6)}
 
     def test_single_point(self):
-        c = draw_polyline(Canvas(8, 8), [(3.2, 4.9)])
+        c = draw_polyline(blank(8, 8), [(3.2, 4.9)])
         assert set_pixels(c) == {(3, 4)}
 
     def test_diagonal_one_pixel_per_column(self):
-        c = draw_polyline(Canvas(8, 8), [(0.5, 0.5), (7.5, 7.5)])
+        c = draw_polyline(blank(8, 8), [(0.5, 0.5), (7.5, 7.5)])
         # integer stepping oracle: start (0,0), end (7,7), unit slope
         assert set_pixels(c) == {(i, i) for i in range(8)}
-        assert c.pixels.sum() == 8 * 255
+        assert c.sum() == 8 * 255
 
     def test_out_of_canvas_clipped(self):
-        c = draw_polyline(Canvas(8, 8), [(-10.0, 3.5), (20.0, 3.5)])
+        c = draw_polyline(blank(8, 8), [(-10.0, 3.5), (20.0, 3.5)])
         assert set_pixels(c) == {(x, 3) for x in range(8)}
 
     def test_closed_flag(self):
-        open_px = set_pixels(draw_polyline(Canvas(16, 16), [(1, 1), (9, 1), (9, 9)]))
-        closed_px = set_pixels(draw_polyline(Canvas(16, 16), [(1, 1), (9, 1), (9, 9)], closed=True))
+        open_px = set_pixels(draw_polyline(blank(16, 16), [(1, 1), (9, 1), (9, 9)]))
+        closed_px = set_pixels(draw_polyline(blank(16, 16), [(1, 1), (9, 1), (9, 9)], closed=True))
         assert open_px < closed_px
 
     def test_idempotent(self):
-        c = Canvas(8, 8)
+        c = blank(8, 8)
         draw_polyline(c, [(0.5, 0.5), (7.5, 7.5)])
-        first = c.pixels.copy()
+        first = c.copy()
         draw_polyline(c, [(0.5, 0.5), (7.5, 7.5)])
-        assert np.array_equal(first, c.pixels)
+        assert np.array_equal(first, c)
 
     def test_needs_points(self):
         with pytest.raises(ParameterError):
-            draw_polyline(Canvas(4, 4), [])
+            draw_polyline(blank(4, 4), [])
+
+    def test_needs_a_uint8_image(self):
+        with pytest.raises(ShapeError):
+            draw_polyline(np.zeros((4, 4)), [(1, 1)])
+        with pytest.raises(ShapeError):
+            fill_polygon(np.zeros((2, 4, 4), dtype=np.uint8), [(0, 0), (3, 0), (3, 3)])
+        with pytest.raises(ShapeError):
+            to_pgm(np.zeros(4, dtype=np.uint8))
 
 
 class TestFillPolygon:
@@ -137,18 +148,18 @@ class TestFillPolygon:
         assert np.array_equal(mask, expected)
 
     def test_fill_adds_stroke(self):
-        c = fill_polygon(Canvas(8, 8), self.SQUARE)
+        c = fill_polygon(blank(8, 8), self.SQUARE)
         expected = np.zeros((8, 8), dtype=bool)
         expected[1:7, 1:7] = True  # 5x5 interior plus the stroked outline
-        assert np.array_equal(c.pixels == 255, expected)
+        assert np.array_equal(c == 255, expected)
 
     def test_degenerate_polygon_strokes_single_pixel(self):
-        c = fill_polygon(Canvas(8, 8), [(3.5, 3.5)] * 3)
+        c = fill_polygon(blank(8, 8), [(3.5, 3.5)] * 3)
         assert set_pixels(c) == {(3, 3)}
 
     def test_too_few_points(self):
         with pytest.raises(ParameterError):
-            fill_polygon(Canvas(8, 8), [(0, 0), (1, 1)])
+            fill_polygon(blank(8, 8), [(0, 0), (1, 1)])
 
     def test_fill_matches_oracle_on_convex_polygons(self):
         rng = np.random.default_rng(11)
@@ -166,42 +177,42 @@ class TestFillPolygon:
 
     def test_binarization_invariant(self):
         rng = np.random.default_rng(5)
-        c = Canvas(32, 32)
+        c = blank(32, 32)
         for _ in range(10):
             fill_polygon(c, random_polygon(rng, int(rng.integers(3, 8)), -4, 36))
             draw_polyline(c, random_polygon(rng, 3, -4, 36))
-        assert set(np.unique(c.pixels)) <= {0, 255}
+        assert set(np.unique(c)) <= {0, 255}
 
     def test_relabeling_symmetric_vector_preserves_count(self):
         # an all-equal scaled vector renders the same regular polygon no
         # matter which feature is first
         layout = PolarLayout(32.0, 32.0, 28.0, 7)
         scaled = np.full(7, 0.63)
-        base = fill_polygon(Canvas(64, 64), polar_vertices(layout, scaled))
-        count = int((base.pixels == 255).sum())
+        base = fill_polygon(blank(64, 64), polar_vertices(layout, scaled))
+        count = int((base == 255).sum())
         for shift in range(1, 7):
-            rolled = fill_polygon(Canvas(64, 64), polar_vertices(layout, np.roll(scaled, shift)))
-            assert int((rolled.pixels == 255).sum()) == count
+            rolled = fill_polygon(blank(64, 64), polar_vertices(layout, np.roll(scaled, shift)))
+            assert int((rolled == 255).sum()) == count
 
     def test_deterministic(self):
         rng = np.random.default_rng(9)
         pts = random_polygon(rng, 9)
-        a = fill_polygon(Canvas(64, 64), pts)
-        b = fill_polygon(Canvas(64, 64), pts)
-        assert a.pixels.tobytes() == b.pixels.tobytes()
+        a = fill_polygon(blank(64, 64), pts)
+        b = fill_polygon(blank(64, 64), pts)
+        assert a.tobytes() == b.tobytes()
 
 
 class TestExport:
     def test_pgm_bytes(self):
-        c = Canvas(3, 2)
-        c.pixels[0, 1] = 255
+        c = blank(3, 2)
+        c[0, 1] = 255
         data = to_pgm(c)
         assert data.startswith(b"P5\n3 2\n255\n")
         assert data[len(b"P5\n3 2\n255\n"):] == bytes([0, 255, 0, 0, 0, 0])
 
     def test_ppm_replicates_channels(self):
-        c = Canvas(2, 1)
-        c.pixels[0, 0] = 255
+        c = blank(2, 1)
+        c[0, 0] = 255
         data = to_ppm(c)
         assert data.startswith(b"P6\n2 1\n255\n")
         assert data[len(b"P6\n2 1\n255\n"):] == bytes([255, 255, 255, 0, 0, 0])

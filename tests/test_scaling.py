@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from mdenc import scaling
+from mdenc._doc import from_doc, to_doc
 from mdenc.errors import FitError, ParameterError, ShapeError
 
 COLUMN = np.array([[0.0], [10.0], [5.0]])
@@ -33,6 +34,12 @@ class TestFit:
             scaling.fit(np.empty((0, 3)))
         with pytest.raises(FitError):
             scaling.fit(np.empty((3, 0)))
+
+    def test_non_finite_span(self):
+        with pytest.raises(FitError):
+            scaling.fit(np.array([[-1e308], [1e308]]))
+        with pytest.raises(FitError):
+            scaling.fit(np.array([[0.0, 1.0], [np.nan, 2.0]]))
 
     def test_fingerprint_tracks_training_data(self):
         a = scaling.fit(COLUMN)
@@ -112,10 +119,11 @@ class TestTransform:
 
 class TestSerialization:
     def test_json_round_trip_exact(self, tmp_path):
+        # the scaler's part of a model file: plain JSON, read back exactly
         params = scaling.fit(np.array([[0.1, -3.7], [9.99, 2.2], [4.0, 0.0]]), 0.1, 0.8)
         path = tmp_path / "scaler.json"
-        scaling.save_json(params, path)
-        again = scaling.load_json(path)
+        path.write_text(json.dumps(to_doc(params), indent=2))
+        again = from_doc(scaling.ScalerParams, json.loads(path.read_text()), "scaler")
         assert np.array_equal(params.mins, again.mins)
         assert np.array_equal(params.maxs, again.maxs)
         assert (params.l, params.u) == (again.l, again.u)
