@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import logging
 import sys
 from pathlib import Path
 
@@ -250,6 +251,8 @@ def cmd_bench(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="mdenc",
                                      description="Tabular-to-image encoding toolkit")
+    parser.add_argument("-v", "--verbose", action="store_true",
+                        help="log progress (igtd search, dropped rows) to stderr")
     sub = parser.add_subparsers(dest="command", required=True)
 
     common = argparse.ArgumentParser(add_help=False)
@@ -316,6 +319,13 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse reports usage errors itself
         return int(exc.code or 0)
+    log = logging.getLogger("mdenc")
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(name)s: %(message)s"))
+    saved_level = log.level
+    if args.verbose:
+        log.addHandler(handler)
+        log.setLevel(logging.INFO)
     try:
         return args.func(args)
     except MdencError as exc:
@@ -327,6 +337,10 @@ def main(argv=None) -> int:
     except Exception as exc:  # noqa: BLE001 - anything else is an internal bug
         print(f"internal error: {exc!r}", file=sys.stderr)
         return 1
+    finally:
+        # main() may run many times in one process, as in the tests
+        log.removeHandler(handler)
+        log.setLevel(saved_level)
 
 
 def run() -> None:

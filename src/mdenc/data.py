@@ -281,20 +281,6 @@ def load_csv(path, label_column: str | int = -1) -> Dataset:
     return Dataset(path.stem, np.array(rows, dtype=np.float64), y, feature_names, class_names)
 
 
-def save_csv(ds: Dataset, path, label_name: str = "class") -> None:
-    """Write ``ds`` as CSV so that :func:`load_csv` round-trips X and y.
-
-    Floats are written with ``repr`` so they reload bit-exactly. The label
-    round-trips whenever ``y`` is first-appearance coded, which holds for
-    every ingested dataset.
-    """
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([*ds.feature_names, label_name])
-        for row, label in zip(ds.X, ds.y):
-            writer.writerow([*(repr(float(v)) for v in row), ds.class_names[label]])
-
-
 @dataclass(frozen=True)
 class CVPlan:
     """Fold assignments for repeated stratified 2-fold cross-validation."""

@@ -16,6 +16,7 @@ array: a pure function of (model, rows) that may run concurrently.
 from __future__ import annotations
 
 import json
+import logging
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -33,6 +34,9 @@ from .raster import PolarLayout, draw_polyline, fill_polygon, polar_layout, pola
 DEFAULT_CANVAS = (224, 224)
 DEFAULT_IGTD_MAX_ITERS = 1000
 DEFAULT_IGTD_PATIENCE = 3
+SWAP_BLOCK = 32  # candidate swaps scored per numpy call in the igtd search
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -235,17 +239,17 @@ def assignment_error(rank_feat: np.ndarray, rank_pix: np.ndarray,
     return float(np.abs(rank_feat - rp)[iu].sum())
 
 
-def _swap_delta(rank_feat, rank_pix, assignment, i: int, j: int) -> float:
-    # pair (i, j) itself is unaffected because rank_pix is symmetric
-    others = np.ones(assignment.shape[0], dtype=bool)
-    others[i] = others[j] = False
-    k = np.flatnonzero(others)
-    ai, aj, ak = assignment[i], assignment[j], assignment[k]
-    before = (np.abs(rank_feat[i, k] - rank_pix[ai, ak]).sum()
-              + np.abs(rank_feat[j, k] - rank_pix[aj, ak]).sum())
-    after = (np.abs(rank_feat[i, k] - rank_pix[aj, ak]).sum()
-             + np.abs(rank_feat[j, k] - rank_pix[ai, ak]).sum())
-    return float(after - before)
+def _block_deltas(rank_feat, P, D, i, j) -> np.ndarray:
+    # Objective change of swapping the cells of features i[r] and j[r], for
+    # each r, given P = rank_pix[a][:, a] and D = |rank_feat - P| of the
+    # current assignment a. Columns i[r] and j[r] drop out: pair (i, j)
+    # itself is unaffected because rank_pix is symmetric.
+    terms = (np.abs(rank_feat[i] - P[j]) + np.abs(rank_feat[j] - P[i])
+             - D[i] - D[j])
+    rows = np.arange(i.shape[0])
+    terms[rows, i] = 0.0
+    terms[rows, j] = 0.0
+    return terms.sum(axis=1)
 
 
 def _swap_descent(rank_feat, rank_pix, max_iters, patience, seed):
@@ -255,23 +259,36 @@ def _swap_descent(rank_feat, rank_pix, max_iters, patience, seed):
     # retried from a fresh seeded permutation, keeping the incumbent best.
     # ``patience`` counts consecutive finished descents that failed to
     # improve the incumbent; the trace reports the running best per scan.
+    # A scan visits the pairs in seeded order and scores them SWAP_BLOCK
+    # at a time; the first strictly negative delta is applied, as if the
+    # pairs were scored one by one. Ranks are multiples of 0.5, so every
+    # delta and running error is exact whatever the summation order.
+    # Returns (best assignment, trace, restarts, converged), where
+    # ``converged`` says the search stopped on ``patience``, not at
+    # ``max_iters`` scans.
     n = rank_feat.shape[0]
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    first, second = np.triu_indices(n, 1)
     assignment = np.arange(n)
     error = assignment_error(rank_feat, rank_pix, assignment)
     best_assignment, best_error = assignment.copy(), error
     trace = [best_error]
     descent_improved_best = False
-    stale = 0
+    stale = restarts = 0
     for _ in range(max_iters):
+        P = rank_pix[np.ix_(assignment, assignment)]
+        D = np.abs(rank_feat - P)
+        order = rng.permutation(first.shape[0])
         improved = False
-        for p in rng.permutation(len(pairs)):
-            i, j = pairs[p]
-            delta = _swap_delta(rank_feat, rank_pix, assignment, i, j)
-            if delta < 0.0:
-                assignment[[i, j]] = assignment[[j, i]]
-                error += delta
+        for start in range(0, order.shape[0], SWAP_BLOCK):
+            block = order[start:start + SWAP_BLOCK]
+            i, j = first[block], second[block]
+            deltas = _block_deltas(rank_feat, P, D, i, j)
+            hits = np.flatnonzero(deltas < 0.0)
+            if hits.size:
+                k = hits[0]
+                assignment[[i[k], j[k]]] = assignment[[j[k], i[k]]]
+                error += float(deltas[k])
                 improved = True
                 break
         if error < best_error:
@@ -283,11 +300,12 @@ def _swap_descent(rank_feat, rank_pix, max_iters, patience, seed):
             continue
         stale = 0 if descent_improved_best else stale + 1
         if stale >= patience:
-            break
+            return best_assignment, trace, restarts, True
         assignment = rng.permutation(n)
         error = assignment_error(rank_feat, rank_pix, assignment)
         descent_improved_best = False
-    return best_assignment, trace
+        restarts += 1
+    return best_assignment, trace, restarts, False
 
 
 def fit_igtd(ds_train: Dataset, max_iters: int = DEFAULT_IGTD_MAX_ITERS,
@@ -304,7 +322,8 @@ def fit_igtd(ds_train: Dataset, max_iters: int = DEFAULT_IGTD_MAX_ITERS,
     the objective; a stalled descent restarts from a seeded random
     permutation (the incumbent best is kept), and the search stops after
     ``patience`` consecutive descents without improvement or ``max_iters``
-    scans in total.
+    scans in total. The scan and restart counts, and which of the two
+    stopped the search, are logged at INFO.
     """
     n = ds_train.n_features
     if n < 2:
@@ -317,7 +336,11 @@ def fit_igtd(ds_train: Dataset, max_iters: int = DEFAULT_IGTD_MAX_ITERS,
     rows = math.ceil(n / cols)
     rank_feat = _pair_rank_matrix(_column_distances(scaled))
     rank_pix = _pair_rank_matrix(_cell_distances(rows, cols, n))
-    assignment, trace = _swap_descent(rank_feat, rank_pix, max_iters, patience, seed)
+    assignment, trace, restarts, converged = _swap_descent(
+        rank_feat, rank_pix, max_iters, patience, seed)
+    logger.info("igtd search: %d features, %d scans, %d restarts, %s", n,
+                len(trace) - 1, restarts,
+                "converged" if converged else "stopped at max_iters")
     mapping = IgtdMapping(rows, cols, assignment, tuple(trace))
     return EncoderModel("igtd", (cols, rows), scaler, mapping)
 

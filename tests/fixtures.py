@@ -9,6 +9,7 @@ datasets. Generation is deterministic per dataset name.
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import math
 from pathlib import Path
@@ -145,3 +146,17 @@ def write_keel_file(ds: Dataset, path) -> Path:
         lines.append(", ".join([*(repr(float(v)) for v in row), ds.class_names[label]]))
     path.write_text("\n".join(lines) + "\n")
     return path
+
+
+def save_csv(ds: Dataset, path, label_name: str = "class") -> None:
+    """Write ``ds`` as CSV so that ``load_csv`` round-trips X and y.
+
+    Floats are written with ``repr`` so they reload bit-exactly. The label
+    round-trips whenever ``y`` is first-appearance coded, which holds for
+    every ingested dataset.
+    """
+    with Path(path).open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([*ds.feature_names, label_name])
+        for row, label in zip(ds.X, ds.y):
+            writer.writerow([*(repr(float(v)) for v in row), ds.class_names[label]])

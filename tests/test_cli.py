@@ -1,4 +1,5 @@
 import json
+import logging
 
 import numpy as np
 import pytest
@@ -59,6 +60,33 @@ class TestFit:
         code = main(["fit", "--dataset", str(keel_file), "--encoder", "cnn",
                      "--out", str(tmp_path / "m.json")])
         assert code == 2
+
+
+class TestVerbose:
+    def fit(self, capsys, keel_file, out, *flags):
+        assert main([*flags, "fit", "--dataset", str(keel_file), "--encoder", "igtd",
+                     "--out", str(out)]) == 0
+        captured = capsys.readouterr()
+        return captured.out, captured.err, out.read_bytes()
+
+    def test_verbose_logs_the_search_and_keeps_stdout(self, tmp_path, keel_file, capsys):
+        out = tmp_path / "model.json"
+        quiet_out, quiet_err, quiet_model = self.fit(capsys, keel_file, out)
+        loud_out, loud_err, loud_model = self.fit(capsys, keel_file, out, "-v")
+        assert "igtd search" not in quiet_err
+        assert loud_out == quiet_out
+        assert loud_model == quiet_model
+        assert "mdenc.encoders: igtd search: 6 features, " in loud_err
+        assert "converged" in loud_err or "stopped at max_iters" in loud_err
+        assert logging.getLogger("mdenc").level == logging.NOTSET
+        assert self.fit(capsys, keel_file, out)[1] == quiet_err
+
+    def test_verbose_reports_dropped_rows(self, tmp_path, capsys):
+        path = tmp_path / "holes.csv"
+        path.write_text("a,b,label\n1,2,x\n?,3,y\n4,5,y\n6,,x\n")
+        assert main(["--verbose", "fit", "--dataset", str(path), "--encoder", "retire",
+                     "--out", str(tmp_path / "m.json")]) == 0
+        assert "holes.csv: dropped 2 rows with missing values" in capsys.readouterr().err
 
 
 class TestEncode:

@@ -1,14 +1,13 @@
 import numpy as np
 import pytest
 
-from fixtures import make_benchmark_dataset, write_keel_file
+from fixtures import make_benchmark_dataset, save_csv, write_keel_file
 from mdenc.data import (
     Dataset,
     generate_synthetic,
     load_csv,
     load_keel,
     make_cv_plan,
-    save_csv,
 )
 from mdenc.errors import (
     MissingColumnError,

@@ -1,8 +1,10 @@
 import itertools
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.stats import rankdata
 
 from fixtures import make_benchmark_dataset
@@ -265,6 +267,113 @@ def oracle_error(ds, model, assignment):
     for i, j in zip(*iu):
         total += abs(rank_feat[i, j] - rank_pix[assignment[i], assignment[j]])
     return total
+
+
+def reference_swap_delta(rank_feat, rank_pix, assignment, i, j):
+    """Objective change of swapping the cells of features i and j, scored
+    one pair at a time (the oracle for ``encoders._block_deltas``)."""
+    others = np.ones(assignment.shape[0], dtype=bool)
+    others[i] = others[j] = False
+    k = np.flatnonzero(others)
+    ai, aj, ak = assignment[i], assignment[j], assignment[k]
+    before = (np.abs(rank_feat[i, k] - rank_pix[ai, ak]).sum()
+              + np.abs(rank_feat[j, k] - rank_pix[aj, ak]).sum())
+    after = (np.abs(rank_feat[i, k] - rank_pix[aj, ak]).sum()
+             + np.abs(rank_feat[j, k] - rank_pix[ai, ak]).sum())
+    return float(after - before)
+
+
+def reference_swap_descent(rank_feat, rank_pix, max_iters, patience, seed):
+    """Per-pair restarted first-improvement descent: the oracle for
+    ``encoders._swap_descent``, returning the same
+    (assignment, trace, restarts, converged)."""
+    n = rank_feat.shape[0]
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    assignment = np.arange(n)
+    error = encoders.assignment_error(rank_feat, rank_pix, assignment)
+    best_assignment, best_error = assignment.copy(), error
+    trace = [best_error]
+    descent_improved_best = False
+    stale = restarts = 0
+    for _ in range(max_iters):
+        improved = False
+        for p in rng.permutation(len(pairs)):
+            i, j = pairs[p]
+            delta = reference_swap_delta(rank_feat, rank_pix, assignment, i, j)
+            if delta < 0.0:
+                assignment[[i, j]] = assignment[[j, i]]
+                error += delta
+                improved = True
+                break
+        if error < best_error:
+            best_error = error
+            best_assignment = assignment.copy()
+            descent_improved_best = True
+        trace.append(best_error)
+        if improved:
+            continue
+        stale = 0 if descent_improved_best else stale + 1
+        if stale >= patience:
+            return best_assignment, trace, restarts, True
+        assignment = rng.permutation(n)
+        error = encoders.assignment_error(rank_feat, rank_pix, assignment)
+        descent_improved_best = False
+        restarts += 1
+    return best_assignment, trace, restarts, False
+
+
+def random_rank_matrices(n, seed, coarse=False):
+    """Feature and pixel rank matrices of a random n-feature problem;
+    ``coarse`` rounds the data so feature distances tie as well."""
+    X = np.random.default_rng(seed).uniform(0.0, 1.0, size=(12, n))
+    if coarse:
+        X = np.round(X)
+    cols = math.ceil(math.sqrt(n))
+    rows = math.ceil(n / cols)
+    return (encoders._pair_rank_matrix(encoders._column_distances(X)),
+            encoders._pair_rank_matrix(encoders._cell_distances(rows, cols, n)))
+
+
+class TestSwapSearchOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(2, 40), data_seed=st.integers(0, 2**16),
+           seed=st.integers(0, 2**32 - 1), max_iters=st.integers(1, 200),
+           patience=st.integers(1, 3), coarse=st.booleans())
+    def test_block_descent_matches_per_pair_descent(self, n, data_seed, seed,
+                                                    max_iters, patience, coarse):
+        rank_feat, rank_pix = random_rank_matrices(n, data_seed, coarse)
+        got = encoders._swap_descent(rank_feat, rank_pix, max_iters, patience, seed)
+        want = reference_swap_descent(rank_feat, rank_pix, max_iters, patience, seed)
+        assert np.array_equal(got[0], want[0])
+        assert got[1] == want[1]  # exact, element by element
+        assert got[2:] == want[2:]
+        if len(got[1]) - 1 < max_iters:
+            assert got[3]  # stopped early only on patience
+
+    @pytest.mark.parametrize("coarse", [False, True])
+    def test_block_deltas_equal_per_pair_deltas(self, coarse):
+        n = 23
+        rank_feat, rank_pix = random_rank_matrices(n, 5, coarse)
+        assignment = np.random.default_rng(6).permutation(n)
+        P = rank_pix[np.ix_(assignment, assignment)]
+        D = np.abs(rank_feat - P)
+        first, second = np.triu_indices(n, 1)
+        deltas = encoders._block_deltas(rank_feat, P, D, first, second)
+        want = [reference_swap_delta(rank_feat, rank_pix, assignment, i, j)
+                for i, j in zip(first, second)]
+        assert deltas.tolist() == want
+        assert (deltas < 0).any() and (deltas > 0).any()
+
+    def test_search_is_logged(self, caplog):
+        ds = toy_dataset(12, seed=4)
+        with caplog.at_level("INFO", logger="mdenc.encoders"):
+            encoders.fit_igtd(ds, seed=0)
+            encoders.fit_igtd(ds, max_iters=1, seed=0)
+        converged, capped = [r.getMessage() for r in caplog.records]
+        assert converged.startswith("igtd search: 12 features, ")
+        assert converged.endswith(" converged")
+        assert capped == "igtd search: 12 features, 1 scans, 0 restarts, stopped at max_iters"
 
 
 class TestIgtd:
