@@ -132,11 +132,13 @@ def fit_retire(ds_train: Dataset, l: float = scaling.DEFAULT_L,
 
 
 def encode_retire(model: EncoderModel, X: np.ndarray) -> np.ndarray:
-    """Binarized radar silhouette of each row plus the radius-1.0 border."""
+    """Binarized radar silhouette of each row plus the radius-1.0 border,
+    which is drawn once per call and or-ed into every image."""
     layout = model.layout
     polygon = layout.n >= 3
-    border = polar_vertices(layout, np.ones(layout.n))
     width, height = model.canvas_size
+    border = draw_polyline(np.zeros((height, width), dtype=np.uint8),
+                           polar_vertices(layout, np.ones(layout.n)), closed=polygon)
     out = np.zeros((X.shape[0], height, width), dtype=np.uint8)
     for image, row in zip(out, X):
         # one row at a time: a batch transform adds (N, n) float64 temporaries
@@ -145,7 +147,7 @@ def encode_retire(model: EncoderModel, X: np.ndarray) -> np.ndarray:
             fill_polygon(image, verts)
         else:
             draw_polyline(image, verts)  # single point or chord
-        draw_polyline(image, border, closed=polygon)
+        image |= border
     return out
 
 

@@ -1,6 +1,7 @@
 """Deterministic 2-d rasterization into bare (height, width) uint8 arrays:
-integer line stepping, even-odd scanline polygon fill, polar vertex
-placement and PGM/PPM export.
+integer line stepping and even-odd polygon fill as numpy passes with no
+loop per step or scanline (the per-step and per-scanline references live
+in the tests), polar vertex placement and PGM/PPM export.
 
 Coordinate convention: origin at the top-left corner, x rightward, y
 downward; pixel (i, j) is sampled at its center (i + 0.5, j + 0.5).
@@ -20,6 +21,8 @@ import numpy as np
 from .errors import CapacityError, ParameterError, ShapeError
 
 DEFAULT_MARGIN = 4.0
+# drawing calls reject coordinates that are not finite or beyond +-MAX_COORD
+MAX_COORD = 2.0**24
 
 
 def _check_image(pixels) -> None:
@@ -71,60 +74,53 @@ def polar_vertices(layout: PolarLayout, scaled) -> np.ndarray:
     )
 
 
-def _pixel_of(x: float, y: float) -> tuple[int, int]:
-    # the pixel whose area contains the point; centers sit at half-integers
-    return int(math.floor(x)), int(math.floor(y))
-
-
-def _line_pixels(x0: int, y0: int, x1: int, y1: int):
-    """Classic integer Bresenham stepping, endpoints inclusive."""
-    dx, dy = abs(x1 - x0), abs(y1 - y0)
-    sx = 1 if x0 < x1 else -1
-    sy = 1 if y0 < y1 else -1
-    err = dx - dy
-    x, y = x0, y0
-    while True:
-        yield x, y
-        if x == x1 and y == y1:
-            return
-        e2 = 2 * err
-        if e2 > -dy:
-            err -= dy
-            x += sx
-        if e2 < dx:
-            err += dx
-            y += sy
+def _check_points(pts: np.ndarray) -> None:
+    # NaN fails the comparison too; the bound keeps the stroke's integer
+    # products far inside int64
+    if not np.all(np.abs(pts) <= MAX_COORD):
+        raise ParameterError(f"point coordinates must be finite and within +-{MAX_COORD:.0f}")
 
 
 def draw_polyline(pixels: np.ndarray, pts, closed: bool = False) -> np.ndarray:
     """Stroke 1-pixel-wide segments between consecutive points into
     ``pixels`` and return it.
 
-    Endpoints are mapped to their containing pixels before stepping;
-    off-image pixels are clipped silently. A single point plots one pixel.
+    Endpoints are mapped to their containing pixels. Each segment plots the
+    pixels of integer Bresenham stepping, endpoints inclusive, in closed
+    form and only for the steps that land on the image; off-image pixels
+    are clipped silently. A single point plots one pixel.
     """
     _check_image(pixels)
-    mapped = [_pixel_of(float(p[0]), float(p[1])) for p in np.asarray(pts, dtype=np.float64).reshape(-1, 2)]
-    if not mapped:
+    pts = np.asarray(pts, dtype=np.float64).reshape(-1, 2)
+    if not len(pts):
         raise ParameterError("need at least one point")
-    h, w = pixels.shape
-    if len(mapped) == 1:
-        x, y = mapped[0]
-        if 0 <= x < w and 0 <= y < h:
-            pixels[y, x] = 255
-        return pixels
-    if closed:
-        mapped.append(mapped[0])
-    for (x0, y0), (x1, y1) in zip(mapped, mapped[1:]):
-        for x, y in _line_pixels(x0, y0, x1, y1):
-            if 0 <= x < w and 0 <= y < h:
-                pixels[y, x] = 255
+    _check_points(pts)
+    start = np.floor(pts).astype(np.int64)
+    # segment i runs to point i + 1; an open polyline ends on a zero-length
+    # segment at its last point, which adds no pixel
+    end = np.roll(start, -1, axis=0)
+    if not closed:
+        end[-1] = start[-1]
+    delta, sign = np.abs(end - start), np.where(start < end, 1, -1)
+    steps = delta.max(axis=1)
+    seg = np.arange(len(start))
+    major = (delta[:, 1] > delta[:, 0]).astype(np.intp)  # 0: x, 1: y
+    origin, forward = start[seg, major], sign[seg, major] > 0
+    size = np.take(pixels.shape[::-1], major)
+    # steps k in [lo, hi] put the major coordinate origin +- k on the image
+    lo = np.maximum(np.where(forward, -origin, origin - size + 1), 0)
+    hi = np.minimum(np.where(forward, size - 1 - origin, origin), steps)
+    count = np.maximum(hi - lo + 1, 0)
+    seg = np.repeat(seg, count)
+    k = (lo + count - np.cumsum(count))[seg] + np.arange(len(seg))
+    # step k of L steps sits floor((2 |d| k + L - 1) / 2L) along each axis,
+    # which is k along the major one
+    span = np.maximum(steps[seg], 1)[:, None]
+    offset = (2 * delta[seg] * k[:, None] + span - 1) // (2 * span)
+    x, y = (start[seg] + sign[seg] * offset).T
+    on = (x >= 0) & (x < pixels.shape[1]) & (y >= 0) & (y < pixels.shape[0])
+    pixels[y[on], x[on]] = 255
     return pixels
-
-
-def _twice_signed_area(pts: np.ndarray) -> float:
-    x, y = pts[:, 0], pts[:, 1]
-    return float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
 
 
 def scanline_fill_mask(pts, width: int, height: int) -> np.ndarray:
@@ -139,23 +135,22 @@ def scanline_fill_mask(pts, width: int, height: int) -> np.ndarray:
     pts = np.asarray(pts, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[0] < 3 or pts.shape[1] != 2:
         raise ParameterError("polygon needs at least 3 (x, y) points")
+    _check_points(pts)
     x1, y1 = pts[:, 0], pts[:, 1]
     x2, y2 = np.roll(x1, -1), np.roll(y1, -1)
-    mask = np.zeros((height, width), dtype=bool)
+    yc = np.arange(height, dtype=np.float64)[:, None] + 0.5
+    rows, edges = np.nonzero((y1 > yc) != (y2 > yc))
+    xa, ya, yc = x1[edges], y1[edges], yc[rows, 0]
+    xint = xa + (yc - ya) * (x2[edges] - xa) / (y2[edges] - ya)
     centers = np.arange(width, dtype=np.float64) + 0.5
-    ylo = max(0, int(math.floor(y1.min() - 0.5)))
-    yhi = min(height - 1, int(math.ceil(y1.max())))
-    for j in range(ylo, yhi + 1):
-        yc = j + 0.5
-        crossing = (y1 > yc) != (y2 > yc)
-        if not crossing.any():
-            continue
-        xa, ya = x1[crossing], y1[crossing]
-        xint = xa + (yc - ya) * (x2[crossing] - xa) / (y2[crossing] - ya)
-        xint.sort()
-        right_of = xint.size - np.searchsorted(xint, centers, side="right")
-        mask[j] = (right_of % 2) == 1
-    return mask
+    # all rows at once: count each crossing at the first center not left of
+    # it; a center's parity is that of the counts to its right, and uint8
+    # sums that wrap at 256 keep it
+    first = np.searchsorted(centers, xint, side="left")
+    table = np.bincount(rows * (width + 1) + first, minlength=height * (width + 1))
+    table = table.astype(np.uint8).reshape(height, width + 1)
+    right_of = np.cumsum(table[:, :0:-1], axis=1, dtype=np.uint8)[:, ::-1]
+    return (right_of & 1).astype(bool)
 
 
 def fill_polygon(pixels: np.ndarray, pts) -> np.ndarray:
@@ -168,7 +163,9 @@ def fill_polygon(pixels: np.ndarray, pts) -> np.ndarray:
     pts = np.asarray(pts, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[0] < 3:
         raise ParameterError("polygon needs at least 3 points")
-    if _twice_signed_area(pts) != 0.0:
+    _check_points(pts)
+    x, y = pts[:, 0], pts[:, 1]
+    if np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y) != 0.0:  # nonzero signed area
         pixels[scanline_fill_mask(pts, pixels.shape[1], pixels.shape[0])] = 255
     return draw_polyline(pixels, pts, closed=True)
 

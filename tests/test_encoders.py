@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import math
@@ -153,6 +154,53 @@ class TestRetire:
             encoders.encode(retire, np.zeros(5))
         with pytest.raises(ShapeError):
             encoders.encode_batch(retire, np.zeros(3))
+
+
+def pinned_retire_rows(n):
+    """Seeded training rows and test rows for the pinned-bytes check; the
+    last two test rows clamp every feature to 0 and to 1."""
+    rng = np.random.default_rng(1000 + n)
+    X_train = rng.normal(size=(30, n))
+    test = np.vstack([
+        rng.normal(size=(4, n)),
+        rng.normal(scale=3.0, size=(3, n)),
+        X_train.min(axis=0) - 10.0,
+        X_train.max(axis=0) + 10.0,
+    ])
+    return X_train, test
+
+
+# SHA-256 of the retire ``encode_batch`` bytes, recorded with the
+# reference per-scanline fill and per-step Bresenham stroke
+PINNED_RETIRE_DIGESTS = {
+    (1, 224): "3b80c24d496cbc78dcab781d5b5fc3376b931db675bb69b29302e5523003f0c2",
+    (1, 64): "28bfe6a07ff1c05bb4cd250065f0d94de173f1bb0957e29ed2a8786c1cdc058c",
+    (2, 224): "669151a002561d44a26810f2ee74a0423740a5b6268e4f20aa5a036d53d5abf2",
+    (2, 64): "31908251e9ce6e24439a606e88896f21fd27119db870087f78fe861a9c82790a",
+    (3, 224): "72721c81ea7340bd231458bff3051bf32cb9e621e2ab52824d2103df0da4f388",
+    (3, 64): "fe2d420b22148706b0fe7b6cd6e45bfecc98f7ccbf13f5f674c9c3cdb4370b08",
+    (10, 224): "cc04d00909402dd946b06d0857c18231ccedeca48b4db927b8be46a221f2597f",
+    (10, 64): "55c7e0a55391e806bd39f1c6e845ccc3aadb80b390ba5b5f51e6a61fbea793c7",
+    (100, 224): "b6d01c85a9ca6f833e3da8305bea492e6cb5799d7dd30bbe36cfac68f789cb60",
+    (100, 64): "367d44f8c2b33f45f1302ca675d489d44fa73795d1da60c5717b434c3142d746",
+    (500, 224): "b9bbfcd31889287d1efbee15c7d4ff8b86ef05f92c7887171931b6acd8d6f886",
+    (500, 64): "895be84f7bd1514f3f97738a9d23a72c0f1613930690abfae7ea1a72852cbb13",
+}
+
+
+class TestRetirePinnedBytes:
+    @pytest.mark.parametrize("n, side", sorted(PINNED_RETIRE_DIGESTS))
+    def test_encode_batch_bytes_unchanged(self, n, side):
+        X_train, test = pinned_retire_rows(n)
+        ds = Dataset("pin", X_train, np.tile([0, 1], 15),
+                     tuple(f"f{i}" for i in range(n)), ("0", "1"))
+        model = encoders.fit("retire", ds, size=(side, side))
+        scaled = scaling.transform(model.scaler, test)
+        assert (scaled[-2] == 0.0).all() and (scaled[-1] == 1.0).all()
+        images = encoders.encode_batch(model, test)
+        assert images.shape == (len(test), side, side)
+        digest = hashlib.sha256(images.tobytes()).hexdigest()
+        assert digest == PINNED_RETIRE_DIGESTS[n, side]
 
 
 class TestFormatValue:

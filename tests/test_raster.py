@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mdenc.errors import CapacityError, ParameterError, ShapeError
 from mdenc.raster import (
+    MAX_COORD,
     PolarLayout,
     draw_polyline,
     fill_polygon,
@@ -38,6 +40,72 @@ def even_odd_oracle(pts, width, height):
         xint = x1 + (py - y1) * (x2 - x1) / (y2 - y1)
     hits = crosses & (px < xint)
     return hits.sum(axis=2) % 2 == 1
+
+
+def reference_line_pixels(x0, y0, x1, y1):
+    """Classic integer Bresenham stepping, endpoints inclusive."""
+    dx, dy = abs(x1 - x0), abs(y1 - y0)
+    sx = 1 if x0 < x1 else -1
+    sy = 1 if y0 < y1 else -1
+    err = dx - dy
+    x, y = x0, y0
+    while True:
+        yield x, y
+        if x == x1 and y == y1:
+            return
+        e2 = 2 * err
+        if e2 > -dy:
+            err -= dy
+            x += sx
+        if e2 < dx:
+            err += dx
+            y += sy
+
+
+def reference_draw_polyline(pixels, pts, closed=False):
+    """Step every segment one pixel at a time between the pixels that
+    contain its endpoints, clipping each pixel to the image."""
+    mapped = [(math.floor(x), math.floor(y))
+              for x, y in np.asarray(pts, dtype=np.float64).reshape(-1, 2)]
+    if closed or len(mapped) == 1:
+        mapped.append(mapped[0])
+    h, w = pixels.shape
+    for (x0, y0), (x1, y1) in zip(mapped, mapped[1:]):
+        for x, y in reference_line_pixels(x0, y0, x1, y1):
+            if 0 <= x < w and 0 <= y < h:
+                pixels[y, x] = 255
+    return pixels
+
+
+def reference_scanline_fill_mask(pts, width, height):
+    """Even-odd fill one scanline at a time: sort the row's crossings and
+    count those strictly right of each pixel center."""
+    pts = np.asarray(pts, dtype=np.float64)
+    x1, y1 = pts[:, 0], pts[:, 1]
+    x2, y2 = np.roll(x1, -1), np.roll(y1, -1)
+    mask = np.zeros((height, width), dtype=bool)
+    centers = np.arange(width, dtype=np.float64) + 0.5
+    for j in range(height):
+        yc = j + 0.5
+        crossing = (y1 > yc) != (y2 > yc)
+        xa, ya = x1[crossing], y1[crossing]
+        xint = np.sort(xa + (yc - ya) * (x2[crossing] - xa) / (y2[crossing] - ya))
+        right_of = xint.size - np.searchsorted(xint, centers, side="right")
+        mask[j] = (right_of % 2) == 1
+    return mask
+
+
+# coordinates: any float on and around small canvases, half-integers that
+# land on pixel centers and edges, and a few values that repeat so shapes
+# get horizontal and vertical runs
+coords = st.one_of(
+    st.floats(-300.0, 300.0, allow_nan=False),
+    st.integers(-140, 140).map(lambda v: v / 2.0),
+    st.sampled_from([-1.0, 0.0, 0.5, 3.0, 3.5, 7.25]),
+)
+points = st.lists(st.tuples(coords, coords), min_size=1, max_size=12)
+polygons = st.lists(st.tuples(coords, coords), min_size=3, max_size=12)
+sides = st.integers(1, 69)
 
 
 def random_polygon(rng, n_vertices, lo=-5.0, hi=69.0):
@@ -136,6 +204,83 @@ class TestDrawPolyline:
             fill_polygon(np.zeros((2, 4, 4), dtype=np.uint8), [(0, 0), (3, 0), (3, 3)])
         with pytest.raises(ShapeError):
             to_pgm(np.zeros(4, dtype=np.uint8))
+
+
+    def test_long_segments_clip_to_the_canvas(self):
+        c = draw_polyline(blank(8, 8), [(-MAX_COORD, 3.5), (MAX_COORD, 3.5)])
+        assert set_pixels(c) == {(x, 3) for x in range(8)}
+        c = draw_polyline(blank(8, 8), [(-MAX_COORD, -MAX_COORD), (MAX_COORD, MAX_COORD)])
+        assert set_pixels(c) == {(i, i) for i in range(8)}
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1e30, MAX_COORD * 2])
+    def test_bad_coordinates_raise_before_drawing(self, bad):
+        shape = [(1.0, 1.0), (6.0, 1.0), (bad, 6.0)]
+        for draw in (draw_polyline, fill_polygon):
+            c = blank(8, 8)
+            with pytest.raises(ParameterError):
+                draw(c, shape)
+            assert not c.any()
+        with pytest.raises(ParameterError):
+            scanline_fill_mask(shape, 8, 8)
+        with pytest.raises(ParameterError):
+            draw_polyline(blank(8, 8), [(2.0, bad)], closed=True)
+
+
+class TestStrokeOracle:
+    def test_closed_form_matches_stepping_exhaustively(self):
+        # every segment with |dx|, |dy| <= 64 from the middle of a canvas
+        # that holds it whole
+        for dx in range(-64, 65):
+            for dy in range(-64, 65):
+                pts = [(64.5, 64.5), (64.5 + dx, 64.5 + dy)]
+                image = draw_polyline(blank(129, 129), pts)
+                assert set_pixels(image) == set(reference_line_pixels(64, 64, 64 + dx, 64 + dy))
+
+    @settings(max_examples=400, deadline=None)
+    @given(pts=points, closed=st.booleans(), width=sides, height=sides)
+    def test_matches_reference_stepping(self, pts, closed, width, height):
+        got = draw_polyline(blank(width, height), pts, closed=closed)
+        want = reference_draw_polyline(blank(width, height), pts, closed=closed)
+        assert np.array_equal(got, want)
+
+    def test_matches_reference_on_seeded_shapes(self):
+        rng = np.random.default_rng(21)
+        for _ in range(300):
+            width, height = (int(v) for v in rng.integers(1, 70, size=2))
+            pts = rng.uniform(-40.0, 110.0, size=(int(rng.integers(1, 40)), 2))
+            closed = bool(rng.integers(2))
+            got = draw_polyline(blank(width, height), pts, closed=closed)
+            want = reference_draw_polyline(blank(width, height), pts, closed=closed)
+            assert np.array_equal(got, want)
+
+
+class TestFillOracle:
+    @settings(max_examples=400, deadline=None)
+    @given(pts=polygons, width=sides, height=sides)
+    def test_matches_reference_scanlines(self, pts, width, height):
+        got = scanline_fill_mask(pts, width, height)
+        assert np.array_equal(got, reference_scanline_fill_mask(pts, width, height))
+
+    @settings(max_examples=200, deadline=None)
+    @given(pts=polygons, width=sides, height=sides)
+    def test_filled_shape_matches_reference(self, pts, width, height):
+        want = blank(width, height)
+        x, y = np.asarray(pts).T
+        if np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y) != 0.0:  # not degenerate
+            want[reference_scanline_fill_mask(pts, width, height)] = 255
+        reference_draw_polyline(want, pts, closed=True)
+        got = fill_polygon(blank(width, height), pts)
+        assert np.array_equal(got, want)
+
+    def test_matches_reference_on_seeded_polygons(self):
+        rng = np.random.default_rng(22)
+        for _ in range(300):
+            width, height = (int(v) for v in rng.integers(1, 70, size=2))
+            pts = rng.uniform(-40.0, 110.0, size=(int(rng.integers(3, 60)), 2))
+            if rng.integers(2):
+                pts = np.round(pts * 2.0) / 2.0  # half-integer vertices
+            got = scanline_fill_mask(pts, width, height)
+            assert np.array_equal(got, reference_scanline_fill_mask(pts, width, height))
 
 
 class TestFillPolygon:
