@@ -9,13 +9,10 @@ error, 1 internal error.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import logging
 import sys
 from pathlib import Path
-
-import numpy as np
 
 from . import bench, data, encoders, probe, scaling, stats
 from .errors import MdencError, ParameterError
@@ -133,73 +130,6 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _pair_key(name_a: str, name_b: str) -> str:
-    return f"{name_a} vs {name_b}"
-
-
-def _stats_payload(reports: list[probe.EvalReport], alpha: float) -> dict:
-    datasets: list[str] = []
-    methods: list[str] = []
-    table: dict[tuple[str, str], probe.EvalReport] = {}
-    for report in reports:
-        if report.dataset not in datasets:
-            datasets.append(report.dataset)
-        if report.encoder not in methods:
-            methods.append(report.encoder)
-        key = (report.dataset, report.encoder)
-        if key in table:
-            raise ParameterError(f"duplicate report for {key}")
-        table[key] = report
-    missing = [(d, m) for d in datasets for m in methods if (d, m) not in table]
-    if missing:
-        raise ParameterError(f"missing reports for {missing}")
-    if len(methods) < 2:
-        raise ParameterError("need reports for at least 2 methods")
-
-    per_dataset = {}
-    for ds_name in datasets:
-        means = {m: table[(ds_name, m)].mean_bac for m in methods}
-        f_tests = {}
-        better_than: dict[str, list[int]] = {m: [] for m in methods}
-        for i, j in itertools.combinations(range(len(methods)), 2):
-            m_i, m_j = methods[i], methods[j]
-            result = stats.combined_5x2cv_f_test(
-                np.asarray(table[(ds_name, m_i)].per_split_bac),
-                np.asarray(table[(ds_name, m_j)].per_split_bac), alpha)
-            f_tests[_pair_key(m_i, m_j)] = {
-                "f_stat": result.f_stat, "p_value": result.p_value,
-                "significant": result.significant, "degenerate": result.degenerate,
-            }
-            if result.significant:
-                winner, loser = (m_i, m_j) if means[m_i] > means[m_j] else (m_j, m_i)
-                better_than[winner].append(methods.index(loser) + 1)  # 1-based
-        per_dataset[ds_name] = {
-            "mean_bac": means,
-            "significantly_better_than": {m: sorted(v) for m, v in better_than.items()},
-            "f_tests": f_tests,
-        }
-
-    score_matrix = np.array([[table[(d, m)].mean_bac for m in methods] for d in datasets])
-    ranks = stats.mean_ranks(score_matrix)
-    wilcoxon = {}
-    for i, j in itertools.combinations(range(len(methods)), 2):
-        key = _pair_key(methods[i], methods[j])
-        try:
-            result = stats.wilcoxon_signed_rank(score_matrix[:, i], score_matrix[:, j], alpha)
-            wilcoxon[key] = {"w_stat": result.w_stat, "p_value": result.p_value,
-                             "significant": result.significant, "n": result.n,
-                             "exact": result.exact}
-        except MdencError as exc:
-            wilcoxon[key] = {"error": str(exc)}
-    return {
-        "alpha": alpha,
-        "methods": methods,
-        "datasets": per_dataset,
-        "mean_ranks": {m: float(r) for m, r in zip(methods, ranks)},
-        "wilcoxon": wilcoxon,
-    }
-
-
 def _print_stats_table(payload: dict) -> None:
     methods = payload["methods"]
     name_width = max([len(d) for d in payload["datasets"]] + [len("mean rank")]) + 2
@@ -222,7 +152,7 @@ def _print_stats_table(payload: dict) -> None:
 
 def cmd_stats(args) -> int:
     reports = [probe.EvalReport.load_json(p) for p in args.reports]
-    payload = _stats_payload(reports, args.alpha)
+    payload = stats.compare(reports, args.alpha)
     _print_stats_table(payload)
     if args.out:
         Path(args.out).write_text(json.dumps(payload, indent=2))

@@ -89,15 +89,42 @@ class Dataset:
         )
 
 
-def _encode_labels(tokens: list[str]) -> tuple[np.ndarray, tuple[str, ...]]:
-    # class indices in order of first appearance in the data rows
-    index: dict[str, int] = {}
-    y = np.empty(len(tokens), dtype=np.int64)
-    for i, tok in enumerate(tokens):
-        y[i] = index.setdefault(tok, len(index))
-    if len(index) < 2:
+def _read_rows(name: str, source: str, header: list[str], out_col: int,
+               in_cols: list[int], records) -> Dataset:
+    """Build a dataset from ``(line number, fields)`` records of a table
+    whose columns are ``header``: check each record's width, drop (and log
+    the count of) rows holding a missing value, parse the ``in_cols``
+    features and map the ``out_col`` labels to class indices in order of
+    first appearance."""
+    rows: list[list[float]] = []
+    y: list[int] = []
+    classes: dict[str, int] = {}
+    dropped = 0
+    for lineno, fields in records:
+        if len(fields) != len(header):
+            raise ParseError(f"expected {len(header)} fields, got {len(fields)}", line=lineno)
+        tokens = [t.strip() for t in fields]
+        if any(t == MISSING_TOKEN or t == "" for t in tokens):
+            dropped += 1
+            continue
+        feats = []
+        for col in in_cols:
+            try:
+                feats.append(float(tokens[col]))
+            except ValueError:
+                raise UnsupportedFeatureError(
+                    f"non-numeric value {tokens[col]!r} in column {header[col]!r} (line {lineno})"
+                ) from None
+        rows.append(feats)
+        y.append(classes.setdefault(tokens[out_col], len(classes)))
+    if dropped:
+        logger.warning("%s: dropped %d rows with missing values", source, dropped)
+    if not rows:
+        raise ParseError("no instances")
+    if len(classes) < 2:
         raise ParseError("need at least 2 classes in the label column")
-    return y, tuple(index)
+    return Dataset(name, np.array(rows, dtype=np.float64), np.array(y, dtype=np.int64),
+                   tuple(header[c] for c in in_cols), tuple(classes))
 
 
 _ATTRIBUTE_RE = re.compile(r"@attribute\s+(\S+)\s*(.*)", re.IGNORECASE)
@@ -186,39 +213,10 @@ def load_keel(path) -> Dataset:
     in_cols = [i for i, name in enumerate(names) if name in wanted and name != out_name]
     out_col = names.index(out_name)
 
-    rows: list[list[float]] = []
-    labels: list[str] = []
-    dropped = 0
-    for lineno, raw in enumerate(lines[data_start:], start=data_start + 1):
-        line = raw.strip()
-        if not line or line.startswith("%"):
-            continue
-        tokens = [t.strip() for t in line.split(",")]
-        if len(tokens) != len(names):
-            raise ParseError(
-                f"expected {len(names)} fields, got {len(tokens)}", line=lineno
-            )
-        if any(t == MISSING_TOKEN or t == "" for t in tokens):
-            dropped += 1
-            continue
-        feats = []
-        for col in in_cols:
-            try:
-                feats.append(float(tokens[col]))
-            except ValueError:
-                raise UnsupportedFeatureError(
-                    f"non-numeric value {tokens[col]!r} for feature "
-                    f"{names[col]!r} (line {lineno})"
-                ) from None
-        rows.append(feats)
-        labels.append(tokens[out_col])
-    if dropped:
-        logger.warning("%s: dropped %d rows with missing values", path.name, dropped)
-    if not rows:
-        raise ParseError("no instances")
-    y, class_names = _encode_labels(labels)
-    feature_names = tuple(names[c] for c in in_cols)
-    return Dataset(relation, np.array(rows, dtype=np.float64), y, feature_names, class_names)
+    stripped = enumerate(map(str.strip, lines[data_start:]), start=data_start + 1)
+    records = ((lineno, line.split(",")) for lineno, line in stripped
+               if line and not line.startswith("%"))
+    return _read_rows(relation, path.name, names, out_col, in_cols, records)
 
 
 def load_csv(path, label_column: str | int = -1) -> Dataset:
@@ -246,39 +244,9 @@ def load_csv(path, label_column: str | int = -1) -> Dataset:
                 out_col += len(header)
             if not 0 <= out_col < len(header):
                 raise MissingColumnError(f"label column index {label_column} out of range")
-        rows: list[list[float]] = []
-        labels: list[str] = []
-        dropped = 0
-        for lineno, record in enumerate(reader, start=2):
-            if not record:
-                continue
-            if len(record) != len(header):
-                raise ParseError(
-                    f"expected {len(header)} fields, got {len(record)}", line=lineno
-                )
-            tokens = [t.strip() for t in record]
-            if any(t == MISSING_TOKEN or t == "" for t in tokens):
-                dropped += 1
-                continue
-            feats = []
-            for i, tok in enumerate(tokens):
-                if i == out_col:
-                    continue
-                try:
-                    feats.append(float(tok))
-                except ValueError:
-                    raise UnsupportedFeatureError(
-                        f"non-numeric value {tok!r} in column {header[i]!r} (line {lineno})"
-                    ) from None
-            rows.append(feats)
-            labels.append(tokens[out_col])
-    if dropped:
-        logger.warning("%s: dropped %d rows with missing values", path.name, dropped)
-    if not rows:
-        raise ParseError("no instances")
-    y, class_names = _encode_labels(labels)
-    feature_names = tuple(h for i, h in enumerate(header) if i != out_col)
-    return Dataset(path.stem, np.array(rows, dtype=np.float64), y, feature_names, class_names)
+        in_cols = [i for i in range(len(header)) if i != out_col]
+        records = ((lineno, record) for lineno, record in enumerate(reader, start=2) if record)
+        return _read_rows(path.stem, path.name, header, out_col, in_cols, records)
 
 
 @dataclass(frozen=True)

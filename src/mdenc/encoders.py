@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -376,17 +377,22 @@ def fit(kind: str, ds_train: Dataset, *, l: float = scaling.DEFAULT_L,
 
 def encode_batch(model: EncoderModel, X, jobs: int = 1) -> np.ndarray:
     """Encode the rows of matrix ``X`` in order into one ``(N, H, W)``
-    uint8 array. With jobs > 1 the rows are mapped over a process pool in
-    contiguous chunks; output ordering is preserved."""
+    uint8 array. With jobs > 1 the rows are mapped over a process pool of
+    at most ``os.cpu_count()`` workers in contiguous chunks; output
+    ordering is preserved."""
     if not isinstance(model, EncoderModel):
         raise StateError("not a fitted encoder model")
+    if jobs < 1:
+        raise ParameterError(f"jobs must be >= 1, got {jobs}")
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != model.layout.n:
         raise ShapeError(f"expected rows of {model.layout.n} features, got shape {X.shape}")
     bad = np.flatnonzero(~np.isfinite(X).all(axis=1))
     if bad.size:
         raise ParameterError(f"row {bad[0]} holds a non-finite feature value")
-    if jobs <= 1 or X.shape[0] < 2 * jobs:
+    # the pool starts every worker at once, so it gets no more than the cores
+    jobs = min(jobs, os.cpu_count() or 1)
+    if jobs == 1 or X.shape[0] < 2 * jobs:
         # looked up by name so a wrapper installed on this module takes effect
         return globals()[f"encode_{model.kind}"](model, X)
     with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -402,10 +408,6 @@ def encode(model: EncoderModel, x) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # serialization
 
-def model_to_dict(model: EncoderModel) -> dict:
-    return to_doc(model)
-
-
 def model_from_dict(doc: dict) -> EncoderModel:
     kind = doc.get("kind") if isinstance(doc, dict) else None
     if kind not in KINDS:
@@ -414,7 +416,7 @@ def model_from_dict(doc: dict) -> EncoderModel:
 
 
 def save_model(model: EncoderModel, path) -> None:
-    Path(path).write_text(json.dumps(model_to_dict(model), indent=2))
+    Path(path).write_text(json.dumps(to_doc(model), indent=2))
 
 
 def load_model(path) -> EncoderModel:

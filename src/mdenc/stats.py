@@ -1,19 +1,27 @@
 """Classifier-comparison statistics: the combined F-test over repeated
 2-fold CV scores (per dataset), the Wilcoxon signed-rank test (across
-datasets), and mean ranks."""
+datasets), mean ranks, and ``compare``, which runs all three over a set of
+evaluation reports."""
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._doc import to_doc
 from ._ranking import rank_average
 from .errors import InsufficientDataError, ParameterError
 
 N_SPLITS = 10  # 5 repeats x 2 folds
 DEFAULT_ALPHA = 0.05
+
+
+def _check_alpha(alpha: float) -> None:
+    if not 0.0 < alpha < 1.0:  # also rejects NaN
+        raise ParameterError(f"alpha must lie in (0, 1), got {alpha}")
 
 
 @dataclass(frozen=True)
@@ -38,6 +46,7 @@ def combined_5x2cv_f_test(a, b, alpha: float = DEFAULT_ALPHA) -> FTestResult:
     nonzero differences give p = 0 (significant); all-zero differences
     leave F undefined (not significant).
     """
+    _check_alpha(alpha)
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.shape != (N_SPLITS,) or b.shape != (N_SPLITS,):
@@ -141,6 +150,7 @@ def wilcoxon_signed_rank(a, b, alpha: float = DEFAULT_ALPHA,
     sign assignments (computed by convolution over the doubled-rank grid);
     larger n uses the tie-corrected normal approximation.
     """
+    _check_alpha(alpha)
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape or a.ndim != 1:
@@ -209,3 +219,74 @@ def mean_ranks(scores) -> np.ndarray:
         raise ParameterError("missing entries are not allowed")
     ranks = np.vstack([rank_average(row) for row in matrix])
     return ranks.mean(axis=0)
+
+
+def _pair_key(name_a: str, name_b: str) -> str:
+    return f"{name_a} vs {name_b}"
+
+
+def compare(reports, alpha: float = DEFAULT_ALPHA) -> dict:
+    """Compare methods over evaluation reports, one per (dataset, method).
+
+    Each report needs ``dataset``, ``encoder`` (the method), ``mean_bac``
+    and the 10 ``per_split_bac`` scores; methods and datasets keep their
+    first-appearance order. Per dataset, every method pair gets the
+    combined F-test, and each method lists the 1-based indices of the
+    methods it beats significantly. Across datasets, the mean balanced
+    accuracies give the mean ranks and, per method pair, a Wilcoxon
+    signed-rank test (an ``error`` entry when too few datasets differ).
+    This is the document ``mdenc stats --out`` writes.
+    """
+    datasets: list[str] = []
+    methods: list[str] = []
+    table = {}
+    for report in reports:
+        if report.dataset not in datasets:
+            datasets.append(report.dataset)
+        if report.encoder not in methods:
+            methods.append(report.encoder)
+        key = (report.dataset, report.encoder)
+        if key in table:
+            raise ParameterError(f"duplicate report for {key}")
+        table[key] = report
+    missing = [(d, m) for d in datasets for m in methods if (d, m) not in table]
+    if missing:
+        raise ParameterError(f"missing reports for {missing}")
+    if len(methods) < 2:
+        raise ParameterError("need reports for at least 2 methods")
+
+    pairs = list(itertools.combinations(range(len(methods)), 2))
+    per_dataset = {}
+    for ds_name in datasets:
+        means = {m: table[(ds_name, m)].mean_bac for m in methods}
+        f_tests = {}
+        better_than: dict[str, list[int]] = {m: [] for m in methods}
+        for i, j in pairs:
+            m_i, m_j = methods[i], methods[j]
+            result = combined_5x2cv_f_test(table[(ds_name, m_i)].per_split_bac,
+                                           table[(ds_name, m_j)].per_split_bac, alpha)
+            f_tests[_pair_key(m_i, m_j)] = to_doc(result)
+            if result.significant:
+                winner, loser = (i, j) if means[m_i] > means[m_j] else (j, i)
+                better_than[methods[winner]].append(loser + 1)  # 1-based
+        per_dataset[ds_name] = {
+            "mean_bac": means,
+            "significantly_better_than": {m: sorted(v) for m, v in better_than.items()},
+            "f_tests": f_tests,
+        }
+
+    score_matrix = np.array([[table[(d, m)].mean_bac for m in methods] for d in datasets])
+    wilcoxon = {}
+    for i, j in pairs:
+        try:
+            result = to_doc(wilcoxon_signed_rank(score_matrix[:, i], score_matrix[:, j], alpha))
+        except InsufficientDataError as exc:
+            result = {"error": str(exc)}
+        wilcoxon[_pair_key(methods[i], methods[j])] = result
+    return {
+        "alpha": alpha,
+        "methods": methods,
+        "datasets": per_dataset,
+        "mean_ranks": {m: float(r) for m, r in zip(methods, mean_ranks(score_matrix))},
+        "wilcoxon": wilcoxon,
+    }

@@ -139,6 +139,11 @@ class TestEncode:
                      "--rows", "100000", "--out", str(tmp_path / "x")])
         assert code == 2
 
+    def test_jobs_below_one_exits_2(self, tmp_path, keel_file, capsys):
+        code, _ = self.encode(tmp_path, keel_file, extra=["--jobs", "0"])
+        assert code == 2
+        assert "jobs" in capsys.readouterr().err
+
     def test_malformed_model_exits_2(self, tmp_path, keel_file, capsys):
         model_path = tmp_path / "model.json"
         main(["fit", "--dataset", str(keel_file), "--encoder", "retire",
@@ -231,6 +236,13 @@ class TestStats:
                      str(tmp_path / "d1_retire.json"), str(tmp_path / "d1_stml.json"),
                      str(tmp_path / "d2_retire.json")])
         assert code == 2
+
+    @pytest.mark.parametrize("alpha", ["2", "1", "0", "-1", "nan"])
+    def test_alpha_outside_unit_interval_exits_2(self, tmp_path, capsys, alpha):
+        paths = [str(fake_report(tmp_path, "d1", m, [0.8 + k * 0.01] * 10))
+                 for k, m in enumerate(("retire", "stml"))]
+        assert main(["stats", "--reports", *paths, "--alpha", alpha]) == 2
+        assert "alpha" in capsys.readouterr().err
 
     def test_malformed_report_exits_2(self, tmp_path, capsys):
         good = fake_report(tmp_path, "d1", "retire", [0.8] * 10)

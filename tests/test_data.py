@@ -1,7 +1,14 @@
+import string
+import tempfile
+from pathlib import Path
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fixtures import make_benchmark_dataset, save_csv, write_keel_file
+from mdenc import data
 from mdenc.data import (
     Dataset,
     generate_synthetic,
@@ -10,6 +17,7 @@ from mdenc.data import (
     make_cv_plan,
 )
 from mdenc.errors import (
+    MdencError,
     MissingColumnError,
     ParameterError,
     ParseError,
@@ -151,6 +159,86 @@ class TestCsvLoading:
         again = load_csv(tmp_path / "h.csv", "class")
         assert np.array_equal(ds.X, again.X)
         assert np.array_equal(ds.y, again.y)
+
+
+@st.composite
+def text_tables(draw):
+    """(labels, rows of cell strings) with the label last: repr floats,
+    ``?`` or empty cells, and 2-4 alphanumeric labels."""
+    labels = draw(st.lists(st.text(string.ascii_letters + string.digits, min_size=1,
+                                   max_size=4), min_size=2, max_size=4, unique=True))
+    n_features = draw(st.integers(1, 4))
+    missing = st.sampled_from(["?", ""])
+    number = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+    feature = st.one_of(number, number, number, missing)
+    label = st.one_of(st.sampled_from(labels), st.sampled_from(labels), missing)
+    rows = draw(st.lists(st.tuples(st.lists(feature, min_size=n_features,
+                                            max_size=n_features), label)
+                         .map(lambda r: [*r[0], r[1]]), min_size=1, max_size=12))
+    return labels, rows
+
+
+def load_both(labels, rows):
+    """Load the table written as KEEL and as CSV; per format, the dataset
+    or the error raised, and the dropped-row counts logged."""
+    names = [f"f{i}" for i in range(len(rows[0]) - 1)] + ["class"]
+    keel = ["@relation table", *(f"@attribute {n} real" for n in names[:-1]),
+            f"@attribute class {{{', '.join(labels)}}}", "@data"]
+    csv = [",".join(names)]
+    outcomes = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for loader, header, suffix in ((data.load_keel, keel, "dat"), (data.load_csv, csv, "csv")):
+            path = Path(tmp) / f"table.{suffix}"
+            path.write_text("\n".join(header + [",".join(r) for r in rows]) + "\n")
+            with mock.patch.object(data.logger, "warning") as warning:
+                try:
+                    result = loader(path)
+                except MdencError as exc:
+                    result = exc
+            outcomes.append((result, [call.args[2] for call in warning.call_args_list]))
+    return outcomes, len(keel)
+
+
+class TestKeelCsvAgree:
+    @settings(max_examples=150, deadline=None)
+    @given(text_tables())
+    def test_same_table_loads_the_same(self, table):
+        labels, rows = table
+        ((keel, keel_dropped), (csv, csv_dropped)), _ = load_both(labels, rows)
+        dropped = sum(any(c in ("?", "") for c in row) for row in rows)
+        assert keel_dropped == csv_dropped == ([dropped] if dropped else [])
+        if isinstance(keel, Exception):
+            assert type(keel) is type(csv) and str(keel) == str(csv)
+            return
+        assert np.array_equal(keel.X, csv.X) and keel.X.dtype == csv.X.dtype
+        assert np.array_equal(keel.y, csv.y)
+        assert keel.feature_names == csv.feature_names
+        assert keel.class_names == csv.class_names
+        assert keel.n_instances == len(rows) - dropped
+
+    @settings(max_examples=60, deadline=None)
+    @given(text_tables(), st.data())
+    def test_non_numeric_cell_named_in_both_formats(self, table, extra):
+        labels, rows = table
+        token = extra.draw(st.text(string.ascii_letters, min_size=1, max_size=5)
+                          .filter(lambda t: not _parses(t)))
+        r = extra.draw(st.integers(0, len(rows) - 1))
+        c = extra.draw(st.integers(0, len(rows[0]) - 2))
+        row = ["0.5"] * (len(rows[0]) - 1) + [labels[0]]
+        row[c] = token
+        rows = rows[:r] + [row] + rows[r + 1:]
+        outcomes, keel_header = load_both(labels, rows)
+        for (result, _), header_lines in zip(outcomes, (keel_header, 1)):
+            assert isinstance(result, UnsupportedFeatureError)
+            assert f"{token!r} in column 'f{c}' (line {header_lines + r + 1})" in str(result)
+
+
+def _parses(token):
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
 
 
 class TestDatasetValidation:

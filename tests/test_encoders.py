@@ -10,6 +10,7 @@ from scipy.stats import rankdata
 
 from fixtures import make_benchmark_dataset
 from mdenc import _font, encoders, scaling
+from mdenc._doc import to_doc
 from mdenc.data import Dataset
 from mdenc.errors import CapacityError, FitError, ParameterError, ShapeError, StateError
 from mdenc.raster import polar_vertices, scanline_fill_mask
@@ -520,6 +521,42 @@ class TestGenericSurface:
         for row, image in zip(ds.X, serial):
             assert np.array_equal(encoders.encode(model, row), image)
 
+    def test_jobs_below_one_rejected(self):
+        ds = toy_dataset(4, n_rows=6)
+        model = encoders.fit("retire", ds, size=(32, 32))
+        for jobs in (0, -3):
+            with pytest.raises(ParameterError, match="jobs"):
+                encoders.encode_batch(model, ds.X, jobs=jobs)
+
+    def test_pool_never_exceeds_cpu_count(self, monkeypatch):
+        # a stub pool that records its size and maps inline: no process starts
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(encoders, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(encoders.os, "cpu_count", lambda: 3)
+        ds = toy_dataset(4, n_rows=40, seed=6)
+        model = encoders.fit("retire", ds, size=(32, 32))
+        serial = encoders.encode_batch(model, ds.X)
+        for jobs, pool_size in ((1000, 3), (3, 3), (2, 2)):
+            assert encoders.encode_batch(model, ds.X, jobs=jobs).tobytes() == serial.tobytes()
+            assert sizes.pop() == pool_size
+        monkeypatch.setattr(encoders.os, "cpu_count", lambda: None)
+        assert encoders.encode_batch(model, ds.X, jobs=1000).tobytes() == serial.tobytes()
+        assert sizes == []  # an unknown core count runs serially
+
     LAYOUT_KEYS = {
         "retire": ["cx", "cy", "rmax", "n"],
         "stml": ["rows", "cols", "n"],
@@ -558,8 +595,7 @@ class TestGenericSurface:
 
     @staticmethod
     def model_doc(kind):
-        return encoders.model_to_dict(encoders.fit(kind, toy_dataset(5, seed=2),
-                                                   size=(64, 64)))
+        return to_doc(encoders.fit(kind, toy_dataset(5, seed=2), size=(64, 64)))
 
     @pytest.mark.parametrize("kind, path, value", [
         ("retire", ("layout", "n"), None),

@@ -8,11 +8,14 @@ import scipy.stats as scipy_stats
 from fixtures import (
     REFERENCE_BAC_MATRIX,
     REFERENCE_MEAN_RANKS,
+    REFERENCE_METHODS,
     TIE_RESOLVED_BAC_MATRIX,
 )
 from mdenc.errors import InsufficientDataError, ParameterError
+from mdenc.probe import EvalReport
 from mdenc.stats import (
     combined_5x2cv_f_test,
+    compare,
     f_distribution_sf,
     mean_ranks,
     regularized_incomplete_beta,
@@ -219,3 +222,79 @@ class TestMeanRanks:
     def test_missing_entries_rejected(self):
         with pytest.raises(ParameterError):
             mean_ranks(np.array([[1.0, np.nan]]))
+
+
+BAD_ALPHAS = [math.nan, 0.0, 1.0, -1.0, 2.0, math.inf]
+
+
+def reports_for(matrix, methods, rng):
+    """One report per (dataset, method): 10 split scores around each cell."""
+    out = []
+    for d, row in enumerate(matrix):
+        for m, mean in zip(methods, row):
+            bacs = np.clip(mean + rng.normal(0, 0.02, 10), 0, 1)
+            out.append(EvalReport(f"ds{d}", m, tuple(bacs), float(np.mean(bacs))))
+    return out
+
+
+class TestAlphaDomain:
+    @pytest.mark.parametrize("alpha", BAD_ALPHAS)
+    def test_tests_reject_alpha_outside_unit_interval(self, alpha):
+        a, b = np.linspace(0.5, 0.9, 10), np.linspace(0.4, 0.8, 10)[::-1]
+        with pytest.raises(ParameterError, match="alpha"):
+            combined_5x2cv_f_test(a, b, alpha)
+        with pytest.raises(ParameterError, match="alpha"):
+            wilcoxon_signed_rank(a, b, alpha)
+
+    @pytest.mark.parametrize("alpha", BAD_ALPHAS)
+    def test_compare_rejects_alpha_outside_unit_interval(self, alpha):
+        reports = reports_for(REFERENCE_BAC_MATRIX[:6, :2], ("stml", "igtd"),
+                              np.random.default_rng(0))
+        with pytest.raises(ParameterError, match="alpha"):
+            compare(reports, alpha)
+
+    def test_alpha_near_the_ends_accepted(self):
+        a, b = np.linspace(0.5, 0.9, 10), np.linspace(0.4, 0.8, 10)[::-1]
+        assert combined_5x2cv_f_test(a, b, 1e-12).significant is False
+        assert wilcoxon_signed_rank(a, b, 1.0 - 1e-12).significant is True
+
+
+class TestCompare:
+    def test_protocol_matches_the_per_test_functions(self):
+        methods = REFERENCE_METHODS
+        reports = reports_for(REFERENCE_BAC_MATRIX, methods, np.random.default_rng(1))
+        doc = compare(reports, 0.1)
+        assert doc["alpha"] == 0.1 and doc["methods"] == list(methods)
+        assert list(doc["datasets"]) == [f"ds{d}" for d in range(len(REFERENCE_BAC_MATRIX))]
+        table = {(r.dataset, r.encoder): r for r in reports}
+        means = np.array([[table[(d, m)].mean_bac for m in methods] for d in doc["datasets"]])
+        assert list(doc["mean_ranks"].values()) == mean_ranks(means).tolist()
+        for (i, m_i), (j, m_j) in itertools.combinations(enumerate(methods), 2):
+            w = wilcoxon_signed_rank(means[:, i], means[:, j], 0.1)
+            assert doc["wilcoxon"][f"{m_i} vs {m_j}"] == {
+                "w_stat": w.w_stat, "p_value": w.p_value, "significant": w.significant,
+                "n": w.n, "exact": w.exact}
+        entry = doc["datasets"]["ds0"]
+        wins = {m: [] for m in methods}
+        for (i, m_i), (j, m_j) in itertools.combinations(enumerate(methods), 2):
+            f = combined_5x2cv_f_test(table[("ds0", m_i)].per_split_bac,
+                                      table[("ds0", m_j)].per_split_bac, 0.1)
+            assert entry["f_tests"][f"{m_i} vs {m_j}"]["p_value"] == f.p_value
+            if f.significant:
+                better = m_i if entry["mean_bac"][m_i] > entry["mean_bac"][m_j] else m_j
+                wins[better].append(methods.index(m_j if better == m_i else m_i) + 1)
+        assert entry["significantly_better_than"] == {m: sorted(v) for m, v in wins.items()}
+
+    def test_too_few_differing_datasets_is_an_error_entry(self):
+        reports = reports_for(REFERENCE_BAC_MATRIX[:4, :2], ("stml", "igtd"),
+                              np.random.default_rng(2))
+        assert "error" in compare(reports)["wilcoxon"]["stml vs igtd"]
+
+    def test_incomplete_report_sets_rejected(self):
+        reports = reports_for(REFERENCE_BAC_MATRIX[:2, :2], ("stml", "igtd"),
+                              np.random.default_rng(3))
+        for bad, message in ((reports + reports[:1], "duplicate"),
+                             (reports[:3], "missing"),
+                             (reports[::2], "at least 2 methods")):
+            with pytest.raises(ParameterError, match=message):
+                compare(bad)
