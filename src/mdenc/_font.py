@@ -1,8 +1,9 @@
 """Embedded 5x7 bitmap glyphs for the text-grid encoder.
 
 Hand-drawn pixel font covering digits, sign, decimal point and the
-exponent marker; one blank column separates adjacent glyphs. Integer
-scaling only, so rendering is bit-exact on every platform.
+exponent marker; each glyph is stored with the blank column that separates
+it from the next. Integer scaling only, so rendering is bit-exact on every
+platform.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from .errors import ParameterError
 
 GLYPH_WIDTH = 5
 GLYPH_HEIGHT = 7
-GLYPH_ADVANCE = GLYPH_WIDTH + 1
 
 _GLYPH_ROWS = {
     "0": (".###.", "#...#", "#..##", "#.#.#", "##..#", "#...#", ".###."),
@@ -32,39 +32,31 @@ _GLYPH_ROWS = {
     "e": (".....", ".....", ".###.", "#...#", "#####", "#....", ".###."),
 }
 
+# (GLYPH_HEIGHT, GLYPH_WIDTH + 1) masks: the glyph, then its blank spacer
 GLYPHS = {
-    ch: np.array([[cell == "#" for cell in row] for row in rows], dtype=bool)
+    ch: np.array([[cell == "#" for cell in row + "."] for row in rows], dtype=bool)
     for ch, rows in _GLYPH_ROWS.items()
 }
 
 
-def text_size(text: str, scale: int = 1) -> tuple[int, int]:
-    """(width, height) in pixels of ``text`` at the given integer scale."""
+def draw_text(pixels: np.ndarray, text: str, rect: tuple[int, int, int, int]) -> None:
+    """Blit ``text`` with foreground 255 into the (x0, y0, x1, y1) rect of
+    ``pixels``: at the largest integer scale that fits (at least 1),
+    centered, and clipped to the rect and to the buffer."""
     if not text:
-        return 0, 0
-    return scale * (len(text) * GLYPH_ADVANCE - 1), scale * GLYPH_HEIGHT
-
-
-def draw_text(pixels: np.ndarray, text: str, x: int, y: int, scale: int,
-              clip: tuple[int, int, int, int]) -> None:
-    """Blit ``text`` at (x, y) with foreground 255, clipped to the
-    (x0, y0, x1, y1) rectangle intersected with the buffer bounds."""
-    if scale < 1:
-        raise ParameterError("scale must be a positive integer")
-    x0 = max(0, clip[0])
-    y0 = max(0, clip[1])
-    x1 = min(pixels.shape[1], clip[2])
-    y1 = min(pixels.shape[0], clip[3])
-    for ch in text:
-        glyph = GLYPHS.get(ch)
-        if glyph is None:
-            raise ParameterError(f"no glyph for character {ch!r}")
-        mask = glyph.repeat(scale, axis=0).repeat(scale, axis=1)
-        gx0, gy0 = max(x, x0), max(y, y0)
-        gx1 = min(x + mask.shape[1], x1)
-        gy1 = min(y + mask.shape[0], y1)
-        if gx0 < gx1 and gy0 < gy1:
-            window = mask[gy0 - y:gy1 - y, gx0 - x:gx1 - x]
-            region = pixels[gy0:gy1, gx0:gx1]
-            region[window] = 255
-        x += GLYPH_ADVANCE * scale
+        return
+    try:
+        mask = np.concatenate([GLYPHS[ch] for ch in text], axis=1)[:, :-1]
+    except KeyError as exc:
+        raise ParameterError(f"no glyph for character {exc.args[0]!r}") from None
+    x0, y0, x1, y1 = rect
+    th, tw = mask.shape
+    scale = max(1, min((x1 - x0) // tw, (y1 - y0) // th))
+    x = x0 + (x1 - x0 - tw * scale) // 2
+    y = y0 + (y1 - y0 - th * scale) // 2
+    cx0, cy0 = max(x, x0, 0), max(y, y0, 0)
+    cx1 = min(x + tw * scale, x1, pixels.shape[1])
+    cy1 = min(y + th * scale, y1, pixels.shape[0])
+    if cx0 < cx1 and cy0 < cy1:
+        mask = mask.repeat(scale, axis=0).repeat(scale, axis=1)
+        pixels[cy0:cy1, cx0:cx1][mask[cy0 - y:cy1 - y, cx0 - x:cx1 - x]] = 255

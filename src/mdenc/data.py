@@ -245,7 +245,10 @@ def load_csv(path, label_column: str | int = -1) -> Dataset:
             if not 0 <= out_col < len(header):
                 raise MissingColumnError(f"label column index {label_column} out of range")
         in_cols = [i for i in range(len(header)) if i != out_col]
-        records = ((lineno, record) for lineno, record in enumerate(reader, start=2) if record)
+        # a record starts on the line after those read so far; zip asks
+        # ``starts`` before ``reader``, and quoted cells may span lines
+        starts = iter(lambda: reader.line_num + 1, None)
+        records = ((lineno, record) for lineno, record in zip(starts, reader) if record)
         return _read_rows(path.stem, path.name, header, out_col, in_cols, records)
 
 

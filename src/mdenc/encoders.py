@@ -183,19 +183,14 @@ def fit_stml(ds_train: Dataset, size: tuple[int, int] = DEFAULT_CANVAS) -> Encod
 
 
 def encode_stml(model: EncoderModel, X: np.ndarray) -> np.ndarray:
-    """Render each raw feature value as centered glyph text in its cell at
-    the largest integer scale that fits (minimum 1, clipped to the cell)."""
+    """Render each raw feature value as glyph text in its cell;
+    ``_font.draw_text`` picks the scale, centers and clips."""
     width, height = model.canvas_size
     cells = [model.layout.cell_rect(f, width, height) for f in range(model.layout.n)]
     out = np.zeros((X.shape[0], height, width), dtype=np.uint8)
     for image, row in zip(out, X):
-        for (x0, y0, x1, y1), value in zip(cells, row):
-            text = format_value(float(value))
-            tw, th = _font.text_size(text)
-            scale = max(1, min((x1 - x0) // tw, (y1 - y0) // th))
-            px = x0 + (x1 - x0 - tw * scale) // 2
-            py = y0 + (y1 - y0 - th * scale) // 2
-            _font.draw_text(image, text, px, py, scale, clip=(x0, y0, x1, y1))
+        for rect, value in zip(cells, row):
+            _font.draw_text(image, format_value(float(value)), rect)
     return out
 
 

@@ -119,6 +119,8 @@ def run_cv_eval(ds: Dataset, encoder_kind: str, plan: CVPlan, *,
     """
     if encoder_kind not in EVAL_KINDS:
         raise ParameterError(f"unknown encoder kind {encoder_kind!r}")
+    if jobs < 1:
+        raise ParameterError(f"jobs must be >= 1, got {jobs}")
     if plan.n_instances != ds.n_instances:
         raise ShapeError("plan was built for a different number of instances")
     bacs: list[float] = []

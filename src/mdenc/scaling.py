@@ -94,7 +94,7 @@ def transform(params: ScalerParams, x) -> np.ndarray:
         )
     l, u = params.l, params.u
     span = params.maxs - params.mins
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         ratio = (x - params.mins) / span
     out = np.clip(l + ratio * (u - l), 0.0, 1.0)
     # values inside the fitted range must not escape [l, u] by rounding

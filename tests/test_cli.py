@@ -181,6 +181,20 @@ class TestEval:
     def test_unknown_encoder_exits_2(self, csv_file):
         assert main(["eval", "--dataset", str(csv_file), "--encoder", "mlp"]) == 2
 
+    @pytest.mark.parametrize("encoder", ["tabular", "retire"])
+    def test_jobs_below_one_exits_2_before_fitting(self, tmp_path, csv_file, capsys,
+                                                   monkeypatch, encoder):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fitted before the jobs check")
+
+        monkeypatch.setattr(encoders, "fit", no_fit)
+        out = tmp_path / "report.json"
+        code = main(["eval", "--dataset", str(csv_file), "--encoder", encoder,
+                     "--jobs", "0", "--out", str(out)])
+        assert code == 2
+        assert "jobs" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestStats:
     def test_identical_reports_no_significance(self, tmp_path, capsys):

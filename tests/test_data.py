@@ -152,6 +152,16 @@ class TestCsvLoading:
         with pytest.raises(ParseError):
             load_csv(write(tmp_path / "e.csv", ""))
 
+    def test_errors_name_the_file_line(self, tmp_path):
+        # the quoted cell of record 2 spans lines 2-3, so "oops" is on line 5
+        path = write(tmp_path / "q.csv", 'a,b,label\n"1.0\n",2,x\n3,4,y\noops,5,x\n')
+        with pytest.raises(UnsupportedFeatureError, match="line 5"):
+            load_csv(path)
+        # a record spanning lines is named by the line it starts on
+        path = write(tmp_path / "s.csv", 'a,b,label\n\n"oo\nps",5,x\n1,2,y\n')
+        with pytest.raises(UnsupportedFeatureError, match="line 3"):
+            load_csv(path)
+
     def test_round_trip_identical(self, tmp_path):
         src = write_keel_file(make_benchmark_dataset("haberman"), tmp_path / "h.dat")
         ds = load_keel(src)

@@ -23,30 +23,129 @@ def toy_dataset(n_features, n_rows=20, seed=0, name="toy"):
     return Dataset(name, X, y, tuple(f"f{i}" for i in range(n_features)), ("0", "1"))
 
 
+def reference_draw_text(pixels, text, rect):
+    """Oracle for ``_font.draw_text``: the placement ``encode_stml`` used to
+    work out (largest integer scale that fits, at least 1, centered), then
+    one glyph at a time, each clipped to the rect and the buffer and
+    advanced by the glyph width plus a blank column."""
+    x0, y0, x1, y1 = rect
+    tw, th = len(text) * 6 - 1, 7
+    scale = max(1, min((x1 - x0) // tw, (y1 - y0) // th))
+    x = x0 + (x1 - x0 - tw * scale) // 2
+    y = y0 + (y1 - y0 - th * scale) // 2
+    cx0, cy0 = max(0, x0), max(0, y0)
+    cx1, cy1 = min(pixels.shape[1], x1), min(pixels.shape[0], y1)
+    for ch in text:
+        mask = _font.GLYPHS[ch][:, :5].repeat(scale, axis=0).repeat(scale, axis=1)
+        gx0, gy0 = max(x, cx0), max(y, cy0)
+        gx1, gy1 = min(x + mask.shape[1], cx1), min(y + mask.shape[0], cy1)
+        if gx0 < gx1 and gy0 < gy1:
+            pixels[gy0:gy1, gx0:gx1][mask[gy0 - y:gy1 - y, gx0 - x:gx1 - x]] = 255
+        x += 6 * scale
+    return pixels
+
+
+def ink_box(pixels):
+    """(x0, y0, x1, y1) bounding box of the set pixels."""
+    ys, xs = np.nonzero(pixels)
+    return xs.min(), ys.min(), xs.max() + 1, ys.max() + 1
+
+
 class TestFont:
     def test_text_size(self):
-        assert _font.text_size("1.000") == (5 * 6 - 1, 7)
-        assert _font.text_size("1.000", scale=3) == (3 * 29, 21)
+        # "8" is inked in its first and last column and row, so the ink of
+        # "88888" spans the whole text: 5 glyphs of 5 plus 4 blank columns
+        one = np.zeros((7, 29), dtype=np.uint8)
+        _font.draw_text(one, "88888", (0, 0, 29, 7))
+        assert ink_box(one) == (0, 0, 29, 7)
+        three = np.zeros((21, 87), dtype=np.uint8)
+        _font.draw_text(three, "88888", (0, 0, 87, 21))
+        assert ink_box(three) == (0, 0, 87, 21)
+
+    def test_largest_integer_scale_centered(self):
+        # 86 // 29 = 2, 30 // 7 = 4: scale 2, text 58x14, centered in the rect
+        pixels = np.zeros((40, 100), dtype=np.uint8)
+        _font.draw_text(pixels, "88888", (5, 3, 91, 33))
+        assert ink_box(pixels) == (5 + 14, 3 + 8, 5 + 14 + 58, 3 + 8 + 14)
 
     def test_draw_respects_clip(self):
+        # text wider than its rect: nothing outside the rect is touched
         pixels = np.zeros((20, 20), dtype=np.uint8)
-        _font.draw_text(pixels, "8", x=-2, y=-3, scale=1, clip=(0, 0, 20, 20))
-        assert pixels.any()
-        pixels2 = np.zeros((20, 20), dtype=np.uint8)
-        _font.draw_text(pixels2, "8", x=2, y=2, scale=1, clip=(0, 0, 4, 4))
-        ys, xs = np.nonzero(pixels2)
-        assert xs.max() < 4 and ys.max() < 4
+        _font.draw_text(pixels, "888", (2, 2, 6, 6))
+        x0, y0, x1, y1 = ink_box(pixels)
+        assert x0 >= 2 and y0 >= 2 and x1 <= 6 and y1 <= 6
+        # the scale-1 text "8" is 5x7; in a 3x4 rect it is centered by floor
+        # division (offsets (3 - 5) // 2 = -1 and (4 - 7) // 2 = -2) and cut
+        pixels = np.zeros((20, 20), dtype=np.uint8)
+        _font.draw_text(pixels, "8", (10, 10, 13, 14))
+        glyph = _font.GLYPHS["8"][:, :5]
+        assert np.array_equal(pixels[10:14, 10:13] > 0, glyph[2:6, 1:4])
+        assert pixels.sum() == 255 * glyph[2:6, 1:4].sum()
+
+    def test_clips_to_buffer(self):
+        # a rect hanging off the top-left corner keeps its placement
+        pixels = np.zeros((20, 20), dtype=np.uint8)
+        _font.draw_text(pixels, "8", (-2, -3, 3, 4))
+        glyph = _font.GLYPHS["8"][:, :5]
+        assert np.array_equal(pixels[:4, :3] > 0, glyph[3:, 2:])
+        assert pixels.sum() == 255 * glyph[3:, 2:].sum()
+        # and one wholly outside draws nothing
+        _font.draw_text(pixels, "8", (30, 0, 40, 10))
+        assert pixels.sum() == 255 * glyph[3:, 2:].sum()
 
     def test_scaling_doubles_glyph(self):
-        one = np.zeros((20, 20), dtype=np.uint8)
-        two = np.zeros((40, 40), dtype=np.uint8)
-        _font.draw_text(one, "7", 0, 0, 1, clip=(0, 0, 20, 20))
-        _font.draw_text(two, "7", 0, 0, 2, clip=(0, 0, 40, 40))
-        assert (two[::2, ::2][:20, :20] > 0).sum() == 4 * (one > 0).sum() / 4
+        one = np.zeros((7, 5), dtype=np.uint8)
+        two = np.zeros((14, 10), dtype=np.uint8)
+        _font.draw_text(one, "7", (0, 0, 5, 7))
+        _font.draw_text(two, "7", (0, 0, 10, 14))
+        assert np.array_equal(two, one.repeat(2, axis=0).repeat(2, axis=1))
 
     def test_unknown_glyph(self):
-        with pytest.raises(ParameterError):
-            _font.draw_text(np.zeros((8, 8), dtype=np.uint8), "x", 0, 0, 1, (0, 0, 8, 8))
+        pixels = np.zeros((8, 20), dtype=np.uint8)
+        with pytest.raises(ParameterError, match="'x'"):
+            _font.draw_text(pixels, "1x", (0, 0, 20, 8))
+        assert not pixels.any()
+
+    def test_empty_text_draws_nothing(self):
+        pixels = np.zeros((8, 8), dtype=np.uint8)
+        _font.draw_text(pixels, "", (0, 0, 8, 8))
+        assert not pixels.any()
+
+    def test_glyphs_carry_blank_spacer(self):
+        for glyph in _font.GLYPHS.values():
+            assert glyph.shape == (_font.GLYPH_HEIGHT, _font.GLYPH_WIDTH + 1)
+            assert not glyph[:, -1].any()
+
+
+texts = st.floats(allow_nan=False, allow_infinity=False).map(encoders.format_value)
+sides = st.integers(1, 80)
+
+
+class TestFontOracle:
+    @settings(max_examples=400, deadline=None)
+    @given(text=texts, width=sides, height=sides, x0=st.integers(-40, 90),
+           y0=st.integers(-40, 90), w=st.integers(0, 130), h=st.integers(0, 130))
+    def test_matches_reference(self, text, width, height, x0, y0, w, h):
+        rect = (x0, y0, x0 + w, y0 + h)
+        got = np.zeros((height, width), dtype=np.uint8)
+        _font.draw_text(got, text, rect)
+        want = reference_draw_text(np.zeros((height, width), dtype=np.uint8), text, rect)
+        assert np.array_equal(got, want)
+
+    def test_matches_reference_on_seeded_cells(self):
+        # narrow cells, cells off every edge and values of every magnitude
+        rng = np.random.default_rng(23)
+        for _ in range(300):
+            width, height = (int(v) for v in rng.integers(1, 70, size=2))
+            x0, y0 = (int(v) for v in rng.integers(-30, 70, size=2))
+            w, h = (int(v) for v in rng.integers(0, 90, size=2))
+            value = float(rng.normal() * 10.0 ** rng.integers(-12, 12))
+            text = encoders.format_value(value)
+            rect = (x0, y0, x0 + w, y0 + h)
+            got = np.zeros((height, width), dtype=np.uint8)
+            _font.draw_text(got, text, rect)
+            want = reference_draw_text(np.zeros((height, width), dtype=np.uint8), text, rect)
+            assert np.array_equal(got, want)
 
 
 class TestRetire:
@@ -258,12 +357,8 @@ class TestStml:
         model = encoders.fit_stml(ds, size=(224, 224))
         canvas = encoders.encode(model, np.array([1.0]))
         # independent rendering of "1.000" centered at the largest scale
-        text = "1.000"
-        tw, th = _font.text_size(text)
-        scale = min(224 // tw, 224 // th)
-        expected = np.zeros((224, 224), dtype=np.uint8)
-        _font.draw_text(expected, text, (224 - tw * scale) // 2,
-                        (224 - th * scale) // 2, scale, (0, 0, 224, 224))
+        expected = reference_draw_text(np.zeros((224, 224), dtype=np.uint8), "1.000",
+                                       (0, 0, 224, 224))
         assert np.array_equal(canvas, expected)
 
     def test_deterministic(self):
@@ -285,6 +380,49 @@ class TestStml:
         model = encoders.fit_stml(toy_dataset(3))
         with pytest.raises(ShapeError):
             encoders.encode(model, np.zeros(4))
+
+
+STML_SPECIALS = np.array([1e-7, -1e-12, 123456.7, -1e6, -0.5, 0.0, -3.25e-5, 99999.99])
+
+
+def pinned_stml_rows(n):
+    """Seeded rows for the pinned-bytes check: signed values of unit and
+    1e4 scale, then one row per rotation of the special values, so each
+    of them (tiny and huge exponents, zero, negatives) reaches cell 0."""
+    rng = np.random.default_rng(2000 + n)
+    X_train = rng.normal(size=(4, n))
+    test = np.vstack([
+        rng.normal(size=(3, n)),
+        rng.normal(scale=1e4, size=(1, n)),
+        [np.resize(np.roll(STML_SPECIALS, -k), n) for k in range(len(STML_SPECIALS))],
+    ])
+    return X_train, test
+
+
+# SHA-256 of the stml ``encode_batch`` bytes per (features, width, height),
+# recorded with the per-character glyph blit; the last two shapes clip text
+PINNED_STML_DIGESTS = {
+    (1, 224, 224): "5bcab0cf0ba2ff512ad8eeef57d02c13507949f0ace61836ea0228fdeb9a5618",
+    (4, 224, 224): "84c815062879b6e00c95873c325e0c8c2e83e38891d7a669a7e3ce9f83f4d24a",
+    (60, 224, 224): "83119fbd82d50a9c33323f2dabf055d94d11aac9cda74fca0536c5ab5cf4cbe0",
+    (100, 224, 224): "4400a519a18adc9ceb96251e02b8fd5595a6ebccce0cf3f1b29c4e5631349a7a",
+    (500, 224, 224): "6e708f8303187d2dd0927b375a5f6a267d60aadba0e1e22f21f985ad1096d7b9",
+    (30, 64, 48): "c545b6e131659b59227e6517b181e8f9d45b25e0cbe091e1b8a098c0d28311e2",
+    (7, 30, 90): "379b3bd797ce6fae36ced1001c78e15d21732f782c474ae3d7cebcb38f8e1e5e",
+}
+
+
+class TestStmlPinnedBytes:
+    @pytest.mark.parametrize("n, width, height", sorted(PINNED_STML_DIGESTS))
+    def test_encode_batch_bytes_unchanged(self, n, width, height):
+        X_train, test = pinned_stml_rows(n)
+        ds = Dataset("pin", X_train, np.tile([0, 1], 2),
+                     tuple(f"f{i}" for i in range(n)), ("0", "1"))
+        model = encoders.fit("stml", ds, size=(width, height))
+        images = encoders.encode_batch(model, test)
+        assert images.shape == (len(test), height, width)
+        digest = hashlib.sha256(images.tobytes()).hexdigest()
+        assert digest == PINNED_STML_DIGESTS[n, width, height]
 
 
 def igtd_rank_matrices(model, ds):

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from mdenc import scaling
+from mdenc import encoders, scaling
 from mdenc.data import Dataset, generate_synthetic, make_cv_plan
 from mdenc.errors import MetricError, ParameterError, ShapeError, StateError
-from mdenc.probe import EvalReport, balanced_accuracy, knn1_pixel, knn1_tabular, run_cv_eval
+from mdenc.probe import EVAL_KINDS, EvalReport, balanced_accuracy, knn1_pixel, knn1_tabular, run_cv_eval
 
 
 def stack(arrays):
@@ -143,6 +143,18 @@ class TestRunCvEval:
         plan = make_cv_plan(ds, seed=0)
         with pytest.raises(ParameterError):
             run_cv_eval(ds, "forest", plan)
+
+    @pytest.mark.parametrize("kind", EVAL_KINDS)
+    def test_jobs_below_one_rejected_before_any_fit(self, kind, monkeypatch):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fitted before the jobs check")
+
+        monkeypatch.setattr(encoders, "fit", no_fit)
+        monkeypatch.setattr(scaling, "fit", no_fit)
+        ds = self.small_ds()
+        plan = make_cv_plan(ds, seed=0)
+        with pytest.raises(ParameterError, match="jobs"):
+            run_cv_eval(ds, kind, plan, jobs=0)
 
     def test_plan_dataset_mismatch(self):
         ds = self.small_ds()

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -69,6 +70,14 @@ class TestTransform:
         params = scaling.fit(np.array([[3.0], [3.0]]), 0.05, 0.95)
         assert scaling.transform(params, np.array([3.0]))[0] == 0.5
         assert scaling.transform(params, np.array([99.0]))[0] == 0.5
+
+    def test_overflowing_ratio_is_silent_and_clamped(self):
+        # (1e300 - 0) / 1e-300 overflows to inf before the clamp
+        params = scaling.fit(np.array([[0.0], [1e-300]]), 0.05, 0.95)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = scaling.transform(params, np.array([[1e300], [-1e300]]))
+        assert out.ravel().tolist() == [1.0, 0.0]
 
     def test_shape_mismatch(self):
         params = scaling.fit(COLUMN)
