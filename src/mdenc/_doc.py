@@ -4,14 +4,17 @@ A dataclass becomes an object with one key per field, in field order;
 arrays and tuples become lists. Reading checks every key and value against
 the field annotations, so a malformed document raises :class:`StateError`
 naming the offending key instead of a stray ``KeyError`` or ``TypeError``.
+A file that is not UTF-8 JSON raises :class:`StateError` naming the file.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import json
 import sys
 import types
 import typing
+from pathlib import Path
 
 import numpy as np
 
@@ -27,6 +30,18 @@ def to_doc(value):
     if isinstance(value, tuple):
         return [to_doc(v) for v in value]
     return value
+
+
+def write_json(path, value) -> None:
+    Path(path).write_text(json.dumps(to_doc(value), indent=2))
+
+
+def read_json(path):
+    """The JSON value stored in file ``path``."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, or too deep
+        raise StateError(f"{path} is not a UTF-8 JSON document: {exc}") from None
 
 
 def from_doc(cls, doc, where: str, **hints):

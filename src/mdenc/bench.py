@@ -55,8 +55,8 @@ def run_timing_sweep(encoder_kind: str, feature_counts=DEFAULT_GRID,
     run one untimed warm-up batch, then time ``repeats`` full-batch
     encodes and record the median.
 
-    A sweep point that exhausts ``budget_secs`` is cut short and marked
-    truncated instead of hanging the sweep.
+    A sweep point that exhausts ``budget_secs`` (finite and above 0) is
+    cut short and marked truncated instead of hanging the sweep.
     """
     counts = [int(c) for c in feature_counts]
     if not counts:
@@ -65,6 +65,8 @@ def run_timing_sweep(encoder_kind: str, feature_counts=DEFAULT_GRID,
         raise ParameterError("feature_counts must be strictly ascending")
     if repeats < 1:
         raise ParameterError("repeats must be >= 1")
+    if not 0.0 < budget_secs < math.inf:  # also rejects NaN
+        raise ParameterError(f"budget_secs must be finite and above 0, got {budget_secs}")
     records = []
     for index, n_features in enumerate(counts):
         ds = generate_synthetic(n_samples, n_features, seed + index)

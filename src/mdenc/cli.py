@@ -15,6 +15,7 @@ import sys
 from pathlib import Path
 
 from . import bench, data, encoders, probe, scaling, stats
+from ._doc import write_json
 from .errors import MdencError, ParameterError
 from .raster import write_pgm, write_ppm
 
@@ -79,10 +80,6 @@ def _parse_rows(spec: str, n_rows: int) -> list[int]:
     return rows
 
 
-def _config_echo(args, fields: tuple[str, ...]) -> dict:
-    return {name: getattr(args, name) for name in fields if hasattr(args, name)}
-
-
 def cmd_fit(args) -> int:
     ds = _load_dataset(args)
     model = encoders.fit(args.encoder, ds, l=args.l, u=args.u, size=args.size,
@@ -99,7 +96,7 @@ def cmd_encode(args) -> int:
     rows = _parse_rows(args.rows, ds.n_instances)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    images = encoders.encode_batch(model, ds.X[rows], jobs=args.jobs)
+    images = encoders.encode_batch(model, ds.X[rows])
     suffix = "ppm" if args.channels == 3 else "pgm"
     writer = write_ppm if args.channels == 3 else write_pgm
     for row, image in zip(rows, images):
@@ -108,19 +105,19 @@ def cmd_encode(args) -> int:
     return 0
 
 
-_EVAL_CONFIG_FIELDS = ("dataset", "encoder", "l", "u", "seed", "jobs",
+_EVAL_CONFIG_FIELDS = ("dataset", "encoder", "l", "u", "seed",
                        "igtd_iters", "igtd_patience")
 
 
 def cmd_eval(args) -> int:
     ds = _load_dataset(args)
     plan = data.make_cv_plan(ds, args.seed)
-    config = _config_echo(args, _EVAL_CONFIG_FIELDS)
+    config = {name: getattr(args, name) for name in _EVAL_CONFIG_FIELDS}
     config["size"] = list(args.size)
     report = probe.run_cv_eval(ds, args.encoder, plan, l=args.l, u=args.u,
                                size=args.size, igtd_max_iters=args.igtd_iters,
                                igtd_patience=args.igtd_patience, seed=args.seed,
-                               jobs=args.jobs, config=config)
+                               config=config)
     if args.out:
         report.save_json(args.out)
         print(f"wrote {args.out}")
@@ -155,7 +152,7 @@ def cmd_stats(args) -> int:
     payload = stats.compare(reports, args.alpha)
     _print_stats_table(payload)
     if args.out:
-        Path(args.out).write_text(json.dumps(payload, indent=2))
+        write_json(args.out, payload)
         print(f"wrote {args.out}")
     return 0
 
@@ -214,14 +211,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_encode.add_argument("--rows", default="all", help="'all', 'a:b' or 'i,j,k'")
     p_encode.add_argument("--out", required=True, help="output directory")
     p_encode.add_argument("--channels", type=int, choices=(1, 3), default=1)
-    p_encode.add_argument("--jobs", type=int, default=1)
     p_encode.set_defaults(func=cmd_encode)
 
     p_eval = sub.add_parser("eval", parents=[common, dataset_arg],
                             help="run the repeated 2-fold CV probe evaluation")
     p_eval.add_argument("--encoder", choices=probe.EVAL_KINDS, required=True)
     p_eval.add_argument("--out", default=None)
-    p_eval.add_argument("--jobs", type=int, default=1)
     p_eval.set_defaults(func=cmd_eval)
 
     p_stats = sub.add_parser("stats", help="compare evaluation reports")

@@ -9,6 +9,7 @@ rather than silently encoded, and rows containing the missing-value token
 from __future__ import annotations
 
 import csv
+import io
 import logging
 import math
 import re
@@ -38,7 +39,7 @@ class Dataset:
 
     ``X`` is an (n_instances, n_features) float64 matrix and ``y`` holds
     class indices into ``class_names``. Arrays are write-protected after
-    construction so datasets can be shared freely across workers.
+    construction so datasets can be shared freely.
     """
 
     name: str
@@ -127,6 +128,14 @@ def _read_rows(name: str, source: str, header: list[str], out_col: int,
                    tuple(header[c] for c in in_cols), tuple(classes))
 
 
+def _read_text(path: Path) -> str:
+    try:
+        return path.read_bytes().decode("utf-8")  # line endings as written
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path.name} is not UTF-8 text ({exc.reason} at byte {exc.start})",
+                         line=exc.object.count(b"\n", 0, exc.start) + 1) from None
+
+
 _ATTRIBUTE_RE = re.compile(r"@attribute\s+(\S+)\s*(.*)", re.IGNORECASE)
 
 
@@ -148,7 +157,7 @@ def load_keel(path) -> Dataset:
     appearance. Rows containing ``?`` are dropped and the count logged.
     """
     path = Path(path)
-    lines = path.read_text().splitlines()
+    lines = _read_text(path).splitlines()
     relation = path.stem
     attributes: list[tuple[str, bool]] = []  # (name, is_nominal)
     inputs: list[str] | None = None
@@ -228,28 +237,27 @@ def load_csv(path, label_column: str | int = -1) -> Dataset:
     in order of first appearance.
     """
     path = Path(path)
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = [h.strip() for h in next(reader)]
-        except StopIteration:
-            raise ParseError("empty file", line=1) from None
-        if isinstance(label_column, str):
-            if label_column not in header:
-                raise MissingColumnError(f"label column {label_column!r} not in header")
-            out_col = header.index(label_column)
-        else:
-            out_col = int(label_column)
-            if out_col < 0:
-                out_col += len(header)
-            if not 0 <= out_col < len(header):
-                raise MissingColumnError(f"label column index {label_column} out of range")
-        in_cols = [i for i in range(len(header)) if i != out_col]
-        # a record starts on the line after those read so far; zip asks
-        # ``starts`` before ``reader``, and quoted cells may span lines
-        starts = iter(lambda: reader.line_num + 1, None)
-        records = ((lineno, record) for lineno, record in zip(starts, reader) if record)
-        return _read_rows(path.stem, path.name, header, out_col, in_cols, records)
+    reader = csv.reader(io.StringIO(_read_text(path), newline=""))
+    try:
+        header = [h.strip() for h in next(reader)]
+    except StopIteration:
+        raise ParseError("empty file", line=1) from None
+    if isinstance(label_column, str):
+        if label_column not in header:
+            raise MissingColumnError(f"label column {label_column!r} not in header")
+        out_col = header.index(label_column)
+    else:
+        out_col = int(label_column)
+        if out_col < 0:
+            out_col += len(header)
+        if not 0 <= out_col < len(header):
+            raise MissingColumnError(f"label column index {label_column} out of range")
+    in_cols = [i for i in range(len(header)) if i != out_col]
+    # a record starts on the line after those read so far; zip asks
+    # ``starts`` before ``reader``, and quoted cells may span lines
+    starts = iter(lambda: reader.line_num + 1, None)
+    records = ((lineno, record) for lineno, record in zip(starts, reader) if record)
+    return _read_rows(path.stem, path.name, header, out_col, in_cols, records)
 
 
 @dataclass(frozen=True)

@@ -10,23 +10,19 @@
 
 Fitting touches training data only. After fitting, ``encode_batch`` checks
 the rows once and ``encode_<kind>`` draws them into one ``(N, H, W)`` uint8
-array: a pure function of (model, rows) that may run concurrently.
+array: a pure function of (model, rows).
 """
 
 from __future__ import annotations
 
-import json
 import logging
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from . import _font, scaling
-from ._doc import from_doc, to_doc
+from ._doc import from_doc, read_json, write_json
 from ._ranking import rank_average
 from .data import Dataset
 from .errors import CapacityError, FitError, ParameterError, ShapeError, StateError
@@ -370,29 +366,19 @@ def fit(kind: str, ds_train: Dataset, *, l: float = scaling.DEFAULT_L,
     raise ParameterError(f"unknown encoder kind {kind!r}")
 
 
-def encode_batch(model: EncoderModel, X, jobs: int = 1) -> np.ndarray:
+def encode_batch(model: EncoderModel, X) -> np.ndarray:
     """Encode the rows of matrix ``X`` in order into one ``(N, H, W)``
-    uint8 array. With jobs > 1 the rows are mapped over a process pool of
-    at most ``os.cpu_count()`` workers in contiguous chunks; output
-    ordering is preserved."""
+    uint8 array."""
     if not isinstance(model, EncoderModel):
         raise StateError("not a fitted encoder model")
-    if jobs < 1:
-        raise ParameterError(f"jobs must be >= 1, got {jobs}")
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != model.layout.n:
         raise ShapeError(f"expected rows of {model.layout.n} features, got shape {X.shape}")
     bad = np.flatnonzero(~np.isfinite(X).all(axis=1))
     if bad.size:
         raise ParameterError(f"row {bad[0]} holds a non-finite feature value")
-    # the pool starts every worker at once, so it gets no more than the cores
-    jobs = min(jobs, os.cpu_count() or 1)
-    if jobs == 1 or X.shape[0] < 2 * jobs:
-        # looked up by name so a wrapper installed on this module takes effect
-        return globals()[f"encode_{model.kind}"](model, X)
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return np.concatenate(list(pool.map(encode_batch, [model] * jobs,
-                                            np.array_split(X, jobs))))
+    # looked up by name so a wrapper installed on this module takes effect
+    return globals()[f"encode_{model.kind}"](model, X)
 
 
 def encode(model: EncoderModel, x) -> np.ndarray:
@@ -411,8 +397,8 @@ def model_from_dict(doc: dict) -> EncoderModel:
 
 
 def save_model(model: EncoderModel, path) -> None:
-    Path(path).write_text(json.dumps(to_doc(model), indent=2))
+    write_json(path, model)
 
 
 def load_model(path) -> EncoderModel:
-    return model_from_dict(json.loads(Path(path).read_text()))
+    return model_from_dict(read_json(path))

@@ -8,14 +8,12 @@ on scaled feature vectors serves as the baseline.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from . import encoders, scaling
-from ._doc import from_doc, to_doc
+from ._doc import from_doc, read_json, to_doc, write_json
 from .data import CVPlan, Dataset
 from .errors import MetricError, ParameterError, ShapeError
 
@@ -94,11 +92,11 @@ class EvalReport:
         return from_doc(cls, doc, "report")
 
     def save_json(self, path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), indent=2))
+        write_json(path, self)
 
     @classmethod
     def load_json(cls, path) -> "EvalReport":
-        return cls.from_dict(json.loads(Path(path).read_text()))
+        return cls.from_dict(read_json(path))
 
 
 EVAL_KINDS = encoders.KINDS + ("tabular",)
@@ -116,11 +114,14 @@ def run_cv_eval(ds: Dataset, encoder_kind: str, plan: CVPlan, *,
     training fold only, both folds are encoded with that fitted model, and
     the held-out fold is classified with the 1-NN probe. The scaler and
     the pixel assignment therefore never see test data.
+
+    Encoding is serial: ``jobs`` stays only for callers passing ``jobs=1``
+    (``perfbench``), and any other value raises before anything is fitted.
     """
     if encoder_kind not in EVAL_KINDS:
         raise ParameterError(f"unknown encoder kind {encoder_kind!r}")
-    if jobs < 1:
-        raise ParameterError(f"jobs must be >= 1, got {jobs}")
+    if jobs != 1:
+        raise ParameterError(f"jobs must be 1 (encoding is serial), got {jobs}")
     if plan.n_instances != ds.n_instances:
         raise ShapeError("plan was built for a different number of instances")
     bacs: list[float] = []
@@ -135,8 +136,8 @@ def run_cv_eval(ds: Dataset, encoder_kind: str, plan: CVPlan, *,
             model = encoders.fit(encoder_kind, ds_train, l=l, u=u, size=size,
                                  igtd_max_iters=igtd_max_iters,
                                  igtd_patience=igtd_patience, seed=seed)
-            train_images = encoders.encode_batch(model, ds_train.X, jobs)
-            test_images = encoders.encode_batch(model, X_test, jobs)
+            train_images = encoders.encode_batch(model, ds_train.X)
+            test_images = encoders.encode_batch(model, X_test)
             y_pred = knn1_pixel(train_images, ds_train.y, test_images)
         bacs.append(balanced_accuracy(ds.y[test_idx], y_pred))
         predictions.append(tuple(int(v) for v in y_pred))

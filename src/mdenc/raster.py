@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import CapacityError, ParameterError, ShapeError
 
-DEFAULT_MARGIN = 4.0
+MARGIN = 4.0  # pixels between the radius-1.0 circle and the canvas edge
 # drawing calls reject coordinates that are not finite or beyond +-MAX_COORD
 MAX_COORD = 2.0**24
 
@@ -47,13 +47,13 @@ class PolarLayout:
             raise ParameterError("rmax must be positive")
 
 
-def polar_layout(width: int, height: int, n: int, margin: float = DEFAULT_MARGIN) -> PolarLayout:
-    """Centered layout whose radius-1.0 circle keeps ``margin`` pixels of
+def polar_layout(width: int, height: int, n: int) -> PolarLayout:
+    """Centered layout whose radius-1.0 circle keeps ``MARGIN`` pixels of
     clearance from the canvas edge."""
-    rmax = min(width, height) / 2.0 - margin
+    rmax = min(width, height) / 2.0 - MARGIN
     if rmax <= 0:
         raise CapacityError(
-            f"{width}x{height} canvas leaves no room inside a {margin}-pixel margin"
+            f"{width}x{height} canvas leaves no room inside a {MARGIN}-pixel margin"
         )
     return PolarLayout(width / 2.0, height / 2.0, rmax, n)
 

@@ -17,6 +17,9 @@ from .errors import InsufficientDataError, ParameterError
 
 N_SPLITS = 10  # 5 repeats x 2 folds
 DEFAULT_ALPHA = 0.05
+WILCOXON_EXACT_LIMIT = 20  # largest n whose Wilcoxon p-value is exact
+CF_MAX_ITER = 300  # continued-fraction terms before giving up
+CF_EPS = 1e-16  # relative change that ends the continued fraction
 
 
 def _check_alpha(alpha: float) -> None:
@@ -93,8 +96,7 @@ def regularized_incomplete_beta(x: float, a: float, b: float) -> float:
     return 1.0 - front * _beta_continued_fraction(b, a, 1.0 - x) / b
 
 
-def _beta_continued_fraction(a: float, b: float, x: float,
-                             max_iter: int = 300, eps: float = 1e-16) -> float:
+def _beta_continued_fraction(a: float, b: float, x: float) -> float:
     tiny = 1e-300
     qab, qap, qam = a + b, a + 1.0, a - 1.0
     c = 1.0
@@ -103,30 +105,21 @@ def _beta_continued_fraction(a: float, b: float, x: float,
         d = tiny
     d = 1.0 / d
     h = d
-    for m in range(1, max_iter + 1):
+    for m in range(1, CF_MAX_ITER + 1):
         m2 = 2 * m
-        # even step
-        coeff = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + coeff * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + coeff / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        h *= d * c
-        # odd step
-        coeff = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + coeff * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + coeff / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < eps:
+        # one modified-Lentz step per coefficient: the even one, then the odd
+        for coeff in (m * (b - m) * x / ((qam + m2) * (a + m2)),
+                      -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))):
+            d = 1.0 + coeff * d
+            if abs(d) < tiny:
+                d = tiny
+            c = 1.0 + coeff / c
+            if abs(c) < tiny:
+                c = tiny
+            d = 1.0 / d
+            delta = d * c
+            h *= delta
+        if abs(delta - 1.0) < CF_EPS:
             return h
     raise ArithmeticError("incomplete beta continued fraction did not converge")
 
@@ -140,12 +133,11 @@ class WilcoxonResult:
     exact: bool
 
 
-def wilcoxon_signed_rank(a, b, alpha: float = DEFAULT_ALPHA,
-                         exact_limit: int = 20) -> WilcoxonResult:
+def wilcoxon_signed_rank(a, b, alpha: float = DEFAULT_ALPHA) -> WilcoxonResult:
     """Two-sided Wilcoxon signed-rank test on paired score vectors.
 
     Zero differences are dropped (at least 5 must remain); absolute
-    differences get average ranks; W = min(W+, W-). For n <= exact_limit
+    differences get average ranks; W = min(W+, W-). For n <= WILCOXON_EXACT_LIMIT
     the p-value is the exact tail mass of the min statistic over all 2^n
     sign assignments (computed by convolution over the doubled-rank grid);
     larger n uses the tie-corrected normal approximation.
@@ -164,7 +156,7 @@ def wilcoxon_signed_rank(a, b, alpha: float = DEFAULT_ALPHA,
     w_plus = float(ranks[diffs > 0].sum())
     total = float(ranks.sum())
     w = min(w_plus, total - w_plus)
-    if n <= exact_limit:
+    if n <= WILCOXON_EXACT_LIMIT:
         p_value = _exact_min_tail(ranks, w)
         exact = True
     else:

@@ -74,6 +74,11 @@ class TestTimingSweep:
         with pytest.raises(ParameterError):
             run_timing_sweep("retire", [10], n_samples=10, repeats=0)
 
+    @pytest.mark.parametrize("budget", [math.nan, 0.0, -1.0, math.inf])
+    def test_budget_must_be_finite_and_positive(self, budget):
+        with pytest.raises(ParameterError, match="budget_secs"):
+            run_timing_sweep("retire", [10], n_samples=10, repeats=1, budget_secs=budget)
+
     def test_synthetic_data_deterministic_across_sweeps(self):
         a = run_timing_sweep("retire", [6], n_samples=10, repeats=1, seed=3, size=(32, 32))
         b = run_timing_sweep("retire", [6], n_samples=10, repeats=1, seed=3, size=(32, 32))

@@ -28,6 +28,12 @@ def csv_file(tmp_path):
     return path
 
 
+# files that are not UTF-8 JSON: plain text, Latin-1 bytes, and nesting too
+# deep for the JSON decoder
+NOT_JSON = {"text": b"kind: retire\n", "latin1": b'{"kind": "r\xe9tire"}',
+            "deep": b"[" * 100_000}
+
+
 def fake_report(tmp_path, dataset, encoder, bacs):
     report = EvalReport(dataset, encoder, tuple(bacs), float(np.mean(bacs)),
                         tuple(), {"seed": 0})
@@ -60,6 +66,20 @@ class TestFit:
         code = main(["fit", "--dataset", str(keel_file), "--encoder", "cnn",
                      "--out", str(tmp_path / "m.json")])
         assert code == 2
+
+    @pytest.mark.parametrize("name", ["bad.csv", "bad.dat"])
+    @pytest.mark.parametrize("byte", [b"\xff", b"\xe9"])
+    def test_dataset_not_utf8_exits_2(self, tmp_path, capsys, name, byte):
+        path = tmp_path / name
+        if name.endswith(".csv"):
+            path.write_bytes(b"a,b,label\n1,2,x\n3," + byte + b",y\n")
+        else:
+            path.write_bytes(b"@relation r\n@attribute a real\n@attribute b real\n"
+                             b"@attribute label {x, y}\n@data\n1,2,x\n3," + byte + b",y\n")
+        code = main(["fit", "--dataset", str(path), "--encoder", "retire",
+                     "--out", str(tmp_path / "m.json")])
+        assert code == 2
+        assert f"{name} is not UTF-8 text" in capsys.readouterr().err
 
 
 class TestVerbose:
@@ -140,9 +160,20 @@ class TestEncode:
         assert code == 2
 
     def test_jobs_below_one_exits_2(self, tmp_path, keel_file, capsys):
-        code, _ = self.encode(tmp_path, keel_file, extra=["--jobs", "0"])
+        # encoding is serial: --jobs is not an option, whatever its value
+        for value in ("0", "2"):
+            code, _ = self.encode(tmp_path, keel_file, extra=["--jobs", value])
+            assert code == 2
+            assert "unrecognized arguments: --jobs" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", sorted(NOT_JSON))
+    def test_model_not_json_exits_2(self, tmp_path, keel_file, capsys, case):
+        model_path = tmp_path / "model.json"
+        model_path.write_bytes(NOT_JSON[case])
+        code = main(["encode", "--dataset", str(keel_file), "--model", str(model_path),
+                     "--out", str(tmp_path / "x")])
         assert code == 2
-        assert "jobs" in capsys.readouterr().err
+        assert f"{model_path} is not a UTF-8 JSON document" in capsys.readouterr().err
 
     def test_malformed_model_exits_2(self, tmp_path, keel_file, capsys):
         model_path = tmp_path / "model.json"
@@ -184,6 +215,7 @@ class TestEval:
     @pytest.mark.parametrize("encoder", ["tabular", "retire"])
     def test_jobs_below_one_exits_2_before_fitting(self, tmp_path, csv_file, capsys,
                                                    monkeypatch, encoder):
+        # --jobs is not an option of eval any more, so argparse rejects it
         def no_fit(*args, **kwargs):
             raise AssertionError("fitted before the jobs check")
 
@@ -192,8 +224,15 @@ class TestEval:
         code = main(["eval", "--dataset", str(csv_file), "--encoder", encoder,
                      "--jobs", "0", "--out", str(out)])
         assert code == 2
-        assert "jobs" in capsys.readouterr().err
+        assert "unrecognized arguments: --jobs" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_config_echo_has_no_jobs(self, tmp_path, csv_file):
+        out = tmp_path / "report.json"
+        assert main(["eval", "--dataset", str(csv_file), "--encoder", "tabular",
+                     "--out", str(out)]) == 0
+        assert list(json.loads(out.read_text())["config"]) == [
+            "dataset", "encoder", "l", "u", "seed", "igtd_iters", "igtd_patience", "size"]
 
 
 class TestStats:
@@ -267,6 +306,14 @@ class TestStats:
         assert main(["stats", "--reports", str(good), str(bad)]) == 2
         assert "mean_bac" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("case", sorted(NOT_JSON))
+    def test_report_not_json_exits_2(self, tmp_path, capsys, case):
+        good = fake_report(tmp_path, "d1", "retire", [0.8] * 10)
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(NOT_JSON[case])
+        assert main(["stats", "--reports", str(good), str(bad)]) == 2
+        assert f"{bad} is not a UTF-8 JSON document" in capsys.readouterr().err
+
 
 class TestBench:
     def test_jsonl_output_and_fit_line(self, tmp_path, capsys):
@@ -283,3 +330,9 @@ class TestBench:
     def test_bad_grid_exits_2(self):
         assert main(["bench", "--encoder", "retire", "--grid", "10,5",
                      "--samples", "8", "--repeats", "1"]) == 2
+
+    @pytest.mark.parametrize("budget", ["nan", "0", "-1", "inf"])
+    def test_budget_not_finite_positive_exits_2(self, capsys, budget):
+        assert main(["bench", "--encoder", "retire", "--grid", "4,8,12",
+                     "--samples", "8", "--repeats", "1", "--budget-secs", budget]) == 2
+        assert "budget_secs" in capsys.readouterr().err

@@ -105,6 +105,14 @@ class TestKeelLoading:
         with pytest.raises(ParseError, match="line 9"):
             load_keel(write(tmp_path / "w.dat", text))
 
+    @pytest.mark.parametrize("byte", [b"\xff", b"\xe9"])
+    def test_not_utf8_names_file_and_line(self, tmp_path, byte):
+        path = tmp_path / "latin.dat"
+        # the label of the last row, on line 10
+        path.write_bytes(SMALL_KEEL.encode().replace(b"0.5, 1, neg", b"0.5, 1, n" + byte + b"g"))
+        with pytest.raises(ParseError, match=r"line 10: latin.dat is not UTF-8 text"):
+            load_keel(path)
+
     def test_output_defaults_to_last_attribute(self, tmp_path):
         text = ("@relation x\n@attribute a real [0, 1]\n@attribute k {0, 1}\n"
                 "@data\n0.1, 0\n0.9, 1\n")
@@ -160,6 +168,13 @@ class TestCsvLoading:
         # a record spanning lines is named by the line it starts on
         path = write(tmp_path / "s.csv", 'a,b,label\n\n"oo\nps",5,x\n1,2,y\n')
         with pytest.raises(UnsupportedFeatureError, match="line 3"):
+            load_csv(path)
+
+    @pytest.mark.parametrize("byte", [b"\xff", b"\xe9"])
+    def test_not_utf8_names_file_and_line(self, tmp_path, byte):
+        path = tmp_path / "latin.csv"
+        path.write_bytes(b"a,b,label\n1,2,x\n3,4," + byte + b"\n")
+        with pytest.raises(ParseError, match=r"line 3: latin.csv is not UTF-8 text"):
             load_csv(path)
 
     def test_round_trip_identical(self, tmp_path):

@@ -651,49 +651,11 @@ class TestGenericSurface:
     def test_batch_matches_serial_and_order(self):
         ds = toy_dataset(4, n_rows=12, seed=6)
         model = encoders.fit("retire", ds, size=(32, 32))
-        serial = encoders.encode_batch(model, ds.X, jobs=1)
-        parallel = encoders.encode_batch(model, ds.X, jobs=2)
-        assert serial.shape == parallel.shape == (12, 32, 32)
-        assert serial.dtype == parallel.dtype == np.uint8
-        assert serial.tobytes() == parallel.tobytes()
-        for row, image in zip(ds.X, serial):
+        batch = encoders.encode_batch(model, ds.X)
+        assert batch.shape == (12, 32, 32)
+        assert batch.dtype == np.uint8
+        for row, image in zip(ds.X, batch):
             assert np.array_equal(encoders.encode(model, row), image)
-
-    def test_jobs_below_one_rejected(self):
-        ds = toy_dataset(4, n_rows=6)
-        model = encoders.fit("retire", ds, size=(32, 32))
-        for jobs in (0, -3):
-            with pytest.raises(ParameterError, match="jobs"):
-                encoders.encode_batch(model, ds.X, jobs=jobs)
-
-    def test_pool_never_exceeds_cpu_count(self, monkeypatch):
-        # a stub pool that records its size and maps inline: no process starts
-        sizes = []
-
-        class InlinePool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
-
-        monkeypatch.setattr(encoders, "ProcessPoolExecutor", InlinePool)
-        monkeypatch.setattr(encoders.os, "cpu_count", lambda: 3)
-        ds = toy_dataset(4, n_rows=40, seed=6)
-        model = encoders.fit("retire", ds, size=(32, 32))
-        serial = encoders.encode_batch(model, ds.X)
-        for jobs, pool_size in ((1000, 3), (3, 3), (2, 2)):
-            assert encoders.encode_batch(model, ds.X, jobs=jobs).tobytes() == serial.tobytes()
-            assert sizes.pop() == pool_size
-        monkeypatch.setattr(encoders.os, "cpu_count", lambda: None)
-        assert encoders.encode_batch(model, ds.X, jobs=1000).tobytes() == serial.tobytes()
-        assert sizes == []  # an unknown core count runs serially
 
     LAYOUT_KEYS = {
         "retire": ["cx", "cy", "rmax", "n"],

@@ -153,8 +153,10 @@ class TestRunCvEval:
         monkeypatch.setattr(scaling, "fit", no_fit)
         ds = self.small_ds()
         plan = make_cv_plan(ds, seed=0)
-        with pytest.raises(ParameterError, match="jobs"):
-            run_cv_eval(ds, kind, plan, jobs=0)
+        # encoding is serial: the keyword stays for callers passing jobs=1
+        for jobs in (0, 2):
+            with pytest.raises(ParameterError, match="jobs must be 1"):
+                run_cv_eval(ds, kind, plan, jobs=jobs)
 
     def test_plan_dataset_mismatch(self):
         ds = self.small_ds()
