@@ -31,8 +31,10 @@ def balanced_accuracy(y_true, y_pred) -> float:
 
 
 def _sq_distances(queries: np.ndarray, refs: np.ndarray) -> np.ndarray:
-    # |q - r|^2 expanded through one matmul; exact for integer-valued
-    # inputs because every partial sum stays far below 2**53
+    # |q - r|^2 expanded through one matmul. For integer inputs every term
+    # and partial sum is an integer, exact in any summation order while it
+    # is at most 2**24 in float32 (2**53 in float64); knn1_pixel picks the
+    # dtype that keeps it so
     q2 = np.einsum("ij,ij->i", queries, queries)
     r2 = np.einsum("ij,ij->i", refs, refs)
     return q2[:, None] + r2[None, :] - 2.0 * (queries @ refs.T)
@@ -52,15 +54,38 @@ def _nearest_label(refs: np.ndarray, labels, queries: np.ndarray) -> np.ndarray:
 
 
 def knn1_pixel(train_images, train_labels, test_images) -> np.ndarray:
-    """1-NN on ``(N, H, W)`` image stacks by squared pixel distance; ties
-    break toward the lowest training index."""
+    """1-NN on uint8 ``(N, H, W)`` image stacks by squared pixel distance;
+    ties break toward the lowest training index.
+
+    The distances are exact, so the predictions match a float64 probe over
+    every pixel. Pixels that hold one value in every image add 0 to every
+    distance and are dropped. The rest are divided by the gcd ``g`` of
+    their values, which scales every distance by ``g**2``. They go to
+    float32 when ``2 * top**2 * pixels <= 2**24`` (``top`` the largest
+    value after the division, ``pixels`` the number kept), where every
+    intermediate is an integer float32 holds exactly, and to float64
+    otherwise.
+    """
     train_images = np.asarray(train_images)
     test_images = np.asarray(test_images)
+    if train_images.dtype != np.uint8 or test_images.dtype != np.uint8:
+        raise ParameterError(f"image stacks must be uint8, got {train_images.dtype} "
+                             f"and {test_images.dtype}")
     if train_images.ndim != 3 or train_images.shape[1:] != test_images.shape[1:]:
         raise ShapeError("image stacks must be (N, H, W) with equal image sizes")
     pixels = train_images.shape[1] * train_images.shape[2]
-    return _nearest_label(train_images.reshape(-1, pixels).astype(np.float64), train_labels,
-                          test_images.reshape(-1, pixels).astype(np.float64))
+    refs = train_images.reshape(len(train_images), pixels)
+    queries = test_images.reshape(len(test_images), pixels)
+    lo = np.minimum(refs.min(axis=0, initial=255), queries.min(axis=0, initial=255))
+    hi = np.maximum(refs.max(axis=0, initial=0), queries.max(axis=0, initial=0))
+    varying = np.flatnonzero(lo != hi)
+    refs, queries = refs[:, varying], queries[:, varying]
+    g = int(np.gcd(np.gcd.reduce(refs, axis=None), np.gcd.reduce(queries, axis=None))) or 1
+    top = int(hi[varying].max(initial=0)) // g
+    dtype = np.float32 if 2 * top * top * len(varying) <= 2**24 else np.float64
+    refs = (refs // g).astype(dtype)
+    queries = (queries // g).astype(dtype)
+    return _nearest_label(refs, train_labels, queries)
 
 
 def knn1_tabular(X_train, y_train, X_test, scaler: scaling.ScalerParams) -> np.ndarray:

@@ -1,7 +1,10 @@
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from mdenc import encoders, scaling
+from mdenc import encoders, probe, scaling
 from mdenc.data import Dataset, generate_synthetic, make_cv_plan
 from mdenc.errors import MetricError, ParameterError, ShapeError, StateError
 from mdenc.probe import EVAL_KINDS, EvalReport, balanced_accuracy, knn1_pixel, knn1_tabular, run_cv_eval
@@ -9,6 +12,36 @@ from mdenc.probe import EVAL_KINDS, EvalReport, balanced_accuracy, knn1_pixel, k
 
 def stack(arrays):
     return np.asarray(arrays, dtype=np.uint8)
+
+
+def reference_knn1_pixel(train_images, train_labels, test_images):
+    """Oracle for ``knn1_pixel``: the float64 probe over every pixel, all
+    queries in one matmul."""
+    train_images = np.asarray(train_images)
+    test_images = np.asarray(test_images)
+    pixels = train_images.shape[1] * train_images.shape[2]
+    return probe._nearest_label(train_images.reshape(-1, pixels).astype(np.float64),
+                                train_labels,
+                                test_images.reshape(-1, pixels).astype(np.float64))
+
+
+# pixel alphabets: the binarized encoders, values sharing the factor 3,
+# and igtd's full grayscale range
+ALPHABETS = {"binary": np.array([0, 255]), "gcd3": np.arange(0, 256, 3),
+             "full": np.arange(256)}
+
+
+def near_tie_stacks(step, pixels):
+    """Two references at squared distances 2 and 1 (in units of ``step``)
+    from an all-255 query, then an all-0 reference, so every pixel varies.
+    Where float32 rounding is inexact the two distances round to the same
+    value and the tie goes to the farther reference at index 0."""
+    query = np.full(pixels, 255)
+    farther, nearer = query.copy(), query.copy()
+    farther[:2] -= step
+    nearer[0] -= step
+    refs = stack([farther, nearer, np.zeros(pixels)]).reshape(3, 1, pixels)
+    return refs, stack([query]).reshape(1, 1, pixels)
 
 
 class TestBalancedAccuracy:
@@ -76,6 +109,65 @@ class TestKnnPixel:
     def test_empty_training_set(self):
         with pytest.raises(MetricError):
             knn1_pixel(stack(np.zeros((0, 4, 4))), [], stack([np.zeros((4, 4))]))
+
+    @pytest.mark.parametrize("bad", [
+        np.full((1, 4, 4), np.nan), np.full((1, 4, 4), -1), np.full((1, 4, 4), 0.5),
+        np.full((1, 4, 4), 256, dtype=np.uint16), np.zeros((1, 4, 4), dtype=np.int64),
+        np.zeros((1, 4, 4), dtype=bool)],
+        ids=["nan", "negative", "fractional", "uint16-256", "int64", "bool"])
+    def test_non_uint8_stack_rejected(self, bad, monkeypatch):
+        def no_distances(*args):
+            raise AssertionError("distances computed before the dtype check")
+
+        monkeypatch.setattr(probe, "_nearest_label", no_distances)
+        good = stack(np.zeros((1, 4, 4)))
+        for train, test in ((bad, good), (good, bad)):
+            with pytest.raises(ParameterError, match="uint8"):
+                knn1_pixel(train, [0], test)
+
+    @settings(max_examples=300, deadline=None)
+    @given(alphabet=st.sampled_from(sorted(ALPHABETS)), n_ref=st.integers(1, 10),
+           n_query=st.integers(0, 10), height=st.integers(1, 40), width=st.integers(1, 40),
+           constant_share=st.sampled_from([0.0, 0.5, 0.9, 1.0]),
+           duplicates=st.integers(0, 4), all_zero=st.booleans(),
+           data_seed=st.integers(0, 2**32 - 1))
+    def test_matches_reference(self, alphabet, n_ref, n_query, height, width,
+                               constant_share, duplicates, all_zero, data_seed):
+        rng = np.random.default_rng(data_seed)
+        values = ALPHABETS[alphabet]
+        images = rng.choice(values, size=(n_ref + n_query, height * width))
+        constant = rng.random(height * width) < constant_share
+        images[:, constant] = rng.choice(values, size=int(constant.sum()))
+        for _ in range(duplicates):
+            # a reference repeated later (a tie), or a query that is a reference
+            source, target = rng.integers(0, n_ref), rng.integers(0, n_ref + n_query)
+            images[target] = images[source]
+        if all_zero:
+            images[:] = 0
+        images = stack(images).reshape(-1, height, width)
+        train, test = images[:n_ref], images[n_ref:]
+        # one label per reference index, so every tie break shows
+        labels = np.arange(n_ref)
+        got = knn1_pixel(train, labels, test)
+        assert np.array_equal(got, reference_knn1_pixel(train, labels, test))
+
+    @pytest.mark.parametrize("step, pixels, dtype", [
+        (1, 129, np.float32), (1, 130, np.float64),
+        (3, 1161, np.float32), (3, 1162, np.float64)])
+    def test_near_tie_at_float32_bound(self, step, pixels, dtype, monkeypatch):
+        # after dividing by the gcd ``step`` the largest value is 255 // step:
+        # 2 * 255**2 * 129 and 2 * 85**2 * 1161 are the last sums <= 2**24
+        seen = []
+        nearest_label = probe._nearest_label
+
+        def spy(refs, labels, queries):
+            seen.append(refs.dtype)
+            return nearest_label(refs, labels, queries)
+
+        monkeypatch.setattr(probe, "_nearest_label", spy)
+        train, test = near_tie_stacks(step, pixels)
+        assert knn1_pixel(train, [0, 1, 2], test).tolist() == [1]
+        assert seen == [dtype]
 
 
 class TestKnnTabular:
@@ -199,3 +291,32 @@ class TestRunCvEval:
             EvalReport.from_dict(doc)
         with pytest.raises(StateError):
             EvalReport.from_dict([doc])
+
+
+# SHA-256 of repr(run_cv_eval(...).fold_predictions), recorded with the
+# float64 whole-stack probe; (rows, features, keywords) per kind. The
+# retire and stml stacks are 0/255 (the float32 path), and 140 igtd
+# pixels of 0..255 are past the float32 bound (the float64 path).
+PINNED_PREDICTION_CASES = {
+    "retire": (60, 5, {"size": (48, 48)}),
+    "stml": (60, 5, {"size": (64, 64)}),
+    "igtd": (60, 140, {"igtd_max_iters": 3}),
+}
+PINNED_PREDICTION_DIGESTS = {
+    ("retire", 7): "1c61b3123f17438938e794e4f3357f5e4ec8059d6ba3637a9b9c0de6440711c6",
+    ("retire", 13): "84fa606de71bd98f52ae3620fdff18f072b4b729b3f92d7075acafb96a115bda",
+    ("stml", 7): "d37f36ecbdd40708388d4d7b1df1d87d8677463176524c33d8fb00f1e83bf88e",
+    ("stml", 13): "053664cfe59727e20d22b5d1ddb01faa4ac76df76bdee21a14c6ed55b8b2bd61",
+    ("igtd", 7): "8d8a67e2f0365194b7d81d81de0f85130f88e4a41203862d3fe971280b0721b3",
+    ("igtd", 13): "be7474035a17cbacb91eca4922d60ebb5694d9043a6fe80cdbb92fc5579a4fc4",
+}
+
+
+class TestPinnedPredictions:
+    @pytest.mark.parametrize("kind, seed", sorted(PINNED_PREDICTION_DIGESTS))
+    def test_fold_predictions_unchanged(self, kind, seed):
+        n, n_features, options = PINNED_PREDICTION_CASES[kind]
+        ds = generate_synthetic(n, n_features, seed=seed)
+        report = run_cv_eval(ds, kind, make_cv_plan(ds, seed=seed), seed=seed, **options)
+        digest = hashlib.sha256(repr(report.fold_predictions).encode()).hexdigest()
+        assert digest == PINNED_PREDICTION_DIGESTS[kind, seed]
