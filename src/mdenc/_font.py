@@ -38,25 +38,29 @@ GLYPHS = {
     for ch, rows in _GLYPH_ROWS.items()
 }
 
+# the same glyphs as 0/255 pixels, indexed by ASCII code
+_ATLAS = np.zeros((128, GLYPH_HEIGHT, GLYPH_WIDTH + 1), dtype=np.uint8)
+_ATLAS[[ord(ch) for ch in GLYPHS]] = 255 * np.stack(list(GLYPHS.values()))
 
-def draw_text(pixels: np.ndarray, text: str, rect: tuple[int, int, int, int]) -> None:
-    """Blit ``text`` with foreground 255 into the (x0, y0, x1, y1) rect of
-    ``pixels``: at the largest integer scale that fits (at least 1),
-    centered, and clipped to the rect and to the buffer."""
-    if not text:
-        return
-    try:
-        mask = np.concatenate([GLYPHS[ch] for ch in text], axis=1)[:, :-1]
-    except KeyError as exc:
-        raise ParameterError(f"no glyph for character {exc.args[0]!r}") from None
-    x0, y0, x1, y1 = rect
-    th, tw = mask.shape
-    scale = max(1, min((x1 - x0) // tw, (y1 - y0) // th))
-    x = x0 + (x1 - x0 - tw * scale) // 2
-    y = y0 + (y1 - y0 - th * scale) // 2
-    cx0, cy0 = max(x, x0, 0), max(y, y0, 0)
-    cx1 = min(x + tw * scale, x1, pixels.shape[1])
-    cy1 = min(y + th * scale, y1, pixels.shape[0])
-    if cx0 < cx1 and cy0 < cy1:
-        mask = mask.repeat(scale, axis=0).repeat(scale, axis=1)
-        pixels[cy0:cy1, cx0:cx1][mask[cy0 - y:cy1 - y, cx0 - x:cx1 - x]] = 255
+
+def draw_text(cells: np.ndarray, texts: list[str]) -> None:
+    """Or ``texts[i]`` with foreground 255 into ``cells[i]`` of an (N, h, w)
+    uint8 view: at the largest integer scale that fits (at least 1),
+    centered, and clipped to the cell. Texts of one length share their
+    scale and offsets, so each length is one atlas gather and one blit."""
+    bad = next((ch for ch in "".join(texts) if ch not in GLYPHS), None)
+    if bad is not None:
+        raise ParameterError(f"no glyph for character {bad!r}")
+    _, h, w = cells.shape
+    for length in set(map(len, texts)) - {0}:
+        images = [i for i, t in enumerate(texts) if len(t) == length]
+        codes = np.frombuffer("".join(texts[i] for i in images).encode("ascii"), dtype=np.uint8)
+        text = _ATLAS[codes.reshape(len(images), length)].transpose(0, 2, 1, 3)
+        text = text.reshape(len(images), GLYPH_HEIGHT, -1)  # (texts, glyph rows, text columns)
+        th, tw = GLYPH_HEIGHT, text.shape[2] - 1  # no spacer after the last glyph
+        scale = max(1, min(w // tw, h // th))
+        x, y = (w - tw * scale) // 2, (h - th * scale) // 2
+        ys, xs = slice(max(y, 0), y + th * scale), slice(max(x, 0), x + tw * scale)
+        # the glyph row and text column under each pixel the text covers
+        gy, gx = (np.arange(h)[ys] - y) // scale, (np.arange(w)[xs] - x) // scale
+        cells[images, ys, xs] |= text[:, gy][:, :, gx]

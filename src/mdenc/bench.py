@@ -40,11 +40,6 @@ class TimingRecord:
         return asdict(self)
 
 
-def _encode_all(model, X) -> None:
-    for row in X:
-        encoders.encode(model, row)
-
-
 def run_timing_sweep(encoder_kind: str, feature_counts=DEFAULT_GRID,
                      n_samples: int = DEFAULT_SAMPLES,
                      repeats: int = DEFAULT_REPEATS, seed: int = 0,
@@ -71,26 +66,23 @@ def run_timing_sweep(encoder_kind: str, feature_counts=DEFAULT_GRID,
     for index, n_features in enumerate(counts):
         ds = generate_synthetic(n_samples, n_features, seed + index)
         point_start = time.perf_counter()
-        model_start = time.perf_counter()
         model = encoders.fit(encoder_kind, ds, size=size, seed=seed)
-        fit_time = time.perf_counter() - model_start
+        fit_time = time.perf_counter() - point_start
         if fit_time > budget_secs:
             records.append(TimingRecord(encoder_kind, n_features, n_samples,
                                         0, math.nan, fit_time, True))
             continue
-        _encode_all(model, ds.X)  # warm-up, excluded from the measurement
+        encoders.encode_batch(model, ds.X)  # warm-up, excluded from the measurement
         times: list[float] = []
-        truncated = False
         for _ in range(repeats):
             t0 = time.perf_counter()
-            _encode_all(model, ds.X)
+            encoders.encode_batch(model, ds.X)
             times.append(time.perf_counter() - t0)
             if time.perf_counter() - point_start > budget_secs:
-                truncated = len(times) < repeats
                 break
         records.append(TimingRecord(encoder_kind, n_features, n_samples,
                                     len(times), float(np.median(times)),
-                                    fit_time, truncated))
+                                    fit_time, len(times) < repeats))
     return records
 
 

@@ -183,15 +183,17 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--l", type=float, default=scaling.DEFAULT_L,
-                        help="lower guard bound (default 0.05)")
-    common.add_argument("--u", type=float, default=scaling.DEFAULT_U,
-                        help="upper guard bound (default 0.95)")
     common.add_argument("--size", type=_size_type, default=encoders.DEFAULT_CANVAS,
                         metavar="WxH", help="canvas size (default 224x224)")
     common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--igtd-iters", type=int, default=encoders.DEFAULT_IGTD_MAX_ITERS)
-    common.add_argument("--igtd-patience", type=int, default=encoders.DEFAULT_IGTD_PATIENCE)
+
+    fit_args = argparse.ArgumentParser(add_help=False)
+    fit_args.add_argument("--l", type=float, default=scaling.DEFAULT_L,
+                          help="lower guard bound (default 0.05)")
+    fit_args.add_argument("--u", type=float, default=scaling.DEFAULT_U,
+                          help="upper guard bound (default 0.95)")
+    fit_args.add_argument("--igtd-iters", type=int, default=encoders.DEFAULT_IGTD_MAX_ITERS)
+    fit_args.add_argument("--igtd-patience", type=int, default=encoders.DEFAULT_IGTD_PATIENCE)
 
     dataset_arg = argparse.ArgumentParser(add_help=False)
     dataset_arg.add_argument("--dataset", required=True, help="path to .dat or .csv")
@@ -199,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
     dataset_arg.add_argument("--label-column", default=None,
                              help="CSV label column name or index (default: last)")
 
-    p_fit = sub.add_parser("fit", parents=[common, dataset_arg],
+    p_fit = sub.add_parser("fit", parents=[common, fit_args, dataset_arg],
                            help="fit an encoder and write the model JSON")
     p_fit.add_argument("--encoder", choices=encoders.KINDS, required=True)
     p_fit.add_argument("--out", required=True)
@@ -213,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_encode.add_argument("--channels", type=int, choices=(1, 3), default=1)
     p_encode.set_defaults(func=cmd_encode)
 
-    p_eval = sub.add_parser("eval", parents=[common, dataset_arg],
+    p_eval = sub.add_parser("eval", parents=[common, fit_args, dataset_arg],
                             help="run the repeated 2-fold CV probe evaluation")
     p_eval.add_argument("--encoder", choices=probe.EVAL_KINDS, required=True)
     p_eval.add_argument("--out", default=None)

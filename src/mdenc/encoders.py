@@ -29,6 +29,7 @@ from .errors import CapacityError, FitError, ParameterError, ShapeError, StateEr
 from .raster import PolarLayout, draw_polyline, fill_polygon, polar_layout, polar_vertices
 
 DEFAULT_CANVAS = (224, 224)
+MAX_CANVAS_PIXELS = 2**24  # per image: 4096 x 4096
 DEFAULT_IGTD_MAX_ITERS = 1000
 DEFAULT_IGTD_PATIENCE = 3
 SWAP_BLOCK = 32  # candidate swaps scored per numpy call in the igtd search
@@ -100,14 +101,21 @@ class EncoderModel:
             raise StateError(f"{self.kind!r} model with a {type(self.layout).__name__} layout")
         if len(self.canvas_size) != 2 or min(self.canvas_size) < 1:
             raise ParameterError(f"canvas size must be at least 1x1, got {self.canvas_size}")
+        width, height = self.canvas_size
+        if width * height > MAX_CANVAS_PIXELS:
+            raise CapacityError(f"a {width}x{height} canvas exceeds {MAX_CANVAS_PIXELS} pixels")
         if (self.scaler is None) != (self.kind == "stml"):
             raise StateError(f"a {self.kind} model {'takes no' if self.scaler else 'needs a'} scaler")
         if self.scaler is not None and self.scaler.n_features != self.layout.n:
             raise ShapeError(f"layout has {self.layout.n} features, "
                              f"scaler has {self.scaler.n_features}")
-        if isinstance(self.layout, IgtdMapping) and \
-                tuple(self.canvas_size) != (self.layout.cols, self.layout.rows):
+        if isinstance(self.layout, IgtdMapping) and (width, height) != (self.layout.cols, self.layout.rows):
             raise ShapeError(f"an igtd canvas is its {self.layout.cols}x{self.layout.rows} grid")
+        if isinstance(self.layout, GridLayout) and (
+                width // self.layout.cols < _font.GLYPH_WIDTH
+                or height // self.layout.rows < _font.GLYPH_HEIGHT):
+            raise CapacityError(f"a {width}x{height} canvas cannot hold one {_font.GLYPH_WIDTH}x"
+                                f"{_font.GLYPH_HEIGHT} glyph per cell for {self.layout.n} features")
 
 
 # one layout type per encoder kind; the kind order is the CLI's choice order
@@ -169,24 +177,17 @@ def fit_stml(ds_train: Dataset, size: tuple[int, int] = DEFAULT_CANVAS) -> Encod
         raise FitError("need at least 1 feature")
     rows = math.ceil(math.sqrt(n))
     cols = math.ceil(n / rows)
-    width, height = int(size[0]), int(size[1])
-    if width // cols < _font.GLYPH_WIDTH or height // rows < _font.GLYPH_HEIGHT:
-        raise CapacityError(
-            f"a {width}x{height} canvas cannot hold one "
-            f"{_font.GLYPH_WIDTH}x{_font.GLYPH_HEIGHT} glyph per cell for {n} features"
-        )
-    return EncoderModel("stml", (width, height), None, GridLayout(rows, cols, n))
+    return EncoderModel("stml", (int(size[0]), int(size[1])), None, GridLayout(rows, cols, n))
 
 
 def encode_stml(model: EncoderModel, X: np.ndarray) -> np.ndarray:
-    """Render each raw feature value as glyph text in its cell;
-    ``_font.draw_text`` picks the scale, centers and clips."""
+    """Render each raw feature value as glyph text in its cell; one
+    ``_font.draw_text`` call writes one cell of every image."""
     width, height = model.canvas_size
-    cells = [model.layout.cell_rect(f, width, height) for f in range(model.layout.n)]
     out = np.zeros((X.shape[0], height, width), dtype=np.uint8)
-    for image, row in zip(out, X):
-        for rect, value in zip(cells, row):
-            _font.draw_text(image, format_value(float(value)), rect)
+    for f, column in enumerate(X.T.tolist()):
+        x0, y0, x1, y1 = model.layout.cell_rect(f, width, height)
+        _font.draw_text(out[:, y0:y1, x0:x1], [format_value(v) for v in column])
     return out
 
 

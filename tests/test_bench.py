@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from mdenc import encoders
 from mdenc.bench import (
     TimingRecord,
     linearity_fit,
@@ -78,6 +79,25 @@ class TestTimingSweep:
     def test_budget_must_be_finite_and_positive(self, budget):
         with pytest.raises(ParameterError, match="budget_secs"):
             run_timing_sweep("retire", [10], n_samples=10, repeats=1, budget_secs=budget)
+
+    @pytest.mark.parametrize("kind", encoders.KINDS)
+    def test_times_whole_batches_only(self, monkeypatch, kind):
+        # one warm-up plus one encode_batch per repeat, per point, and no
+        # one-row encode
+        batches = []
+        encode_batch = encoders.encode_batch
+
+        def counted(model, X):
+            batches.append((model.layout.n, len(X)))
+            return encode_batch(model, X)
+
+        def one_row(model, x):
+            raise AssertionError("the sweep encoded one row")
+
+        monkeypatch.setattr(encoders, "encode_batch", counted)
+        monkeypatch.setattr(encoders, "encode", one_row)
+        run_timing_sweep(kind, [4, 9], n_samples=6, repeats=3, seed=2, size=(40, 40))
+        assert batches == [(4, 6)] * 4 + [(9, 6)] * 4
 
     def test_synthetic_data_deterministic_across_sweeps(self):
         a = run_timing_sweep("retire", [6], n_samples=10, repeats=1, seed=3, size=(32, 32))

@@ -187,6 +187,38 @@ class TestEncode:
         assert code == 2
         assert "model.layout" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value", [
+        ("layout", {"rows": 10**6, "cols": 10**6, "n": 6}), ("canvas_size", [3, 3])])
+    def test_stml_cells_too_small_for_a_glyph_exit_2(self, tmp_path, keel_file, capsys,
+                                                     key, value):
+        model_path = tmp_path / "model.json"
+        assert main(["fit", "--dataset", str(keel_file), "--encoder", "stml",
+                     "--out", str(model_path)]) == 0
+        doc = json.loads(model_path.read_text())
+        doc[key] = value
+        model_path.write_text(json.dumps(doc))
+        out_dir = tmp_path / "x"
+        code = main(["encode", "--dataset", str(keel_file), "--model", str(model_path),
+                     "--out", str(out_dir)])
+        assert code == 2
+        assert "glyph per cell" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("side", [10**5, 10**12])
+    def test_absurd_canvas_exits_2(self, tmp_path, keel_file, capsys, side):
+        model_path = tmp_path / "model.json"
+        assert main(["fit", "--dataset", str(keel_file), "--encoder", "retire",
+                     "--size", f"{side}x{side}", "--out", str(model_path)]) == 2
+        assert "exceeds 16777216 pixels" in capsys.readouterr().err
+        assert main(["fit", "--dataset", str(keel_file), "--encoder", "retire",
+                     "--out", str(model_path)]) == 0
+        doc = json.loads(model_path.read_text())
+        doc["canvas_size"] = [side, side]
+        model_path.write_text(json.dumps(doc))
+        assert main(["encode", "--dataset", str(keel_file), "--model", str(model_path),
+                     "--out", str(tmp_path / "x")]) == 2
+        assert "exceeds 16777216 pixels" in capsys.readouterr().err
+
 
 class TestEval:
     def test_tabular_report(self, tmp_path, csv_file):
@@ -326,6 +358,14 @@ class TestBench:
         assert len(lines) == 3
         assert json.loads(lines[0])["n_features"] == 4
         assert "linear fit:" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("option, value", [
+        ("--l", "0.9"), ("--u", "0.1"), ("--igtd-iters", "0"), ("--igtd-patience", "0")])
+    def test_fit_options_rejected(self, capsys, option, value):
+        # the sweep fits with the defaults: an option it would ignore is refused
+        assert main(["bench", "--encoder", "retire", "--grid", "4,8,12", "--samples", "8",
+                     "--repeats", "1", "--size", "32x32", option, value]) == 2
+        assert f"unrecognized arguments: {option}" in capsys.readouterr().err
 
     def test_bad_grid_exits_2(self):
         assert main(["bench", "--encoder", "retire", "--grid", "10,5",

@@ -51,65 +51,68 @@ def ink_box(pixels):
     return xs.min(), ys.min(), xs.max() + 1, ys.max() + 1
 
 
+def draw_one(pixels, text):
+    """``_font.draw_text`` on one cell: the whole of ``pixels``."""
+    _font.draw_text(pixels[None], [text])
+    return pixels
+
+
 class TestFont:
     def test_text_size(self):
         # "8" is inked in its first and last column and row, so the ink of
         # "88888" spans the whole text: 5 glyphs of 5 plus 4 blank columns
-        one = np.zeros((7, 29), dtype=np.uint8)
-        _font.draw_text(one, "88888", (0, 0, 29, 7))
+        one = draw_one(np.zeros((7, 29), dtype=np.uint8), "88888")
         assert ink_box(one) == (0, 0, 29, 7)
-        three = np.zeros((21, 87), dtype=np.uint8)
-        _font.draw_text(three, "88888", (0, 0, 87, 21))
+        three = draw_one(np.zeros((21, 87), dtype=np.uint8), "88888")
         assert ink_box(three) == (0, 0, 87, 21)
 
     def test_largest_integer_scale_centered(self):
-        # 86 // 29 = 2, 30 // 7 = 4: scale 2, text 58x14, centered in the rect
+        # 86 // 29 = 2, 30 // 7 = 4: scale 2, text 58x14, centered in the cell
         pixels = np.zeros((40, 100), dtype=np.uint8)
-        _font.draw_text(pixels, "88888", (5, 3, 91, 33))
+        draw_one(pixels[3:33, 5:91], "88888")
         assert ink_box(pixels) == (5 + 14, 3 + 8, 5 + 14 + 58, 3 + 8 + 14)
 
     def test_draw_respects_clip(self):
-        # text wider than its rect: nothing outside the rect is touched
+        # text wider than its cell: nothing outside the cell is touched
         pixels = np.zeros((20, 20), dtype=np.uint8)
-        _font.draw_text(pixels, "888", (2, 2, 6, 6))
+        draw_one(pixels[2:6, 2:6], "888")
         x0, y0, x1, y1 = ink_box(pixels)
         assert x0 >= 2 and y0 >= 2 and x1 <= 6 and y1 <= 6
-        # the scale-1 text "8" is 5x7; in a 3x4 rect it is centered by floor
+        # the scale-1 text "8" is 5x7; in a 3x4 cell it is centered by floor
         # division (offsets (3 - 5) // 2 = -1 and (4 - 7) // 2 = -2) and cut
         pixels = np.zeros((20, 20), dtype=np.uint8)
-        _font.draw_text(pixels, "8", (10, 10, 13, 14))
+        draw_one(pixels[10:14, 10:13], "8")
         glyph = _font.GLYPHS["8"][:, :5]
         assert np.array_equal(pixels[10:14, 10:13] > 0, glyph[2:6, 1:4])
         assert pixels.sum() == 255 * glyph[2:6, 1:4].sum()
 
-    def test_clips_to_buffer(self):
-        # a rect hanging off the top-left corner keeps its placement
-        pixels = np.zeros((20, 20), dtype=np.uint8)
-        _font.draw_text(pixels, "8", (-2, -3, 3, 4))
-        glyph = _font.GLYPHS["8"][:, :5]
-        assert np.array_equal(pixels[:4, :3] > 0, glyph[3:, 2:])
-        assert pixels.sum() == 255 * glyph[3:, 2:].sum()
-        # and one wholly outside draws nothing
-        _font.draw_text(pixels, "8", (30, 0, 40, 10))
-        assert pixels.sum() == 255 * glyph[3:, 2:].sum()
-
     def test_scaling_doubles_glyph(self):
-        one = np.zeros((7, 5), dtype=np.uint8)
-        two = np.zeros((14, 10), dtype=np.uint8)
-        _font.draw_text(one, "7", (0, 0, 5, 7))
-        _font.draw_text(two, "7", (0, 0, 10, 14))
+        one = draw_one(np.zeros((7, 5), dtype=np.uint8), "7")
+        two = draw_one(np.zeros((14, 10), dtype=np.uint8), "7")
         assert np.array_equal(two, one.repeat(2, axis=0).repeat(2, axis=1))
 
+    def test_one_cell_of_every_image(self):
+        # cell (x 4:24, y 2:12) of three images, texts of two lengths
+        images = np.zeros((3, 16, 30), dtype=np.uint8)
+        texts = ["1.5", "-20.25", "7.0"]
+        _font.draw_text(images[:, 2:12, 4:24], texts)
+        for image, text in zip(images, texts):
+            want = reference_draw_text(np.zeros((16, 30), dtype=np.uint8), text, (4, 2, 24, 12))
+            assert np.array_equal(image, want)
+
     def test_unknown_glyph(self):
-        pixels = np.zeros((8, 20), dtype=np.uint8)
+        # the first text is drawable, but nothing is written
+        cells = np.zeros((2, 8, 20), dtype=np.uint8)
         with pytest.raises(ParameterError, match="'x'"):
-            _font.draw_text(pixels, "1x", (0, 0, 20, 8))
-        assert not pixels.any()
+            _font.draw_text(cells, ["1.0", "1x"])
+        assert not cells.any()
+        with pytest.raises(ParameterError, match="'é'"):  # not ASCII either
+            _font.draw_text(cells, ["1é"])
 
     def test_empty_text_draws_nothing(self):
-        pixels = np.zeros((8, 8), dtype=np.uint8)
-        _font.draw_text(pixels, "", (0, 0, 8, 8))
+        pixels = draw_one(np.zeros((8, 8), dtype=np.uint8), "")
         assert not pixels.any()
+        _font.draw_text(np.zeros((0, 8, 8), dtype=np.uint8), [])
 
     def test_glyphs_carry_blank_spacer(self):
         for glyph in _font.GLYPHS.values():
@@ -118,33 +121,44 @@ class TestFont:
 
 
 texts = st.floats(allow_nan=False, allow_infinity=False).map(encoders.format_value)
-sides = st.integers(1, 80)
+sides = st.integers(0, 80)
 
 
 class TestFontOracle:
     @settings(max_examples=400, deadline=None)
-    @given(text=texts, width=sides, height=sides, x0=st.integers(-40, 90),
-           y0=st.integers(-40, 90), w=st.integers(0, 130), h=st.integers(0, 130))
+    @given(text=texts, width=sides, height=sides, x0=st.integers(0, 40),
+           y0=st.integers(0, 40), w=st.integers(0, 90), h=st.integers(0, 90))
     def test_matches_reference(self, text, width, height, x0, y0, w, h):
-        rect = (x0, y0, x0 + w, y0 + h)
+        # a cell of any size, also narrower or shorter than a glyph, inside
+        # a larger image that must stay blank around it
+        x1, y1 = min(x0 + w, width), min(y0 + h, height)
         got = np.zeros((height, width), dtype=np.uint8)
-        _font.draw_text(got, text, rect)
-        want = reference_draw_text(np.zeros((height, width), dtype=np.uint8), text, rect)
+        _font.draw_text(got[None, y0:y1, x0:x1], [text])
+        want = reference_draw_text(np.zeros((height, width), dtype=np.uint8), text,
+                                   (x0, y0, max(x0, x1), max(y0, y1)))
         assert np.array_equal(got, want)
 
+    @settings(max_examples=200, deadline=None)
+    @given(stack=st.lists(texts | st.just(""), max_size=12), width=sides, height=sides)
+    def test_stack_matches_reference_image_by_image(self, stack, width, height):
+        # one call on texts of mixed lengths equals one oracle call per image
+        got = np.zeros((len(stack), height, width), dtype=np.uint8)
+        _font.draw_text(got, stack)
+        for image, text in zip(got, stack):
+            want = reference_draw_text(np.zeros((height, width), dtype=np.uint8), text,
+                                       (0, 0, width, height))
+            assert np.array_equal(image, want)
+
     def test_matches_reference_on_seeded_cells(self):
-        # narrow cells, cells off every edge and values of every magnitude
+        # narrow cells and values of every magnitude
         rng = np.random.default_rng(23)
         for _ in range(300):
-            width, height = (int(v) for v in rng.integers(1, 70, size=2))
-            x0, y0 = (int(v) for v in rng.integers(-30, 70, size=2))
-            w, h = (int(v) for v in rng.integers(0, 90, size=2))
+            width, height = (int(v) for v in rng.integers(1, 90, size=2))
             value = float(rng.normal() * 10.0 ** rng.integers(-12, 12))
             text = encoders.format_value(value)
-            rect = (x0, y0, x0 + w, y0 + h)
-            got = np.zeros((height, width), dtype=np.uint8)
-            _font.draw_text(got, text, rect)
-            want = reference_draw_text(np.zeros((height, width), dtype=np.uint8), text, rect)
+            got = draw_one(np.zeros((height, width), dtype=np.uint8), text)
+            want = reference_draw_text(np.zeros((height, width), dtype=np.uint8), text,
+                                       (0, 0, width, height))
             assert np.array_equal(got, want)
 
 
@@ -746,6 +760,33 @@ class TestGenericSurface:
         doc["canvas_size"] = [64, 64]
         with pytest.raises(ShapeError):
             encoders.model_from_dict(doc)
+
+    @pytest.mark.parametrize("key, value", [
+        ("layout", {"rows": 10**6, "cols": 10**6, "n": 5}), ("canvas_size", [3, 3])])
+    def test_loaded_stml_cells_must_hold_a_glyph(self, key, value):
+        doc = self.model_doc("stml")
+        doc[key] = value
+        with pytest.raises(CapacityError, match="one 5x7 glyph per cell"):
+            encoders.model_from_dict(doc)
+
+    @pytest.mark.parametrize("kind", encoders.KINDS)
+    @pytest.mark.parametrize("side", [10**5, 10**12])
+    def test_canvas_pixel_cap(self, kind, side):
+        doc = self.model_doc(kind)
+        doc["canvas_size"] = [side, side]
+        if kind == "igtd":  # its canvas is its grid, whatever size asks
+            doc["layout"].update(rows=side, cols=side)
+        with pytest.raises(CapacityError, match="exceeds 16777216 pixels"):
+            encoders.model_from_dict(doc)
+        if kind != "igtd":
+            with pytest.raises(CapacityError):
+                encoders.fit(kind, toy_dataset(5), size=(side, side))
+
+    def test_largest_canvas_allowed(self):
+        model = encoders.fit("stml", toy_dataset(5, n_rows=2), size=(4096, 4096))
+        assert model.canvas_size == (4096, 4096)
+        with pytest.raises(CapacityError):
+            encoders.fit("stml", toy_dataset(5, n_rows=2), size=(4097, 4096))
 
     @pytest.mark.parametrize("kind", encoders.KINDS)
     def test_non_finite_rows_rejected(self, kind):
