@@ -270,9 +270,13 @@ class CVPlan:
     assignments: np.ndarray  # (repeats, n_instances) fold index per instance
 
     def __post_init__(self):
-        a = np.ascontiguousarray(self.assignments, dtype=np.int8)
-        if a.ndim != 2 or a.shape[0] != self.repeats:
-            raise ParameterError("assignments must be a (repeats, n_instances) matrix")
+        a = np.asarray(self.assignments)
+        if a.ndim != 2 or a.shape[0] != self.repeats or self.repeats < 1:
+            raise ParameterError("need repeats >= 1 and a (repeats, n_instances) matrix")
+        if (not 2 <= self.folds <= 128  # fold indices are stored as int8
+                or a.dtype.kind not in "iu" or a.size and (a.min() < 0 or a.max() >= self.folds)):
+            raise ParameterError(f"folds must be 2..128, fold indices integers in range({self.folds})")
+        a = np.ascontiguousarray(a, dtype=np.int8)
         a.setflags(write=False)
         object.__setattr__(self, "assignments", a)
 

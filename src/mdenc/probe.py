@@ -30,42 +30,54 @@ def balanced_accuracy(y_true, y_pred) -> float:
     return float(np.mean(recalls))
 
 
-def _sq_distances(queries: np.ndarray, refs: np.ndarray) -> np.ndarray:
-    # |q - r|^2 expanded through one matmul. For integer inputs every term
-    # and partial sum is an integer, exact in any summation order while it
-    # is at most 2**24 in float32 (2**53 in float64); knn1_pixel picks the
-    # dtype that keeps it so
+def _sq_distances(queries: np.ndarray, refs: np.ndarray | None = None) -> np.ndarray:
+    # |q - r|^2 expanded through one matmul (without ``refs``, among the
+    # rows of ``queries``: numpy's symmetric A @ A.T). For integer inputs
+    # every term and partial sum is an integer, exact in any summation order
+    # while at most 2**24 in float32 (2**53 in float64); _exact_pixels picks
+    # the dtype that keeps it so
+    refs = queries if refs is None else refs
     q2 = np.einsum("ij,ij->i", queries, queries)
-    r2 = np.einsum("ij,ij->i", refs, refs)
-    return q2[:, None] + r2[None, :] - 2.0 * (queries @ refs.T)
+    r2 = q2 if refs is queries else np.einsum("ij,ij->i", refs, refs)
+    distances = q2[:, None] + r2[None, :]
+    product = queries @ refs.T
+    product *= 2.0
+    distances -= product
+    return distances
 
 
-def _nearest_label(refs: np.ndarray, labels, queries: np.ndarray) -> np.ndarray:
-    """Label of the reference row at minimal squared distance from each
-    query row; ties break toward the lowest reference index."""
-    if refs.shape[0] == 0:
+def _nearest_label(distances: np.ndarray, labels) -> np.ndarray:
+    """Label of the reference (column) at minimal distance from each query
+    (row); ties break toward the lowest reference index."""
+    if distances.shape[1] == 0:
         raise MetricError("empty training set")
     labels = np.asarray(labels)
-    if labels.shape != (refs.shape[0],):
+    if labels.shape != (distances.shape[1],):
         raise ShapeError("one label per training row required")
-    if queries.shape[0] == 0:
-        return labels[:0]
-    return labels[np.argmin(_sq_distances(queries, refs), axis=1)]
+    return labels[np.argmin(distances, axis=1)]
+
+
+def _exact_pixels(stacks: list[np.ndarray]) -> tuple[list[np.ndarray], type]:
+    """Pruning rule of the exact pixel probe, over uint8 matrices of one
+    image per row: drop the pixels that hold one value in every row of every
+    matrix (they add 0 to every distance), divide the rest by their gcd ``g``
+    (every distance scales by ``g**2``), and pick the dtype in which every
+    intermediate is an exact integer: float32 if ``2 * top**2 * pixels <=
+    2**24`` (``top`` the largest value left, ``pixels`` kept), else float64."""
+    lo = np.minimum.reduce([s.min(axis=0, initial=255) for s in stacks])
+    hi = np.maximum.reduce([s.max(axis=0, initial=0) for s in stacks])
+    varying = np.flatnonzero(lo != hi)
+    kept = [s[:, varying] for s in stacks]
+    g = int(np.gcd.reduce([np.gcd.reduce(k, axis=None) for k in kept])) or 1
+    top = int(hi[varying].max(initial=0)) // g
+    dtype = np.float32 if 2 * top * top * len(varying) <= 2**24 else np.float64
+    return [np.floor_divide(k, g, out=k) for k in kept], dtype
 
 
 def knn1_pixel(train_images, train_labels, test_images) -> np.ndarray:
-    """1-NN on uint8 ``(N, H, W)`` image stacks by squared pixel distance;
-    ties break toward the lowest training index.
-
-    The distances are exact, so the predictions match a float64 probe over
-    every pixel. Pixels that hold one value in every image add 0 to every
-    distance and are dropped. The rest are divided by the gcd ``g`` of
-    their values, which scales every distance by ``g**2``. They go to
-    float32 when ``2 * top**2 * pixels <= 2**24`` (``top`` the largest
-    value after the division, ``pixels`` the number kept), where every
-    intermediate is an integer float32 holds exactly, and to float64
-    otherwise.
-    """
+    """1-NN on uint8 ``(N, H, W)`` image stacks by exact squared pixel
+    distance (see ``_exact_pixels``), so the predictions match a float64
+    probe over every pixel; ties break toward the lowest training index."""
     train_images = np.asarray(train_images)
     test_images = np.asarray(test_images)
     if train_images.dtype != np.uint8 or test_images.dtype != np.uint8:
@@ -74,18 +86,9 @@ def knn1_pixel(train_images, train_labels, test_images) -> np.ndarray:
     if train_images.ndim != 3 or train_images.shape[1:] != test_images.shape[1:]:
         raise ShapeError("image stacks must be (N, H, W) with equal image sizes")
     pixels = train_images.shape[1] * train_images.shape[2]
-    refs = train_images.reshape(len(train_images), pixels)
-    queries = test_images.reshape(len(test_images), pixels)
-    lo = np.minimum(refs.min(axis=0, initial=255), queries.min(axis=0, initial=255))
-    hi = np.maximum(refs.max(axis=0, initial=0), queries.max(axis=0, initial=0))
-    varying = np.flatnonzero(lo != hi)
-    refs, queries = refs[:, varying], queries[:, varying]
-    g = int(np.gcd(np.gcd.reduce(refs, axis=None), np.gcd.reduce(queries, axis=None))) or 1
-    top = int(hi[varying].max(initial=0)) // g
-    dtype = np.float32 if 2 * top * top * len(varying) <= 2**24 else np.float64
-    refs = (refs // g).astype(dtype)
-    queries = (queries // g).astype(dtype)
-    return _nearest_label(refs, train_labels, queries)
+    (refs, queries), dtype = _exact_pixels([train_images.reshape(len(train_images), pixels),
+                                            test_images.reshape(len(test_images), pixels)])
+    return _nearest_label(_sq_distances(queries.astype(dtype), refs.astype(dtype)), train_labels)
 
 
 def knn1_tabular(X_train, y_train, X_test, scaler: scaling.ScalerParams) -> np.ndarray:
@@ -94,7 +97,7 @@ def knn1_tabular(X_train, y_train, X_test, scaler: scaling.ScalerParams) -> np.n
     queries = scaling.transform(scaler, np.asarray(X_test, dtype=np.float64))
     if refs.ndim != 2:
         raise ShapeError("training rows must form a 2-d matrix")
-    return _nearest_label(refs, y_train, np.atleast_2d(queries))
+    return _nearest_label(_sq_distances(np.atleast_2d(queries), refs), y_train)
 
 
 @dataclass(frozen=True)
@@ -136,9 +139,10 @@ def run_cv_eval(ds: Dataset, encoder_kind: str, plan: CVPlan, *,
     """Run the full repeated 2-fold protocol for one encoder.
 
     For every split the encoder (or the tabular scaler) is fitted on the
-    training fold only, both folds are encoded with that fitted model, and
-    the held-out fold is classified with the 1-NN probe. The scaler and
-    the pixel assignment therefore never see test data.
+    training fold only and never sees test data; the held-out fold is
+    classified with the 1-NN probe. Splits whose models have equal documents
+    (every ``stml`` split) share one encode of all rows, a pure function of
+    (model, row), and one exact matrix of test-to-train row distances.
 
     Encoding is serial: ``jobs`` stays only for callers passing ``jobs=1``
     (``perfbench``), and any other value raises before anything is fitted.
@@ -149,22 +153,33 @@ def run_cv_eval(ds: Dataset, encoder_kind: str, plan: CVPlan, *,
         raise ParameterError(f"jobs must be 1 (encoding is serial), got {jobs}")
     if plan.n_instances != ds.n_instances:
         raise ShapeError("plan was built for a different number of instances")
-    bacs: list[float] = []
-    predictions: list[tuple[int, ...]] = []
-    for _, _, train_idx, test_idx in plan.iter_splits():
-        ds_train = ds.subset(train_idx)
-        X_test = ds.X[test_idx]
-        if encoder_kind == "tabular":
-            scaler = scaling.fit(ds_train.X, l, u)
-            y_pred = knn1_tabular(ds_train.X, ds_train.y, X_test, scaler)
-        else:
-            model = encoders.fit(encoder_kind, ds_train, l=l, u=u, size=size,
-                                 igtd_max_iters=igtd_max_iters,
-                                 igtd_patience=igtd_patience, seed=seed)
-            train_images = encoders.encode_batch(model, ds_train.X)
-            test_images = encoders.encode_batch(model, X_test)
-            y_pred = knn1_pixel(train_images, ds_train.y, test_images)
-        bacs.append(balanced_accuracy(ds.y[test_idx], y_pred))
-        predictions.append(tuple(int(v) for v in y_pred))
+    splits = [(train_idx, test_idx) for _, _, train_idx, test_idx in plan.iter_splits()]
+    if encoder_kind == "tabular":
+        predictions = [knn1_tabular(t.X, t.y, ds.X[test_idx], scaling.fit(t.X, l, u))
+                       for t, test_idx in ((ds.subset(tr), te) for tr, te in splits)]
+    else:
+        predictions = [None] * len(splits)
+        models = [encoders.fit(encoder_kind, ds.subset(train_idx), l=l, u=u, size=size,
+                               igtd_max_iters=igtd_max_iters, igtd_patience=igtd_patience,
+                               seed=seed) for train_idx, _ in splits]
+        docs = [to_doc(model) for model in models]
+        for first in sorted(set(map(docs.index, docs))):
+            members = [i for i, doc in enumerate(docs) if doc == docs[first]]
+            q = np.unique(np.concatenate([splits[i][1] for i in members]))
+            r = np.unique(np.concatenate([splits[i][0] for i in members]))
+            # tested rows first, then training rows: each side is a view of one stack
+            rows = q if len(q) == len(r) == ds.n_instances else np.concatenate([q, r])
+            sides, dtype = _exact_pixels(np.split(
+                encoders.encode_batch(models[first], ds.X[rows]).reshape(len(rows), -1),
+                [] if rows is q else [len(q)]))
+            distances = _sq_distances(*(side.astype(dtype) for side in sides))
+            del sides  # before the next group's encode
+            for i in members:
+                train_idx, test_idx = splits[i]
+                block = distances[np.ix_(np.searchsorted(q, test_idx),
+                                         np.searchsorted(r, train_idx))]
+                predictions[i] = _nearest_label(block, ds.y[train_idx])
+    bacs = [balanced_accuracy(ds.y[test_idx], y_pred)
+            for (_, test_idx), y_pred in zip(splits, predictions)]
     return EvalReport(ds.name, encoder_kind, tuple(bacs), float(np.mean(bacs)),
-                      tuple(predictions), dict(config or {}))
+                      tuple(tuple(p.tolist()) for p in predictions), dict(config or {}))

@@ -344,6 +344,31 @@ class TestCVPlan:
         assert set(train) | set(test) == set(range(21))
         assert not set(train) & set(test)
 
+    @pytest.mark.parametrize("repeats, folds, assignments", [
+        (5, 0, np.zeros((5, 6), dtype=np.int8)),
+        (5, 1, np.zeros((5, 6), dtype=np.int8)),
+        (1, 129, np.zeros((1, 6), dtype=np.int8)),
+        (0, 2, np.zeros((0, 6), dtype=np.int8)),
+        (2, 2, np.zeros((1, 6), dtype=np.int8)),
+        (1, 2, np.zeros(6, dtype=np.int8)),
+        (1, 2, [[0, 1, 2, 0, 1, 0]]),
+        (1, 2, [[0, 1, -1, 0, 1, 0]]),
+        (1, 3, [[0, 1, 255, 0, 1, 2]]),
+        (1, 2, [[0.0, 0.5, 1.0, 0.0, 1.0, 0.0]]),
+        (1, 2, [[0.0, 1.0, 1.0, 0.0, 1.0, 0.0]]),
+        (1, 2, [[False, True, True, False, True, False]]),
+    ], ids=["0-folds", "1-fold", "129-folds", "0-repeats", "repeats-mismatch", "1-d",
+            "fold-too-high", "fold-negative", "wraps-in-int8", "fractional", "float",
+            "bool"])
+    def test_bad_plan_rejected(self, repeats, folds, assignments):
+        with pytest.raises(ParameterError):
+            data.CVPlan(repeats, folds, 0, assignments)
+
+    def test_hand_built_plan_kept_read_only(self):
+        plan = data.CVPlan(1, 3, 0, [[0, 1, 2, 2, 1, 0]])
+        assert plan.assignments.dtype == np.int8 and not plan.assignments.flags.writeable
+        assert [test.tolist() for _, _, _, test in plan.iter_splits()] == [[0, 5], [1, 4], [2, 3]]
+
 
 class TestSyntheticGenerator:
     def test_shape_and_classes(self):

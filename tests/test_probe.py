@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mdenc import encoders, probe, scaling
-from mdenc.data import Dataset, generate_synthetic, make_cv_plan
-from mdenc.errors import MetricError, ParameterError, ShapeError, StateError
+from mdenc.data import CVPlan, Dataset, generate_synthetic, make_cv_plan
+from mdenc.errors import FitError, MetricError, ParameterError, ShapeError, StateError
 from mdenc.probe import EVAL_KINDS, EvalReport, balanced_accuracy, knn1_pixel, knn1_tabular, run_cv_eval
 
 
@@ -20,9 +20,23 @@ def reference_knn1_pixel(train_images, train_labels, test_images):
     train_images = np.asarray(train_images)
     test_images = np.asarray(test_images)
     pixels = train_images.shape[1] * train_images.shape[2]
-    return probe._nearest_label(train_images.reshape(-1, pixels).astype(np.float64),
-                                train_labels,
-                                test_images.reshape(-1, pixels).astype(np.float64))
+    refs = train_images.reshape(-1, pixels).astype(np.float64)
+    queries = test_images.reshape(-1, pixels).astype(np.float64)
+    return probe._nearest_label(probe._sq_distances(queries, refs), train_labels)
+
+
+def reference_fold_predictions(ds, kind, plan, **options):
+    """Oracle for ``run_cv_eval``'s image kinds: per split, fit on the
+    training fold, encode the training and the test fold, and classify the
+    test fold with ``reference_knn1_pixel``."""
+    predictions = []
+    for _, _, train_idx, test_idx in plan.iter_splits():
+        ds_train = ds.subset(train_idx)
+        model = encoders.fit(kind, ds_train, **options)
+        y_pred = reference_knn1_pixel(encoders.encode_batch(model, ds_train.X), ds_train.y,
+                                      encoders.encode_batch(model, ds.X[test_idx]))
+        predictions.append(tuple(int(v) for v in y_pred))
+    return tuple(predictions)
 
 
 # pixel alphabets: the binarized encoders, values sharing the factor 3,
@@ -119,7 +133,7 @@ class TestKnnPixel:
         def no_distances(*args):
             raise AssertionError("distances computed before the dtype check")
 
-        monkeypatch.setattr(probe, "_nearest_label", no_distances)
+        monkeypatch.setattr(probe, "_sq_distances", no_distances)
         good = stack(np.zeros((1, 4, 4)))
         for train, test in ((bad, good), (good, bad)):
             with pytest.raises(ParameterError, match="uint8"):
@@ -158,16 +172,42 @@ class TestKnnPixel:
         # after dividing by the gcd ``step`` the largest value is 255 // step:
         # 2 * 255**2 * 129 and 2 * 85**2 * 1161 are the last sums <= 2**24
         seen = []
-        nearest_label = probe._nearest_label
+        sq_distances = probe._sq_distances
 
-        def spy(refs, labels, queries):
+        def spy(queries, refs):
             seen.append(refs.dtype)
-            return nearest_label(refs, labels, queries)
+            return sq_distances(queries, refs)
 
-        monkeypatch.setattr(probe, "_nearest_label", spy)
+        monkeypatch.setattr(probe, "_sq_distances", spy)
         train, test = near_tie_stacks(step, pixels)
         assert knn1_pixel(train, [0, 1, 2], test).tolist() == [1]
         assert seen == [dtype]
+
+
+class TestSqDistances:
+    @settings(max_examples=50, deadline=None)
+    @given(n_query=st.integers(0, 12), n_ref=st.integers(1, 12), width=st.integers(1, 9),
+           data_seed=st.integers(0, 2**32 - 1))
+    def test_operation_order_kept(self, n_query, n_ref, width, data_seed):
+        # knn1_tabular's non-integer float64 distances stay bit-identical
+        # to the one-expression form
+        rng = np.random.default_rng(data_seed)
+        queries = rng.normal(size=(n_query, width))
+        refs = rng.normal(size=(n_ref, width))
+        q2 = np.einsum("ij,ij->i", queries, queries)
+        r2 = np.einsum("ij,ij->i", refs, refs)
+        expected = q2[:, None] + r2[None, :] - 2.0 * (queries @ refs.T)
+        assert np.array_equal(probe._sq_distances(queries, refs), expected)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_rows_among_themselves(self, dtype):
+        rng = np.random.default_rng(4)
+        rows = rng.integers(0, 2, size=(30, 200)).astype(dtype)
+        got = probe._sq_distances(rows)
+        expected = ((rows[:, None, :] - rows[None, :, :]) ** 2).sum(axis=2)
+        assert got.dtype == dtype
+        assert np.array_equal(got, expected)
+        assert np.array_equal(got, probe._sq_distances(rows, rows.copy()))
 
 
 class TestKnnTabular:
@@ -249,6 +289,61 @@ class TestRunCvEval:
         for jobs in (0, 2):
             with pytest.raises(ParameterError, match="jobs must be 1"):
                 run_cv_eval(ds, kind, plan, jobs=jobs)
+
+    @settings(max_examples=40, deadline=None)
+    @given(kind=st.sampled_from(encoders.KINDS), n=st.integers(6, 16),
+           n_features=st.integers(2, 6), three_folds=st.booleans(),
+           duplicates=st.integers(0, 4), data_seed=st.integers(0, 2**16))
+    def test_matches_per_split_oracle(self, kind, n, n_features, three_folds, duplicates,
+                                      data_seed):
+        ds = generate_synthetic(n, n_features, seed=data_seed)
+        rng = np.random.default_rng(data_seed)
+        X = ds.X.copy()
+        for _ in range(duplicates):
+            # an exact copy of another row, maybe of the other class: a tie
+            X[rng.integers(0, n)] = X[rng.integers(0, n)]
+        ds = Dataset(ds.name, X, ds.y, ds.feature_names, ds.class_names)
+        if three_folds:
+            plan = CVPlan(1, 3, 0, [rng.permutation(np.arange(n) % 3)])
+        else:
+            plan = make_cv_plan(ds, seed=data_seed)
+        options = {"size": (48, 48), "igtd_max_iters": 3, "seed": data_seed}
+        report = run_cv_eval(ds, kind, plan, **options)
+        assert report.fold_predictions == reference_fold_predictions(ds, kind, plan, **options)
+
+    @pytest.mark.parametrize("kind, encodes", [("stml", 1), ("retire", 10)])
+    def test_one_encode_and_distance_matrix_per_fitted_model(self, kind, encodes,
+                                                            monkeypatch):
+        # every stml split fits an equal model, so the ten splits share one
+        # encode of all rows and one distance matrix; retire models differ
+        encoded, distances = [], []
+        encode_batch, sq_distances = encoders.encode_batch, probe._sq_distances
+
+        def counted_encode(model, X):
+            encoded.append(len(X))
+            return encode_batch(model, X)
+
+        def counted_distances(*operands):
+            distances.append(len(operands))
+            return sq_distances(*operands)
+
+        monkeypatch.setattr(encoders, "encode_batch", counted_encode)
+        monkeypatch.setattr(probe, "_sq_distances", counted_distances)
+        ds = self.small_ds()
+        run_cv_eval(ds, kind, make_cv_plan(ds, seed=0), size=(48, 48))
+        assert encoded == [ds.n_instances] * encodes
+        # one operand: the whole-set matrix of the rows among themselves
+        assert distances == ([1] if kind == "stml" else [2] * 10)
+
+    @pytest.mark.parametrize("fold", [0, 1])
+    @pytest.mark.parametrize("kind", EVAL_KINDS)
+    def test_empty_fold_raises(self, kind, fold):
+        ds = self.small_ds()
+        plan = CVPlan(1, 2, 0, np.full((1, ds.n_instances), fold))
+        # stml fits on no rows, so the probe finds no training row; the
+        # other kinds already fail to fit their scaler
+        with pytest.raises(MetricError if kind == "stml" else (FitError, MetricError)):
+            run_cv_eval(ds, kind, plan, size=(48, 48), igtd_max_iters=3)
 
     def test_plan_dataset_mismatch(self):
         ds = self.small_ds()
