@@ -7,6 +7,7 @@ classifier-comparison statistics, and encode-time benchmarking. The
 ``mdenc`` CLI wires these into end-to-end workflows.
 """
 
+from ._doc import read_json, write_json
 from .bench import TimingRecord, linearity_fit, run_timing_sweep
 from .data import CVPlan, Dataset, generate_synthetic, load_csv, load_keel, make_cv_plan
 from .encoders import EncoderModel, encode, encode_batch, fit
@@ -41,7 +42,9 @@ __all__ = [
     "load_keel",
     "make_cv_plan",
     "mean_ranks",
+    "read_json",
     "run_cv_eval",
     "run_timing_sweep",
     "wilcoxon_signed_rank",
+    "write_json",
 ]

@@ -1,16 +1,17 @@
-"""Plain-JSON documents from frozen dataclasses, and back.
-
-A dataclass becomes an object with one key per field, in field order;
-arrays and tuples become lists. Reading checks every key and value against
-the field annotations, so a malformed document raises :class:`StateError`
-naming the offending key instead of a stray ``KeyError`` or ``TypeError``.
-A file that is not UTF-8 JSON raises :class:`StateError` naming the file.
+"""Every JSON artefact (model, report, comparison, sweep record) is written
+and read here. A dataclass becomes an object with one key per field, in field
+order; arrays and tuples become lists; a non-finite float becomes ``null``, so
+the text is strict JSON. Reading checks every key and value against the field
+annotations: a malformed document raises :class:`StateError` naming the key,
+and a file that is not UTF-8 JSON raises :class:`StateError` naming the file.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import math
+import re
 import sys
 import types
 import typing
@@ -22,38 +23,48 @@ from .errors import StateError
 
 
 def to_doc(value):
-    """JSON-ready form of a dataclass, array, tuple or plain value."""
+    """JSON-ready form of a dataclass, dict, array, tuple or plain value."""
     if dataclasses.is_dataclass(value):
-        return {f.name: to_doc(getattr(value, f.name)) for f in dataclasses.fields(value)}
+        value = {f.name: getattr(value, f.name) for f in dataclasses.fields(value)}
+    if isinstance(value, dict):
+        return {k: to_doc(v) for k, v in value.items()}
     if isinstance(value, np.ndarray):
-        return value.tolist()
-    if isinstance(value, tuple):
+        value = value.tolist()
+    if isinstance(value, (list, tuple)):
         return [to_doc(v) for v in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
     return value
 
 
+def to_json(value, indent: int | None = 2) -> str:
+    """Strict JSON text of ``value`` (one line when ``indent`` is None)."""
+    return json.dumps(to_doc(value), indent=indent, allow_nan=False)
+
+
 def write_json(path, value) -> None:
-    Path(path).write_text(json.dumps(to_doc(value), indent=2))
+    Path(path).write_text(to_json(value))
 
 
-def read_json(path):
-    """The JSON value stored in file ``path``."""
+def read_json(path, cls):
+    """Dataclass ``cls`` read from file ``path``; key paths in its errors
+    start at the last word of the class name, such as ``model``."""
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, or too deep
         raise StateError(f"{path} is not a UTF-8 JSON document: {exc}") from None
+    return from_doc(cls, doc, re.findall("[A-Z][a-z]*", cls.__name__)[-1].lower())
 
 
-def from_doc(cls, doc, where: str, **hints):
-    """Build dataclass ``cls`` from ``doc``; ``hints`` overrides the annotation
-    of named fields. Only keys of fields with a default may be omitted."""
+def from_doc(cls, doc, where: str):
+    """Dataclass ``cls`` built from ``doc``; only fields with a default may be missing."""
     if not isinstance(doc, dict):
         raise StateError(f"{where} must be a JSON object")
     fields = dataclasses.fields(cls)
     unknown = sorted(set(doc) - {f.name for f in fields}, key=str)
     if unknown:
         raise StateError(f"{where} has unknown keys {unknown}")
-    hints = typing.get_type_hints(cls) | hints
+    hints = typing.get_type_hints(cls)
     values = {}
     for f in fields:
         if f.name in doc:
@@ -71,8 +82,14 @@ def _is_number(value) -> bool:
 
 def _value(hint, value, where: str):
     origin, args = typing.get_origin(hint), typing.get_args(hint)
-    if origin in (typing.Union, types.UnionType):  # only ever ``X | None``
-        return None if value is None else _value(args[0], value, where)
+    if origin in (typing.Union, types.UnionType):  # of dataclasses, maybe None
+        members = [a for a in args if a is not type(None)]
+        if value is None and len(members) < len(args):
+            return None
+        # the member that knows the most keys, the first one on a tie
+        keys = set(value) if isinstance(value, dict) else set()
+        hint = min(members, key=lambda a: len(keys - {f.name for f in dataclasses.fields(a)}))
+        return _value(hint, value, where)
     if dataclasses.is_dataclass(hint):
         return from_doc(hint, value, where)
     if origin is tuple:

@@ -7,10 +7,9 @@ comparable; the median over repeats resists scheduler noise.
 
 from __future__ import annotations
 
-import json
 import math
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,9 +34,6 @@ class TimingRecord:
     encode_time: float     # median seconds per batch (nan when truncated early)
     fit_time: float
     truncated: bool = False
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def run_timing_sweep(encoder_kind: str, feature_counts=DEFAULT_GRID,
@@ -110,7 +106,3 @@ def linearity_fit(records) -> tuple[float, float, float]:
     ss_tot = float(((y - y_mean) ** 2).sum())
     r_squared = 0.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
     return slope, intercept, r_squared
-
-
-def records_to_jsonl(records) -> str:
-    return "".join(json.dumps(r.to_dict()) + "\n" for r in records)

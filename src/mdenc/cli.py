@@ -1,7 +1,7 @@
 """Command-line interface wiring the modules into end-to-end workflows.
 
 Subcommands: ``fit``, ``encode``, ``eval``, ``stats``, ``bench``. All
-machine-readable output is JSON (JSONL for sweeps); text tables are
+machine-readable output is strict JSON (JSONL for sweeps); text tables are
 human-readable mirrors only. Exit codes: 0 success, 2 usage/validation
 error, 1 internal error.
 """
@@ -9,13 +9,12 @@ error, 1 internal error.
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import sys
 from pathlib import Path
 
 from . import bench, data, encoders, probe, scaling, stats
-from ._doc import write_json
+from ._doc import read_json, to_json, write_json
 from .errors import MdencError, ParameterError
 from .raster import write_pgm, write_ppm
 
@@ -85,13 +84,13 @@ def cmd_fit(args) -> int:
     model = encoders.fit(args.encoder, ds, l=args.l, u=args.u, size=args.size,
                          igtd_max_iters=args.igtd_iters,
                          igtd_patience=args.igtd_patience, seed=args.seed)
-    encoders.save_model(model, args.out)
+    write_json(args.out, model)
     print(f"wrote {args.out} ({args.encoder}, {ds.n_features} features)")
     return 0
 
 
 def cmd_encode(args) -> int:
-    model = encoders.load_model(args.model)
+    model = read_json(args.model, encoders.EncoderModel)
     ds = _load_dataset(args)
     rows = _parse_rows(args.rows, ds.n_instances)
     out_dir = Path(args.out)
@@ -106,23 +105,22 @@ def cmd_encode(args) -> int:
 
 
 _EVAL_CONFIG_FIELDS = ("dataset", "encoder", "l", "u", "seed",
-                       "igtd_iters", "igtd_patience")
+                       "igtd_iters", "igtd_patience", "size")
 
 
 def cmd_eval(args) -> int:
     ds = _load_dataset(args)
     plan = data.make_cv_plan(ds, args.seed)
     config = {name: getattr(args, name) for name in _EVAL_CONFIG_FIELDS}
-    config["size"] = list(args.size)
     report = probe.run_cv_eval(ds, args.encoder, plan, l=args.l, u=args.u,
                                size=args.size, igtd_max_iters=args.igtd_iters,
                                igtd_patience=args.igtd_patience, seed=args.seed,
                                config=config)
     if args.out:
-        report.save_json(args.out)
+        write_json(args.out, report)
         print(f"wrote {args.out}")
     else:
-        print(json.dumps(report.to_dict(), indent=2))
+        print(to_json(report))
     print(f"{ds.name} / {args.encoder}: mean BAC {report.mean_bac:.3f}")
     return 0
 
@@ -148,7 +146,7 @@ def _print_stats_table(payload: dict) -> None:
 
 
 def cmd_stats(args) -> int:
-    reports = [probe.EvalReport.load_json(p) for p in args.reports]
+    reports = [read_json(p, probe.EvalReport) for p in args.reports]
     payload = stats.compare(reports, args.alpha)
     _print_stats_table(payload)
     if args.out:
@@ -161,7 +159,7 @@ def cmd_bench(args) -> int:
     records = bench.run_timing_sweep(args.encoder, args.grid, args.samples,
                                      args.repeats, args.seed, args.budget_secs,
                                      args.size)
-    text = bench.records_to_jsonl(records)
+    text = "".join(to_json(r, indent=None) + "\n" for r in records)
     if args.out:
         Path(args.out).write_text(text)
         print(f"wrote {args.out}")
@@ -255,10 +253,7 @@ def main(argv=None) -> int:
         log.setLevel(logging.INFO)
     try:
         return args.func(args)
-    except MdencError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (MdencError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001 - anything else is an internal bug

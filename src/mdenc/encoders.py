@@ -22,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _font, scaling
-from ._doc import from_doc, read_json, write_json
 from ._ranking import rank_average
 from .data import Dataset
 from .errors import CapacityError, FitError, ParameterError, ShapeError, StateError
@@ -385,21 +384,3 @@ def encode_batch(model: EncoderModel, X) -> np.ndarray:
 def encode(model: EncoderModel, x) -> np.ndarray:
     """Encode one feature vector into an ``(H, W)`` uint8 image."""
     return encode_batch(model, np.asarray(x, dtype=np.float64)[None])[0]
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-def model_from_dict(doc: dict) -> EncoderModel:
-    kind = doc.get("kind") if isinstance(doc, dict) else None
-    if kind not in KINDS:
-        raise StateError("document does not describe a fitted encoder model")
-    return from_doc(EncoderModel, doc, "model", layout=LAYOUTS[kind])
-
-
-def save_model(model: EncoderModel, path) -> None:
-    write_json(path, model)
-
-
-def load_model(path) -> EncoderModel:
-    return model_from_dict(read_json(path))

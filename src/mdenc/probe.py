@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import encoders, scaling
-from ._doc import from_doc, read_json, to_doc, write_json
+from ._doc import to_doc
 from .data import CVPlan, Dataset
 from .errors import MetricError, ParameterError, ShapeError
 
@@ -112,19 +112,10 @@ class EvalReport:
     fold_predictions: tuple[tuple[int, ...], ...] = ()
     config: dict = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return to_doc(self)
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "EvalReport":
-        return from_doc(cls, doc, "report")
-
-    def save_json(self, path) -> None:
-        write_json(path, self)
-
-    @classmethod
-    def load_json(cls, path) -> "EvalReport":
-        return cls.from_dict(read_json(path))
+    def __post_init__(self):
+        bacs = (*self.per_split_bac, self.mean_bac)  # the splits, then their mean
+        if len(bacs) < 2 or not all(0.0 <= v <= 1.0 for v in bacs):
+            raise MetricError(f"a report needs one or more splits and BACs in [0, 1], got {bacs}")
 
 
 EVAL_KINDS = encoders.KINDS + ("tabular",)

@@ -4,10 +4,10 @@ import math
 import pytest
 
 from mdenc import encoders
+from mdenc._doc import to_json
 from mdenc.bench import (
     TimingRecord,
     linearity_fit,
-    records_to_jsonl,
     run_timing_sweep,
 )
 from mdenc.errors import FitError, ParameterError
@@ -107,7 +107,7 @@ class TestTimingSweep:
 
     def test_jsonl_round_trip(self):
         records = [record(5, 0.01), record(10, 0.02)]
-        lines = records_to_jsonl(records).strip().split("\n")
+        lines = [to_json(r, indent=None) for r in records]
         docs = [json.loads(line) for line in lines]
         assert [d["n_features"] for d in docs] == [5, 10]
         assert docs[0]["encoder"] == "retire"

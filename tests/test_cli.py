@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from fixtures import make_benchmark_dataset, write_keel_file
-from mdenc import encoders
+from mdenc import encoders, read_json, write_json
 from mdenc.cli import main
 from mdenc.probe import EvalReport
 
@@ -38,7 +38,7 @@ def fake_report(tmp_path, dataset, encoder, bacs):
     report = EvalReport(dataset, encoder, tuple(bacs), float(np.mean(bacs)),
                         tuple(), {"seed": 0})
     path = tmp_path / f"{dataset}_{encoder}.json"
-    report.save_json(path)
+    write_json(path, report)
     return path
 
 
@@ -48,7 +48,7 @@ class TestFit:
         code = main(["fit", "--dataset", str(keel_file), "--encoder", "retire",
                      "--out", str(out)])
         assert code == 0
-        model = encoders.load_model(out)
+        model = read_json(out, encoders.EncoderModel)
         assert model.kind == "retire"
         assert model.layout.n == 6
 

@@ -1,0 +1,157 @@
+"""JSON artefacts: pinned file bytes, strict text and typed, checked reads."""
+
+import hashlib
+import json
+import math
+import re
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import mdenc
+from fixtures import make_benchmark_dataset
+from mdenc import encoders, read_json, write_json
+from mdenc._doc import to_doc, to_json
+from mdenc.bench import run_timing_sweep
+from mdenc.cli import main
+from mdenc.data import make_cv_plan
+from mdenc.errors import MetricError, StateError
+from mdenc.probe import EvalReport, run_cv_eval
+from mdenc.stats import combined_5x2cv_f_test
+
+# SHA-256 of the files ``write_json`` wrote for cryotherapy models (64x64,
+# seed 3) and a retire report (32x32, plan seed 0) before it wrote every
+# artefact; files written then must keep loading, and new ones match them
+PINNED_ARTEFACT_DIGESTS = {
+    "retire": "6fcf704ae867b02050eea0c827690dd9c95326e73d70d1ea0d6130d13a5c956e",
+    "stml": "41ff8d7dd6f8b20fffb388c6f4c8e032cc8652578888c462a75b283f1dc05df0",
+    "igtd": "4bfa0935236def27978f618634bee43f44c60a614709b505d00c2f810f4c55c8",
+    "report": "4295221340db526e4592050e54b9b045c9ea00ade40698d6988496d8d93467b5",
+}
+BACS = (0.8, 0.82, 0.79, 0.81, 0.8, 0.8, 0.83, 0.78, 0.8, 0.81)
+
+
+def strict_loads(text):
+    """``json.loads`` refusing the ``NaN``/``Infinity`` extensions."""
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(text, parse_constant=reject)
+
+
+def report_file(path, dataset, encoder, bacs):
+    write_json(path, EvalReport(dataset, encoder, tuple(bacs), float(np.mean(bacs))))
+    return path
+
+
+class TestPinnedBytes:
+    def check(self, tmp_path, key, value, cls):
+        path = tmp_path / f"{key}.json"
+        write_json(path, value)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_ARTEFACT_DIGESTS[key]
+        again = tmp_path / "again.json"
+        write_json(again, read_json(path, cls))
+        assert again.read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize("kind", encoders.KINDS)
+    def test_model_file(self, tmp_path, kind):
+        model = encoders.fit(kind, make_benchmark_dataset("cryotherapy"), size=(64, 64), seed=3)
+        self.check(tmp_path, kind, model, encoders.EncoderModel)
+
+    def test_report_file(self, tmp_path):
+        ds = make_benchmark_dataset("cryotherapy")
+        report = run_cv_eval(ds, "retire", make_cv_plan(ds, 0), size=(32, 32),
+                             config={"seed": 0})
+        self.check(tmp_path, "report", report, EvalReport)
+
+
+class TestStrictJson:
+    def test_non_finite_floats_become_null(self):
+        value = {"a": (1.0, math.inf), "b": np.array([[math.nan, 2.0]]), "c": -math.inf}
+        assert to_json(value, indent=None) == '{"a": [1.0, null], "b": [[null, 2.0]], "c": null}'
+
+    @pytest.mark.parametrize("margin", [0.0, 0.05])
+    def test_stats_out_with_a_degenerate_f_test(self, tmp_path, margin):
+        # equal scores leave F undefined (NaN), a constant margin makes it infinite
+        a = [b + margin for b in BACS]
+        f_stat = combined_5x2cv_f_test(a, BACS).f_stat
+        assert math.isinf(f_stat) if margin else math.isnan(f_stat)
+        paths = [report_file(tmp_path / "a.json", "d1", "retire", a),
+                 report_file(tmp_path / "b.json", "d1", "stml", BACS)]
+        out = tmp_path / "cmp.json"
+        assert main(["stats", "--reports", *map(str, paths), "--out", str(out)]) == 0
+        f_test = strict_loads(out.read_text())["datasets"]["d1"]["f_tests"]["retire vs stml"]
+        assert f_test["f_stat"] is None and f_test["degenerate"]
+
+    def test_bench_out_with_every_point_truncated(self, tmp_path):
+        options = dict(n_samples=8, repeats=2, size=(32, 32), budget_secs=1e-9)
+        records = run_timing_sweep("retire", [4, 8], **options)
+        assert all(math.isnan(r.encode_time) for r in records)
+        out = tmp_path / "sweep.jsonl"
+        assert main(["bench", "--encoder", "retire", "--grid", "4,8", "--samples", "8",
+                     "--repeats", "2", "--size", "32x32", "--budget-secs", "1e-9",
+                     "--out", str(out)]) == 0
+        docs = [strict_loads(line) for line in out.read_text().splitlines()]
+        assert [(d["encode_time"], d["truncated"]) for d in docs] == [(None, True)] * 2
+
+    def test_only_doc_imports_json(self):
+        source = Path(mdenc.__file__).parent
+        importers = [p.name for p in sorted(source.glob("*.py"))
+                     if re.search(r"^(import|from) json\b", p.read_text(), re.MULTILINE)]
+        assert importers == ["_doc.py"]
+
+
+class TestReportRange:
+    @pytest.mark.parametrize("change", [
+        {"per_split_bac": []}, {"per_split_bac": [7.0] * 10}, {"mean_bac": -3.0}])
+    def test_loaded_report_rejected(self, tmp_path, capsys, change):
+        good = report_file(tmp_path / "good.json", "d1", "retire", BACS)
+        doc = to_doc(EvalReport("d1", "stml", BACS, float(np.mean(BACS))))
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc | change))
+        with pytest.raises(MetricError):
+            read_json(bad, EvalReport)
+        assert main(["stats", "--reports", str(good), str(bad)]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bacs, mean", [((), 0.5), ((0.5, 1.5), 0.5), ((0.5,), 1.01),
+                                            ((math.nan,), 0.5)])
+    def test_constructed_report_rejected(self, bacs, mean):
+        with pytest.raises(MetricError):
+            EvalReport("d", "retire", bacs, mean)
+
+    def test_bounds_accepted(self):
+        assert EvalReport("d", "retire", (0.0, 1.0), 0.5).mean_bac == 0.5
+
+
+class TestModelLayout:
+    """The layout type of a model document follows from the layout's keys."""
+
+    @staticmethod
+    def doc(kind):
+        return to_doc(encoders.fit(kind, make_benchmark_dataset("cryotherapy"), size=(64, 64)))
+
+    def load(self, tmp_path, doc):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        return read_json(path, encoders.EncoderModel)
+
+    def test_layout_of_another_kind_rejected(self, tmp_path):
+        doc = self.doc("retire")
+        doc["layout"] = self.doc("stml")["layout"]
+        with pytest.raises(StateError, match="'retire' model with a GridLayout layout"):
+            self.load(tmp_path, doc)
+
+    @pytest.mark.parametrize("layout, message", [
+        ({"cx": 1.0, "cy": 1.0, "rmax": 1.0}, "model.layout lacks the key 'n'"),
+        ({"cx": 1.0, "cy": 1.0, "rmax": 1.0, "n": 6, "x": 0},
+         r"model.layout has unknown keys \['x'\]"),
+        ({"rows": 2, "cols": 3}, "model.layout lacks the key 'n'"),
+        ([], "model.layout must be a JSON object"),
+        (None, "model.layout must be a JSON object"),
+    ])
+    def test_error_names_the_key_path(self, tmp_path, layout, message):
+        doc = self.doc("retire")
+        doc["layout"] = layout
+        with pytest.raises(StateError, match=message):
+            self.load(tmp_path, doc)

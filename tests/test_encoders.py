@@ -10,10 +10,14 @@ from scipy.stats import rankdata
 
 from fixtures import make_benchmark_dataset
 from mdenc import _font, encoders, scaling
-from mdenc._doc import to_doc
+from mdenc._doc import from_doc, read_json, to_doc, write_json
 from mdenc.data import Dataset
 from mdenc.errors import CapacityError, FitError, ParameterError, ShapeError, StateError
 from mdenc.raster import polar_vertices, scanline_fill_mask
+
+
+def model_from_doc(doc):
+    return from_doc(encoders.EncoderModel, doc, "model")
 
 
 def toy_dataset(n_features, n_rows=20, seed=0, name="toy"):
@@ -682,8 +686,8 @@ class TestGenericSurface:
         for kind in encoders.KINDS:
             model = encoders.fit(kind, ds, size=(64, 64), seed=3)
             path = tmp_path / f"{kind}.json"
-            encoders.save_model(model, path)
-            again = encoders.load_model(path)
+            write_json(path, model)
+            again = read_json(path, encoders.EncoderModel)
             x = ds.X[1]
             assert encoders.encode(model, x).tobytes() == \
                 encoders.encode(again, x).tobytes()
@@ -703,9 +707,9 @@ class TestGenericSurface:
 
     def test_model_from_bad_document(self):
         with pytest.raises(StateError):
-            encoders.model_from_dict({"kind": "bogus", "layout": {}})
+            model_from_doc({"kind": "bogus", "layout": {}})
         with pytest.raises(StateError):
-            encoders.model_from_dict(["retire"])
+            model_from_doc(["retire"])
 
     @staticmethod
     def model_doc(kind):
@@ -737,7 +741,7 @@ class TestGenericSurface:
         else:
             node[key] = value
         with pytest.raises(StateError):
-            encoders.model_from_dict(doc)
+            model_from_doc(doc)
 
     @pytest.mark.parametrize("assignment", [
         [0, 1, 2, 3, 6], [0, 1, 2, 3, -1], [0, 1, 2, 3, 3], [0.0, 1.0, 2.0, 3.0, 4.0]])
@@ -745,7 +749,7 @@ class TestGenericSurface:
         doc = self.model_doc("igtd")  # 5 features on a 2x3 grid
         doc["layout"]["assignment"] = assignment
         with pytest.raises(ParameterError):
-            encoders.model_from_dict(doc)
+            model_from_doc(doc)
 
     @pytest.mark.parametrize("kind", ["retire", "igtd"])
     def test_layout_width_must_match_scaler(self, kind):
@@ -753,13 +757,13 @@ class TestGenericSurface:
         doc["scaler"]["mins"].pop()
         doc["scaler"]["maxs"].pop()
         with pytest.raises(ShapeError):
-            encoders.model_from_dict(doc)
+            model_from_doc(doc)
 
     def test_igtd_canvas_is_its_grid(self):
         doc = self.model_doc("igtd")
         doc["canvas_size"] = [64, 64]
         with pytest.raises(ShapeError):
-            encoders.model_from_dict(doc)
+            model_from_doc(doc)
 
     @pytest.mark.parametrize("key, value", [
         ("layout", {"rows": 10**6, "cols": 10**6, "n": 5}), ("canvas_size", [3, 3])])
@@ -767,7 +771,7 @@ class TestGenericSurface:
         doc = self.model_doc("stml")
         doc[key] = value
         with pytest.raises(CapacityError, match="one 5x7 glyph per cell"):
-            encoders.model_from_dict(doc)
+            model_from_doc(doc)
 
     @pytest.mark.parametrize("kind", encoders.KINDS)
     @pytest.mark.parametrize("side", [10**5, 10**12])
@@ -777,7 +781,7 @@ class TestGenericSurface:
         if kind == "igtd":  # its canvas is its grid, whatever size asks
             doc["layout"].update(rows=side, cols=side)
         with pytest.raises(CapacityError, match="exceeds 16777216 pixels"):
-            encoders.model_from_dict(doc)
+            model_from_doc(doc)
         if kind != "igtd":
             with pytest.raises(CapacityError):
                 encoders.fit(kind, toy_dataset(5), size=(side, side))

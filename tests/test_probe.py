@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mdenc import encoders, probe, scaling
+from mdenc import encoders, probe, read_json, scaling, write_json
+from mdenc._doc import from_doc, to_doc
 from mdenc.data import CVPlan, Dataset, generate_synthetic, make_cv_plan
 from mdenc.errors import FitError, MetricError, ParameterError, ShapeError, StateError
 from mdenc.probe import EVAL_KINDS, EvalReport, balanced_accuracy, knn1_pixel, knn1_tabular, run_cv_eval
@@ -369,23 +370,23 @@ class TestRunCvEval:
         plan = make_cv_plan(ds, seed=0)
         report = run_cv_eval(ds, "tabular", plan, config={"seed": 0})
         path = tmp_path / "report.json"
-        report.save_json(path)
-        assert EvalReport.load_json(path) == report
+        write_json(path, report)
+        assert read_json(path, EvalReport) == report
 
     @pytest.mark.parametrize("change", [
         {"mean_bac": None}, {"per_split_bac": "0.5"}, {"fold_predictions": [[0.5]]},
         {"dataset": 3}, {"config": []}, {"extra": 1}])
     def test_malformed_report_raises_state_error(self, change):
-        doc = EvalReport("d", "retire", (0.5, 0.6), 0.55, ((0, 1),), {}).to_dict()
+        doc = to_doc(EvalReport("d", "retire", (0.5, 0.6), 0.55, ((0, 1),), {}))
         for key, value in change.items():
             if value is None:
                 del doc[key]
             else:
                 doc[key] = value
         with pytest.raises(StateError):
-            EvalReport.from_dict(doc)
+            from_doc(EvalReport, doc, "report")
         with pytest.raises(StateError):
-            EvalReport.from_dict([doc])
+            from_doc(EvalReport, [doc], "report")
 
 
 # SHA-256 of repr(run_cv_eval(...).fold_predictions), recorded with the

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from mdenc import scaling
-from mdenc._doc import from_doc, to_doc
+from mdenc._doc import read_json, write_json
 from mdenc.errors import FitError, ParameterError, ShapeError
 
 COLUMN = np.array([[0.0], [10.0], [5.0]])
@@ -131,8 +131,8 @@ class TestSerialization:
         # the scaler's part of a model file: plain JSON, read back exactly
         params = scaling.fit(np.array([[0.1, -3.7], [9.99, 2.2], [4.0, 0.0]]), 0.1, 0.8)
         path = tmp_path / "scaler.json"
-        path.write_text(json.dumps(to_doc(params), indent=2))
-        again = from_doc(scaling.ScalerParams, json.loads(path.read_text()), "scaler")
+        write_json(path, params)
+        again = read_json(path, scaling.ScalerParams)
         assert np.array_equal(params.mins, again.mins)
         assert np.array_equal(params.maxs, again.maxs)
         assert (params.l, params.u) == (again.l, again.u)
