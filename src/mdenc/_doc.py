@@ -3,7 +3,8 @@ and read here. A dataclass becomes an object with one key per field, in field
 order; arrays and tuples become lists; a non-finite float becomes ``null``, so
 the text is strict JSON. Reading checks every key and value against the field
 annotations: a malformed document raises :class:`StateError` naming the key,
-and a file that is not UTF-8 JSON raises :class:`StateError` naming the file.
+and a file that is not UTF-8 JSON raises :class:`StateError`. Every error of
+``read_json`` names the file.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import StateError
+from .errors import MdencError, StateError
 
 
 def to_doc(value):
@@ -53,7 +54,10 @@ def read_json(path, cls):
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, or too deep
         raise StateError(f"{path} is not a UTF-8 JSON document: {exc}") from None
-    return from_doc(cls, doc, re.findall("[A-Z][a-z]*", cls.__name__)[-1].lower())
+    try:
+        return from_doc(cls, doc, re.findall("[A-Z][a-z]*", cls.__name__)[-1].lower())
+    except MdencError as exc:  # the same type, naming the file
+        raise type(exc)(f"{path}: {exc}") from None
 
 
 def from_doc(cls, doc, where: str):

@@ -1,22 +1,24 @@
 """Command-line interface wiring the modules into end-to-end workflows.
 
-Subcommands: ``fit``, ``encode``, ``eval``, ``stats``, ``bench``. All
-machine-readable output is strict JSON (JSONL for sweeps); text tables are
-human-readable mirrors only. Exit codes: 0 success, 2 usage/validation
+Subcommands: ``fit``, ``encode``, ``eval``, ``stats``, ``bench``. A
+command's artefact (strict JSON, JSONL for sweeps) goes to ``--out``, or to
+stdout without it; every line for people (``wrote ...``, summaries, the
+``stats`` table) goes to stderr. Exit codes: 0 success, 2 usage/validation
 error, 1 internal error.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import logging
 import sys
 from pathlib import Path
 
 from . import bench, data, encoders, probe, scaling, stats
-from ._doc import read_json, to_json, write_json
+from ._doc import read_json, to_json
 from .errors import MdencError, ParameterError
-from .raster import write_pgm, write_ppm
+from .raster import to_pgm, to_ppm
 
 
 def _size_type(text: str) -> tuple[int, int]:
@@ -41,12 +43,12 @@ def _load_dataset(args) -> data.Dataset:
     path = Path(args.dataset)
     if not path.exists():
         raise ParameterError(f"dataset not found: {path}")
-    fmt = getattr(args, "format", "auto")
+    fmt = args.format
     if fmt == "auto":
         fmt = "keel" if path.suffix.lower() == ".dat" else "csv"
     if fmt == "keel":
         return data.load_keel(path)
-    label = getattr(args, "label_column", None)
+    label = args.label_column
     if label is None:
         return data.load_csv(path)
     try:
@@ -79,13 +81,22 @@ def _parse_rows(spec: str, n_rows: int) -> list[int]:
     return rows
 
 
+def _emit(args, text: str) -> None:
+    """The one output path: a command's artefact ``text`` goes to ``--out``,
+    or to stdout, newline-terminated, when there is no ``--out``."""
+    if args.out:
+        Path(args.out).write_text(text)
+        print(f"wrote {args.out}", file=sys.stderr)
+    else:
+        print(text, end="" if text.endswith("\n") else "\n")
+
+
 def cmd_fit(args) -> int:
     ds = _load_dataset(args)
     model = encoders.fit(args.encoder, ds, l=args.l, u=args.u, size=args.size,
                          igtd_max_iters=args.igtd_iters,
                          igtd_patience=args.igtd_patience, seed=args.seed)
-    write_json(args.out, model)
-    print(f"wrote {args.out} ({args.encoder}, {ds.n_features} features)")
+    _emit(args, to_json(model))
     return 0
 
 
@@ -93,14 +104,15 @@ def cmd_encode(args) -> int:
     model = read_json(args.model, encoders.EncoderModel)
     ds = _load_dataset(args)
     rows = _parse_rows(args.rows, ds.n_instances)
+    if "\0" in ds.name or Path(ds.name).name != ds.name:  # names come from @relation
+        raise ParameterError(f"dataset name {ds.name!r} is not a plain file name")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     images = encoders.encode_batch(model, ds.X[rows])
-    suffix = "ppm" if args.channels == 3 else "pgm"
-    writer = write_ppm if args.channels == 3 else write_pgm
+    suffix, export = ("ppm", to_ppm) if args.channels == 3 else ("pgm", to_pgm)
     for row, image in zip(rows, images):
-        writer(image, out_dir / f"{ds.name}_{row}.{suffix}")
-    print(f"wrote {len(rows)} {suffix} files to {out_dir}")
+        (out_dir / f"{ds.name}_{row}.{suffix}").write_bytes(export(image))
+    print(f"wrote {len(rows)} {suffix} files to {out_dir}", file=sys.stderr)
     return 0
 
 
@@ -111,17 +123,12 @@ _EVAL_CONFIG_FIELDS = ("dataset", "encoder", "l", "u", "seed",
 def cmd_eval(args) -> int:
     ds = _load_dataset(args)
     plan = data.make_cv_plan(ds, args.seed)
-    config = {name: getattr(args, name) for name in _EVAL_CONFIG_FIELDS}
     report = probe.run_cv_eval(ds, args.encoder, plan, l=args.l, u=args.u,
                                size=args.size, igtd_max_iters=args.igtd_iters,
-                               igtd_patience=args.igtd_patience, seed=args.seed,
-                               config=config)
-    if args.out:
-        write_json(args.out, report)
-        print(f"wrote {args.out}")
-    else:
-        print(to_json(report))
-    print(f"{ds.name} / {args.encoder}: mean BAC {report.mean_bac:.3f}")
+                               igtd_patience=args.igtd_patience, seed=args.seed)
+    config = {name: getattr(args, name) for name in _EVAL_CONFIG_FIELDS}
+    _emit(args, to_json(dataclasses.replace(report, config=config)))
+    print(f"{ds.name} / {args.encoder}: mean BAC {report.mean_bac:.3f}", file=sys.stderr)
     return 0
 
 
@@ -129,29 +136,28 @@ def _print_stats_table(payload: dict) -> None:
     methods = payload["methods"]
     name_width = max([len(d) for d in payload["datasets"]] + [len("mean rank")]) + 2
     header = "".join(f"{m:>12}" for m in methods)
-    print(f"{'dataset':<{name_width}}{header}")
+    lines = [f"{'dataset':<{name_width}}{header}"]
     for ds_name, entry in payload["datasets"].items():
         cells = []
         for m in methods:
             wins = entry["significantly_better_than"][m]
             marker = f" ({','.join(map(str, wins))})" if wins else ""
             cells.append(f"{entry['mean_bac'][m]:.3f}{marker}")
-        print(f"{ds_name:<{name_width}}" + "".join(f"{c:>12}" for c in cells))
+        lines.append(f"{ds_name:<{name_width}}" + "".join(f"{c:>12}" for c in cells))
     rank_cells = "".join(f"{payload['mean_ranks'][m]:>12.3f}" for m in methods)
-    print(f"{'mean rank':<{name_width}}{rank_cells}")
+    lines.append(f"{'mean rank':<{name_width}}{rank_cells}")
     degenerate = [key for ds in payload["datasets"].values()
                   for key, ft in ds["f_tests"].items() if ft["degenerate"]]
     if degenerate:
-        print(f"degenerate-variance F-tests: {len(degenerate)}")
+        lines.append(f"degenerate-variance F-tests: {len(degenerate)}")
+    print("\n".join(lines), file=sys.stderr)
 
 
 def cmd_stats(args) -> int:
     reports = [read_json(p, probe.EvalReport) for p in args.reports]
     payload = stats.compare(reports, args.alpha)
     _print_stats_table(payload)
-    if args.out:
-        write_json(args.out, payload)
-        print(f"wrote {args.out}")
+    _emit(args, to_json(payload))
     return 0
 
 
@@ -159,17 +165,12 @@ def cmd_bench(args) -> int:
     records = bench.run_timing_sweep(args.encoder, args.grid, args.samples,
                                      args.repeats, args.seed, args.budget_secs,
                                      args.size)
-    text = "".join(to_json(r, indent=None) + "\n" for r in records)
-    if args.out:
-        Path(args.out).write_text(text)
-        print(f"wrote {args.out}")
-    else:
-        sys.stdout.write(text)
+    _emit(args, "".join(to_json(r, indent=None) + "\n" for r in records))
     complete = [r for r in records if not r.truncated]
     if len(complete) >= 3:
         slope, intercept, r_squared = bench.linearity_fit(complete)
         print(f"linear fit: slope {slope:.3e} s/feature, intercept {intercept:.3e} s, "
-              f"r^2 {r_squared:.4f}")
+              f"r^2 {r_squared:.4f}", file=sys.stderr)
     return 0
 
 

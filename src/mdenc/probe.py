@@ -126,7 +126,7 @@ def run_cv_eval(ds: Dataset, encoder_kind: str, plan: CVPlan, *,
                 size: tuple[int, int] = encoders.DEFAULT_CANVAS,
                 igtd_max_iters: int = encoders.DEFAULT_IGTD_MAX_ITERS,
                 igtd_patience: int = encoders.DEFAULT_IGTD_PATIENCE,
-                seed: int = 0, jobs: int = 1, config: dict | None = None) -> EvalReport:
+                seed: int = 0, jobs: int = 1) -> EvalReport:
     """Run the full repeated 2-fold protocol for one encoder.
 
     For every split the encoder (or the tabular scaler) is fitted on the
@@ -173,4 +173,4 @@ def run_cv_eval(ds: Dataset, encoder_kind: str, plan: CVPlan, *,
     bacs = [balanced_accuracy(ds.y[test_idx], y_pred)
             for (_, test_idx), y_pred in zip(splits, predictions)]
     return EvalReport(ds.name, encoder_kind, tuple(bacs), float(np.mean(bacs)),
-                      tuple(tuple(p.tolist()) for p in predictions), dict(config or {}))
+                      tuple(tuple(p.tolist()) for p in predictions))

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -183,11 +182,3 @@ def to_ppm(pixels: np.ndarray) -> bytes:
     height, width = pixels.shape
     rgb = np.repeat(pixels[:, :, None], 3, axis=2)
     return f"P6\n{width} {height}\n255\n".encode("ascii") + rgb.tobytes()
-
-
-def write_pgm(pixels: np.ndarray, path) -> None:
-    Path(path).write_bytes(to_pgm(pixels))
-
-
-def write_ppm(pixels: np.ndarray, path) -> None:
-    Path(path).write_bytes(to_ppm(pixels))

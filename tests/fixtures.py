@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import json
 import math
 from pathlib import Path
 
@@ -128,6 +129,13 @@ _BUMP = 1e-6
 TIE_RESOLVED_BAC_MATRIX[6, 4] += _BUMP    # german: xgb above retire
 TIE_RESOLVED_BAC_MATRIX[18, 0] += _BUMP   # spambase: stml above retire
 TIE_RESOLVED_BAC_MATRIX[20, 3] += _BUMP   # twonorm: retire above di
+
+
+def strict_loads(text):
+    """``json.loads`` refusing the ``NaN``/``Infinity`` extensions."""
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(text, parse_constant=reject)
 
 
 def write_keel_file(ds: Dataset, path) -> Path:

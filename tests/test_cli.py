@@ -4,9 +4,11 @@ import logging
 import numpy as np
 import pytest
 
-from fixtures import make_benchmark_dataset, write_keel_file
+from fixtures import make_benchmark_dataset, strict_loads, write_keel_file
 from mdenc import encoders, read_json, write_json
 from mdenc.cli import main
+from mdenc.data import Dataset
+from mdenc.raster import to_pgm, to_ppm
 from mdenc.probe import EvalReport
 
 
@@ -140,6 +142,32 @@ class TestEncode:
         assert len(files) == 5
         assert files[0].read_bytes().startswith(b"P6\n64 64\n255\n")
 
+    @pytest.mark.parametrize("channels, suffix, export", [(1, "pgm", to_pgm),
+                                                          (3, "ppm", to_ppm)])
+    def test_files_are_the_batch_images(self, tmp_path, keel_file, channels, suffix, export):
+        code, out_dir = self.encode(tmp_path, keel_file, extra=["--channels", str(channels)])
+        assert code == 0
+        model = read_json(tmp_path / "model.json", encoders.EncoderModel)
+        images = encoders.encode_batch(model, make_benchmark_dataset("cryotherapy").X[:5])
+        for row, image in enumerate(images):
+            assert (out_dir / f"cryotherapy_{row}.{suffix}").read_bytes() == export(image)
+
+    @pytest.mark.parametrize("name", ["../escaped", "a\0b"])
+    def test_name_not_a_plain_file_name_exits_2(self, tmp_path, keel_file, capsys, name):
+        ds = make_benchmark_dataset("cryotherapy")
+        renamed = tmp_path / "data" / "renamed.dat"
+        renamed.parent.mkdir()
+        write_keel_file(Dataset(name, ds.X, ds.y, ds.feature_names, ds.class_names), renamed)
+        model_path = tmp_path / "model.json"
+        assert main(["fit", "--dataset", str(keel_file), "--encoder", "retire",
+                     "--size", "32x32", "--out", str(model_path)]) == 0
+        out_dir = tmp_path / "data" / "imgs"
+        assert main(["encode", "--dataset", str(renamed), "--model", str(model_path),
+                     "--rows", "0:2", "--out", str(out_dir)]) == 2
+        assert "is not a plain file name" in capsys.readouterr().err
+        assert not out_dir.exists()
+        assert sorted(p.name for p in (tmp_path / "data").iterdir()) == ["renamed.dat"]
+
     def test_row_list_selection(self, tmp_path, keel_file):
         model_path = tmp_path / "model.json"
         main(["fit", "--dataset", str(keel_file), "--encoder", "stml",
@@ -244,6 +272,17 @@ class TestEval:
     def test_unknown_encoder_exits_2(self, csv_file):
         assert main(["eval", "--dataset", str(csv_file), "--encoder", "mlp"]) == 2
 
+    def test_stdout_is_the_report_file(self, tmp_path, csv_file, capsys):
+        out = tmp_path / "report.json"
+        args = ["eval", "--dataset", str(csv_file), "--encoder", "tabular"]
+        assert main([*args, "--out", str(out)]) == 0
+        assert "mean BAC" in capsys.readouterr().err
+        assert main(args) == 0
+        captured = capsys.readouterr()
+        assert strict_loads(captured.out) == strict_loads(out.read_text())
+        assert captured.out == out.read_text() + "\n"
+        assert "tiny / tabular: mean BAC" in captured.err
+
     @pytest.mark.parametrize("encoder", ["tabular", "retire"])
     def test_jobs_below_one_exits_2_before_fitting(self, tmp_path, csv_file, capsys,
                                                    monkeypatch, encoder):
@@ -310,8 +349,21 @@ class TestStats:
         assert set(doc["mean_ranks"]) == set(methods)
         assert doc["mean_ranks"]["xgb"] > doc["mean_ranks"]["stml"]
         assert "stml vs xgb" in doc["wilcoxon"]
-        table = capsys.readouterr().out
-        assert "mean rank" in table
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "mean rank" in captured.err
+
+    def test_stdout_is_the_comparison_file(self, tmp_path, capsys):
+        paths = [str(fake_report(tmp_path, "d1", m, [0.8 + k * 0.01] * 10))
+                 for k, m in enumerate(("retire", "stml"))]
+        out = tmp_path / "cmp.json"
+        assert main(["stats", "--reports", *paths, "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["stats", "--reports", *paths]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == out.read_text() + "\n"
+        assert strict_loads(captured.out)["methods"] == ["retire", "stml"]
+        assert "mean rank" in captured.err
 
     def test_missing_cell_rejected(self, tmp_path):
         fake_report(tmp_path, "d1", "retire", [0.8] * 10)
@@ -336,7 +388,7 @@ class TestStats:
         del doc["mean_bac"]
         bad.write_text(json.dumps(doc))
         assert main(["stats", "--reports", str(good), str(bad)]) == 2
-        assert "mean_bac" in capsys.readouterr().err
+        assert f"error: {bad}: report lacks the key 'mean_bac'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("case", sorted(NOT_JSON))
     def test_report_not_json_exits_2(self, tmp_path, capsys, case):
@@ -357,7 +409,15 @@ class TestBench:
         lines = out.read_text().strip().split("\n")
         assert len(lines) == 3
         assert json.loads(lines[0])["n_features"] == 4
-        assert "linear fit:" in capsys.readouterr().out
+        assert "linear fit:" in capsys.readouterr().err
+
+    def test_stdout_is_jsonl(self, capsys):
+        assert main(["bench", "--encoder", "stml", "--grid", "2,3,4", "--samples", "4",
+                     "--repeats", "1", "--size", "32x32"]) == 0
+        captured = capsys.readouterr()
+        docs = [strict_loads(line) for line in captured.out.splitlines()]
+        assert [d["n_features"] for d in docs] == [2, 3, 4]
+        assert "linear fit:" in captured.err
 
     @pytest.mark.parametrize("option, value", [
         ("--l", "0.9"), ("--u", "0.1"), ("--igtd-iters", "0"), ("--igtd-patience", "0")])

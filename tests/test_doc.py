@@ -1,5 +1,6 @@
 """JSON artefacts: pinned file bytes, strict text and typed, checked reads."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 import mdenc
-from fixtures import make_benchmark_dataset
+from fixtures import make_benchmark_dataset, strict_loads
 from mdenc import encoders, read_json, write_json
 from mdenc._doc import to_doc, to_json
 from mdenc.bench import run_timing_sweep
@@ -30,13 +31,6 @@ PINNED_ARTEFACT_DIGESTS = {
     "report": "4295221340db526e4592050e54b9b045c9ea00ade40698d6988496d8d93467b5",
 }
 BACS = (0.8, 0.82, 0.79, 0.81, 0.8, 0.8, 0.83, 0.78, 0.8, 0.81)
-
-
-def strict_loads(text):
-    """``json.loads`` refusing the ``NaN``/``Infinity`` extensions."""
-    def reject(constant):
-        raise ValueError(f"{constant} is not JSON")
-    return json.loads(text, parse_constant=reject)
 
 
 def report_file(path, dataset, encoder, bacs):
@@ -60,8 +54,8 @@ class TestPinnedBytes:
 
     def test_report_file(self, tmp_path):
         ds = make_benchmark_dataset("cryotherapy")
-        report = run_cv_eval(ds, "retire", make_cv_plan(ds, 0), size=(32, 32),
-                             config={"seed": 0})
+        report = dataclasses.replace(run_cv_eval(ds, "retire", make_cv_plan(ds, 0),
+                                                 size=(32, 32)), config={"seed": 0})
         self.check(tmp_path, "report", report, EvalReport)
 
 
@@ -112,7 +106,7 @@ class TestReportRange:
         with pytest.raises(MetricError):
             read_json(bad, EvalReport)
         assert main(["stats", "--reports", str(good), str(bad)]) == 2
-        assert "error:" in capsys.readouterr().err
+        assert f"error: {bad}: " in capsys.readouterr().err
 
     @pytest.mark.parametrize("bacs, mean", [((), 0.5), ((0.5, 1.5), 0.5), ((0.5,), 1.01),
                                             ((math.nan,), 0.5)])

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -368,7 +369,7 @@ class TestRunCvEval:
     def test_report_json_round_trip(self, tmp_path):
         ds = self.small_ds()
         plan = make_cv_plan(ds, seed=0)
-        report = run_cv_eval(ds, "tabular", plan, config={"seed": 0})
+        report = dataclasses.replace(run_cv_eval(ds, "tabular", plan), config={"seed": 0})
         path = tmp_path / "report.json"
         write_json(path, report)
         assert read_json(path, EvalReport) == report
