@@ -32,6 +32,9 @@ MAX_CANVAS_PIXELS = 2**24  # per image: 4096 x 4096
 DEFAULT_IGTD_MAX_ITERS = 1000
 DEFAULT_IGTD_PATIENCE = 3
 SWAP_BLOCK = 32  # candidate swaps scored per numpy call in the igtd search
+# rows per retire fill and stroke call; the fill's count table and the
+# stroke's per-pixel arrays grow with it
+RETIRE_CHUNK = 4
 
 logger = logging.getLogger(__name__)
 
@@ -137,21 +140,23 @@ def fit_retire(ds_train: Dataset, l: float = scaling.DEFAULT_L,
 
 def encode_retire(model: EncoderModel, X: np.ndarray) -> np.ndarray:
     """Binarized radar silhouette of each row plus the radius-1.0 border,
-    which is drawn once per call and or-ed into every image."""
+    which is drawn once per call and or-ed into every image; the rows are
+    scaled, filled and stroked ``RETIRE_CHUNK`` at a time."""
     layout = model.layout
     polygon = layout.n >= 3
     width, height = model.canvas_size
     border = draw_polyline(np.zeros((height, width), dtype=np.uint8),
                            polar_vertices(layout, np.ones(layout.n)), closed=polygon)
     out = np.zeros((X.shape[0], height, width), dtype=np.uint8)
-    for image, row in zip(out, X):
-        # one row at a time: a batch transform adds (N, n) float64 temporaries
-        verts = polar_vertices(layout, scaling.transform(model.scaler, row))
+    for start in range(0, X.shape[0], RETIRE_CHUNK):
+        rows = slice(start, start + RETIRE_CHUNK)
+        images = out[rows]
+        verts = polar_vertices(layout, scaling.transform(model.scaler, X[rows]))
         if polygon:
-            fill_polygon(image, verts)
+            fill_polygon(images, verts)
         else:
-            draw_polyline(image, verts)  # single point or chord
-        image |= border
+            draw_polyline(images, verts)  # single point or chord
+        images |= border
     return out
 
 

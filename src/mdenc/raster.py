@@ -1,7 +1,12 @@
-"""Deterministic 2-d rasterization into bare (height, width) uint8 arrays:
-integer line stepping and even-odd polygon fill as numpy passes with no
-loop per step or scanline (the per-step and per-scanline references live
-in the tests), polar vertex placement and PGM/PPM export.
+"""Deterministic 2-d rasterization into bare uint8 arrays: integer line
+stepping and even-odd polygon fill as numpy passes with no loop per image,
+step or scanline (the per-step and per-scanline references live in the
+tests), polar vertex placement and PGM/PPM export.
+
+The drawing calls take one (height, width) image with (n, 2) points, or a
+(R, height, width) stack with (R, n, 2) points and draw points r into
+image r; one image is the stack of one. Points are (x, y) pairs, and their
+leading axes must match those of the pixels.
 
 Coordinate convention: origin at the top-left corner, x rightward, y
 downward; pixel (i, j) is sampled at its center (i + 0.5, j + 0.5).
@@ -24,9 +29,9 @@ MARGIN = 4.0  # pixels between the radius-1.0 circle and the canvas edge
 MAX_COORD = 2.0**24
 
 
-def _check_image(pixels) -> None:
-    if not isinstance(pixels, np.ndarray) or pixels.ndim != 2 or pixels.dtype != np.uint8:
-        raise ShapeError("an image must be a 2-d uint8 array")
+def _check_image(pixels, ndims=(2,)) -> None:
+    if not isinstance(pixels, np.ndarray) or pixels.ndim not in ndims or pixels.dtype != np.uint8:
+        raise ShapeError(f"pixels must be a {' or '.join(f'{d}-d' for d in ndims)} uint8 array")
 
 
 @dataclass(frozen=True)
@@ -58,26 +63,43 @@ def polar_layout(width: int, height: int, n: int) -> PolarLayout:
 
 
 def polar_vertices(layout: PolarLayout, scaled) -> np.ndarray:
-    """(n, 2) vertex coordinates for scaled radii in [0, 1].
+    """(..., n, 2) vertex coordinates for (..., n) scaled radii in [0, 1].
 
     Vertex k sits at angle k * 2*pi/n measured from 12 o'clock, advancing
-    clockwise on screen (y grows downward), at radius rmax * scaled[k].
+    clockwise on screen (y grows downward), at radius rmax * scaled[..., k].
     """
     scaled = np.asarray(scaled, dtype=np.float64)
-    if scaled.shape != (layout.n,):
+    if scaled.shape[-1:] != (layout.n,):
         raise ShapeError(f"expected {layout.n} scaled values, got shape {scaled.shape}")
     angles = np.arange(layout.n) * (2.0 * math.pi / layout.n) - 0.5 * math.pi
     radii = layout.rmax * scaled
     return np.stack(
-        [layout.cx + radii * np.cos(angles), layout.cy + radii * np.sin(angles)], axis=1
+        [layout.cx + radii * np.cos(angles), layout.cy + radii * np.sin(angles)], axis=-1
     )
 
 
-def _check_points(pts: np.ndarray) -> None:
+def _points(pts, least: int, pixels=None) -> np.ndarray:
+    """Checked float64 points, ``least`` or more per shape; given
+    ``pixels``, their leading axes must match its own."""
+    if pixels is not None:
+        _check_image(pixels, (2, 3))
+    try:
+        pts = np.asarray(pts, dtype=np.float64)
+    except (TypeError, ValueError) as exc:  # ragged or not numbers
+        raise ShapeError(f"points must be an array of (x, y) pairs: {exc}") from None
+    if pts.shape == (0,):  # an empty list holds no point
+        pts = pts.reshape(0, 2)
+    if pts.ndim < 2 or pts.shape[-1] != 2:
+        raise ShapeError(f"points must be (x, y) pairs, got shape {pts.shape}")
+    if pixels is not None and pts.shape[:-2] != pixels.shape[:-2]:
+        raise ShapeError(f"points of shape {pts.shape} do not match pixels of shape {pixels.shape}")
+    if pts.shape[-2] < least:
+        raise ParameterError(f"need at least {least} (x, y) point{'s' * (least > 1)} per shape")
     # NaN fails the comparison too; the bound keeps the stroke's integer
     # products far inside int64
     if not np.all(np.abs(pts) <= MAX_COORD):
         raise ParameterError(f"point coordinates must be finite and within +-{MAX_COORD:.0f}")
+    return pts
 
 
 def draw_polyline(pixels: np.ndarray, pts, closed: bool = False) -> np.ndarray:
@@ -89,41 +111,43 @@ def draw_polyline(pixels: np.ndarray, pts, closed: bool = False) -> np.ndarray:
     form and only for the steps that land on the image; off-image pixels
     are clipped silently. A single point plots one pixel.
     """
-    _check_image(pixels)
-    pts = np.asarray(pts, dtype=np.float64).reshape(-1, 2)
-    if not len(pts):
-        raise ParameterError("need at least one point")
-    _check_points(pts)
+    pts = _points(pts, 1, pixels)
+    height, width = pixels.shape[-2:]
     start = np.floor(pts).astype(np.int64)
     # segment i runs to point i + 1; an open polyline ends on a zero-length
     # segment at its last point, which adds no pixel
-    end = np.roll(start, -1, axis=0)
+    end = np.roll(start, -1, axis=-2)
     if not closed:
-        end[-1] = start[-1]
+        end[..., -1, :] = start[..., -1, :]
+    start, end = start.reshape(-1, 2), end.reshape(-1, 2)
     delta, sign = np.abs(end - start), np.where(start < end, 1, -1)
     steps = delta.max(axis=1)
     seg = np.arange(len(start))
     major = (delta[:, 1] > delta[:, 0]).astype(np.intp)  # 0: x, 1: y
     origin, forward = start[seg, major], sign[seg, major] > 0
-    size = np.take(pixels.shape[::-1], major)
+    size = np.take((width, height), major)
     # steps k in [lo, hi] put the major coordinate origin +- k on the image
     lo = np.maximum(np.where(forward, -origin, origin - size + 1), 0)
     hi = np.minimum(np.where(forward, size - 1 - origin, origin), steps)
     count = np.maximum(hi - lo + 1, 0)
     seg = np.repeat(seg, count)
     k = (lo + count - np.cumsum(count))[seg] + np.arange(len(seg))
-    # step k of L steps sits floor((2 |d| k + L - 1) / 2L) along each axis,
-    # which is k along the major one
-    span = np.maximum(steps[seg], 1)[:, None]
-    offset = (2 * delta[seg] * k[:, None] + span - 1) // (2 * span)
-    x, y = (start[seg] + sign[seg] * offset).T
-    on = (x >= 0) & (x < pixels.shape[1]) & (y >= 0) & (y < pixels.shape[0])
-    pixels[y[on], x[on]] = 255
+    # step k of L steps sits k along the major axis and
+    # floor((2 |d| k + L - 1) / 2L) along the minor one
+    span = np.maximum(steps, 1)[seg]
+    minor = (2 * delta.min(axis=1)[seg] * k + span - 1) // (2 * span)
+    y_major = major.astype(bool)[seg]
+    x = start[:, 0][seg] + sign[:, 0][seg] * np.where(y_major, minor, k)
+    y = start[:, 1][seg] + sign[:, 1][seg] * np.where(y_major, k, minor)
+    on = (x >= 0) & (x < width) & (y >= 0) & (y < height)
+    # flat C-order index of (shape, y, x); put writes through any strides
+    np.put(pixels, (((seg // pts.shape[-2]) * height + y) * width + x)[on], 255)
     return pixels
 
 
 def scanline_fill_mask(pts, width: int, height: int) -> np.ndarray:
-    """Even-odd interior mask sampled at pixel centers.
+    """Even-odd interior mask sampled at pixel centers: (height, width) for
+    one (n, 2) polygon, (..., height, width) for (..., n, 2) polygons.
 
     A center is inside iff an odd number of polygon edges cross the
     scanline strictly to its right. Edges meet the scanline y = j + 0.5
@@ -131,24 +155,30 @@ def scanline_fill_mask(pts, width: int, height: int) -> np.ndarray:
     shared by two edges is counted exactly once and the fill matches a
     brute-force even-odd point-in-polygon test pixel for pixel.
     """
-    pts = np.asarray(pts, dtype=np.float64)
-    if pts.ndim != 2 or pts.shape[0] < 3 or pts.shape[1] != 2:
-        raise ParameterError("polygon needs at least 3 (x, y) points")
-    _check_points(pts)
-    x1, y1 = pts[:, 0], pts[:, 1]
-    x2, y2 = np.roll(x1, -1), np.roll(y1, -1)
-    yc = np.arange(height, dtype=np.float64)[:, None] + 0.5
-    rows, edges = np.nonzero((y1 > yc) != (y2 > yc))
-    xa, ya, yc = x1[edges], y1[edges], yc[rows, 0]
+    pts = _points(pts, 3)
+    lead, n = pts.shape[:-2], pts.shape[-2]
+    x1, y1 = pts[..., 0].ravel(), pts[..., 1].ravel()
+    x2, y2 = np.roll(pts, -1, axis=-2).reshape(-1, 2).T
+    # edge e lists the scanlines j in [floor(min y), ceil(max y)), a superset
+    # of those with min y <= j + 0.5 < max y, which the exact test then keeps
+    lo = np.clip(np.floor(np.minimum(y1, y2)), 0, height).astype(np.int64)
+    count = np.clip(np.ceil(np.maximum(y1, y2)), 0, height).astype(np.int64) - lo
+    edges = np.repeat(np.arange(len(lo)), count)
+    rows = (lo + count - np.cumsum(count))[edges] + np.arange(len(edges))
+    yc = rows + 0.5
+    crossing = (y1[edges] > yc) != (y2[edges] > yc)
+    edges, rows, yc = edges[crossing], rows[crossing], yc[crossing]
+    xa, ya = x1[edges], y1[edges]
     xint = xa + (yc - ya) * (x2[edges] - xa) / (y2[edges] - ya)
     centers = np.arange(width, dtype=np.float64) + 0.5
-    # all rows at once: count each crossing at the first center not left of
-    # it; a center's parity is that of the counts to its right, and uint8
-    # sums that wrap at 256 keep it
+    # all shapes and rows at once: count each crossing at the first center
+    # not left of it; a center's parity is that of the counts to its right,
+    # and uint8 sums that wrap at 256 keep it
     first = np.searchsorted(centers, xint, side="left")
-    table = np.bincount(rows * (width + 1) + first, minlength=height * (width + 1))
-    table = table.astype(np.uint8).reshape(height, width + 1)
-    right_of = np.cumsum(table[:, :0:-1], axis=1, dtype=np.uint8)[:, ::-1]
+    key = ((edges // n) * height + rows) * (width + 1) + first
+    table = np.bincount(key, minlength=math.prod(lead) * height * (width + 1))
+    table = table.astype(np.uint8).reshape(*lead, height, width + 1)
+    right_of = np.cumsum(table[..., :0:-1], axis=-1, dtype=np.uint8)[..., ::-1]
     return (right_of & 1).astype(bool)
 
 
@@ -158,14 +188,13 @@ def fill_polygon(pixels: np.ndarray, pts) -> np.ndarray:
 
     A degenerate polygon (zero signed area) falls back to the stroke alone.
     """
-    _check_image(pixels)
-    pts = np.asarray(pts, dtype=np.float64)
-    if pts.ndim != 2 or pts.shape[0] < 3:
-        raise ParameterError("polygon needs at least 3 points")
-    _check_points(pts)
-    x, y = pts[:, 0], pts[:, 1]
-    if np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y) != 0.0:  # nonzero signed area
-        pixels[scanline_fill_mask(pts, pixels.shape[1], pixels.shape[0])] = 255
+    pts = _points(pts, 3, pixels)
+    x, y = pts[..., 0], pts[..., 1]
+    area = np.sum(x * np.roll(y, -1, axis=-1) - np.roll(x, -1, axis=-1) * y, axis=-1)
+    # a zero-area polygon gets the stroke alone: collapsed onto one point,
+    # it crosses no scanline
+    fillable = np.where((area != 0.0)[..., None, None], pts, 0.0)
+    pixels |= scanline_fill_mask(fillable, pixels.shape[-1], pixels.shape[-2]) * np.uint8(255)
     return draw_polyline(pixels, pts, closed=True)
 
 

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -319,6 +320,40 @@ class TestRetirePinnedBytes:
         assert images.shape == (len(test), side, side)
         digest = hashlib.sha256(images.tobytes()).hexdigest()
         assert digest == PINNED_RETIRE_DIGESTS[n, side]
+
+
+CHUNK = encoders.RETIRE_CHUNK
+
+
+class TestRetireChunks:
+    @pytest.mark.parametrize("n", [1, 2, 3, 60])
+    @pytest.mark.parametrize("rows", [1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1])
+    def test_batch_rows_equal_single_rows(self, rows, n):
+        # n = 1 and 2 take the stroke-only path; a row far below the
+        # training range scales to radius 0, a zero-area polygon
+        ds = toy_dataset(n, seed=n)
+        model = encoders.fit_retire(ds, size=(64, 64))
+        X = np.random.default_rng(rows).normal(0.5, 0.6, size=(rows, n))
+        X[rows // 2] = -1e6
+        images = encoders.encode_batch(model, X)
+        for i in range(rows):
+            assert np.array_equal(images[i], encoders.encode(model, X[i]))
+
+    def test_encode_allocates_little_beyond_its_output(self):
+        # tracemalloc counts what numpy allocates, whatever the allocator
+        # keeps; the fill and stroke temporaries of one chunk are the margin
+        rng = np.random.default_rng(0)
+        ds = Dataset("m", rng.normal(size=(30, 500)), np.tile([0, 1], 15),
+                     tuple(f"f{i}" for i in range(500)), ("0", "1"))
+        model = encoders.fit_retire(ds, size=(224, 224))
+        X = rng.normal(size=(100, 500))
+        tracemalloc.start()
+        try:
+            images = encoders.encode_batch(model, X)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < images.nbytes + 6 * 2**20
 
 
 class TestFormatValue:

@@ -108,6 +108,30 @@ polygons = st.lists(st.tuples(coords, coords), min_size=3, max_size=12)
 sides = st.integers(1, 69)
 
 
+def signed_area(pts):
+    x, y = np.asarray(pts, dtype=np.float64).T
+    return np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y)
+
+
+@st.composite
+def stacks(draw, least=3):
+    """1-6 shapes of one vertex count; some collapse onto one point, run
+    along one horizontal line or form a bowtie whose lobes cancel, so zero
+    signed areas mix with ordinary ones."""
+    n = draw(st.integers(least, 12))
+    shapes = []
+    for _ in range(draw(st.integers(1, 6))):
+        pts = draw(st.lists(st.tuples(coords, coords), min_size=n, max_size=n))
+        (x0, y0), (x1, y1) = pts[0], pts[-1]
+        degenerate = {
+            "point": [pts[0]] * n,
+            "line": [(x, y0) for x, _ in pts],
+            "bowtie": [(x0, y0), (x1, y1), (x1, y0), (x0, y1)] * (n // 4) + [(x0, y0)] * (n % 4),
+        }
+        shapes.append(degenerate.get(draw(st.sampled_from(["any", "point", "line", "bowtie"])), pts))
+    return np.array(shapes, dtype=np.float64)
+
+
 def random_polygon(rng, n_vertices, lo=-5.0, hi=69.0):
     return rng.uniform(lo, hi, size=(n_vertices, 2))
 
@@ -212,6 +236,33 @@ class TestDrawPolyline:
         c = draw_polyline(blank(8, 8), [(-MAX_COORD, -MAX_COORD), (MAX_COORD, MAX_COORD)])
         assert set_pixels(c) == {(i, i) for i in range(8)}
 
+    @pytest.mark.parametrize("draw, pts", [
+        (fill_polygon, np.zeros((3, 3))),
+        (draw_polyline, [[1, 2, 3]]),
+        (draw_polyline, np.ones((2, 3))),
+        (draw_polyline, [[1, 2], [3]]),
+        (fill_polygon, "abc"),
+    ], ids=["fill-3-columns", "stroke-3-columns", "stroke-2x3", "stroke-ragged", "fill-text"])
+    def test_points_that_are_not_pairs_raise_shape_error(self, draw, pts):
+        c = blank(8, 8)
+        with pytest.raises(ShapeError):
+            draw(c, pts)
+        assert not c.any()
+
+    def test_point_axes_must_match_the_stack(self):
+        stack = np.zeros((2, 8, 8), dtype=np.uint8)
+        with pytest.raises(ShapeError):
+            draw_polyline(stack, np.ones((3, 4, 2)))
+        with pytest.raises(ShapeError):
+            fill_polygon(stack, np.ones((4, 2)))
+        with pytest.raises(ShapeError):
+            draw_polyline(blank(8, 8), np.ones((1, 4, 2)))
+        with pytest.raises(ShapeError):
+            scanline_fill_mask(np.ones(6), 8, 8)
+        with pytest.raises(ParameterError):
+            fill_polygon(stack, np.ones((2, 2, 2)))
+        assert not stack.any()
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1e30, MAX_COORD * 2])
     def test_bad_coordinates_raise_before_drawing(self, bad):
         shape = [(1.0, 1.0), (6.0, 1.0), (bad, 6.0)]
@@ -265,8 +316,7 @@ class TestFillOracle:
     @given(pts=polygons, width=sides, height=sides)
     def test_filled_shape_matches_reference(self, pts, width, height):
         want = blank(width, height)
-        x, y = np.asarray(pts).T
-        if np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y) != 0.0:  # not degenerate
+        if signed_area(pts) != 0.0:  # not degenerate
             want[reference_scanline_fill_mask(pts, width, height)] = 255
         reference_draw_polyline(want, pts, closed=True)
         got = fill_polygon(blank(width, height), pts)
@@ -281,6 +331,50 @@ class TestFillOracle:
                 pts = np.round(pts * 2.0) / 2.0  # half-integer vertices
             got = scanline_fill_mask(pts, width, height)
             assert np.array_equal(got, reference_scanline_fill_mask(pts, width, height))
+
+
+class TestStackOracle:
+    """A stack call draws image r from points r exactly as a 2-d call
+    would, checked image by image against the references."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(pts=stacks(), width=sides, height=sides)
+    def test_fill_matches_references(self, pts, width, height):
+        masks = scanline_fill_mask(pts, width, height)
+        assert masks.shape == (len(pts), height, width)
+        filled = fill_polygon(np.zeros((len(pts), height, width), dtype=np.uint8), pts)
+        for shape, mask, image in zip(pts, masks, filled):
+            assert np.array_equal(mask, reference_scanline_fill_mask(shape, width, height))
+            assert np.array_equal(mask, even_odd_oracle(shape, width, height))
+            want = blank(width, height)
+            if signed_area(shape) != 0.0:
+                want[mask] = 255
+            assert np.array_equal(image, reference_draw_polyline(want, shape, closed=True))
+
+    @settings(max_examples=200, deadline=None)
+    @given(pts=stacks(least=1), closed=st.booleans(), width=sides, height=sides)
+    def test_stroke_matches_reference(self, pts, closed, width, height):
+        stroked = draw_polyline(np.zeros((len(pts), height, width), dtype=np.uint8), pts, closed)
+        for shape, image in zip(pts, stroked):
+            want = reference_draw_polyline(blank(width, height), shape, closed=closed)
+            assert np.array_equal(image, want)
+
+    def test_strided_views_are_drawn_in_place(self):
+        base = np.zeros((3, 40, 60), dtype=np.uint8)
+        view = base[::-1, ::2, 1::3]
+        pts = np.random.default_rng(3).uniform(-4.0, 24.0, size=(3, 7, 2))
+        fill_polygon(view, pts)
+        for shape, image in zip(pts, view):
+            assert np.array_equal(image, fill_polygon(blank(20, 20), shape))
+        assert base.sum() == view.sum()
+
+    def test_polar_vertices_of_rows(self):
+        layout = PolarLayout(32.0, 32.0, 28.0, 5)
+        scaled = np.random.default_rng(4).uniform(size=(3, 5))
+        verts = polar_vertices(layout, scaled)
+        assert verts.shape == (3, 5, 2)
+        for row, v in zip(scaled, verts):
+            assert np.array_equal(v, polar_vertices(layout, row))
 
 
 class TestFillPolygon:
