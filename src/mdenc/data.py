@@ -24,6 +24,7 @@ from .errors import (
     ParseError,
     StratificationError,
     UnsupportedFeatureError,
+    non_negative_int,
 )
 
 logger = logging.getLogger(__name__)
@@ -305,6 +306,7 @@ def make_cv_plan(ds: Dataset, seed: int) -> CVPlan:
     SeedSequence, so plans are reproducible across platforms for a fixed
     seed.
     """
+    seed = non_negative_int(seed, "seed")
     counts = np.bincount(ds.y, minlength=ds.n_classes)
     lacking = np.flatnonzero(counts < 2)
     if lacking.size:
@@ -317,13 +319,16 @@ def make_cv_plan(ds: Dataset, seed: int) -> CVPlan:
         for cls in range(ds.n_classes):
             perm = rng.permutation(np.flatnonzero(ds.y == cls))
             assignments[repeat, perm[1::2]] = 1
-    return CVPlan(CV_REPEATS, CV_FOLDS, int(seed), assignments)
+    return CVPlan(CV_REPEATS, CV_FOLDS, seed, assignments)
 
 
 def generate_synthetic(n_samples: int, n_features: int, seed: int) -> Dataset:
     """Two Gaussian clusters centered on opposite corners of a seed-chosen
     hypercube, rescaled to centroid separation 2.0, unit variance, every
     feature informative. Deterministic per seed."""
+    n_samples = non_negative_int(n_samples, "n_samples")
+    n_features = non_negative_int(n_features, "n_features")
+    seed = non_negative_int(seed, "seed")
     if n_samples < 4:
         raise ParameterError("n_samples must be >= 4")
     if n_features < 1:

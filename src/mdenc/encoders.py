@@ -24,7 +24,8 @@ import numpy as np
 from . import _font, scaling
 from ._ranking import rank_average
 from .data import Dataset
-from .errors import CapacityError, FitError, ParameterError, ShapeError, StateError
+from .errors import (CapacityError, FitError, ParameterError, ShapeError, StateError,
+                     float_array, non_negative_int)
 from .raster import PolarLayout, draw_polyline, fill_polygon, polar_layout, polar_vertices
 
 DEFAULT_CANVAS = (224, 224)
@@ -329,6 +330,7 @@ def fit_igtd(ds_train: Dataset, max_iters: int = DEFAULT_IGTD_MAX_ITERS,
         raise FitError("need at least 2 features")
     if max_iters < 1 or patience < 1:
         raise ParameterError("max_iters and patience must be >= 1")
+    seed = non_negative_int(seed, "seed")
     scaler = scaling.fit(ds_train.X, l, u)
     scaled = scaling.transform(scaler, ds_train.X)
     cols = math.ceil(math.sqrt(n))
@@ -376,7 +378,7 @@ def encode_batch(model: EncoderModel, X) -> np.ndarray:
     uint8 array."""
     if not isinstance(model, EncoderModel):
         raise StateError("not a fitted encoder model")
-    X = np.asarray(X, dtype=np.float64)
+    X = float_array(X, "rows must be an array of feature values")
     if X.ndim != 2 or X.shape[1] != model.layout.n:
         raise ShapeError(f"expected rows of {model.layout.n} features, got shape {X.shape}")
     bad = np.flatnonzero(~np.isfinite(X).all(axis=1))
@@ -388,4 +390,4 @@ def encode_batch(model: EncoderModel, X) -> np.ndarray:
 
 def encode(model: EncoderModel, x) -> np.ndarray:
     """Encode one feature vector into an ``(H, W)`` uint8 image."""
-    return encode_batch(model, np.asarray(x, dtype=np.float64)[None])[0]
+    return encode_batch(model, [x])[0]

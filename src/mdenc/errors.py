@@ -1,9 +1,14 @@
-"""Exception hierarchy for the toolkit.
+"""Exception hierarchy for the toolkit, and the two input checks that
+several modules share.
 
 Every contract violation raises a subclass of :class:`MdencError`, so the
 CLI can map validation failures to exit code 2 while anything else stays a
 genuine internal error (exit code 1).
 """
+
+import operator
+
+import numpy as np
 
 
 class MdencError(Exception):
@@ -58,3 +63,24 @@ class InsufficientDataError(MdencError):
 
 class FitError(MdencError):
     """Training input unusable (empty or otherwise unfittable)."""
+
+
+def non_negative_int(value, what: str) -> int:
+    """``value`` as an int when it is a non-negative integer (a seed, a
+    sample count, a canvas side); ParameterError naming ``what`` if not."""
+    try:
+        number = operator.index(value)
+    except TypeError:  # a float, a string, None
+        number = -1
+    if number < 0:
+        raise ParameterError(f"{what} must be a non-negative integer, got {value!r}")
+    return number
+
+
+def float_array(values, what: str) -> np.ndarray:
+    """``values`` as a float64 array; ShapeError starting with ``what``
+    when they are ragged or not numbers."""
+    try:
+        return np.asarray(values, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise ShapeError(f"{what}: {exc}") from None

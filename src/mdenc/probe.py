@@ -93,8 +93,8 @@ def knn1_pixel(train_images, train_labels, test_images) -> np.ndarray:
 
 def knn1_tabular(X_train, y_train, X_test, scaler: scaling.ScalerParams) -> np.ndarray:
     """1-NN with Euclidean distance on scaled feature vectors."""
-    refs = scaling.transform(scaler, np.asarray(X_train, dtype=np.float64))
-    queries = scaling.transform(scaler, np.asarray(X_test, dtype=np.float64))
+    refs = scaling.transform(scaler, X_train)
+    queries = scaling.transform(scaler, X_test)
     if refs.ndim != 2:
         raise ShapeError("training rows must form a 2-d matrix")
     return _nearest_label(_sq_distances(np.atleast_2d(queries), refs), y_train)

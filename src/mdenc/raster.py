@@ -10,9 +10,9 @@ leading axes must match those of the pixels.
 
 Coordinate convention: origin at the top-left corner, x rightward, y
 downward; pixel (i, j) is sampled at its center (i + 0.5, j + 0.5).
-Drawing operations write only 0 or 255, so any sequence of them leaves a
-binarized image, and they avoid platform-dependent evaluation orders so
-identical inputs produce byte-identical images everywhere.
+Drawing operations only ever set pixels to 255 and never clear one, so any
+sequence of them leaves a binarized image, and they avoid platform-dependent
+evaluation orders so identical inputs give byte-identical images everywhere.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, ParameterError, ShapeError
+from .errors import CapacityError, ParameterError, ShapeError, float_array, non_negative_int
 
 MARGIN = 4.0  # pixels between the radius-1.0 circle and the canvas edge
 # drawing calls reject coordinates that are not finite or beyond +-MAX_COORD
@@ -83,10 +83,7 @@ def _points(pts, least: int, pixels=None) -> np.ndarray:
     ``pixels``, their leading axes must match its own."""
     if pixels is not None:
         _check_image(pixels, (2, 3))
-    try:
-        pts = np.asarray(pts, dtype=np.float64)
-    except (TypeError, ValueError) as exc:  # ragged or not numbers
-        raise ShapeError(f"points must be an array of (x, y) pairs: {exc}") from None
+    pts = float_array(pts, "points must be an array of (x, y) pairs")
     if pts.shape == (0,):  # an empty list holds no point
         pts = pts.reshape(0, 2)
     if pts.ndim < 2 or pts.shape[-1] != 2:
@@ -100,6 +97,12 @@ def _points(pts, least: int, pixels=None) -> np.ndarray:
     if not np.all(np.abs(pts) <= MAX_COORD):
         raise ParameterError(f"point coordinates must be finite and within +-{MAX_COORD:.0f}")
     return pts
+
+
+def _runs(count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each element's run index and rank in that run, for runs ``count`` long."""
+    run = np.repeat(np.arange(len(count)), count)
+    return run, np.arange(len(run)) - (np.cumsum(count) - count)[run]
 
 
 def draw_polyline(pixels: np.ndarray, pts, closed: bool = False) -> np.ndarray:
@@ -129,9 +132,8 @@ def draw_polyline(pixels: np.ndarray, pts, closed: bool = False) -> np.ndarray:
     # steps k in [lo, hi] put the major coordinate origin +- k on the image
     lo = np.maximum(np.where(forward, -origin, origin - size + 1), 0)
     hi = np.minimum(np.where(forward, size - 1 - origin, origin), steps)
-    count = np.maximum(hi - lo + 1, 0)
-    seg = np.repeat(seg, count)
-    k = (lo + count - np.cumsum(count))[seg] + np.arange(len(seg))
+    seg, k = _runs(np.maximum(hi - lo + 1, 0))
+    k += lo[seg]
     # step k of L steps sits k along the major axis and
     # floor((2 |d| k + L - 1) / 2L) along the minor one
     span = np.maximum(steps, 1)[seg]
@@ -145,56 +147,54 @@ def draw_polyline(pixels: np.ndarray, pts, closed: bool = False) -> np.ndarray:
     return pixels
 
 
-def scanline_fill_mask(pts, width: int, height: int) -> np.ndarray:
-    """Even-odd interior mask sampled at pixel centers: (height, width) for
-    one (n, 2) polygon, (..., height, width) for (..., n, 2) polygons.
-
-    A center is inside iff an odd number of polygon edges cross the
-    scanline strictly to its right. Edges meet the scanline y = j + 0.5
-    under the half-open rule min(y1, y2) <= y < max(y1, y2), so a vertex
-    shared by two edges is counted exactly once and the fill matches a
-    brute-force even-odd point-in-polygon test pixel for pixel.
-    """
-    pts = _points(pts, 3)
+def _parity(pts: np.ndarray, height: int, width: int) -> np.ndarray:
+    """``scanline_fill_mask`` of checked ``pts`` as uint8 0/1 parity."""
     lead, n = pts.shape[:-2], pts.shape[-2]
-    x1, y1 = pts[..., 0].ravel(), pts[..., 1].ravel()
-    x2, y2 = np.roll(pts, -1, axis=-2).reshape(-1, 2).T
+    (x1, y1), (x2, y2) = pts.reshape(-1, 2).T, np.roll(pts, -1, axis=-2).reshape(-1, 2).T
     # edge e lists the scanlines j in [floor(min y), ceil(max y)), a superset
     # of those with min y <= j + 0.5 < max y, which the exact test then keeps
     lo = np.clip(np.floor(np.minimum(y1, y2)), 0, height).astype(np.int64)
-    count = np.clip(np.ceil(np.maximum(y1, y2)), 0, height).astype(np.int64) - lo
-    edges = np.repeat(np.arange(len(lo)), count)
-    rows = (lo + count - np.cumsum(count))[edges] + np.arange(len(edges))
+    edges, rows = _runs(np.clip(np.ceil(np.maximum(y1, y2)), 0, height).astype(np.int64) - lo)
+    rows += lo[edges]
     yc = rows + 0.5
     crossing = (y1[edges] > yc) != (y2[edges] > yc)
     edges, rows, yc = edges[crossing], rows[crossing], yc[crossing]
     xa, ya = x1[edges], y1[edges]
     xint = xa + (yc - ya) * (x2[edges] - xa) / (y2[edges] - ya)
-    centers = np.arange(width, dtype=np.float64) + 0.5
     # all shapes and rows at once: count each crossing at the first center
     # not left of it; a center's parity is that of the counts to its right,
     # and uint8 sums that wrap at 256 keep it
-    first = np.searchsorted(centers, xint, side="left")
+    first = np.searchsorted(np.arange(width, dtype=np.float64) + 0.5, xint, side="left")
     key = ((edges // n) * height + rows) * (width + 1) + first
     table = np.bincount(key, minlength=math.prod(lead) * height * (width + 1))
     table = table.astype(np.uint8).reshape(*lead, height, width + 1)
-    right_of = np.cumsum(table[..., :0:-1], axis=-1, dtype=np.uint8)[..., ::-1]
-    return (right_of & 1).astype(bool)
+    parity = np.cumsum(table[..., :0:-1], axis=-1, dtype=np.uint8)[..., ::-1]
+    return np.bitwise_and(parity, 1, out=parity)
+
+
+def scanline_fill_mask(pts, width: int, height: int) -> np.ndarray:
+    """Even-odd interior mask sampled at pixel centers: bool (height, width)
+    for one (n, 2) polygon, (..., height, width) for (..., n, 2) polygons.
+
+    A center is inside iff an odd number of edges cross its scanline
+    strictly to its right. Edges meet the scanline y = j + 0.5 under the
+    half-open rule min(y1, y2) <= y < max(y1, y2), so a vertex shared by two
+    edges counts once and the fill matches a brute-force even-odd test.
+    """
+    width, height = non_negative_int(width, "width"), non_negative_int(height, "height")
+    return _parity(_points(pts, 3), height, width).astype(bool)
 
 
 def fill_polygon(pixels: np.ndarray, pts) -> np.ndarray:
-    """Fill with the even-odd scanline mask, then stroke the closed outline
-    so the silhouette boundary is never broken; returns ``pixels``.
-
-    A degenerate polygon (zero signed area) falls back to the stroke alone.
-    """
+    """Or 255 into the even-odd interior of ``scanline_fill_mask`` (none for
+    a zero-area polygon), then stroke the closed outline so the silhouette
+    boundary is never broken; returns ``pixels``, whose set pixels stay set."""
     pts = _points(pts, 3, pixels)
     x, y = pts[..., 0], pts[..., 1]
     area = np.sum(x * np.roll(y, -1, axis=-1) - np.roll(x, -1, axis=-1) * y, axis=-1)
-    # a zero-area polygon gets the stroke alone: collapsed onto one point,
-    # it crosses no scanline
-    fillable = np.where((area != 0.0)[..., None, None], pts, 0.0)
-    pixels |= scanline_fill_mask(fillable, pixels.shape[-1], pixels.shape[-2]) * np.uint8(255)
+    # collapsed onto one point, a zero-area polygon crosses no scanline
+    parity = _parity(np.where((area != 0.0)[..., None, None], pts, 0.0), *pixels.shape[-2:])
+    pixels |= np.multiply(parity, 255, out=parity)
     return draw_polyline(pixels, pts, closed=True)
 
 
@@ -209,5 +209,4 @@ def to_ppm(pixels: np.ndarray) -> bytes:
     """Binary PPM (P6) with the gray plane replicated into 3 channels."""
     _check_image(pixels)
     height, width = pixels.shape
-    rgb = np.repeat(pixels[:, :, None], 3, axis=2)
-    return f"P6\n{width} {height}\n255\n".encode("ascii") + rgb.tobytes()
+    return f"P6\n{width} {height}\n255\n".encode("ascii") + np.repeat(pixels, 3).tobytes()

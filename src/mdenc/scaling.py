@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FitError, ParameterError, ShapeError
+from .errors import FitError, ParameterError, ShapeError, float_array
 
 DEFAULT_L = 0.05
 DEFAULT_U = 0.95
@@ -71,7 +71,7 @@ def fit(X_train, l: float = DEFAULT_L, u: float = DEFAULT_U) -> ScalerParams:
     column needs a finite range."""
     if not (0.0 <= l < u <= 1.0):
         raise ParameterError(f"bounds must satisfy 0 <= l < u <= 1, got l={l}, u={u}")
-    X = np.asarray(X_train, dtype=np.float64)
+    X = float_array(X_train, "training values must be an array of numbers")
     if X.ndim != 2 or X.size == 0:
         raise FitError("training matrix is empty")
     return ScalerParams(
@@ -87,7 +87,7 @@ def transform(params: ScalerParams, x) -> np.ndarray:
     outside is clamped to [0, 1]. Degenerate features (min == max) map to
     the midpoint (l + u) / 2.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = float_array(x, "feature values must be an array of numbers")
     if x.ndim not in (1, 2) or x.shape[-1] != params.n_features:
         raise ShapeError(
             f"expected {params.n_features} features, got input of shape {x.shape}"

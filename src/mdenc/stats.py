@@ -13,7 +13,7 @@ import numpy as np
 
 from ._doc import to_doc
 from ._ranking import rank_average
-from .errors import InsufficientDataError, ParameterError
+from .errors import InsufficientDataError, ParameterError, float_array
 
 N_SPLITS = 10  # 5 repeats x 2 folds
 DEFAULT_ALPHA = 0.05
@@ -25,6 +25,13 @@ CF_EPS = 1e-16  # relative change that ends the continued fraction
 def _check_alpha(alpha: float) -> None:
     if not 0.0 < alpha < 1.0:  # also rejects NaN
         raise ParameterError(f"alpha must lie in (0, 1), got {alpha}")
+
+
+def _paired_scores(a, b) -> tuple[np.ndarray, np.ndarray]:
+    a, b = float_array(a, "scores must be numbers"), float_array(b, "scores must be numbers")
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ParameterError("scores must be finite")
+    return a, b
 
 
 @dataclass(frozen=True)
@@ -50,8 +57,7 @@ def combined_5x2cv_f_test(a, b, alpha: float = DEFAULT_ALPHA) -> FTestResult:
     leave F undefined (not significant).
     """
     _check_alpha(alpha)
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
+    a, b = _paired_scores(a, b)
     if a.shape != (N_SPLITS,) or b.shape != (N_SPLITS,):
         raise ParameterError(f"need {N_SPLITS} paired scores (5 repeats x 2 folds)")
     diffs = (a - b).reshape(5, 2)
@@ -73,8 +79,8 @@ def f_distribution_sf(x: float, d1: int, d2: int) -> float:
     via the regularized incomplete beta: I_{d2/(d2 + d1 x)}(d2/2, d1/2)."""
     if d1 < 1 or d2 < 1:
         raise ParameterError("degrees of freedom must be >= 1")
-    if x < 0:
-        raise ParameterError("x must be >= 0")
+    if not x >= 0:  # also rejects NaN
+        raise ParameterError(f"x must be >= 0, got {x}")
     if x == 0.0:
         return 1.0
     return regularized_incomplete_beta(d2 / (d2 + d1 * x), 0.5 * d2, 0.5 * d1)
@@ -143,8 +149,7 @@ def wilcoxon_signed_rank(a, b, alpha: float = DEFAULT_ALPHA) -> WilcoxonResult:
     larger n uses the tie-corrected normal approximation.
     """
     _check_alpha(alpha)
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
+    a, b = _paired_scores(a, b)
     if a.shape != b.shape or a.ndim != 1:
         raise ParameterError("paired score vectors must be 1-d and equal length")
     diffs = a - b

@@ -64,6 +64,12 @@ class TestFit:
                      "--l", "0.9", "--u", "0.2", "--out", str(tmp_path / "m.json")])
         assert code == 2
 
+    def test_negative_igtd_seed_exits_2(self, tmp_path, keel_file, capsys):
+        code = main(["fit", "--dataset", str(keel_file), "--encoder", "igtd",
+                     "--seed", "-1", "--out", str(tmp_path / "m.json")])
+        assert code == 2
+        assert "seed must be a non-negative integer" in capsys.readouterr().err
+
     def test_unknown_encoder_usage_error(self, tmp_path, keel_file):
         code = main(["fit", "--dataset", str(keel_file), "--encoder", "cnn",
                      "--out", str(tmp_path / "m.json")])
@@ -272,6 +278,13 @@ class TestEval:
     def test_unknown_encoder_exits_2(self, csv_file):
         assert main(["eval", "--dataset", str(csv_file), "--encoder", "mlp"]) == 2
 
+    def test_negative_seed_exits_2(self, csv_file, capsys):
+        assert main(["eval", "--dataset", str(csv_file), "--encoder", "stml",
+                     "--size", "32x32", "--seed", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert "seed must be a non-negative integer" in captured.err
+        assert captured.out == ""
+
     def test_stdout_is_the_report_file(self, tmp_path, csv_file, capsys):
         out = tmp_path / "report.json"
         args = ["eval", "--dataset", str(csv_file), "--encoder", "tabular"]
@@ -426,6 +439,13 @@ class TestBench:
         assert main(["bench", "--encoder", "retire", "--grid", "4,8,12", "--samples", "8",
                      "--repeats", "1", "--size", "32x32", option, value]) == 2
         assert f"unrecognized arguments: {option}" in capsys.readouterr().err
+
+    def test_negative_seed_exits_2(self, capsys):
+        assert main(["bench", "--encoder", "retire", "--grid", "4,8,12", "--samples", "8",
+                     "--repeats", "1", "--size", "32x32", "--seed", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert "seed must be a non-negative integer" in captured.err
+        assert captured.out == ""
 
     def test_bad_grid_exits_2(self):
         assert main(["bench", "--encoder", "retire", "--grid", "10,5",

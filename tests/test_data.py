@@ -311,6 +311,11 @@ class TestCVPlan:
         assert np.array_equal(a, b)
         assert not np.array_equal(a, make_cv_plan(ds, seed=10).assignments)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, "3", None])
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        with pytest.raises(ParameterError, match="seed must be a non-negative integer"):
+            make_cv_plan(generate_synthetic(10, 2, seed=0), seed)
+
     def test_single_member_class_rejected(self):
         ds = Dataset("t", np.arange(8.0).reshape(4, 2), np.array([0, 0, 0, 1]),
                      ("a", "b"), ("0", "1"))
@@ -398,3 +403,13 @@ class TestSyntheticGenerator:
             generate_synthetic(3, 5, seed=0)
         with pytest.raises(ParameterError):
             generate_synthetic(10, 0, seed=0)
+
+    @pytest.mark.parametrize("args", [(10.5, 3, 0), (-10, 3, 0), (10, 2.5, 0), (10, 3, -1),
+                                      (10, 3, 1.5), ("10", 3, 0)])
+    def test_counts_and_seed_must_be_non_negative_integers(self, args):
+        with pytest.raises(ParameterError, match="must be a non-negative integer"):
+            generate_synthetic(*args)
+
+    def test_numpy_integers_accepted(self):
+        ds = generate_synthetic(np.int64(10), np.int32(3), np.uint8(1))
+        assert ds.X.tobytes() == generate_synthetic(10, 3, 1).X.tobytes()

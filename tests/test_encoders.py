@@ -274,6 +274,18 @@ class TestRetire:
         with pytest.raises(ShapeError):
             encoders.encode_batch(retire, np.zeros(3))
 
+    @pytest.mark.parametrize("rows", [
+        [["a"] * 3],
+        [[1.0, 2.0, 3.0], [1.0, "b", 3.0]],
+        [[1.0, 2.0, 3.0], [1.0, 2.0]],
+    ], ids=["text", "one-text-cell", "ragged"])
+    def test_rows_that_are_not_numbers_raise_shape_error(self, rows):
+        retire = encoders.fit_retire(toy_dataset(3))
+        with pytest.raises(ShapeError, match="rows must be an array of feature values"):
+            encoders.encode_batch(retire, rows)
+        with pytest.raises(ShapeError):
+            encoders.encode(retire, rows[-1])
+
 
 def pinned_retire_rows(n):
     """Seeded training rows and test rows for the pinned-bytes check; the
@@ -680,6 +692,9 @@ class TestIgtd:
             encoders.fit_igtd(toy_dataset(1), seed=0)
         with pytest.raises(ParameterError):
             encoders.fit_igtd(toy_dataset(3), max_iters=0, seed=0)
+        for seed in (-1, 0.5):
+            with pytest.raises(ParameterError, match="seed must be a non-negative integer"):
+                encoders.fit_igtd(toy_dataset(3), seed=seed)
 
     def test_deterministic_per_seed(self):
         ds = toy_dataset(6, seed=3)

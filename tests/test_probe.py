@@ -237,6 +237,14 @@ class TestKnnTabular:
             dists = ((st - q) ** 2).sum(axis=1)
             assert got == y_train[int(np.argmin(dists))]
 
+    def test_rows_that_are_not_numbers_raise_shape_error(self):
+        X = np.array([[0.0, 0.0], [10.0, 10.0]])
+        scaler = scaling.fit(X)
+        with pytest.raises(ShapeError):
+            knn1_tabular(X, [0, 1], [["a", "b"]], scaler)
+        with pytest.raises(ShapeError):
+            knn1_tabular([[0.0, 0.0], [1.0]], [0, 1], X, scaler)
+
     def test_self_prediction_is_perfect(self):
         ds = generate_synthetic(30, 3, seed=5)
         scaler = scaling.fit(ds.X)

@@ -36,7 +36,7 @@ def even_odd_oracle(pts, width, height):
     px = (np.arange(width) + 0.5)[None, :, None]
     py = (np.arange(height) + 0.5)[:, None, None]
     crosses = (y1 > py) != (y2 > py)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         xint = x1 + (py - y1) * (x2 - x1) / (y2 - y1)
     hits = crosses & (px < xint)
     return hits.sum(axis=2) % 2 == 1
@@ -276,6 +276,19 @@ class TestDrawPolyline:
         with pytest.raises(ParameterError):
             draw_polyline(blank(8, 8), [(2.0, bad)], closed=True)
 
+    @pytest.mark.parametrize("width, height", [(-1, 5), (5, -2), (2.5, 4), (4, 3.0), (4, None)])
+    def test_canvas_size_must_be_non_negative_integers(self, width, height):
+        with pytest.raises(ParameterError, match="must be a non-negative integer"):
+            scanline_fill_mask([(1.0, 1.0), (6.0, 1.0), (6.0, 6.0)], width, height)
+        # the size is checked before the points
+        with pytest.raises(ParameterError, match="must be a non-negative integer"):
+            scanline_fill_mask("abc", width, height)
+
+    @pytest.mark.parametrize("width, height", [(0, 5), (5, 0), (0, 0), (np.int64(3), np.uint8(2))])
+    def test_empty_and_numpy_canvas_sizes_accepted(self, width, height):
+        mask = scanline_fill_mask([(1.0, 1.0), (6.0, 1.0), (6.0, 6.0)], width, height)
+        assert mask.shape == (height, width) and mask.dtype == bool
+
 
 class TestStrokeOracle:
     def test_closed_form_matches_stepping_exhaustively(self):
@@ -358,6 +371,15 @@ class TestStackOracle:
         for shape, image in zip(pts, stroked):
             want = reference_draw_polyline(blank(width, height), shape, closed=closed)
             assert np.array_equal(image, want)
+
+    @settings(max_examples=200, deadline=None)
+    @given(pts=stacks(), width=sides, height=sides, seed=st.integers(0, 2**32 - 1))
+    def test_fill_ors_into_set_pixels(self, pts, width, height, seed):
+        # pixels already set stay set, and unset ones get the fill of a blank
+        canvas = np.random.default_rng(seed).choice(
+            np.array([0, 255], dtype=np.uint8), size=(len(pts), height, width))
+        got = fill_polygon(canvas.copy(), pts)
+        assert np.array_equal(got, canvas | fill_polygon(np.zeros_like(canvas), pts))
 
     def test_strided_views_are_drawn_in_place(self):
         base = np.zeros((3, 40, 60), dtype=np.uint8)

@@ -84,6 +84,13 @@ class TestTransform:
         with pytest.raises(ShapeError):
             scaling.transform(params, np.zeros(2))
 
+    @pytest.mark.parametrize("values", [[["a"]], [[1.0, 2.0], [3.0]]], ids=["text", "ragged"])
+    def test_values_that_are_not_numbers_raise_shape_error(self, values):
+        with pytest.raises(ShapeError, match="must be an array of numbers"):
+            scaling.fit(values)
+        with pytest.raises(ShapeError, match="must be an array of numbers"):
+            scaling.transform(scaling.fit(COLUMN), values)
+
     def test_matrix_input(self):
         params = scaling.fit(COLUMN)
         out = scaling.transform(params, np.array([[0.0], [10.0]]))

@@ -126,6 +126,27 @@ class TestFDistributionSf:
             f_distribution_sf(-1.0, 2, 2)
         with pytest.raises(ParameterError):
             f_distribution_sf(1.0, 0, 2)
+        with pytest.raises(ParameterError):
+            f_distribution_sf(math.nan, 10, 5)
+
+    def test_infinite_x_has_no_mass_beyond(self):
+        assert f_distribution_sf(math.inf, 10, 5) == 0.0
+
+
+class TestNonFiniteScores:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_f_test_rejects_non_finite_scores(self, bad):
+        one_bad = [0.5] * 9 + [bad]
+        for a, b in (([bad] * 10, [0.5] * 10), ([0.5] * 10, one_bad)):
+            with pytest.raises(ParameterError, match="scores must be finite"):
+                combined_5x2cv_f_test(a, b)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_wilcoxon_rejects_non_finite_scores(self, bad):
+        one_bad = [0.1, 0.2, 0.3, 0.4, 0.6, bad]
+        for a, b in (([bad] * 6, [0.5] * 6), ([0.5] * 6, one_bad)):
+            with pytest.raises(ParameterError, match="scores must be finite"):
+                wilcoxon_signed_rank(a, b)
 
 
 class TestWilcoxon:
