@@ -12,7 +12,7 @@ from .bench import TimingRecord, linearity_fit, run_timing_sweep
 from .data import CVPlan, Dataset, generate_synthetic, load_csv, load_keel, make_cv_plan
 from .encoders import EncoderModel, encode, encode_batch, fit
 from .errors import MdencError
-from .probe import EvalReport, balanced_accuracy, knn1_pixel, knn1_tabular, run_cv_eval
+from .probe import EvalReport, balanced_accuracy, knn1_tabular, run_cv_eval
 from .raster import PolarLayout
 from .scaling import ScalerParams
 from .stats import combined_5x2cv_f_test, f_distribution_sf, mean_ranks, wilcoxon_signed_rank
@@ -35,7 +35,6 @@ __all__ = [
     "f_distribution_sf",
     "fit",
     "generate_synthetic",
-    "knn1_pixel",
     "knn1_tabular",
     "linearity_fit",
     "load_csv",

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import encoders
 from .data import generate_synthetic
-from .errors import FitError, ParameterError
+from .errors import FitError, ParameterError, non_negative_int
 
 DEFAULT_GRID = (10, 25, 50, 100, 200, 350, 500)
 DEFAULT_SAMPLES = 100
@@ -49,12 +49,12 @@ def run_timing_sweep(encoder_kind: str, feature_counts=DEFAULT_GRID,
     A sweep point that exhausts ``budget_secs`` (finite and above 0) is
     cut short and marked truncated instead of hanging the sweep.
     """
-    counts = [int(c) for c in feature_counts]
+    counts = [non_negative_int(c, "feature count") for c in feature_counts]
     if not counts:
         raise ParameterError("feature_counts must be non-empty")
     if any(b <= a for a, b in zip(counts, counts[1:])):
         raise ParameterError("feature_counts must be strictly ascending")
-    if repeats < 1:
+    if non_negative_int(repeats, "repeats") < 1:
         raise ParameterError("repeats must be >= 1")
     if not 0.0 < budget_secs < math.inf:  # also rejects NaN
         raise ParameterError(f"budget_secs must be finite and above 0, got {budget_secs}")

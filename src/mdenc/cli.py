@@ -94,8 +94,7 @@ def _emit(args, text: str) -> None:
 def cmd_fit(args) -> int:
     ds = _load_dataset(args)
     model = encoders.fit(args.encoder, ds, l=args.l, u=args.u, size=args.size,
-                         igtd_max_iters=args.igtd_iters,
-                         igtd_patience=args.igtd_patience, seed=args.seed)
+                         igtd_max_iters=args.igtd_iters, seed=args.seed)
     _emit(args, to_json(model))
     return 0
 
@@ -116,8 +115,7 @@ def cmd_encode(args) -> int:
     return 0
 
 
-_EVAL_CONFIG_FIELDS = ("dataset", "encoder", "l", "u", "seed",
-                       "igtd_iters", "igtd_patience", "size")
+_EVAL_CONFIG_FIELDS = ("dataset", "encoder", "l", "u", "seed", "igtd_iters", "size")
 
 
 def cmd_eval(args) -> int:
@@ -125,7 +123,7 @@ def cmd_eval(args) -> int:
     plan = data.make_cv_plan(ds, args.seed)
     report = probe.run_cv_eval(ds, args.encoder, plan, l=args.l, u=args.u,
                                size=args.size, igtd_max_iters=args.igtd_iters,
-                               igtd_patience=args.igtd_patience, seed=args.seed)
+                               seed=args.seed)
     config = {name: getattr(args, name) for name in _EVAL_CONFIG_FIELDS}
     _emit(args, to_json(dataclasses.replace(report, config=config)))
     print(f"{ds.name} / {args.encoder}: mean BAC {report.mean_bac:.3f}", file=sys.stderr)
@@ -192,7 +190,6 @@ def build_parser() -> argparse.ArgumentParser:
     fit_args.add_argument("--u", type=float, default=scaling.DEFAULT_U,
                           help="upper guard bound (default 0.95)")
     fit_args.add_argument("--igtd-iters", type=int, default=encoders.DEFAULT_IGTD_MAX_ITERS)
-    fit_args.add_argument("--igtd-patience", type=int, default=encoders.DEFAULT_IGTD_PATIENCE)
 
     dataset_arg = argparse.ArgumentParser(add_help=False)
     dataset_arg.add_argument("--dataset", required=True, help="path to .dat or .csv")

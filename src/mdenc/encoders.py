@@ -31,7 +31,7 @@ from .raster import PolarLayout, draw_polyline, fill_polygon, polar_layout, pola
 DEFAULT_CANVAS = (224, 224)
 MAX_CANVAS_PIXELS = 2**24  # per image: 4096 x 4096
 DEFAULT_IGTD_MAX_ITERS = 1000
-DEFAULT_IGTD_PATIENCE = 3
+IGTD_PATIENCE = 3  # igtd stops once this many descents in a row leave its best unchanged
 SWAP_BLOCK = 32  # candidate swaps scored per numpy call in the igtd search
 # rows per retire fill and stroke call; the fill's count table and the
 # stroke's per-pixel arrays grow with it
@@ -126,6 +126,13 @@ LAYOUTS = {"retire": PolarLayout, "stml": GridLayout, "igtd": IgtdMapping}
 KINDS = tuple(LAYOUTS)
 
 
+def _canvas(size) -> tuple[int, int]:
+    """``size`` as (width, height) ints; EncoderModel checks that each is 1
+    or more."""
+    width, height = size
+    return non_negative_int(width, "canvas width"), non_negative_int(height, "canvas height")
+
+
 # ---------------------------------------------------------------------------
 # retire
 
@@ -135,8 +142,8 @@ def fit_retire(ds_train: Dataset, l: float = scaling.DEFAULT_L,
     """Fit the guard-bound scaler on the training fold and fix the polar
     geometry (one vertex per feature, margin 4 px)."""
     scaler = scaling.fit(ds_train.X, l, u)
-    layout = polar_layout(size[0], size[1], ds_train.n_features)
-    return EncoderModel("retire", (int(size[0]), int(size[1])), scaler, layout)
+    size = _canvas(size)
+    return EncoderModel("retire", size, scaler, polar_layout(*size, ds_train.n_features))
 
 
 def encode_retire(model: EncoderModel, X: np.ndarray) -> np.ndarray:
@@ -182,7 +189,7 @@ def fit_stml(ds_train: Dataset, size: tuple[int, int] = DEFAULT_CANVAS) -> Encod
         raise FitError("need at least 1 feature")
     rows = math.ceil(math.sqrt(n))
     cols = math.ceil(n / rows)
-    return EncoderModel("stml", (int(size[0]), int(size[1])), None, GridLayout(rows, cols, n))
+    return EncoderModel("stml", _canvas(size), None, GridLayout(rows, cols, n))
 
 
 def encode_stml(model: EncoderModel, X: np.ndarray) -> np.ndarray:
@@ -252,19 +259,20 @@ def _block_deltas(rank_feat, P, D, i, j) -> np.ndarray:
     return terms.sum(axis=1)
 
 
-def _swap_descent(rank_feat, rank_pix, max_iters, patience, seed):
+def _swap_descent(rank_feat, rank_pix, max_iters, seed):
     # First-improvement descent with seeded restarts. Pixel-distance ranks
     # on near-square grids are heavily tied, so a single strict descent
     # stalls on plateau-induced local optima; each stalled descent is
     # retried from a fresh seeded permutation, keeping the incumbent best.
-    # ``patience`` counts consecutive finished descents that failed to
-    # improve the incumbent; the trace reports the running best per scan.
+    # The search stops after IGTD_PATIENCE consecutive finished descents
+    # that failed to improve the incumbent; the trace reports the running
+    # best per scan.
     # A scan visits the pairs in seeded order and scores them SWAP_BLOCK
     # at a time; the first strictly negative delta is applied, as if the
     # pairs were scored one by one. Ranks are multiples of 0.5, so every
     # delta and running error is exact whatever the summation order.
     # Returns (best assignment, trace, restarts, converged), where
-    # ``converged`` says the search stopped on ``patience``, not at
+    # ``converged`` says the search stopped on IGTD_PATIENCE, not at
     # ``max_iters`` scans.
     n = rank_feat.shape[0]
     rng = np.random.default_rng(np.random.SeedSequence(seed))
@@ -299,7 +307,7 @@ def _swap_descent(rank_feat, rank_pix, max_iters, patience, seed):
         if improved:
             continue
         stale = 0 if descent_improved_best else stale + 1
-        if stale >= patience:
+        if stale >= IGTD_PATIENCE:
             return best_assignment, trace, restarts, True
         assignment = rng.permutation(n)
         error = assignment_error(rank_feat, rank_pix, assignment)
@@ -308,8 +316,7 @@ def _swap_descent(rank_feat, rank_pix, max_iters, patience, seed):
     return best_assignment, trace, restarts, False
 
 
-def fit_igtd(ds_train: Dataset, max_iters: int = DEFAULT_IGTD_MAX_ITERS,
-             patience: int = DEFAULT_IGTD_PATIENCE, seed: int = 0,
+def fit_igtd(ds_train: Dataset, max_iters: int = DEFAULT_IGTD_MAX_ITERS, seed: int = 0,
              l: float = scaling.DEFAULT_L, u: float = scaling.DEFAULT_U) -> EncoderModel:
     """Search a feature-to-pixel assignment by restarted first-improvement
     swap descent on the rank-discrepancy objective.
@@ -321,15 +328,18 @@ def fit_igtd(ds_train: Dataset, max_iters: int = DEFAULT_IGTD_MAX_ITERS,
     seed-shuffled order and applies the first swap that strictly lowers
     the objective; a stalled descent restarts from a seeded random
     permutation (the incumbent best is kept), and the search stops after
-    ``patience`` consecutive descents without improvement or ``max_iters``
-    scans in total. The scan and restart counts, and which of the two
-    stopped the search, are logged at INFO.
+    ``IGTD_PATIENCE`` (3) consecutive descents without improvement or
+    ``max_iters`` scans in total. The restarts are this package's own;
+    the published IGTD schedule (Zhu et al., 2021) has none, so their
+    stopping rule is a constant, not an option. The scan and restart
+    counts, and which of the two stopped the search, are logged at INFO.
     """
     n = ds_train.n_features
     if n < 2:
         raise FitError("need at least 2 features")
-    if max_iters < 1 or patience < 1:
-        raise ParameterError("max_iters and patience must be >= 1")
+    max_iters = non_negative_int(max_iters, "max_iters")
+    if max_iters < 1:
+        raise ParameterError("max_iters must be >= 1")
     seed = non_negative_int(seed, "seed")
     scaler = scaling.fit(ds_train.X, l, u)
     scaled = scaling.transform(scaler, ds_train.X)
@@ -338,7 +348,7 @@ def fit_igtd(ds_train: Dataset, max_iters: int = DEFAULT_IGTD_MAX_ITERS,
     rank_feat = _pair_rank_matrix(_column_distances(scaled))
     rank_pix = _pair_rank_matrix(_cell_distances(rows, cols, n))
     assignment, trace, restarts, converged = _swap_descent(
-        rank_feat, rank_pix, max_iters, patience, seed)
+        rank_feat, rank_pix, max_iters, seed)
     logger.info("igtd search: %d features, %d scans, %d restarts, %s", n,
                 len(trace) - 1, restarts,
                 "converged" if converged else "stopped at max_iters")
@@ -362,14 +372,13 @@ def encode_igtd(model: EncoderModel, X: np.ndarray) -> np.ndarray:
 
 def fit(kind: str, ds_train: Dataset, *, l: float = scaling.DEFAULT_L,
         u: float = scaling.DEFAULT_U, size: tuple[int, int] = DEFAULT_CANVAS,
-        igtd_max_iters: int = DEFAULT_IGTD_MAX_ITERS,
-        igtd_patience: int = DEFAULT_IGTD_PATIENCE, seed: int = 0) -> EncoderModel:
+        igtd_max_iters: int = DEFAULT_IGTD_MAX_ITERS, seed: int = 0) -> EncoderModel:
     if kind == "retire":
         return fit_retire(ds_train, l, u, size)
     if kind == "stml":
         return fit_stml(ds_train, size)
     if kind == "igtd":
-        return fit_igtd(ds_train, igtd_max_iters, igtd_patience, seed, l, u)
+        return fit_igtd(ds_train, igtd_max_iters, seed, l, u)
     raise ParameterError(f"unknown encoder kind {kind!r}")
 
 

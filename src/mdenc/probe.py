@@ -1,9 +1,12 @@
 """Nearest-neighbor probe classifiers and the cross-validated evaluation
 loop.
 
-The 1-NN pixel probe is a deterministic stand-in for a CNN: it only has to
-show whether class information survives an encoding. A tabular 1-NN twin
-on scaled feature vectors serves as the baseline.
+The 1-NN pixel probe lives in ``run_cv_eval``, a deterministic stand-in for
+a CNN: it only has to show whether class information survives an encoding.
+Its distances are exact (see ``_exact_pixels``), so it predicts what a
+float64 probe over every pixel would. A pixel distance ignores where each
+pixel sits, so the probe cannot rank ``igtd`` assignments. A tabular 1-NN
+twin on scaled feature vectors serves as the baseline.
 """
 
 from __future__ import annotations
@@ -74,23 +77,6 @@ def _exact_pixels(stacks: list[np.ndarray]) -> tuple[list[np.ndarray], type]:
     return [np.floor_divide(k, g, out=k) for k in kept], dtype
 
 
-def knn1_pixel(train_images, train_labels, test_images) -> np.ndarray:
-    """1-NN on uint8 ``(N, H, W)`` image stacks by exact squared pixel
-    distance (see ``_exact_pixels``), so the predictions match a float64
-    probe over every pixel; ties break toward the lowest training index."""
-    train_images = np.asarray(train_images)
-    test_images = np.asarray(test_images)
-    if train_images.dtype != np.uint8 or test_images.dtype != np.uint8:
-        raise ParameterError(f"image stacks must be uint8, got {train_images.dtype} "
-                             f"and {test_images.dtype}")
-    if train_images.ndim != 3 or train_images.shape[1:] != test_images.shape[1:]:
-        raise ShapeError("image stacks must be (N, H, W) with equal image sizes")
-    pixels = train_images.shape[1] * train_images.shape[2]
-    (refs, queries), dtype = _exact_pixels([train_images.reshape(len(train_images), pixels),
-                                            test_images.reshape(len(test_images), pixels)])
-    return _nearest_label(_sq_distances(queries.astype(dtype), refs.astype(dtype)), train_labels)
-
-
 def knn1_tabular(X_train, y_train, X_test, scaler: scaling.ScalerParams) -> np.ndarray:
     """1-NN with Euclidean distance on scaled feature vectors."""
     refs = scaling.transform(scaler, X_train)
@@ -125,7 +111,6 @@ def run_cv_eval(ds: Dataset, encoder_kind: str, plan: CVPlan, *,
                 l: float = scaling.DEFAULT_L, u: float = scaling.DEFAULT_U,
                 size: tuple[int, int] = encoders.DEFAULT_CANVAS,
                 igtd_max_iters: int = encoders.DEFAULT_IGTD_MAX_ITERS,
-                igtd_patience: int = encoders.DEFAULT_IGTD_PATIENCE,
                 seed: int = 0, jobs: int = 1) -> EvalReport:
     """Run the full repeated 2-fold protocol for one encoder.
 
@@ -151,8 +136,8 @@ def run_cv_eval(ds: Dataset, encoder_kind: str, plan: CVPlan, *,
     else:
         predictions = [None] * len(splits)
         models = [encoders.fit(encoder_kind, ds.subset(train_idx), l=l, u=u, size=size,
-                               igtd_max_iters=igtd_max_iters, igtd_patience=igtd_patience,
-                               seed=seed) for train_idx, _ in splits]
+                               igtd_max_iters=igtd_max_iters, seed=seed)
+                  for train_idx, _ in splits]
         docs = [to_doc(model) for model in models]
         for first in sorted(set(map(docs.index, docs))):
             members = [i for i, doc in enumerate(docs) if doc == docs[first]]

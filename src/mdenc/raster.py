@@ -99,10 +99,11 @@ def _points(pts, least: int, pixels=None) -> np.ndarray:
     return pts
 
 
-def _runs(count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each element's run index and rank in that run, for runs ``count`` long."""
+def _runs(start: np.ndarray, count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each element's run index and value, for runs ``count`` long that
+    count up from ``start``."""
     run = np.repeat(np.arange(len(count)), count)
-    return run, np.arange(len(run)) - (np.cumsum(count) - count)[run]
+    return run, np.arange(len(run)) + (start - (np.cumsum(count) - count))[run]
 
 
 def draw_polyline(pixels: np.ndarray, pts, closed: bool = False) -> np.ndarray:
@@ -132,8 +133,7 @@ def draw_polyline(pixels: np.ndarray, pts, closed: bool = False) -> np.ndarray:
     # steps k in [lo, hi] put the major coordinate origin +- k on the image
     lo = np.maximum(np.where(forward, -origin, origin - size + 1), 0)
     hi = np.minimum(np.where(forward, size - 1 - origin, origin), steps)
-    seg, k = _runs(np.maximum(hi - lo + 1, 0))
-    k += lo[seg]
+    seg, k = _runs(lo, np.maximum(hi - lo + 1, 0))
     # step k of L steps sits k along the major axis and
     # floor((2 |d| k + L - 1) / 2L) along the minor one
     span = np.maximum(steps, 1)[seg]
@@ -154,8 +154,7 @@ def _parity(pts: np.ndarray, height: int, width: int) -> np.ndarray:
     # edge e lists the scanlines j in [floor(min y), ceil(max y)), a superset
     # of those with min y <= j + 0.5 < max y, which the exact test then keeps
     lo = np.clip(np.floor(np.minimum(y1, y2)), 0, height).astype(np.int64)
-    edges, rows = _runs(np.clip(np.ceil(np.maximum(y1, y2)), 0, height).astype(np.int64) - lo)
-    rows += lo[edges]
+    edges, rows = _runs(lo, np.clip(np.ceil(np.maximum(y1, y2)), 0, height).astype(np.int64) - lo)
     yc = rows + 0.5
     crossing = (y1[edges] > yc) != (y2[edges] > yc)
     edges, rows, yc = edges[crossing], rows[crossing], yc[crossing]

@@ -90,6 +90,8 @@ def regularized_incomplete_beta(x: float, a: float, b: float) -> float:
     """I_x(a, b) evaluated through the continued fraction of the incomplete
     beta integral (modified Lentz), switched at the symmetry point so the
     fraction always converges quickly. Absolute error well below 1e-10."""
+    if math.isnan(x):
+        raise ParameterError("x must be a number, got nan")
     if x <= 0.0:
         return 0.0
     if x >= 1.0:
@@ -209,7 +211,7 @@ def mean_ranks(scores) -> np.ndarray:
     (ties share the average rank), so a higher score earns a higher rank
     and the best method has the largest mean.
     """
-    matrix = np.asarray(scores, dtype=np.float64)
+    matrix = float_array(scores, "scores must be a datasets x methods matrix of numbers")
     if matrix.ndim != 2 or matrix.size == 0:
         raise ParameterError("need a non-empty datasets x methods matrix")
     if not np.isfinite(matrix).all():

@@ -75,6 +75,11 @@ class TestTimingSweep:
         with pytest.raises(ParameterError):
             run_timing_sweep("retire", [10], n_samples=10, repeats=0)
 
+    def test_counts_must_be_integers(self):
+        for grid, repeats in ((["a"], 1), ([10.5], 1), ([10], 1.5), ([10], "2")):
+            with pytest.raises(ParameterError, match="must be a non-negative integer"):
+                run_timing_sweep("retire", grid, n_samples=10, repeats=repeats)
+
     @pytest.mark.parametrize("budget", [math.nan, 0.0, -1.0, math.inf])
     def test_budget_must_be_finite_and_positive(self, budget):
         with pytest.raises(ParameterError, match="budget_secs"):

@@ -70,6 +70,21 @@ class TestFit:
         assert code == 2
         assert "seed must be a non-negative integer" in capsys.readouterr().err
 
+    def test_igtd_iters_below_one_exits_2(self, tmp_path, keel_file, capsys):
+        out = tmp_path / "m.json"
+        code = main(["fit", "--dataset", str(keel_file), "--encoder", "igtd",
+                     "--igtd-iters", "0", "--out", str(out)])
+        assert code == 2
+        assert "max_iters must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["fit", "eval"])
+    def test_igtd_patience_is_not_an_option(self, tmp_path, keel_file, capsys, command):
+        code = main([command, "--dataset", str(keel_file), "--encoder", "igtd",
+                     "--igtd-patience", "3", "--out", str(tmp_path / "out.json")])
+        assert code == 2
+        assert "unrecognized arguments: --igtd-patience" in capsys.readouterr().err
+
     def test_unknown_encoder_usage_error(self, tmp_path, keel_file):
         code = main(["fit", "--dataset", str(keel_file), "--encoder", "cnn",
                      "--out", str(tmp_path / "m.json")])
@@ -316,7 +331,7 @@ class TestEval:
         assert main(["eval", "--dataset", str(csv_file), "--encoder", "tabular",
                      "--out", str(out)]) == 0
         assert list(json.loads(out.read_text())["config"]) == [
-            "dataset", "encoder", "l", "u", "seed", "igtd_iters", "igtd_patience", "size"]
+            "dataset", "encoder", "l", "u", "seed", "igtd_iters", "size"]
 
 
 class TestStats:

@@ -591,17 +591,17 @@ class TestSwapSearchOracle:
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(2, 40), data_seed=st.integers(0, 2**16),
            seed=st.integers(0, 2**32 - 1), max_iters=st.integers(1, 200),
-           patience=st.integers(1, 3), coarse=st.booleans())
+           coarse=st.booleans())
     def test_block_descent_matches_per_pair_descent(self, n, data_seed, seed,
-                                                    max_iters, patience, coarse):
+                                                    max_iters, coarse):
         rank_feat, rank_pix = random_rank_matrices(n, data_seed, coarse)
-        got = encoders._swap_descent(rank_feat, rank_pix, max_iters, patience, seed)
-        want = reference_swap_descent(rank_feat, rank_pix, max_iters, patience, seed)
+        got = encoders._swap_descent(rank_feat, rank_pix, max_iters, seed)
+        want = reference_swap_descent(rank_feat, rank_pix, max_iters, 3, seed)
         assert np.array_equal(got[0], want[0])
         assert got[1] == want[1]  # exact, element by element
         assert got[2:] == want[2:]
         if len(got[1]) - 1 < max_iters:
-            assert got[3]  # stopped early only on patience
+            assert got[3]  # stopped early only on IGTD_PATIENCE
 
     @pytest.mark.parametrize("coarse", [False, True])
     def test_block_deltas_equal_per_pair_deltas(self, coarse):
@@ -692,6 +692,10 @@ class TestIgtd:
             encoders.fit_igtd(toy_dataset(1), seed=0)
         with pytest.raises(ParameterError):
             encoders.fit_igtd(toy_dataset(3), max_iters=0, seed=0)
+        for max_iters in (10.5, "3", None):
+            with pytest.raises(ParameterError, match="max_iters must be a non-negative integer"):
+                encoders.fit_igtd(toy_dataset(3), max_iters=max_iters, seed=0)
+        assert encoders.fit_igtd(toy_dataset(3), max_iters=np.int64(2), seed=0).layout.n == 3
         for seed in (-1, 0.5):
             with pytest.raises(ParameterError, match="seed must be a non-negative integer"):
                 encoders.fit_igtd(toy_dataset(3), seed=seed)
@@ -835,6 +839,16 @@ class TestGenericSurface:
         if kind != "igtd":
             with pytest.raises(CapacityError):
                 encoders.fit(kind, toy_dataset(5), size=(side, side))
+
+    @pytest.mark.parametrize("kind", ["retire", "stml"])
+    def test_canvas_sides_must_be_integers(self, kind):
+        ds = toy_dataset(5)
+        for size in (("a", 64), (10.5, 64), (64, 64.0)):
+            with pytest.raises(ParameterError, match="must be a non-negative integer"):
+                encoders.fit(kind, ds, size=size)
+        model = encoders.fit(kind, ds, size=(np.int64(64), np.uint16(48)))
+        assert model.canvas_size == (64, 48)
+        assert all(type(side) is int for side in model.canvas_size)
 
     def test_largest_canvas_allowed(self):
         model = encoders.fit("stml", toy_dataset(5, n_rows=2), size=(4096, 4096))

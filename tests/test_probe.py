@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -9,16 +10,26 @@ from mdenc import encoders, probe, read_json, scaling, write_json
 from mdenc._doc import from_doc, to_doc
 from mdenc.data import CVPlan, Dataset, generate_synthetic, make_cv_plan
 from mdenc.errors import FitError, MetricError, ParameterError, ShapeError, StateError
-from mdenc.probe import EVAL_KINDS, EvalReport, balanced_accuracy, knn1_pixel, knn1_tabular, run_cv_eval
+from mdenc.probe import EVAL_KINDS, EvalReport, balanced_accuracy, knn1_tabular, run_cv_eval
 
 
 def stack(arrays):
     return np.asarray(arrays, dtype=np.uint8)
 
 
-def reference_knn1_pixel(train_images, train_labels, test_images):
-    """Oracle for ``knn1_pixel``: the float64 probe over every pixel, all
-    queries in one matmul."""
+def exact_pixel_probe(train_images, train_labels, test_images):
+    """``run_cv_eval``'s pixel probe on two uint8 ``(N, H, W)`` stacks:
+    prune both with ``_exact_pixels``, cast, one distance matrix, nearest
+    label, in that order."""
+    (queries, refs), dtype = probe._exact_pixels(
+        [s.reshape(len(s), math.prod(s.shape[1:])) for s in (test_images, train_images)])
+    distances = probe._sq_distances(queries.astype(dtype), refs.astype(dtype))
+    return probe._nearest_label(distances, train_labels)
+
+
+def reference_pixel_probe(train_images, train_labels, test_images):
+    """Oracle for the exact pixel probe: the float64 probe over every pixel,
+    all queries in one matmul."""
     train_images = np.asarray(train_images)
     test_images = np.asarray(test_images)
     pixels = train_images.shape[1] * train_images.shape[2]
@@ -30,13 +41,13 @@ def reference_knn1_pixel(train_images, train_labels, test_images):
 def reference_fold_predictions(ds, kind, plan, **options):
     """Oracle for ``run_cv_eval``'s image kinds: per split, fit on the
     training fold, encode the training and the test fold, and classify the
-    test fold with ``reference_knn1_pixel``."""
+    test fold with ``reference_pixel_probe``."""
     predictions = []
     for _, _, train_idx, test_idx in plan.iter_splits():
         ds_train = ds.subset(train_idx)
         model = encoders.fit(kind, ds_train, **options)
-        y_pred = reference_knn1_pixel(encoders.encode_batch(model, ds_train.X), ds_train.y,
-                                      encoders.encode_batch(model, ds.X[test_idx]))
+        y_pred = reference_pixel_probe(encoders.encode_batch(model, ds_train.X), ds_train.y,
+                                       encoders.encode_batch(model, ds.X[test_idx]))
         predictions.append(tuple(int(v) for v in y_pred))
     return tuple(predictions)
 
@@ -90,7 +101,7 @@ class TestKnnPixel:
         rng = np.random.default_rng(1)
         train = stack(rng.integers(0, 256, size=(4, 8, 8)))
         labels = np.array([0, 1, 2, 3])
-        pred = knn1_pixel(train, labels, train[2:3])
+        pred = exact_pixel_probe(train, labels, train[2:3])
         assert pred.tolist() == [2]
 
     def test_one_image_per_class(self):
@@ -98,7 +109,7 @@ class TestKnnPixel:
         b = np.zeros((8, 8)); b[7, 7] = 255
         train = stack([a, b])
         test = stack([b.copy()])
-        assert knn1_pixel(train, [0, 1], test).tolist() == [1]
+        assert exact_pixel_probe(train, [0, 1], test).tolist() == [1]
 
     def test_matches_bruteforce_oracle(self):
         rng = np.random.default_rng(2)
@@ -106,7 +117,7 @@ class TestKnnPixel:
             train_arrays = rng.integers(0, 256, size=(3, 8, 8))
             test_arrays = rng.integers(0, 256, size=(2, 8, 8))
             labels = rng.integers(0, 3, size=3)
-            pred = knn1_pixel(stack(train_arrays), labels, stack(test_arrays))
+            pred = exact_pixel_probe(stack(train_arrays), labels, stack(test_arrays))
             for t, got in zip(test_arrays, pred):
                 dists = [((t.astype(float) - tr.astype(float)) ** 2).sum()
                          for tr in train_arrays]
@@ -115,31 +126,12 @@ class TestKnnPixel:
     def test_tie_breaks_to_lowest_index(self):
         img = np.full((4, 4), 7)
         train = stack([img, img.copy()])
-        pred = knn1_pixel(train, [5, 9], stack([img.copy()]))
+        pred = exact_pixel_probe(train, [5, 9], stack([img.copy()]))
         assert pred.tolist() == [5]
 
-    def test_dimension_mismatch(self):
-        with pytest.raises(ShapeError):
-            knn1_pixel(stack([np.zeros((4, 4))]), [0], stack([np.zeros((5, 5))]))
-
     def test_empty_training_set(self):
-        with pytest.raises(MetricError):
-            knn1_pixel(stack(np.zeros((0, 4, 4))), [], stack([np.zeros((4, 4))]))
-
-    @pytest.mark.parametrize("bad", [
-        np.full((1, 4, 4), np.nan), np.full((1, 4, 4), -1), np.full((1, 4, 4), 0.5),
-        np.full((1, 4, 4), 256, dtype=np.uint16), np.zeros((1, 4, 4), dtype=np.int64),
-        np.zeros((1, 4, 4), dtype=bool)],
-        ids=["nan", "negative", "fractional", "uint16-256", "int64", "bool"])
-    def test_non_uint8_stack_rejected(self, bad, monkeypatch):
-        def no_distances(*args):
-            raise AssertionError("distances computed before the dtype check")
-
-        monkeypatch.setattr(probe, "_sq_distances", no_distances)
-        good = stack(np.zeros((1, 4, 4)))
-        for train, test in ((bad, good), (good, bad)):
-            with pytest.raises(ParameterError, match="uint8"):
-                knn1_pixel(train, [0], test)
+        with pytest.raises(MetricError, match="empty training set"):
+            probe._nearest_label(np.zeros((1, 0)), [])
 
     @settings(max_examples=300, deadline=None)
     @given(alphabet=st.sampled_from(sorted(ALPHABETS)), n_ref=st.integers(1, 10),
@@ -164,8 +156,8 @@ class TestKnnPixel:
         train, test = images[:n_ref], images[n_ref:]
         # one label per reference index, so every tie break shows
         labels = np.arange(n_ref)
-        got = knn1_pixel(train, labels, test)
-        assert np.array_equal(got, reference_knn1_pixel(train, labels, test))
+        got = exact_pixel_probe(train, labels, test)
+        assert np.array_equal(got, reference_pixel_probe(train, labels, test))
 
     @pytest.mark.parametrize("step, pixels, dtype", [
         (1, 129, np.float32), (1, 130, np.float64),
@@ -182,7 +174,7 @@ class TestKnnPixel:
 
         monkeypatch.setattr(probe, "_sq_distances", spy)
         train, test = near_tie_stacks(step, pixels)
-        assert knn1_pixel(train, [0, 1, 2], test).tolist() == [1]
+        assert exact_pixel_probe(train, [0, 1, 2], test).tolist() == [1]
         assert seen == [dtype]
 
 
@@ -320,6 +312,19 @@ class TestRunCvEval:
         options = {"size": (48, 48), "igtd_max_iters": 3, "seed": data_seed}
         report = run_cv_eval(ds, kind, plan, **options)
         assert report.fold_predictions == reference_fold_predictions(ds, kind, plan, **options)
+
+    def test_igtd_predictions_blind_to_the_assignment(self):
+        # an igtd image puts one value per feature into one cell, so every
+        # feature-to-cell bijection gives the same pixel distances: a search
+        # cut at one scan predicts what the full search does
+        ds = generate_synthetic(80, 20, seed=3)
+        plan = make_cv_plan(ds, seed=3)
+        train_idx = next(plan.iter_splits())[2]
+        cut, full = (encoders.fit("igtd", ds.subset(train_idx), igtd_max_iters=iters).layout
+                     for iters in (1, encoders.DEFAULT_IGTD_MAX_ITERS))
+        assert not np.array_equal(cut.assignment, full.assignment)
+        assert (run_cv_eval(ds, "igtd", plan, igtd_max_iters=1).fold_predictions
+                == run_cv_eval(ds, "igtd", plan).fold_predictions)
 
     @pytest.mark.parametrize("kind, encodes", [("stml", 1), ("retire", 10)])
     def test_one_encode_and_distance_matrix_per_fitted_model(self, kind, encodes,

@@ -11,7 +11,7 @@ from fixtures import (
     REFERENCE_METHODS,
     TIE_RESOLVED_BAC_MATRIX,
 )
-from mdenc.errors import InsufficientDataError, ParameterError
+from mdenc.errors import InsufficientDataError, ParameterError, ShapeError
 from mdenc.probe import EvalReport
 from mdenc.stats import (
     combined_5x2cv_f_test,
@@ -129,6 +129,10 @@ class TestFDistributionSf:
         with pytest.raises(ParameterError):
             f_distribution_sf(math.nan, 10, 5)
 
+    def test_incomplete_beta_rejects_nan(self):
+        with pytest.raises(ParameterError, match="nan"):
+            regularized_incomplete_beta(math.nan, 2.0, 3.0)
+
     def test_infinite_x_has_no_mass_beyond(self):
         assert f_distribution_sf(math.inf, 10, 5) == 0.0
 
@@ -243,6 +247,10 @@ class TestMeanRanks:
     def test_missing_entries_rejected(self):
         with pytest.raises(ParameterError):
             mean_ranks(np.array([[1.0, np.nan]]))
+
+    def test_scores_that_are_not_numbers_raise_shape_error(self):
+        with pytest.raises(ShapeError, match="matrix of numbers"):
+            mean_ranks([["a", "b"], ["c", "d"]])
 
 
 BAD_ALPHAS = [math.nan, 0.0, 1.0, -1.0, 2.0, math.inf]
