@@ -8,6 +8,7 @@ comparable; the median over repeats resists scheduler noise.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass
 
@@ -56,8 +57,8 @@ def run_timing_sweep(encoder_kind: str, feature_counts=DEFAULT_GRID,
         raise ParameterError("feature_counts must be strictly ascending")
     if non_negative_int(repeats, "repeats") < 1:
         raise ParameterError("repeats must be >= 1")
-    if not 0.0 < budget_secs < math.inf:  # also rejects NaN
-        raise ParameterError(f"budget_secs must be finite and above 0, got {budget_secs}")
+    if not (isinstance(budget_secs, numbers.Real) and 0.0 < budget_secs < math.inf):  # also NaN
+        raise ParameterError(f"budget_secs must be finite and above 0, got {budget_secs!r}")
     records = []
     for index, n_features in enumerate(counts):
         ds = generate_synthetic(n_samples, n_features, seed + index)

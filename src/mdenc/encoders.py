@@ -32,7 +32,6 @@ DEFAULT_CANVAS = (224, 224)
 MAX_CANVAS_PIXELS = 2**24  # per image: 4096 x 4096
 DEFAULT_IGTD_MAX_ITERS = 1000
 IGTD_PATIENCE = 3  # igtd stops once this many descents in a row leave its best unchanged
-SWAP_BLOCK = 32  # candidate swaps scored per numpy call in the igtd search
 # rows per retire fill and stroke call; the fill's count table and the
 # stroke's per-pixel arrays grow with it
 RETIRE_CHUNK = 4
@@ -129,7 +128,10 @@ KINDS = tuple(LAYOUTS)
 def _canvas(size) -> tuple[int, int]:
     """``size`` as (width, height) ints; EncoderModel checks that each is 1
     or more."""
-    width, height = size
+    try:
+        width, height = size
+    except (TypeError, ValueError):  # not iterable, or not two items
+        raise ParameterError(f"canvas size must be a (width, height) pair, got {size!r}") from None
     return non_negative_int(width, "canvas width"), non_negative_int(height, "canvas height")
 
 
@@ -260,57 +262,66 @@ def _block_deltas(rank_feat, P, D, i, j) -> np.ndarray:
 
 
 def _swap_descent(rank_feat, rank_pix, max_iters, seed):
-    # First-improvement descent with seeded restarts. Pixel-distance ranks
-    # on near-square grids are heavily tied, so a single strict descent
-    # stalls on plateau-induced local optima; each stalled descent is
-    # retried from a fresh seeded permutation, keeping the incumbent best.
+    # Zhu et al.'s IGTD step with seeded restarts. Each step takes the
+    # feature idle longest (lowest index on ties), scores its n - 1 swaps
+    # in one call and applies the lowest-index best one if it strictly
+    # lowers the objective; both swapped features are stamped with the
+    # step number, and so is the chosen feature when nothing is swapped.
+    # n steps in a row without a swap visit every feature once, so the
+    # descent then sits at a pairwise local optimum. Pixel-distance ranks
+    # on near-square grids are heavily tied, so such optima are often
+    # poor; each finished descent is retried from a fresh seeded
+    # permutation with its idle stamps reset, keeping the incumbent best.
     # The search stops after IGTD_PATIENCE consecutive finished descents
-    # that failed to improve the incumbent; the trace reports the running
-    # best per scan.
-    # A scan visits the pairs in seeded order and scores them SWAP_BLOCK
-    # at a time; the first strictly negative delta is applied, as if the
-    # pairs were scored one by one. Ranks are multiples of 0.5, so every
-    # delta and running error is exact whatever the summation order.
+    # that failed to improve the incumbent, or after ``max_iters`` steps;
+    # the trace reports the running best per step. Ranks are multiples of
+    # 0.5, so every delta and running error is exact whatever the
+    # summation order.
     # Returns (best assignment, trace, restarts, converged), where
     # ``converged`` says the search stopped on IGTD_PATIENCE, not at
-    # ``max_iters`` scans.
+    # ``max_iters`` steps.
     n = rank_feat.shape[0]
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    first, second = np.triu_indices(n, 1)
-    assignment = np.arange(n)
+    features = np.arange(n)
+    assignment = features.copy()
     error = assignment_error(rank_feat, rank_pix, assignment)
     best_assignment, best_error = assignment.copy(), error
     trace = [best_error]
+    last_selected = np.zeros(n, dtype=np.int64)
+    idle = 0  # steps in a row without a swap; 0 right after the assignment changed
     descent_improved_best = False
     stale = restarts = 0
-    for _ in range(max_iters):
-        P = rank_pix[np.ix_(assignment, assignment)]
-        D = np.abs(rank_feat - P)
-        order = rng.permutation(first.shape[0])
-        improved = False
-        for start in range(0, order.shape[0], SWAP_BLOCK):
-            block = order[start:start + SWAP_BLOCK]
-            i, j = first[block], second[block]
-            deltas = _block_deltas(rank_feat, P, D, i, j)
-            hits = np.flatnonzero(deltas < 0.0)
-            if hits.size:
-                k = hits[0]
-                assignment[[i[k], j[k]]] = assignment[[j[k], i[k]]]
-                error += float(deltas[k])
-                improved = True
-                break
+    for step in range(1, max_iters + 1):
+        if idle == 0:
+            P = rank_pix[np.ix_(assignment, assignment)]
+            D = np.abs(rank_feat - P)
+        i = int(np.argmin(last_selected))
+        others = np.delete(features, i)
+        deltas = _block_deltas(rank_feat, P, D, np.full(n - 1, i), others)
+        k = int(np.argmin(deltas))
+        last_selected[i] = step
+        if deltas[k] < 0.0:
+            j = others[k]
+            assignment[[i, j]] = assignment[[j, i]]
+            error += float(deltas[k])
+            last_selected[j] = step
+            idle = 0
+        else:
+            idle += 1
         if error < best_error:
             best_error = error
             best_assignment = assignment.copy()
             descent_improved_best = True
         trace.append(best_error)
-        if improved:
+        if idle < n:
             continue
         stale = 0 if descent_improved_best else stale + 1
         if stale >= IGTD_PATIENCE:
             return best_assignment, trace, restarts, True
         assignment = rng.permutation(n)
         error = assignment_error(rank_feat, rank_pix, assignment)
+        last_selected[:] = 0
+        idle = 0
         descent_improved_best = False
         restarts += 1
     return best_assignment, trace, restarts, False
@@ -318,20 +329,22 @@ def _swap_descent(rank_feat, rank_pix, max_iters, seed):
 
 def fit_igtd(ds_train: Dataset, max_iters: int = DEFAULT_IGTD_MAX_ITERS, seed: int = 0,
              l: float = scaling.DEFAULT_L, u: float = scaling.DEFAULT_U) -> EncoderModel:
-    """Search a feature-to-pixel assignment by restarted first-improvement
-    swap descent on the rank-discrepancy objective.
+    """Search a feature-to-pixel assignment by Zhu et al.'s IGTD swap
+    steps (Sci. Rep. 2021), restarted, on the rank-discrepancy objective.
 
     The grid is the smallest near-square with rows * cols >= N. Feature
     distances are Euclidean between scaled training columns; pixel
     distances are Euclidean between cell centers; both are converted to
-    average ranks over the feature pairs. Every scan visits the pairs in a
-    seed-shuffled order and applies the first swap that strictly lowers
-    the objective; a stalled descent restarts from a seeded random
-    permutation (the incumbent best is kept), and the search stops after
-    ``IGTD_PATIENCE`` (3) consecutive descents without improvement or
-    ``max_iters`` scans in total. The restarts are this package's own;
-    the published IGTD schedule (Zhu et al., 2021) has none, so their
-    stopping rule is a constant, not an option. The scan and restart
+    average ranks over the feature pairs. The search starts from the
+    identity assignment. Each step takes the feature that has gone longest
+    without being chosen or swapped, scores its N - 1 swaps and applies
+    the best one if it strictly lowers the objective; N steps in a row
+    without a swap end a descent at a pairwise local optimum. A finished
+    descent restarts from a seeded random permutation (the incumbent best
+    is kept), and the search stops after ``IGTD_PATIENCE`` (3) consecutive
+    descents without improvement or ``max_iters`` steps in total. The
+    restarts are this package's own; the published schedule has none, so
+    their stopping rule is a constant, not an option. The step and restart
     counts, and which of the two stopped the search, are logged at INFO.
     """
     n = ds_train.n_features
@@ -349,7 +362,7 @@ def fit_igtd(ds_train: Dataset, max_iters: int = DEFAULT_IGTD_MAX_ITERS, seed: i
     rank_pix = _pair_rank_matrix(_cell_distances(rows, cols, n))
     assignment, trace, restarts, converged = _swap_descent(
         rank_feat, rank_pix, max_iters, seed)
-    logger.info("igtd search: %d features, %d scans, %d restarts, %s", n,
+    logger.info("igtd search: %d features, %d steps, %d restarts, %s", n,
                 len(trace) - 1, restarts,
                 "converged" if converged else "stopped at max_iters")
     mapping = IgtdMapping(rows, cols, assignment, tuple(trace))

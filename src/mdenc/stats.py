@@ -13,7 +13,7 @@ import numpy as np
 
 from ._doc import to_doc
 from ._ranking import rank_average
-from .errors import InsufficientDataError, ParameterError, float_array
+from .errors import InsufficientDataError, ParameterError, float_array, non_negative_int
 
 N_SPLITS = 10  # 5 repeats x 2 folds
 DEFAULT_ALPHA = 0.05
@@ -77,7 +77,7 @@ def combined_5x2cv_f_test(a, b, alpha: float = DEFAULT_ALPHA) -> FTestResult:
 def f_distribution_sf(x: float, d1: int, d2: int) -> float:
     """Survival function P(F(d1, d2) > x) of the F distribution,
     via the regularized incomplete beta: I_{d2/(d2 + d1 x)}(d2/2, d1/2)."""
-    if d1 < 1 or d2 < 1:
+    if min(non_negative_int(d1, "d1"), non_negative_int(d2, "d2")) < 1:
         raise ParameterError("degrees of freedom must be >= 1")
     if not x >= 0:  # also rejects NaN
         raise ParameterError(f"x must be >= 0, got {x}")
@@ -92,6 +92,8 @@ def regularized_incomplete_beta(x: float, a: float, b: float) -> float:
     fraction always converges quickly. Absolute error well below 1e-10."""
     if math.isnan(x):
         raise ParameterError("x must be a number, got nan")
+    if not (0.0 < a < math.inf and 0.0 < b < math.inf):  # also rejects NaN
+        raise ParameterError(f"a and b must be finite and above 0, got {a} and {b}")
     if x <= 0.0:
         return 0.0
     if x >= 1.0:

@@ -536,40 +536,49 @@ def reference_swap_delta(rank_feat, rank_pix, assignment, i, j):
 
 
 def reference_swap_descent(rank_feat, rank_pix, max_iters, patience, seed):
-    """Per-pair restarted first-improvement descent: the oracle for
+    """Per-pair IGTD steps with seeded restarts: the oracle for
     ``encoders._swap_descent``, returning the same
     (assignment, trace, restarts, converged)."""
     n = rank_feat.shape[0]
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     assignment = np.arange(n)
     error = encoders.assignment_error(rank_feat, rank_pix, assignment)
     best_assignment, best_error = assignment.copy(), error
     trace = [best_error]
+    last_selected = [0] * n
+    idle = 0
     descent_improved_best = False
     stale = restarts = 0
-    for _ in range(max_iters):
-        improved = False
-        for p in rng.permutation(len(pairs)):
-            i, j = pairs[p]
-            delta = reference_swap_delta(rank_feat, rank_pix, assignment, i, j)
-            if delta < 0.0:
-                assignment[[i, j]] = assignment[[j, i]]
-                error += delta
-                improved = True
-                break
+    for step in range(1, max_iters + 1):
+        i = last_selected.index(min(last_selected))  # idle longest, lowest index
+        best_j, best_delta = None, 0.0
+        for j in range(n):
+            if j != i:
+                delta = reference_swap_delta(rank_feat, rank_pix, assignment, i, j)
+                if delta < best_delta:  # strict: the lowest j wins a tie
+                    best_j, best_delta = j, delta
+        last_selected[i] = step
+        if best_j is None:
+            idle += 1
+        else:
+            assignment[[i, best_j]] = assignment[[best_j, i]]
+            error += best_delta
+            last_selected[best_j] = step
+            idle = 0
         if error < best_error:
             best_error = error
             best_assignment = assignment.copy()
             descent_improved_best = True
         trace.append(best_error)
-        if improved:
+        if idle < n:
             continue
         stale = 0 if descent_improved_best else stale + 1
         if stale >= patience:
             return best_assignment, trace, restarts, True
         assignment = rng.permutation(n)
         error = encoders.assignment_error(rank_feat, rank_pix, assignment)
+        last_selected = [0] * n
+        idle = 0
         descent_improved_best = False
         restarts += 1
     return best_assignment, trace, restarts, False
@@ -603,6 +612,17 @@ class TestSwapSearchOracle:
         if len(got[1]) - 1 < max_iters:
             assert got[3]  # stopped early only on IGTD_PATIENCE
 
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_tied_best_swaps_match_per_pair_descent(self, n):
+        # coarse data on a tiny grid often ties the best swaps of a step,
+        # which random draws of up to 40 features seldom do
+        for seed in range(5):
+            rank_feat, rank_pix = random_rank_matrices(n, seed, coarse=True)
+            got = encoders._swap_descent(rank_feat, rank_pix, 50, seed)
+            want = reference_swap_descent(rank_feat, rank_pix, 50, 3, seed)
+            assert np.array_equal(got[0], want[0])
+            assert got[1:] == want[1:]
+
     @pytest.mark.parametrize("coarse", [False, True])
     def test_block_deltas_equal_per_pair_deltas(self, coarse):
         n = 23
@@ -625,7 +645,7 @@ class TestSwapSearchOracle:
         converged, capped = [r.getMessage() for r in caplog.records]
         assert converged.startswith("igtd search: 12 features, ")
         assert converged.endswith(" converged")
-        assert capped == "igtd search: 12 features, 1 scans, 0 restarts, stopped at max_iters"
+        assert capped == "igtd search: 12 features, 1 steps, 0 restarts, stopped at max_iters"
 
 
 class TestIgtd:
@@ -654,6 +674,24 @@ class TestIgtd:
             best = min(encoders.assignment_error(rank_feat, rank_pix, np.array(p))
                        for p in itertools.permutations(range(4)))
             assert model.layout.error_trace[-1] == best
+
+    @pytest.mark.parametrize("shape", ["sonar", "ionosphere", 0, 1, 2, 3, 4])
+    def test_converged_fit_is_a_pairwise_local_optimum(self, shape):
+        if isinstance(shape, str):
+            ds = make_benchmark_dataset(shape)
+        else:  # a random shape
+            rng = np.random.default_rng(300 + shape)
+            ds = toy_dataset(int(rng.integers(3, 41)), n_rows=2 * int(rng.integers(3, 30)),
+                             seed=shape)
+        max_iters = 100_000
+        model = encoders.fit_igtd(ds, max_iters=max_iters, seed=0)
+        assert len(model.layout.error_trace) - 1 < max_iters  # stopped on IGTD_PATIENCE
+        rank_feat, rank_pix = igtd_rank_matrices(model, ds)
+        a = model.layout.assignment
+        P = rank_pix[np.ix_(a, a)]
+        first, second = np.triu_indices(ds.n_features, 1)
+        deltas = encoders._block_deltas(rank_feat, P, np.abs(rank_feat - P), first, second)
+        assert deltas.min() >= 0.0
 
     def test_error_trace_non_increasing(self):
         for seed in range(10):
@@ -849,6 +887,12 @@ class TestGenericSurface:
         model = encoders.fit(kind, ds, size=(np.int64(64), np.uint16(48)))
         assert model.canvas_size == (64, 48)
         assert all(type(side) is int for side in model.canvas_size)
+
+    @pytest.mark.parametrize("kind", ["retire", "stml"])
+    @pytest.mark.parametrize("size", [(64,), 64, (64, 64, 3), None])
+    def test_canvas_size_must_be_a_pair(self, kind, size):
+        with pytest.raises(ParameterError, match="canvas size must be a"):
+            encoders.fit(kind, toy_dataset(5), size=size)
 
     def test_largest_canvas_allowed(self):
         model = encoders.fit("stml", toy_dataset(5, n_rows=2), size=(4096, 4096))

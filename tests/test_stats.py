@@ -133,6 +133,18 @@ class TestFDistributionSf:
         with pytest.raises(ParameterError, match="nan"):
             regularized_incomplete_beta(math.nan, 2.0, 3.0)
 
+    @pytest.mark.parametrize("a, b", [(math.nan, 3.0), (2.0, math.nan), (-1.0, 3.0),
+                                      (2.0, 0.0), (math.inf, 3.0)])
+    def test_incomplete_beta_shapes_must_be_positive(self, a, b):
+        with pytest.raises(ParameterError, match="a and b must be finite and above 0"):
+            regularized_incomplete_beta(0.5, a, b)
+
+    @pytest.mark.parametrize("d1, d2", [(2.5, 3), (2, 3.0), ("2", 3), (-1, 3)])
+    def test_degrees_of_freedom_must_be_integers(self, d1, d2):
+        with pytest.raises(ParameterError, match="must be a non-negative integer"):
+            f_distribution_sf(1.0, d1, d2)
+        assert f_distribution_sf(1.0, np.int64(2), 2) == pytest.approx(0.5, abs=1e-10)
+
     def test_infinite_x_has_no_mass_beyond(self):
         assert f_distribution_sf(math.inf, 10, 5) == 0.0
 
