@@ -63,7 +63,7 @@ def run_timing_sweep(encoder_kind: str, feature_counts=DEFAULT_GRID,
     for index, n_features in enumerate(counts):
         ds = generate_synthetic(n_samples, n_features, seed + index)
         point_start = time.perf_counter()
-        model = encoders.fit(encoder_kind, ds, size=size, seed=seed)
+        model = encoders.fit(encoder_kind, ds, size=size)
         fit_time = time.perf_counter() - point_start
         if fit_time > budget_secs:
             records.append(TimingRecord(encoder_kind, n_features, n_samples,

@@ -94,7 +94,7 @@ def _emit(args, text: str) -> None:
 def cmd_fit(args) -> int:
     ds = _load_dataset(args)
     model = encoders.fit(args.encoder, ds, l=args.l, u=args.u, size=args.size,
-                         igtd_max_iters=args.igtd_iters, seed=args.seed)
+                         igtd_max_iters=args.igtd_iters)
     _emit(args, to_json(model))
     return 0
 
@@ -122,8 +122,7 @@ def cmd_eval(args) -> int:
     ds = _load_dataset(args)
     plan = data.make_cv_plan(ds, args.seed)
     report = probe.run_cv_eval(ds, args.encoder, plan, l=args.l, u=args.u,
-                               size=args.size, igtd_max_iters=args.igtd_iters,
-                               seed=args.seed)
+                               size=args.size, igtd_max_iters=args.igtd_iters)
     config = {name: getattr(args, name) for name in _EVAL_CONFIG_FIELDS}
     _emit(args, to_json(dataclasses.replace(report, config=config)))
     print(f"{ds.name} / {args.encoder}: mean BAC {report.mean_bac:.3f}", file=sys.stderr)
@@ -182,7 +181,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--size", type=_size_type, default=encoders.DEFAULT_CANVAS,
                         metavar="WxH", help="canvas size (default 224x224)")
-    common.add_argument("--seed", type=int, default=0)
 
     fit_args = argparse.ArgumentParser(add_help=False)
     fit_args.add_argument("--l", type=float, default=scaling.DEFAULT_L,
@@ -214,6 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("eval", parents=[common, fit_args, dataset_arg],
                             help="run the repeated 2-fold CV probe evaluation")
     p_eval.add_argument("--encoder", choices=probe.EVAL_KINDS, required=True)
+    p_eval.add_argument("--seed", type=int, default=0, help="CV plan seed (default 0)")
     p_eval.add_argument("--out", default=None)
     p_eval.set_defaults(func=cmd_eval)
 
@@ -230,6 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--samples", type=int, default=bench.DEFAULT_SAMPLES)
     p_bench.add_argument("--repeats", type=int, default=bench.DEFAULT_REPEATS)
     p_bench.add_argument("--budget-secs", type=float, default=bench.DEFAULT_BUDGET_SECS)
+    p_bench.add_argument("--seed", type=int, default=0, help="synthetic data seed (default 0)")
     p_bench.add_argument("--out", default=None)
     p_bench.set_defaults(func=cmd_bench)
 

@@ -31,7 +31,6 @@ from .raster import PolarLayout, draw_polyline, fill_polygon, polar_layout, pola
 DEFAULT_CANVAS = (224, 224)
 MAX_CANVAS_PIXELS = 2**24  # per image: 4096 x 4096
 DEFAULT_IGTD_MAX_ITERS = 1000
-IGTD_PATIENCE = 3  # igtd stops once this many descents in a row leave its best unchanged
 # rows per retire fill and stroke call; the fill's count table and the
 # stroke's per-pixel arrays grow with it
 RETIRE_CHUNK = 4
@@ -248,104 +247,75 @@ def assignment_error(rank_feat: np.ndarray, rank_pix: np.ndarray,
     return float(np.abs(rank_feat - rp)[iu].sum())
 
 
-def _block_deltas(rank_feat, P, D, i, j) -> np.ndarray:
-    # Objective change of swapping the cells of features i[r] and j[r], for
-    # each r, given P = rank_pix[a][:, a] and D = |rank_feat - P| of the
-    # current assignment a. Columns i[r] and j[r] drop out: pair (i, j)
-    # itself is unaffected because rank_pix is symmetric.
-    terms = (np.abs(rank_feat[i] - P[j]) + np.abs(rank_feat[j] - P[i])
-             - D[i] - D[j])
-    rows = np.arange(i.shape[0])
-    terms[rows, i] = 0.0
-    terms[rows, j] = 0.0
+def _swap_deltas(rank_feat, P, D, i) -> np.ndarray:
+    # Objective change of swapping the cells of features i and j, for every
+    # j, given P = rank_pix[a][:, a] and D = |rank_feat - P| of the current
+    # assignment a; entry i is 0. Column i and the diagonal drop out: pair
+    # (i, j) itself is unaffected because rank_pix is symmetric.
+    terms = np.abs(rank_feat[i] - P) + np.abs(rank_feat - P[i]) - D[i] - D
+    terms[:, i] = 0.0
+    np.fill_diagonal(terms, 0.0)
     return terms.sum(axis=1)
 
 
-def _swap_descent(rank_feat, rank_pix, max_iters, seed):
-    # Zhu et al.'s IGTD step with seeded restarts. Each step takes the
-    # feature idle longest (lowest index on ties), scores its n - 1 swaps
-    # in one call and applies the lowest-index best one if it strictly
-    # lowers the objective; both swapped features are stamped with the
-    # step number, and so is the chosen feature when nothing is swapped.
-    # n steps in a row without a swap visit every feature once, so the
-    # descent then sits at a pairwise local optimum. Pixel-distance ranks
-    # on near-square grids are heavily tied, so such optima are often
-    # poor; each finished descent is retried from a fresh seeded
-    # permutation with its idle stamps reset, keeping the incumbent best.
-    # The search stops after IGTD_PATIENCE consecutive finished descents
-    # that failed to improve the incumbent, or after ``max_iters`` steps;
-    # the trace reports the running best per step. Ranks are multiples of
-    # 0.5, so every delta and running error is exact whatever the
-    # summation order.
-    # Returns (best assignment, trace, restarts, converged), where
-    # ``converged`` says the search stopped on IGTD_PATIENCE, not at
-    # ``max_iters`` steps.
+def _swap_descent(rank_feat, rank_pix, max_iters):
+    # Zhu et al.'s IGTD search: one descent from the identity assignment.
+    # Each step takes the feature idle longest (lowest index on ties),
+    # scores its n - 1 swaps in one call and applies the lowest-index best
+    # one if it strictly lowers the objective; both swapped features are
+    # stamped with the step number, and so is the chosen feature when
+    # nothing is swapped. n steps in a row without a swap visit every
+    # feature once, so the search then sits at a pairwise local optimum and
+    # stops; otherwise it stops after ``max_iters`` steps. The trace is the
+    # error after each step, non-increasing because only strictly improving
+    # swaps are applied. Ranks are multiples of 0.5, so every delta and
+    # running error is exact whatever the summation order.
+    # Returns (assignment, trace, converged), where ``converged`` says the
+    # search stopped at a pairwise local optimum, not at ``max_iters``.
     n = rank_feat.shape[0]
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    features = np.arange(n)
-    assignment = features.copy()
+    assignment = np.arange(n)
     error = assignment_error(rank_feat, rank_pix, assignment)
-    best_assignment, best_error = assignment.copy(), error
-    trace = [best_error]
+    trace = [error]
     last_selected = np.zeros(n, dtype=np.int64)
     idle = 0  # steps in a row without a swap; 0 right after the assignment changed
-    descent_improved_best = False
-    stale = restarts = 0
     for step in range(1, max_iters + 1):
         if idle == 0:
             P = rank_pix[np.ix_(assignment, assignment)]
             D = np.abs(rank_feat - P)
         i = int(np.argmin(last_selected))
-        others = np.delete(features, i)
-        deltas = _block_deltas(rank_feat, P, D, np.full(n - 1, i), others)
-        k = int(np.argmin(deltas))
+        deltas = _swap_deltas(rank_feat, P, D, i)
+        j = int(np.argmin(deltas))
         last_selected[i] = step
-        if deltas[k] < 0.0:
-            j = others[k]
+        if deltas[j] < 0.0:
             assignment[[i, j]] = assignment[[j, i]]
-            error += float(deltas[k])
+            error += float(deltas[j])
             last_selected[j] = step
             idle = 0
         else:
             idle += 1
-        if error < best_error:
-            best_error = error
-            best_assignment = assignment.copy()
-            descent_improved_best = True
-        trace.append(best_error)
-        if idle < n:
-            continue
-        stale = 0 if descent_improved_best else stale + 1
-        if stale >= IGTD_PATIENCE:
-            return best_assignment, trace, restarts, True
-        assignment = rng.permutation(n)
-        error = assignment_error(rank_feat, rank_pix, assignment)
-        last_selected[:] = 0
-        idle = 0
-        descent_improved_best = False
-        restarts += 1
-    return best_assignment, trace, restarts, False
+        trace.append(error)
+        if idle == n:
+            return assignment, trace, True
+    return assignment, trace, False
 
 
-def fit_igtd(ds_train: Dataset, max_iters: int = DEFAULT_IGTD_MAX_ITERS, seed: int = 0,
+def fit_igtd(ds_train: Dataset, max_iters: int = DEFAULT_IGTD_MAX_ITERS,
              l: float = scaling.DEFAULT_L, u: float = scaling.DEFAULT_U) -> EncoderModel:
     """Search a feature-to-pixel assignment by Zhu et al.'s IGTD swap
-    steps (Sci. Rep. 2021), restarted, on the rank-discrepancy objective.
+    steps (Sci. Rep. 2021) on the rank-discrepancy objective.
 
     The grid is the smallest near-square with rows * cols >= N. Feature
     distances are Euclidean between scaled training columns; pixel
     distances are Euclidean between cell centers; both are converted to
-    average ranks over the feature pairs. The search starts from the
-    identity assignment. Each step takes the feature that has gone longest
-    without being chosen or swapped, scores its N - 1 swaps and applies
-    the best one if it strictly lowers the objective; N steps in a row
-    without a swap end a descent at a pairwise local optimum. A finished
-    descent restarts from a seeded random permutation (the incumbent best
-    is kept), and the search stops after ``IGTD_PATIENCE`` (3) consecutive
-    descents without improvement or ``max_iters`` steps in total. The
-    restarts are this package's own; the published schedule has none, so
-    their stopping rule is a constant, not an option. The step and restart
-    counts, and which of the two stopped the search, are logged at INFO.
+    average ranks over the feature pairs. The search is one descent from
+    the identity assignment. Each step takes the feature that has gone
+    longest without being chosen or swapped, scores its N - 1 swaps and
+    applies the best one if it strictly lowers the objective. The search
+    stops after N steps in a row without a swap, at a pairwise local
+    optimum, or after ``max_iters`` steps. Nothing is random, so the
+    model is a pure function of the training rows and the arguments. The
+    step count, and which of the two stopped the search, are logged at
+    INFO.
     """
     n = ds_train.n_features
     if n < 2:
@@ -353,17 +323,14 @@ def fit_igtd(ds_train: Dataset, max_iters: int = DEFAULT_IGTD_MAX_ITERS, seed: i
     max_iters = non_negative_int(max_iters, "max_iters")
     if max_iters < 1:
         raise ParameterError("max_iters must be >= 1")
-    seed = non_negative_int(seed, "seed")
     scaler = scaling.fit(ds_train.X, l, u)
     scaled = scaling.transform(scaler, ds_train.X)
     cols = math.ceil(math.sqrt(n))
     rows = math.ceil(n / cols)
     rank_feat = _pair_rank_matrix(_column_distances(scaled))
     rank_pix = _pair_rank_matrix(_cell_distances(rows, cols, n))
-    assignment, trace, restarts, converged = _swap_descent(
-        rank_feat, rank_pix, max_iters, seed)
-    logger.info("igtd search: %d features, %d steps, %d restarts, %s", n,
-                len(trace) - 1, restarts,
+    assignment, trace, converged = _swap_descent(rank_feat, rank_pix, max_iters)
+    logger.info("igtd search: %d features, %d steps, %s", n, len(trace) - 1,
                 "converged" if converged else "stopped at max_iters")
     mapping = IgtdMapping(rows, cols, assignment, tuple(trace))
     return EncoderModel("igtd", (cols, rows), scaler, mapping)
@@ -386,12 +353,15 @@ def encode_igtd(model: EncoderModel, X: np.ndarray) -> np.ndarray:
 def fit(kind: str, ds_train: Dataset, *, l: float = scaling.DEFAULT_L,
         u: float = scaling.DEFAULT_U, size: tuple[int, int] = DEFAULT_CANVAS,
         igtd_max_iters: int = DEFAULT_IGTD_MAX_ITERS, seed: int = 0) -> EncoderModel:
+    """Fit the ``kind`` encoder on training data. ``seed`` has no effect,
+    since no encoder draws random numbers; it stays for callers that pass
+    it (``perfbench``)."""
     if kind == "retire":
         return fit_retire(ds_train, l, u, size)
     if kind == "stml":
         return fit_stml(ds_train, size)
     if kind == "igtd":
-        return fit_igtd(ds_train, igtd_max_iters, seed, l, u)
+        return fit_igtd(ds_train, igtd_max_iters, l, u)
     raise ParameterError(f"unknown encoder kind {kind!r}")
 
 

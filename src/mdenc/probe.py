@@ -120,8 +120,10 @@ def run_cv_eval(ds: Dataset, encoder_kind: str, plan: CVPlan, *,
     (every ``stml`` split) share one encode of all rows, a pure function of
     (model, row), and one exact matrix of test-to-train row distances.
 
-    Encoding is serial: ``jobs`` stays only for callers passing ``jobs=1``
-    (``perfbench``), and any other value raises before anything is fitted.
+    ``seed`` has no effect (``plan`` carries the CV seed, and no encoder
+    draws random numbers), and encoding is serial: both stay only for
+    callers passing ``seed=`` and ``jobs=1`` (``perfbench``); any other
+    ``jobs`` raises before anything is fitted.
     """
     if encoder_kind not in EVAL_KINDS:
         raise ParameterError(f"unknown encoder kind {encoder_kind!r}")
@@ -136,7 +138,7 @@ def run_cv_eval(ds: Dataset, encoder_kind: str, plan: CVPlan, *,
     else:
         predictions = [None] * len(splits)
         models = [encoders.fit(encoder_kind, ds.subset(train_idx), l=l, u=u, size=size,
-                               igtd_max_iters=igtd_max_iters, seed=seed)
+                               igtd_max_iters=igtd_max_iters)
                   for train_idx, _ in splits]
         docs = [to_doc(model) for model in models]
         for first in sorted(set(map(docs.index, docs))):

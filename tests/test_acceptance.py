@@ -92,7 +92,7 @@ def test_criterion_3_igtd_desk_scale_optimality():
     for trial in range(50):
         n = int(rng.integers(3, 7))
         ds = generate_synthetic(30, n, seed=9000 + trial)
-        model = encoders.fit_igtd(ds, seed=trial)
+        model = encoders.fit_igtd(ds)
         mapping = model.layout
         # independent objective matrices via scipy ranking
         scaled = scaling.transform(model.scaler, ds.X)
@@ -244,8 +244,8 @@ def test_criterion_9_no_test_fold_leakage():
             and base_scaler.mins.tobytes() == pert_scaler.mins.tobytes()
             and base_scaler.maxs.tobytes() == pert_scaler.maxs.tobytes()
         )
-        base_map = encoders.fit_igtd(ds.subset(train_idx), seed=1).layout
-        pert_map = encoders.fit_igtd(perturbed.subset(train_idx), seed=1).layout
+        base_map = encoders.fit_igtd(ds.subset(train_idx)).layout
+        pert_map = encoders.fit_igtd(perturbed.subset(train_idx)).layout
         leak_free &= (
             base_map.assignment.tobytes() == pert_map.assignment.tobytes()
             and base_map.error_trace == pert_map.error_trace

@@ -64,11 +64,12 @@ class TestFit:
                      "--l", "0.9", "--u", "0.2", "--out", str(tmp_path / "m.json")])
         assert code == 2
 
-    def test_negative_igtd_seed_exits_2(self, tmp_path, keel_file, capsys):
+    def test_seed_is_not_a_fit_option(self, tmp_path, keel_file, capsys):
+        # no encoder draws random numbers; only eval and bench take a seed
         code = main(["fit", "--dataset", str(keel_file), "--encoder", "igtd",
-                     "--seed", "-1", "--out", str(tmp_path / "m.json")])
+                     "--seed", "1", "--out", str(tmp_path / "m.json")])
         assert code == 2
-        assert "seed must be a non-negative integer" in capsys.readouterr().err
+        assert "unrecognized arguments: --seed" in capsys.readouterr().err
 
     def test_igtd_iters_below_one_exits_2(self, tmp_path, keel_file, capsys):
         out = tmp_path / "m.json"

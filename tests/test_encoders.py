@@ -523,7 +523,7 @@ def oracle_error(ds, model, assignment):
 
 def reference_swap_delta(rank_feat, rank_pix, assignment, i, j):
     """Objective change of swapping the cells of features i and j, scored
-    one pair at a time (the oracle for ``encoders._block_deltas``)."""
+    one pair at a time (the oracle for ``encoders._swap_deltas``)."""
     others = np.ones(assignment.shape[0], dtype=bool)
     others[i] = others[j] = False
     k = np.flatnonzero(others)
@@ -535,20 +535,16 @@ def reference_swap_delta(rank_feat, rank_pix, assignment, i, j):
     return float(after - before)
 
 
-def reference_swap_descent(rank_feat, rank_pix, max_iters, patience, seed):
-    """Per-pair IGTD steps with seeded restarts: the oracle for
+def reference_swap_descent(rank_feat, rank_pix, max_iters):
+    """Per-pair IGTD steps in one descent from the identity: the oracle for
     ``encoders._swap_descent``, returning the same
-    (assignment, trace, restarts, converged)."""
+    (assignment, trace, converged)."""
     n = rank_feat.shape[0]
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
     assignment = np.arange(n)
     error = encoders.assignment_error(rank_feat, rank_pix, assignment)
-    best_assignment, best_error = assignment.copy(), error
-    trace = [best_error]
+    trace = [error]
     last_selected = [0] * n
     idle = 0
-    descent_improved_best = False
-    stale = restarts = 0
     for step in range(1, max_iters + 1):
         i = last_selected.index(min(last_selected))  # idle longest, lowest index
         best_j, best_delta = None, 0.0
@@ -565,23 +561,10 @@ def reference_swap_descent(rank_feat, rank_pix, max_iters, patience, seed):
             error += best_delta
             last_selected[best_j] = step
             idle = 0
-        if error < best_error:
-            best_error = error
-            best_assignment = assignment.copy()
-            descent_improved_best = True
-        trace.append(best_error)
-        if idle < n:
-            continue
-        stale = 0 if descent_improved_best else stale + 1
-        if stale >= patience:
-            return best_assignment, trace, restarts, True
-        assignment = rng.permutation(n)
-        error = encoders.assignment_error(rank_feat, rank_pix, assignment)
-        last_selected = [0] * n
-        idle = 0
-        descent_improved_best = False
-        restarts += 1
-    return best_assignment, trace, restarts, False
+        trace.append(error)
+        if idle == n:
+            return assignment, trace, True
+    return assignment, trace, False
 
 
 def random_rank_matrices(n, seed, coarse=False):
@@ -599,59 +582,56 @@ def random_rank_matrices(n, seed, coarse=False):
 class TestSwapSearchOracle:
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(2, 40), data_seed=st.integers(0, 2**16),
-           seed=st.integers(0, 2**32 - 1), max_iters=st.integers(1, 200),
-           coarse=st.booleans())
-    def test_block_descent_matches_per_pair_descent(self, n, data_seed, seed,
-                                                    max_iters, coarse):
+           max_iters=st.integers(1, 200), coarse=st.booleans())
+    def test_block_descent_matches_per_pair_descent(self, n, data_seed, max_iters, coarse):
         rank_feat, rank_pix = random_rank_matrices(n, data_seed, coarse)
-        got = encoders._swap_descent(rank_feat, rank_pix, max_iters, seed)
-        want = reference_swap_descent(rank_feat, rank_pix, max_iters, 3, seed)
+        got = encoders._swap_descent(rank_feat, rank_pix, max_iters)
+        want = reference_swap_descent(rank_feat, rank_pix, max_iters)
         assert np.array_equal(got[0], want[0])
         assert got[1] == want[1]  # exact, element by element
-        assert got[2:] == want[2:]
+        assert got[2] == want[2]
         if len(got[1]) - 1 < max_iters:
-            assert got[3]  # stopped early only on IGTD_PATIENCE
+            assert got[2]  # stopped early only at a pairwise local optimum
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_tied_best_swaps_match_per_pair_descent(self, n):
         # coarse data on a tiny grid often ties the best swaps of a step,
         # which random draws of up to 40 features seldom do
-        for seed in range(5):
-            rank_feat, rank_pix = random_rank_matrices(n, seed, coarse=True)
-            got = encoders._swap_descent(rank_feat, rank_pix, 50, seed)
-            want = reference_swap_descent(rank_feat, rank_pix, 50, 3, seed)
+        for data_seed in range(5):
+            rank_feat, rank_pix = random_rank_matrices(n, data_seed, coarse=True)
+            got = encoders._swap_descent(rank_feat, rank_pix, 50)
+            want = reference_swap_descent(rank_feat, rank_pix, 50)
             assert np.array_equal(got[0], want[0])
             assert got[1:] == want[1:]
 
     @pytest.mark.parametrize("coarse", [False, True])
-    def test_block_deltas_equal_per_pair_deltas(self, coarse):
+    def test_swap_deltas_equal_per_pair_deltas(self, coarse):
         n = 23
         rank_feat, rank_pix = random_rank_matrices(n, 5, coarse)
         assignment = np.random.default_rng(6).permutation(n)
         P = rank_pix[np.ix_(assignment, assignment)]
         D = np.abs(rank_feat - P)
-        first, second = np.triu_indices(n, 1)
-        deltas = encoders._block_deltas(rank_feat, P, D, first, second)
-        want = [reference_swap_delta(rank_feat, rank_pix, assignment, i, j)
-                for i, j in zip(first, second)]
+        deltas = np.array([encoders._swap_deltas(rank_feat, P, D, i) for i in range(n)])
+        want = [[0.0 if j == i else reference_swap_delta(rank_feat, rank_pix, assignment, i, j)
+                 for j in range(n)] for i in range(n)]
         assert deltas.tolist() == want
         assert (deltas < 0).any() and (deltas > 0).any()
 
     def test_search_is_logged(self, caplog):
         ds = toy_dataset(12, seed=4)
         with caplog.at_level("INFO", logger="mdenc.encoders"):
-            encoders.fit_igtd(ds, seed=0)
-            encoders.fit_igtd(ds, max_iters=1, seed=0)
+            encoders.fit_igtd(ds)
+            encoders.fit_igtd(ds, max_iters=1)
         converged, capped = [r.getMessage() for r in caplog.records]
         assert converged.startswith("igtd search: 12 features, ")
-        assert converged.endswith(" converged")
-        assert capped == "igtd search: 12 features, 1 steps, 0 restarts, stopped at max_iters"
+        assert converged.endswith(" steps, converged")
+        assert capped == "igtd search: 12 features, 1 steps, stopped at max_iters"
 
 
 class TestIgtd:
     def test_two_features_symmetric(self):
         ds = toy_dataset(2, seed=1)
-        model = encoders.fit_igtd(ds, seed=0)
+        model = encoders.fit_igtd(ds)
         mapping = model.layout
         assert (mapping.rows, mapping.cols) == (1, 2)
         trace = np.array(mapping.error_trace)
@@ -660,49 +640,49 @@ class TestIgtd:
         assert np.array_equal(mapping.assignment, np.array([0, 1]))
 
     def test_grid_shapes(self):
-        assert encoders.fit_igtd(toy_dataset(5), seed=0).layout.rows == 2
-        assert encoders.fit_igtd(toy_dataset(5), seed=0).layout.cols == 3
-        model = encoders.fit_igtd(toy_dataset(9), seed=0)
+        assert encoders.fit_igtd(toy_dataset(5)).layout.rows == 2
+        assert encoders.fit_igtd(toy_dataset(5)).layout.cols == 3
+        model = encoders.fit_igtd(toy_dataset(9))
         assert (model.layout.rows, model.layout.cols) == (3, 3)
         assert model.canvas_size == (3, 3)
 
     def test_four_features_reach_exhaustive_minimum(self):
         for seed in range(5):
             ds = toy_dataset(4, seed=100 + seed)
-            model = encoders.fit_igtd(ds, seed=seed)
+            model = encoders.fit_igtd(ds)
             rank_feat, rank_pix = igtd_rank_matrices(model, ds)
             best = min(encoders.assignment_error(rank_feat, rank_pix, np.array(p))
                        for p in itertools.permutations(range(4)))
             assert model.layout.error_trace[-1] == best
 
-    @pytest.mark.parametrize("shape", ["sonar", "ionosphere", 0, 1, 2, 3, 4])
-    def test_converged_fit_is_a_pairwise_local_optimum(self, shape):
+    @pytest.mark.parametrize("shape", ["sonar", "ionosphere", "spambase", 0, 1, 2, 3, 4])
+    def test_converged_fit_is_a_pairwise_local_optimum(self, shape, caplog):
         if isinstance(shape, str):
             ds = make_benchmark_dataset(shape)
         else:  # a random shape
             rng = np.random.default_rng(300 + shape)
             ds = toy_dataset(int(rng.integers(3, 41)), n_rows=2 * int(rng.integers(3, 30)),
                              seed=shape)
-        max_iters = 100_000
-        model = encoders.fit_igtd(ds, max_iters=max_iters, seed=0)
-        assert len(model.layout.error_trace) - 1 < max_iters  # stopped on IGTD_PATIENCE
+        with caplog.at_level("INFO", logger="mdenc.encoders"):
+            model = encoders.fit_igtd(ds)  # the default max_iters does not bind
+        assert caplog.records[-1].getMessage().endswith(" converged")
         rank_feat, rank_pix = igtd_rank_matrices(model, ds)
         a = model.layout.assignment
         P = rank_pix[np.ix_(a, a)]
-        first, second = np.triu_indices(ds.n_features, 1)
-        deltas = encoders._block_deltas(rank_feat, P, np.abs(rank_feat - P), first, second)
-        assert deltas.min() >= 0.0
+        D = np.abs(rank_feat - P)
+        assert min(encoders._swap_deltas(rank_feat, P, D, i).min()
+                   for i in range(ds.n_features)) >= 0.0
 
     def test_error_trace_non_increasing(self):
         for seed in range(10):
             ds = toy_dataset(int(np.random.default_rng(seed).integers(3, 8)), seed=seed)
-            trace = np.array(encoders.fit_igtd(ds, seed=seed).layout.error_trace)
+            trace = np.array(encoders.fit_igtd(ds).layout.error_trace)
             assert (np.diff(trace) <= 0).all()
 
     def test_incremental_error_equals_scratch_recomputation(self):
         for seed in range(6):
             ds = toy_dataset(7, seed=50 + seed)
-            model = encoders.fit_igtd(ds, seed=seed)
+            model = encoders.fit_igtd(ds)
             rank_feat, rank_pix = igtd_rank_matrices(model, ds)
             recomputed = encoders.assignment_error(rank_feat, rank_pix,
                                                    model.layout.assignment)
@@ -711,7 +691,7 @@ class TestIgtd:
 
     def test_intensities(self):
         ds = toy_dataset(5, seed=9)
-        model = encoders.fit_igtd(ds, l=0.05, u=0.95, seed=0)
+        model = encoders.fit_igtd(ds, l=0.05, u=0.95)
         top = encoders.encode(model, ds.X.max(axis=0))
         rows, cols = divmod(model.layout.assignment, model.layout.cols)
         assert (top[rows, cols] == 242).all()  # round(255 * 0.95)
@@ -720,28 +700,25 @@ class TestIgtd:
 
     def test_surplus_cells_blank(self):
         ds = toy_dataset(5, seed=9)
-        model = encoders.fit_igtd(ds, seed=0)
+        model = encoders.fit_igtd(ds)
         canvas = encoders.encode(model, ds.X.max(axis=0))
         assert canvas.size == 6
         assert int((canvas == 0).sum()) == 1
 
     def test_preconditions(self):
         with pytest.raises(FitError):
-            encoders.fit_igtd(toy_dataset(1), seed=0)
+            encoders.fit_igtd(toy_dataset(1))
         with pytest.raises(ParameterError):
-            encoders.fit_igtd(toy_dataset(3), max_iters=0, seed=0)
+            encoders.fit_igtd(toy_dataset(3), max_iters=0)
         for max_iters in (10.5, "3", None):
             with pytest.raises(ParameterError, match="max_iters must be a non-negative integer"):
-                encoders.fit_igtd(toy_dataset(3), max_iters=max_iters, seed=0)
-        assert encoders.fit_igtd(toy_dataset(3), max_iters=np.int64(2), seed=0).layout.n == 3
-        for seed in (-1, 0.5):
-            with pytest.raises(ParameterError, match="seed must be a non-negative integer"):
-                encoders.fit_igtd(toy_dataset(3), seed=seed)
+                encoders.fit_igtd(toy_dataset(3), max_iters=max_iters)
+        assert encoders.fit_igtd(toy_dataset(3), max_iters=np.int64(2)).layout.n == 3
 
-    def test_deterministic_per_seed(self):
+    def test_deterministic(self):
         ds = toy_dataset(6, seed=3)
-        a = encoders.fit_igtd(ds, seed=7)
-        b = encoders.fit_igtd(ds, seed=7)
+        a = encoders.fit_igtd(ds)
+        b = encoders.fit_igtd(ds)
         assert np.array_equal(a.layout.assignment, b.layout.assignment)
         assert a.layout.error_trace == b.layout.error_trace
 
@@ -757,6 +734,13 @@ class TestGenericSurface:
             encoders.fit("nope", ds)
         with pytest.raises(StateError):
             encoders.encode("not a model", ds.X[0])
+
+    def test_seed_has_no_effect(self):
+        # kept for callers that pass it; no encoder draws random numbers
+        ds = toy_dataset(5, seed=11)
+        for kind in encoders.KINDS:
+            assert (to_doc(encoders.fit(kind, ds, size=(64, 64), seed=5))
+                    == to_doc(encoders.fit(kind, ds, size=(64, 64))))
 
     def test_batch_matches_serial_and_order(self):
         ds = toy_dataset(4, n_rows=12, seed=6)
@@ -776,7 +760,7 @@ class TestGenericSurface:
     def test_model_json_round_trip(self, tmp_path):
         ds = toy_dataset(5, seed=11)
         for kind in encoders.KINDS:
-            model = encoders.fit(kind, ds, size=(64, 64), seed=3)
+            model = encoders.fit(kind, ds, size=(64, 64))
             path = tmp_path / f"{kind}.json"
             write_json(path, model)
             again = read_json(path, encoders.EncoderModel)

@@ -309,7 +309,7 @@ class TestRunCvEval:
             plan = CVPlan(1, 3, 0, [rng.permutation(np.arange(n) % 3)])
         else:
             plan = make_cv_plan(ds, seed=data_seed)
-        options = {"size": (48, 48), "igtd_max_iters": 3, "seed": data_seed}
+        options = {"size": (48, 48), "igtd_max_iters": 3}
         report = run_cv_eval(ds, kind, plan, **options)
         assert report.fold_predictions == reference_fold_predictions(ds, kind, plan, **options)
 
@@ -427,6 +427,6 @@ class TestPinnedPredictions:
     def test_fold_predictions_unchanged(self, kind, seed):
         n, n_features, options = PINNED_PREDICTION_CASES[kind]
         ds = generate_synthetic(n, n_features, seed=seed)
-        report = run_cv_eval(ds, kind, make_cv_plan(ds, seed=seed), seed=seed, **options)
+        report = run_cv_eval(ds, kind, make_cv_plan(ds, seed=seed), **options)
         digest = hashlib.sha256(repr(report.fold_predictions).encode()).hexdigest()
         assert digest == PINNED_PREDICTION_DIGESTS[kind, seed]
