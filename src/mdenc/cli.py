@@ -60,22 +60,20 @@ def _load_dataset(args) -> data.Dataset:
 def _parse_rows(spec: str, n_rows: int) -> list[int]:
     if spec == "all":
         return list(range(n_rows))
-    if ":" in spec:
-        start_s, _, stop_s = spec.partition(":")
+    if ":" in spec:  # a Python slice: negative bounds count from the end
         try:
-            start = int(start_s) if start_s else 0
-            stop = int(stop_s) if stop_s else n_rows
+            start, stop = (int(t) if t else None for t in spec.split(":", 1))
         except ValueError:
             raise ParameterError(f"bad row range {spec!r}") from None
-        rows = list(range(max(0, start), min(n_rows, stop)))
+        rows = list(range(n_rows)[start:stop])
     else:
         try:
             rows = [int(t) for t in spec.split(",") if t.strip()]
         except ValueError:
             raise ParameterError(f"bad row list {spec!r}") from None
-    for r in rows:
-        if not 0 <= r < n_rows:
-            raise ParameterError(f"row {r} out of range (dataset has {n_rows} rows)")
+        for r in rows:
+            if not 0 <= r < n_rows:
+                raise ParameterError(f"row {r} out of range (dataset has {n_rows} rows)")
     if not rows:
         raise ParameterError("no rows selected")
     return rows
@@ -204,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_encode = sub.add_parser("encode", parents=[dataset_arg],
                               help="encode dataset rows with a fitted model")
     p_encode.add_argument("--model", required=True)
-    p_encode.add_argument("--rows", default="all", help="'all', 'a:b' or 'i,j,k'")
+    p_encode.add_argument("--rows", default="all", help="'all', 'a:b' (a Python slice) or 'i,j,k'")
     p_encode.add_argument("--out", required=True, help="output directory")
     p_encode.add_argument("--channels", type=int, choices=(1, 3), default=1)
     p_encode.set_defaults(func=cmd_encode)

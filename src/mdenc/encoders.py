@@ -148,24 +148,20 @@ def fit_retire(ds_train: Dataset, l: float = scaling.DEFAULT_L,
 
 
 def encode_retire(model: EncoderModel, X: np.ndarray) -> np.ndarray:
-    """Binarized radar silhouette of each row plus the radius-1.0 border,
-    which is drawn once per call and or-ed into every image; the rows are
-    scaled, filled and stroked ``RETIRE_CHUNK`` at a time."""
+    """Binarized radar silhouette of each row plus the radius-1.0 border:
+    every image starts as the border, drawn once per call, and the rows are
+    then scaled, filled and stroked ``RETIRE_CHUNK`` at a time (drawing only
+    sets pixels to 255, so the order does not matter)."""
     layout = model.layout
     polygon = layout.n >= 3
+    draw = fill_polygon if polygon else draw_polyline  # else a single point or chord
     width, height = model.canvas_size
     border = draw_polyline(np.zeros((height, width), dtype=np.uint8),
                            polar_vertices(layout, np.ones(layout.n)), closed=polygon)
-    out = np.zeros((X.shape[0], height, width), dtype=np.uint8)
+    out = np.repeat(border[None], X.shape[0], axis=0)
     for start in range(0, X.shape[0], RETIRE_CHUNK):
         rows = slice(start, start + RETIRE_CHUNK)
-        images = out[rows]
-        verts = polar_vertices(layout, scaling.transform(model.scaler, X[rows]))
-        if polygon:
-            fill_polygon(images, verts)
-        else:
-            draw_polyline(images, verts)  # single point or chord
-        images |= border
+        draw(out[rows], polar_vertices(layout, scaling.transform(model.scaler, X[rows])))
     return out
 
 
@@ -216,7 +212,7 @@ def _column_distances(Xs: np.ndarray) -> np.ndarray:
     return np.sqrt(d2)
 
 
-def _cell_distances(rows: int, cols: int, n: int) -> np.ndarray:
+def _cell_distances(cols: int, n: int) -> np.ndarray:
     """Euclidean distances between the centers of the first n grid cells."""
     r, c = divmod(np.arange(n), cols)
     dr = r[:, None] - r[None, :]
@@ -328,7 +324,7 @@ def fit_igtd(ds_train: Dataset, max_iters: int = DEFAULT_IGTD_MAX_ITERS,
     cols = math.ceil(math.sqrt(n))
     rows = math.ceil(n / cols)
     rank_feat = _pair_rank_matrix(_column_distances(scaled))
-    rank_pix = _pair_rank_matrix(_cell_distances(rows, cols, n))
+    rank_pix = _pair_rank_matrix(_cell_distances(cols, n))
     assignment, trace, converged = _swap_descent(rank_feat, rank_pix, max_iters)
     logger.info("igtd search: %d features, %d steps, %s", n, len(trace) - 1,
                 "converged" if converged else "stopped at max_iters")

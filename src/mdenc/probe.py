@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import encoders, scaling
-from ._doc import to_doc
+from ._doc import to_json
 from .data import CVPlan, Dataset
 from .errors import MetricError, ParameterError, ShapeError
 
@@ -60,21 +60,21 @@ def _nearest_label(distances: np.ndarray, labels) -> np.ndarray:
     return labels[np.argmin(distances, axis=1)]
 
 
-def _exact_pixels(stacks: list[np.ndarray]) -> tuple[list[np.ndarray], type]:
-    """Pruning rule of the exact pixel probe, over uint8 matrices of one
-    image per row: drop the pixels that hold one value in every row of every
-    matrix (they add 0 to every distance), divide the rest by their gcd ``g``
-    (every distance scales by ``g**2``), and pick the dtype in which every
+def _exact_pixels(stack: np.ndarray) -> tuple[np.ndarray, type]:
+    """Pruning rule of the exact pixel probe, over a uint8 matrix of one
+    image per row: drop the pixels that hold one value in every row (they
+    add 0 to every distance), divide the rest by their gcd ``g`` (every
+    distance scales by ``g**2``), and pick the dtype in which every
     intermediate is an exact integer: float32 if ``2 * top**2 * pixels <=
     2**24`` (``top`` the largest value left, ``pixels`` kept), else float64."""
-    lo = np.minimum.reduce([s.min(axis=0, initial=255) for s in stacks])
-    hi = np.maximum.reduce([s.max(axis=0, initial=0) for s in stacks])
+    lo = stack.min(axis=0, initial=255)
+    hi = stack.max(axis=0, initial=0)
     varying = np.flatnonzero(lo != hi)
-    kept = [s[:, varying] for s in stacks]
-    g = int(np.gcd.reduce([np.gcd.reduce(k, axis=None) for k in kept])) or 1
+    kept = stack[:, varying]
+    g = int(np.gcd.reduce(kept, axis=None)) or 1
     top = int(hi[varying].max(initial=0)) // g
     dtype = np.float32 if 2 * top * top * len(varying) <= 2**24 else np.float64
-    return [np.floor_divide(k, g, out=k) for k in kept], dtype
+    return np.floor_divide(kept, g, out=kept), dtype
 
 
 def knn1_tabular(X_train, y_train, X_test, scaler: scaling.ScalerParams) -> np.ndarray:
@@ -116,9 +116,10 @@ def run_cv_eval(ds: Dataset, encoder_kind: str, plan: CVPlan, *,
 
     For every split the encoder (or the tabular scaler) is fitted on the
     training fold only and never sees test data; the held-out fold is
-    classified with the 1-NN probe. Splits whose models have equal documents
+    classified with the 1-NN probe. Splits whose models have equal JSON
     (every ``stml`` split) share one encode of all rows, a pure function of
-    (model, row), and one exact matrix of test-to-train row distances.
+    (model, row), pruned once and split only for one exact matrix of
+    test-to-train row distances.
 
     ``seed`` has no effect (``plan`` carries the CV seed, and no encoder
     draws random numbers), and encoding is serial: both stay only for
@@ -137,21 +138,21 @@ def run_cv_eval(ds: Dataset, encoder_kind: str, plan: CVPlan, *,
                        for t, test_idx in ((ds.subset(tr), te) for tr, te in splits)]
     else:
         predictions = [None] * len(splits)
-        models = [encoders.fit(encoder_kind, ds.subset(train_idx), l=l, u=u, size=size,
-                               igtd_max_iters=igtd_max_iters)
-                  for train_idx, _ in splits]
-        docs = [to_doc(model) for model in models]
-        for first in sorted(set(map(docs.index, docs))):
-            members = [i for i, doc in enumerate(docs) if doc == docs[first]]
+        groups = {}  # model JSON -> (model, the splits that fitted it), in fit order
+        for i, (train_idx, _) in enumerate(splits):
+            model = encoders.fit(encoder_kind, ds.subset(train_idx), l=l, u=u, size=size,
+                                 igtd_max_iters=igtd_max_iters)
+            groups.setdefault(to_json(model), (model, []))[1].append(i)
+        for model, members in groups.values():
             q = np.unique(np.concatenate([splits[i][1] for i in members]))
             r = np.unique(np.concatenate([splits[i][0] for i in members]))
-            # tested rows first, then training rows: each side is a view of one stack
+            # tested rows first, then training rows: each side is a view of one matrix
             rows = q if len(q) == len(r) == ds.n_instances else np.concatenate([q, r])
-            sides, dtype = _exact_pixels(np.split(
-                encoders.encode_batch(models[first], ds.X[rows]).reshape(len(rows), -1),
-                [] if rows is q else [len(q)]))
+            pixels, dtype = _exact_pixels(
+                encoders.encode_batch(model, ds.X[rows]).reshape(len(rows), -1))
+            sides = np.split(pixels, [] if rows is q else [len(q)])
             distances = _sq_distances(*(side.astype(dtype) for side in sides))
-            del sides  # before the next group's encode
+            del pixels, sides  # before the next group's encode
             for i in members:
                 train_idx, test_idx = splits[i]
                 block = distances[np.ix_(np.searchsorted(q, test_idx),

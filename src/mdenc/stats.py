@@ -89,7 +89,9 @@ def f_distribution_sf(x: float, d1: int, d2: int) -> float:
 def regularized_incomplete_beta(x: float, a: float, b: float) -> float:
     """I_x(a, b) evaluated through the continued fraction of the incomplete
     beta integral (modified Lentz), switched at the symmetry point so the
-    fraction always converges quickly. Absolute error well below 1e-10."""
+    fraction converges quickly. Absolute error below 1e-10 for a and b up to
+    2.5e4, about 2e-10 at a = b = 5e4; from about a = b = 1.5e5 the fraction
+    may not converge in ``CF_MAX_ITER`` terms and raises ``ParameterError``."""
     if math.isnan(x):
         raise ParameterError("x must be a number, got nan")
     if not (0.0 < a < math.inf and 0.0 < b < math.inf):  # also rejects NaN
@@ -131,7 +133,8 @@ def _beta_continued_fraction(a: float, b: float, x: float) -> float:
             h *= delta
         if abs(delta - 1.0) < CF_EPS:
             return h
-    raise ArithmeticError("incomplete beta continued fraction did not converge")
+    raise ParameterError(f"the incomplete beta continued fraction does not converge in "
+                         f"{CF_MAX_ITER} terms for shape parameters {a:g} and {b:g}")
 
 
 @dataclass(frozen=True)

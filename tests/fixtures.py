@@ -5,6 +5,9 @@ two-class Gaussian problem with the benchmark's instance and feature
 counts. Centroid separation is fixed high enough that a nearest-neighbor
 probe can recover the classes, which is all the suite needs from these
 datasets. Generation is deterministic per dataset name.
+
+``even_odd_oracle`` is the brute-force fill oracle shared by the raster
+tests and acceptance criterion 1.
 """
 
 from __future__ import annotations
@@ -168,3 +171,18 @@ def save_csv(ds: Dataset, path, label_name: str = "class") -> None:
         writer.writerow([*ds.feature_names, label_name])
         for row, label in zip(ds.X, ds.y):
             writer.writerow([*(repr(float(v)) for v in row), ds.class_names[label]])
+
+
+def even_odd_oracle(pts, width, height):
+    """Brute-force even-odd membership of every pixel center: count edges
+    crossed by the rightward ray, edge by edge."""
+    pts = np.asarray(pts, dtype=np.float64)
+    x1, y1 = pts[:, 0], pts[:, 1]
+    x2, y2 = np.roll(x1, -1), np.roll(y1, -1)
+    px = (np.arange(width) + 0.5)[None, :, None]
+    py = (np.arange(height) + 0.5)[:, None, None]
+    crosses = (y1 > py) != (y2 > py)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        xint = x1 + (py - y1) * (x2 - x1) / (y2 - y1)
+    hits = crosses & (px < xint)
+    return hits.sum(axis=2) % 2 == 1

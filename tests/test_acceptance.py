@@ -19,6 +19,7 @@ from fixtures import (
     REFERENCE_BAC_MATRIX,
     REFERENCE_MEAN_RANKS,
     TIE_RESOLVED_BAC_MATRIX,
+    even_odd_oracle,
     make_benchmark_dataset,
     write_keel_file,
 )
@@ -38,18 +39,6 @@ def report(num: int, label: str, passed: bool, detail: str = "") -> None:
     suffix = f"  ({detail})" if detail else ""
     print(f"\n[criterion {num}] {label}: {'PASS' if passed else 'FAIL'}{suffix}")
     assert passed, f"criterion {num} failed: {label}{suffix}"
-
-
-def even_odd_oracle(pts, width, height):
-    pts = np.asarray(pts, dtype=np.float64)
-    x1, y1 = pts[:, 0], pts[:, 1]
-    x2, y2 = np.roll(x1, -1), np.roll(y1, -1)
-    px = (np.arange(width) + 0.5)[None, :, None]
-    py = (np.arange(height) + 0.5)[:, None, None]
-    crosses = (y1 > py) != (y2 > py)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        xint = x1 + (py - y1) * (x2 - x1) / (y2 - y1)
-    return (crosses & (px < xint)).sum(axis=2) % 2 == 1
 
 
 def test_criterion_1_rasterization_oracle_equivalence():

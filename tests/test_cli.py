@@ -4,7 +4,7 @@ import logging
 import numpy as np
 import pytest
 
-from fixtures import make_benchmark_dataset, strict_loads, write_keel_file
+from fixtures import make_benchmark_dataset, save_csv, strict_loads, write_keel_file
 from mdenc import encoders, read_json, write_json
 from mdenc.cli import main
 from mdenc.data import Dataset
@@ -268,6 +268,89 @@ class TestEncode:
         assert main(["encode", "--dataset", str(keel_file), "--model", str(model_path),
                      "--out", str(tmp_path / "x")]) == 2
         assert "exceeds 16777216 pixels" in capsys.readouterr().err
+
+
+class TestRowSelection:
+    """``--rows`` on a 10-row CSV: ranges are Python slices, listed rows must exist."""
+
+    def encode(self, tmp_path, rows):
+        ds = make_benchmark_dataset("cryotherapy")
+        csv = tmp_path / "ten.csv"
+        save_csv(Dataset("ten", ds.X[:10], ds.y[:10], ds.feature_names, ds.class_names), csv)
+        model_path = tmp_path / "model.json"
+        assert main(["fit", "--dataset", str(csv), "--encoder", "retire",
+                     "--size", "32x32", "--out", str(model_path)]) == 0
+        out_dir = tmp_path / "imgs"
+        code = main(["encode", "--dataset", str(csv), "--model", str(model_path),
+                     f"--rows={rows}", "--out", str(out_dir)])
+        return code, sorted(int(f.stem.split("_")[1]) for f in out_dir.glob("*.pgm"))
+
+    @pytest.mark.parametrize("rows, expected", [
+        ("-3:", [7, 8, 9]), ("2:-2", [2, 3, 4, 5, 6, 7]), ("5:1000", [5, 6, 7, 8, 9]),
+        (":2", [0, 1]), ("all", list(range(10)))])
+    def test_range_is_a_python_slice(self, tmp_path, rows, expected):
+        assert self.encode(tmp_path, rows) == (0, expected)
+
+    @pytest.mark.parametrize("rows", ["5:5", "8:2", "-1:-3", "20:"])
+    def test_empty_range_exits_2(self, tmp_path, capsys, rows):
+        assert self.encode(tmp_path, rows) == (2, [])
+        assert "no rows selected" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("rows", ["-1", "10", "1000", "2,10"])
+    def test_listed_rows_stay_strict(self, tmp_path, capsys, rows):
+        assert self.encode(tmp_path, rows) == (2, [])
+        assert "out of range (dataset has 10 rows)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("rows", ["a:3", "1:2:3", "1.5:"])
+    def test_bad_range_exits_2(self, tmp_path, capsys, rows):
+        assert self.encode(tmp_path, rows) == (2, [])
+        assert "bad row range" in capsys.readouterr().err
+
+
+class TestDatasetOptions:
+    def test_keel_file_with_another_suffix_needs_format(self, tmp_path):
+        ds = make_benchmark_dataset("cryotherapy")
+        txt = write_keel_file(ds, tmp_path / "cryotherapy.txt")
+        out = tmp_path / "model.json"
+        assert main(["fit", "--dataset", str(txt), "--encoder", "stml",
+                     "--out", str(out)]) == 2
+        assert not out.exists()
+        assert main(["fit", "--dataset", str(txt), "--format", "keel", "--encoder", "retire",
+                     "--size", "32x32", "--out", str(out)]) == 0
+        dat = write_keel_file(ds, tmp_path / "cryotherapy.dat")
+        assert main(["fit", "--dataset", str(dat), "--encoder", "retire",
+                     "--size", "32x32", "--out", str(tmp_path / "dat.json")]) == 0
+        assert out.read_text() == (tmp_path / "dat.json").read_text()
+
+    def label_first_csv(self, tmp_path):
+        ds = make_benchmark_dataset("cryotherapy")
+        path = tmp_path / "first.csv"
+        lines = ["label," + ",".join(ds.feature_names)]
+        lines += [",".join([ds.class_names[label], *(repr(float(v)) for v in row)])
+                  for row, label in zip(ds.X, ds.y)]
+        path.write_text("\n".join(lines) + "\n")
+        return path
+
+    def test_label_column_by_name_and_by_index_agree(self, tmp_path):
+        path = self.label_first_csv(tmp_path)
+        reports = []
+        for label in ("label", "0"):
+            out = tmp_path / f"report_{label}.json"
+            assert main(["eval", "--dataset", str(path), "--label-column", label,
+                         "--encoder", "tabular", "--out", str(out)]) == 0
+            reports.append(json.loads(out.read_text()))
+        by_name, by_index = reports
+        assert by_name["fold_predictions"] == by_index["fold_predictions"]
+        assert by_name["per_split_bac"] == by_index["per_split_bac"]
+        # the picked column holds the class labels: predictions are class codes
+        assert {p for fold in by_name["fold_predictions"] for p in fold} <= {0, 1}
+        assert by_name["mean_bac"] > 0.9
+
+    def test_unknown_label_column_exits_2(self, tmp_path, capsys):
+        path = self.label_first_csv(tmp_path)
+        assert main(["eval", "--dataset", str(path), "--label-column", "klass",
+                     "--encoder", "tabular"]) == 2
+        assert "label column 'klass' not in header" in capsys.readouterr().err
 
 
 class TestEval:

@@ -495,7 +495,7 @@ def igtd_rank_matrices(model, ds):
     scaled = scaling.transform(model.scaler, ds.X)
     rank_feat = encoders._pair_rank_matrix(encoders._column_distances(scaled))
     rank_pix = encoders._pair_rank_matrix(
-        encoders._cell_distances(mapping.rows, mapping.cols, mapping.n))
+        encoders._cell_distances(mapping.cols, mapping.n))
     return rank_feat, rank_pix
 
 
@@ -574,9 +574,8 @@ def random_rank_matrices(n, seed, coarse=False):
     if coarse:
         X = np.round(X)
     cols = math.ceil(math.sqrt(n))
-    rows = math.ceil(n / cols)
     return (encoders._pair_rank_matrix(encoders._column_distances(X)),
-            encoders._pair_rank_matrix(encoders._cell_distances(rows, cols, n)))
+            encoders._pair_rank_matrix(encoders._cell_distances(cols, n)))
 
 
 class TestSwapSearchOracle:

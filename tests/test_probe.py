@@ -19,10 +19,12 @@ def stack(arrays):
 
 def exact_pixel_probe(train_images, train_labels, test_images):
     """``run_cv_eval``'s pixel probe on two uint8 ``(N, H, W)`` stacks:
-    prune both with ``_exact_pixels``, cast, one distance matrix, nearest
-    label, in that order."""
-    (queries, refs), dtype = probe._exact_pixels(
-        [s.reshape(len(s), math.prod(s.shape[1:])) for s in (test_images, train_images)])
+    prune the tested rows, then the training rows, as one matrix with
+    ``_exact_pixels``, split, cast, one distance matrix, nearest label, in
+    that order."""
+    pixels, dtype = probe._exact_pixels(np.concatenate(
+        [s.reshape(len(s), math.prod(s.shape[1:])) for s in (test_images, train_images)]))
+    queries, refs = np.split(pixels, [len(test_images)])
     distances = probe._sq_distances(queries.astype(dtype), refs.astype(dtype))
     return probe._nearest_label(distances, train_labels)
 

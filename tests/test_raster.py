@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fixtures import even_odd_oracle
 from mdenc.errors import CapacityError, ParameterError, ShapeError
 from mdenc.raster import (
     MAX_COORD,
@@ -25,21 +26,6 @@ def blank(width, height):
 def set_pixels(image):
     ys, xs = np.nonzero(image)
     return set(zip(xs.tolist(), ys.tolist()))
-
-
-def even_odd_oracle(pts, width, height):
-    """Brute-force even-odd membership of every pixel center: count edges
-    crossed by the rightward ray, edge by edge."""
-    pts = np.asarray(pts, dtype=np.float64)
-    x1, y1 = pts[:, 0], pts[:, 1]
-    x2, y2 = np.roll(x1, -1), np.roll(y1, -1)
-    px = (np.arange(width) + 0.5)[None, :, None]
-    py = (np.arange(height) + 0.5)[:, None, None]
-    crosses = (y1 > py) != (y2 > py)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        xint = x1 + (py - y1) * (x2 - x1) / (y2 - y1)
-    hits = crosses & (px < xint)
-    return hits.sum(axis=2) % 2 == 1
 
 
 def reference_line_pixels(x0, y0, x1, y1):

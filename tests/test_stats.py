@@ -148,6 +148,19 @@ class TestFDistributionSf:
     def test_infinite_x_has_no_mass_beyond(self):
         assert f_distribution_sf(math.inf, 10, 5) == 0.0
 
+    def test_large_degrees_of_freedom_within_documented_error(self):
+        # the exact value at x = 1 and d1 = d2 is 0.5
+        assert f_distribution_sf(1.0, 10**4, 10**4) == pytest.approx(0.5, abs=1e-10)
+        assert f_distribution_sf(1.0, 5 * 10**4, 5 * 10**4) == pytest.approx(0.5, abs=1e-10)
+
+    def test_non_convergence_is_a_parameter_error(self):
+        with pytest.raises(ParameterError, match="does not converge .* 500000 and 500000"):
+            f_distribution_sf(1.0, 10**6, 10**6)
+
+    def test_incomplete_beta_non_convergence_names_the_shapes(self):
+        with pytest.raises(ParameterError, match="shape parameters 1e\\+06 and 1e\\+06"):
+            regularized_incomplete_beta(0.5, 1e6, 1e6)
+
 
 class TestNonFiniteScores:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
