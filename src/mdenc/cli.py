@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import bench, data, encoders, probe, scaling, stats
 from ._doc import read_json, to_json
-from .errors import MdencError, ParameterError
+from .errors import MdencError, ParameterError, ParseError
 from .raster import to_pgm, to_ppm
 
 
@@ -46,15 +46,18 @@ def _load_dataset(args) -> data.Dataset:
     fmt = args.format
     if fmt == "auto":
         fmt = "keel" if path.suffix.lower() == ".dat" else "csv"
-    if fmt == "keel":
-        return data.load_keel(path)
     label = args.label_column
-    if label is None:
-        return data.load_csv(path)
     try:
-        return data.load_csv(path, int(label))
+        label = -1 if label is None else int(label)
     except ValueError:
-        return data.load_csv(path, label)
+        pass  # a column name
+    try:
+        return data.load_keel(path) if fmt == "keel" else data.load_csv(path, label)
+    except ParseError as exc:
+        if args.format != "auto":
+            raise
+        raise ParseError(f"{path.name} read as {fmt}, guessed from its suffix: {exc}; "
+                         "pass --format keel or --format csv to set the format") from exc
 
 
 def _parse_rows(spec: str, n_rows: int) -> list[int]:

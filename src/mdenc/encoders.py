@@ -149,9 +149,10 @@ def fit_retire(ds_train: Dataset, l: float = scaling.DEFAULT_L,
 
 def encode_retire(model: EncoderModel, X: np.ndarray) -> np.ndarray:
     """Binarized radar silhouette of each row plus the radius-1.0 border:
-    every image starts as the border, drawn once per call, and the rows are
-    then scaled, filled and stroked ``RETIRE_CHUNK`` at a time (drawing only
-    sets pixels to 255, so the order does not matter)."""
+    every image starts as the border, drawn once per call; the whole batch
+    is scaled and its vertices placed in one pass each, and the rows are
+    then filled and stroked ``RETIRE_CHUNK`` at a time (drawing only sets
+    pixels to 255, so the order does not matter)."""
     layout = model.layout
     polygon = layout.n >= 3
     draw = fill_polygon if polygon else draw_polyline  # else a single point or chord
@@ -159,9 +160,10 @@ def encode_retire(model: EncoderModel, X: np.ndarray) -> np.ndarray:
     border = draw_polyline(np.zeros((height, width), dtype=np.uint8),
                            polar_vertices(layout, np.ones(layout.n)), closed=polygon)
     out = np.repeat(border[None], X.shape[0], axis=0)
+    vertices = polar_vertices(layout, scaling.transform(model.scaler, X))
     for start in range(0, X.shape[0], RETIRE_CHUNK):
         rows = slice(start, start + RETIRE_CHUNK)
-        draw(out[rows], polar_vertices(layout, scaling.transform(model.scaler, X[rows])))
+        draw(out[rows], vertices[rows])
     return out
 
 

@@ -66,12 +66,22 @@ def _exact_pixels(stack: np.ndarray) -> tuple[np.ndarray, type]:
     add 0 to every distance), divide the rest by their gcd ``g`` (every
     distance scales by ``g**2``), and pick the dtype in which every
     intermediate is an exact integer: float32 if ``2 * top**2 * pixels <=
-    2**24`` (``top`` the largest value left, ``pixels`` kept), else float64."""
+    2**24`` (``top`` the largest value left, ``pixels`` kept), else float64.
+
+    Each kept column's extremes are kept values, so ``g`` divides the gcd
+    ``g0`` of the extremes; ``g`` is ``g0`` when every kept value is a
+    multiple of it, checked a few rows at a time, and the gcd of all kept
+    values otherwise."""
     lo = stack.min(axis=0, initial=255)
     hi = stack.max(axis=0, initial=0)
     varying = np.flatnonzero(lo != hi)
-    kept = stack[:, varying]
-    g = int(np.gcd.reduce(kept, axis=None)) or 1
+    kept = np.take(stack, varying, axis=1)
+    g = int(np.gcd.reduce(np.gcd(lo[varying], hi[varying]))) or 1
+    # uint8 floor-divide and multiply run far faster than np.remainder or
+    # np.gcd, and 8-row blocks keep the temporaries small
+    blocks = (kept[start:start + 8] for start in range(0, len(kept), 8))
+    if g > 1 and any((block - block // g * g).any() for block in blocks):
+        g = int(np.gcd.reduce(kept, axis=None))
     top = int(hi[varying].max(initial=0)) // g
     dtype = np.float32 if 2 * top * top * len(varying) <= 2**24 else np.float64
     return np.floor_divide(kept, g, out=kept), dtype

@@ -162,8 +162,10 @@ def _parity(pts: np.ndarray, height: int, width: int) -> np.ndarray:
     xint = xa + (yc - ya) * (x2[edges] - xa) / (y2[edges] - ya)
     # all shapes and rows at once: count each crossing at the first center
     # not left of it; a center's parity is that of the counts to its right,
-    # and uint8 sums that wrap at 256 keep it
-    first = np.searchsorted(np.arange(width, dtype=np.float64) + 0.5, xint, side="left")
+    # and uint8 sums that wrap at 256 keep it. The first center c + 0.5 >= xint
+    # is c = ceil(xint - 0.5): the subtraction is exact for 0.5 <= xint < 2**52
+    # (points stay within MAX_COORD), and below 0.5 it gives c <= 0 either way
+    first = np.clip(np.ceil(xint - 0.5), 0, width).astype(np.int64)
     key = ((edges // n) * height + rows) * (width + 1) + first
     table = np.bincount(key, minlength=math.prod(lead) * height * (width + 1))
     table = table.astype(np.uint8).reshape(*lead, height, width + 1)

@@ -322,6 +322,18 @@ class TestDatasetOptions:
                      "--size", "32x32", "--out", str(tmp_path / "dat.json")]) == 0
         assert out.read_text() == (tmp_path / "dat.json").read_text()
 
+    def test_parse_error_names_the_file_and_the_guessed_format(self, tmp_path, capsys):
+        ds = make_benchmark_dataset("cryotherapy")
+        txt = write_keel_file(ds, tmp_path / "cryotherapy.txt")
+        args = ["fit", "--dataset", str(txt), "--encoder", "stml", "--out", str(tmp_path / "m.json")]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert "cryotherapy.txt read as csv" in err
+        assert "--format keel" in err and "--format csv" in err
+        # a format given on the command line was not guessed, so there is no hint
+        assert main([*args, "--format", "csv"]) == 2
+        assert "--format" not in capsys.readouterr().err
+
     def label_first_csv(self, tmp_path):
         ds = make_benchmark_dataset("cryotherapy")
         path = tmp_path / "first.csv"

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -178,6 +179,52 @@ class TestKnnPixel:
         train, test = near_tie_stacks(step, pixels)
         assert exact_pixel_probe(train, [0, 1, 2], test).tolist() == [1]
         assert seen == [dtype]
+
+
+def gcd_pruning_oracle(stack_2d):
+    """``_exact_pixels`` with the gcd of every kept value: the varying
+    columns divided by their full ``np.gcd.reduce``, and the dtype rule."""
+    varying = np.flatnonzero(stack_2d.min(axis=0) != stack_2d.max(axis=0))
+    kept = stack_2d[:, varying]
+    g = int(np.gcd.reduce(kept, axis=None)) or 1
+    top = int(kept.max(initial=0)) // g
+    return kept // g, np.float32 if 2 * top * top * len(varying) <= 2**24 else np.float64
+
+
+def extremes_overstate_the_gcd():
+    # the extremes of both varying columns are multiples of 9, but one value
+    # in a later 8-row block is 6, so the gcd of every value is 3
+    column = np.tile([9, 0], 10)
+    column[13] = 6
+    return stack(np.column_stack([column, np.tile([18, 9], 10), np.full(20, 10)]))
+
+
+class TestExactPixels:
+    @pytest.mark.parametrize("pixels", [
+        extremes_overstate_the_gcd(),
+        stack(np.full((12, 5), 7)),
+        *(stack(np.random.default_rng(seed).choice(values, size=(20, 30)))
+          for seed, values in enumerate(ALPHABETS.values())),
+    ], ids=["extremes-overstate-gcd", "constant", *ALPHABETS])
+    def test_matches_full_gcd_oracle(self, pixels):
+        want, want_dtype = gcd_pruning_oracle(pixels)
+        got, dtype = probe._exact_pixels(pixels.copy())
+        assert got.dtype == np.uint8 and got.shape == want.shape
+        assert np.array_equal(got, want)
+        assert dtype is want_dtype
+
+    def test_allocates_little_beyond_the_kept_matrix(self):
+        # the divisibility check works on a few rows at a time; a whole-matrix
+        # temporary of this 300 x 16384 stack would be 4.7 MiB
+        rng = np.random.default_rng(0)
+        pixels = stack(rng.choice([0, 255], size=(300, 128 * 128)))
+        tracemalloc.start()
+        try:
+            kept, _ = probe._exact_pixels(pixels)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < kept.nbytes + 2**20
 
 
 class TestSqDistances:

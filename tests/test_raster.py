@@ -331,6 +331,24 @@ class TestFillOracle:
             got = scanline_fill_mask(pts, width, height)
             assert np.array_equal(got, reference_scanline_fill_mask(pts, width, height))
 
+    def test_crossing_columns_match_a_search_of_the_centers(self):
+        # a vertical edge at x = v crosses each scanline at exactly v, so a
+        # strip from v to MAX_COORD fills the centers from the first one not
+        # left of v on, and a strip from -MAX_COORD to v the centers before it
+        width = 9
+        centers = np.arange(width) + 0.5
+        values = np.concatenate([
+            centers, np.nextafter(centers, -np.inf), np.nextafter(centers, np.inf),
+            np.arange(-3.0, width + 3.0), [-MAX_COORD, -0.5, 0.25, width - 0.5, width, 1e6],
+            [np.nextafter(MAX_COORD, 0.0), MAX_COORD]])
+        first = np.searchsorted(centers, values, side="left")
+        strips = [[(v, 0.0), (MAX_COORD, 0.0), (MAX_COORD, 2.0), (v, 2.0)] for v in values]
+        strips += [[(-MAX_COORD, 0.0), (v, 0.0), (v, 2.0), (-MAX_COORD, 2.0)] for v in values]
+        columns = np.arange(width)
+        want = np.concatenate([columns >= first[:, None], columns < first[:, None]])
+        got = scanline_fill_mask(strips, width, 2)
+        assert np.array_equal(got, np.repeat(want[:, None, :], 2, axis=1))
+
 
 class TestStackOracle:
     """A stack call draws image r from points r exactly as a 2-d call
