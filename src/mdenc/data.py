@@ -24,6 +24,7 @@ from .errors import (
     ParseError,
     StratificationError,
     UnsupportedFeatureError,
+    float_array,
     non_negative_int,
 )
 
@@ -50,8 +51,8 @@ class Dataset:
     class_names: tuple[str, ...]
 
     def __post_init__(self):
-        X = np.ascontiguousarray(self.X, dtype=np.float64)
-        y = np.ascontiguousarray(self.y, dtype=np.int64)
+        X = np.ascontiguousarray(float_array(self.X, "X must be a matrix of numbers"))
+        y = _indices(self.y, len(self.class_names), "class indices")
         if X.ndim != 2:
             raise ParameterError("X must be a 2-d matrix")
         if y.ndim != 1 or y.shape[0] != X.shape[0]:
@@ -60,8 +61,6 @@ class Dataset:
             raise ParameterError("X contains missing or non-finite values")
         if len(self.class_names) < 2:
             raise ParameterError("need at least 2 classes")
-        if y.size and (y.min() < 0 or y.max() >= len(self.class_names)):
-            raise ParameterError("class indices must lie in [0, n_classes)")
         if len(self.feature_names) != X.shape[1]:
             raise ParameterError("feature_names length must equal the column count")
         X.setflags(write=False)
@@ -85,10 +84,24 @@ class Dataset:
 
     def subset(self, indices) -> "Dataset":
         """Row subset sharing this dataset's feature and class metadata."""
-        idx = np.asarray(indices, dtype=np.int64)
+        idx = _indices(indices, self.n_instances, "row indices")
         return Dataset(
             self.name, self.X[idx], self.y[idx], self.feature_names, self.class_names
         )
+
+
+def _indices(values, bound: int, what: str) -> np.ndarray:
+    """``values`` as a contiguous int64 array when they are integers in
+    ``range(bound)`` (an empty list included); ParameterError naming
+    ``what`` for anything else, such as floats, text or a boolean mask."""
+    try:
+        a = np.asarray(values)
+        valid = not a.size or (a.dtype.kind in "iu" and 0 <= a.min() and a.max() < bound)
+    except ValueError:  # ragged
+        valid = False
+    if not valid:
+        raise ParameterError(f"{what} must be integers in range({bound})")
+    return np.ascontiguousarray(a, dtype=np.int64)
 
 
 def _read_rows(name: str, source: str, header: list[str], out_col: int,

@@ -1,4 +1,4 @@
-"""Exception hierarchy for the toolkit, and the two input checks that
+"""Exception hierarchy for the toolkit, and the input checks that
 several modules share.
 
 Every contract violation raises a subclass of :class:`MdencError`, so the
@@ -6,6 +6,7 @@ CLI can map validation failures to exit code 2 while anything else stays a
 genuine internal error (exit code 1).
 """
 
+import numbers
 import operator
 
 import numpy as np
@@ -75,6 +76,14 @@ def non_negative_int(value, what: str) -> int:
     if number < 0:
         raise ParameterError(f"{what} must be a non-negative integer, got {value!r}")
     return number
+
+
+def real_number(value, what: str) -> float:
+    """``value`` as a float when it is a real number (numpy scalars
+    included); ParameterError naming ``what`` if not, such as for text."""
+    if not isinstance(value, numbers.Real):
+        raise ParameterError(f"{what} must be a number, got {value!r}")
+    return float(value)
 
 
 def float_array(values, what: str) -> np.ndarray:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FitError, ParameterError, ShapeError, float_array
+from .errors import FitError, ParameterError, ShapeError, float_array, real_number
 
 DEFAULT_L = 0.05
 DEFAULT_U = 0.95
@@ -69,14 +69,15 @@ def matrix_fingerprint(X) -> str:
 def fit(X_train, l: float = DEFAULT_L, u: float = DEFAULT_U) -> ScalerParams:
     """Learn column-wise extrema from a non-empty training matrix; every
     column needs a finite range."""
+    l, u = real_number(l, "l"), real_number(u, "u")
     if not (0.0 <= l < u <= 1.0):
         raise ParameterError(f"bounds must satisfy 0 <= l < u <= 1, got l={l}, u={u}")
     X = float_array(X_train, "training values must be an array of numbers")
-    if X.ndim != 2 or X.size == 0:
+    if X.ndim != 2:
+        raise ShapeError(f"training matrix must be 2-d, got shape {X.shape}")
+    if X.size == 0:
         raise FitError("training matrix is empty")
-    return ScalerParams(
-        X.min(axis=0), X.max(axis=0), float(l), float(u), matrix_fingerprint(X)
-    )
+    return ScalerParams(X.min(axis=0), X.max(axis=0), l, u, matrix_fingerprint(X))
 
 
 def transform(params: ScalerParams, x) -> np.ndarray:

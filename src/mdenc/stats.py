@@ -13,17 +13,17 @@ import numpy as np
 
 from ._doc import to_doc
 from ._ranking import rank_average
-from .errors import InsufficientDataError, ParameterError, float_array, non_negative_int
+from .data import CV_FOLDS, CV_REPEATS
+from .errors import (InsufficientDataError, ParameterError, float_array, non_negative_int,
+                     real_number)
 
-N_SPLITS = 10  # 5 repeats x 2 folds
+N_SPLITS = CV_REPEATS * CV_FOLDS
 DEFAULT_ALPHA = 0.05
 WILCOXON_EXACT_LIMIT = 20  # largest n whose Wilcoxon p-value is exact
-CF_MAX_ITER = 300  # continued-fraction terms before giving up
-CF_EPS = 1e-16  # relative change that ends the continued fraction
 
 
 def _check_alpha(alpha: float) -> None:
-    if not 0.0 < alpha < 1.0:  # also rejects NaN
+    if not 0.0 < real_number(alpha, "alpha") < 1.0:  # also rejects NaN
         raise ParameterError(f"alpha must lie in (0, 1), got {alpha}")
 
 
@@ -59,8 +59,9 @@ def combined_5x2cv_f_test(a, b, alpha: float = DEFAULT_ALPHA) -> FTestResult:
     _check_alpha(alpha)
     a, b = _paired_scores(a, b)
     if a.shape != (N_SPLITS,) or b.shape != (N_SPLITS,):
-        raise ParameterError(f"need {N_SPLITS} paired scores (5 repeats x 2 folds)")
-    diffs = (a - b).reshape(5, 2)
+        raise ParameterError(f"need {N_SPLITS} paired scores "
+                             f"({CV_REPEATS} repeats x {CV_FOLDS} folds)")
+    diffs = (a - b).reshape(CV_REPEATS, CV_FOLDS)
     repeat_mean = diffs.mean(axis=1, keepdims=True)
     s2 = ((diffs - repeat_mean) ** 2).sum(axis=1)
     numerator = float((diffs ** 2).sum())
@@ -70,71 +71,45 @@ def combined_5x2cv_f_test(a, b, alpha: float = DEFAULT_ALPHA) -> FTestResult:
             return FTestResult(math.nan, 1.0, False, True)
         return FTestResult(math.inf, 0.0, True, True)
     f_stat = numerator / denominator
-    p_value = f_distribution_sf(f_stat, 10, 5)
+    p_value = f_distribution_sf(f_stat, N_SPLITS, CV_REPEATS)
     return FTestResult(f_stat, p_value, p_value < alpha, False)
 
 
 def f_distribution_sf(x: float, d1: int, d2: int) -> float:
-    """Survival function P(F(d1, d2) > x) of the F distribution,
-    via the regularized incomplete beta: I_{d2/(d2 + d1 x)}(d2/2, d1/2)."""
-    if min(non_negative_int(d1, "d1"), non_negative_int(d2, "d2")) < 1:
-        raise ParameterError("degrees of freedom must be >= 1")
-    if not x >= 0:  # also rejects NaN
+    """Survival function P(F(d1, d2) > x) of the F distribution for integer
+    degrees of freedom up to 2**17: the regularized incomplete beta
+    I_y(a, b) at y = d2 / (d2 + d1 x), a = d2 / 2 and b = d1 / 2, as a
+    finite sum. It starts from a closed form, I_y(a, 1) = y^a when d1 is
+    even, I_y(1, b) = 1 - (1-y)^b when d2 is, and I_y(1/2, 1/2) =
+    (2/pi) atan(sqrt(y / (1-y))) when both are odd. Then it raises b one at
+    a time, each step adding y^a (1-y)^b / (b B(a, b)), and then a, each
+    step subtracting y^a (1-y)^b / (a B(a, b)), formed in log space."""
+    d1, d2 = non_negative_int(d1, "d1"), non_negative_int(d2, "d2")
+    if not 1 <= min(d1, d2) <= max(d1, d2) <= 2 ** 17:
+        raise ParameterError(f"degrees of freedom must lie in 1..2**17, got {d1} and {d2}")
+    x = real_number(x, "x")
+    if not x >= 0.0:  # also rejects NaN
         raise ParameterError(f"x must be >= 0, got {x}")
-    if x == 0.0:
-        return 1.0
-    return regularized_incomplete_beta(d2 / (d2 + d1 * x), 0.5 * d2, 0.5 * d1)
-
-
-def regularized_incomplete_beta(x: float, a: float, b: float) -> float:
-    """I_x(a, b) evaluated through the continued fraction of the incomplete
-    beta integral (modified Lentz), switched at the symmetry point so the
-    fraction converges quickly. Absolute error below 1e-10 for a and b up to
-    2.5e4, about 2e-10 at a = b = 5e4; from about a = b = 1.5e5 the fraction
-    may not converge in ``CF_MAX_ITER`` terms and raises ``ParameterError``."""
-    if math.isnan(x):
-        raise ParameterError("x must be a number, got nan")
-    if not (0.0 < a < math.inf and 0.0 < b < math.inf):  # also rejects NaN
-        raise ParameterError(f"a and b must be finite and above 0, got {a} and {b}")
-    if x <= 0.0:
-        return 0.0
-    if x >= 1.0:
-        return 1.0
-    ln_front = (math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
-                + a * math.log(x) + b * math.log1p(-x))
-    front = math.exp(ln_front)
-    if x < (a + 1.0) / (a + b + 2.0):
-        return front * _beta_continued_fraction(a, b, x) / a
-    return 1.0 - front * _beta_continued_fraction(b, a, 1.0 - x) / b
-
-
-def _beta_continued_fraction(a: float, b: float, x: float) -> float:
-    tiny = 1e-300
-    qab, qap, qam = a + b, a + 1.0, a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < tiny:
-        d = tiny
-    d = 1.0 / d
-    h = d
-    for m in range(1, CF_MAX_ITER + 1):
-        m2 = 2 * m
-        # one modified-Lentz step per coefficient: the even one, then the odd
-        for coeff in (m * (b - m) * x / ((qam + m2) * (a + m2)),
-                      -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))):
-            d = 1.0 + coeff * d
-            if abs(d) < tiny:
-                d = tiny
-            c = 1.0 + coeff / c
-            if abs(c) < tiny:
-                c = tiny
-            d = 1.0 / d
-            delta = d * c
-            h *= delta
-        if abs(delta - 1.0) < CF_EPS:
-            return h
-    raise ParameterError(f"the incomplete beta continued fraction does not converge in "
-                         f"{CF_MAX_ITER} terms for shape parameters {a:g} and {b:g}")
+    y = d2 / (d2 + d1 * x)
+    if not 0.0 < y < 1.0:  # x = 0 or inf, or so near either that y rounds to 1 or 0
+        return y
+    w = d1 * x / (d2 + d1 * x)  # 1 - y without the cancellation
+    if d1 % 2 == 0:
+        a, b, sf = d2 / 2, 1.0, y ** (d2 / 2)
+    elif d2 % 2 == 0:
+        a, b, sf = 1.0, d1 / 2, 1.0 - w ** (d1 / 2)
+    else:
+        a, b, sf = 0.5, 0.5, math.atan2(math.sqrt(y), math.sqrt(w)) / (math.pi / 2)
+    ln_y, ln_w = math.log(y), math.log(w)
+    while b < d1 / 2:
+        sf += math.exp(a * ln_y + b * ln_w + math.lgamma(a + b) - math.lgamma(a)
+                       - math.lgamma(b + 1.0))
+        b += 1.0
+    while a < d2 / 2:
+        sf -= math.exp(a * ln_y + b * ln_w + math.lgamma(a + b) - math.lgamma(a + 1.0)
+                       - math.lgamma(b))
+        a += 1.0
+    return min(max(sf, 0.0), 1.0)
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,7 @@ from mdenc.errors import (
     MissingColumnError,
     ParameterError,
     ParseError,
+    ShapeError,
     StratificationError,
     UnsupportedFeatureError,
 )
@@ -279,6 +280,30 @@ class TestDatasetValidation:
     def test_class_index_out_of_range(self):
         with pytest.raises(ParameterError):
             Dataset("x", np.zeros((2, 1)), np.array([0, 2]), ("a",), ("0", "1"))
+
+    @pytest.mark.parametrize("y", [[0.5, 1.7], [0.0, 1.0], ["a", "b"], [True, False],
+                                   [[0, 1], [1]], [0, None]])
+    def test_class_indices_must_be_integers(self, y):
+        with pytest.raises(ParameterError, match=r"class indices must be integers in range\(2\)"):
+            Dataset("x", np.zeros((2, 1)), y, ("f",), ("0", "1"))
+
+    @pytest.mark.parametrize("X", [[["a"], ["b"]], [[0.0], None], [[0.0, 1.0], [2.0]]])
+    def test_feature_values_must_be_numbers(self, X):
+        with pytest.raises(ShapeError, match="X must be a matrix of numbers"):
+            Dataset("x", X, [0, 1], ("f",), ("0", "1"))
+
+    def test_labels_of_any_integer_type(self):
+        for y in ([0, 1], np.array([0, 1], dtype=np.uint8), (np.int32(1), np.int32(0))):
+            ds = Dataset("x", np.zeros((2, 1)), y, ("f",), ("0", "1"))
+            assert ds.y.dtype == np.int64
+        assert Dataset("x", np.zeros((0, 1)), [], ("f",), ("0", "1")).n_instances == 0
+
+    @pytest.mark.parametrize("indices", [np.ones(6, dtype=bool), [1.9], [100], [6], [-1],
+                                         ["1"], [[0, 1], [2]]])
+    def test_subset_takes_integer_row_indices(self, indices):
+        ds = generate_synthetic(6, 2, seed=0)
+        with pytest.raises(ParameterError, match=r"row indices must be integers in range\(6\)"):
+            ds.subset(indices)
 
     def test_immutable_arrays(self):
         ds = generate_synthetic(10, 2, seed=0)

@@ -184,6 +184,12 @@ class TestRetire:
         with pytest.raises(FitError):
             encoders.fit_retire(ds.subset([]))
 
+    @pytest.mark.parametrize("kind", ["retire", "igtd"])
+    @pytest.mark.parametrize("bounds", [{"l": "0.1"}, {"u": None}, {"l": [0.1]}])
+    def test_guard_bounds_must_be_numbers(self, kind, bounds):
+        with pytest.raises(ParameterError, match=f"{next(iter(bounds))} must be a number"):
+            encoders.fit(kind, toy_dataset(3), **bounds)
+
     def test_maxima_sit_at_upper_guard_radius(self):
         ds = toy_dataset(5, seed=3)
         model = encoders.fit_retire(ds, l=0.05, u=0.95, size=(64, 64))

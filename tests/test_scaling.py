@@ -30,6 +30,21 @@ class TestFit:
         with pytest.raises(ParameterError):
             scaling.fit(COLUMN, 0.0, 1.1)
 
+    @pytest.mark.parametrize("bounds", [{"l": "0.1"}, {"u": None}, {"u": "0.9"}])
+    def test_bounds_must_be_numbers(self, bounds):
+        with pytest.raises(ParameterError, match=f"{next(iter(bounds))} must be a number"):
+            scaling.fit(COLUMN, **bounds)
+
+    def test_bounds_may_be_numpy_scalars(self):
+        params = scaling.fit(COLUMN, np.float32(0.25), np.int64(1))
+        assert (params.l, params.u) == (0.25, 1.0)
+        assert type(params.l) is float and type(params.u) is float
+
+    @pytest.mark.parametrize("values", [[1.0, 2.0], 3.0, np.zeros((2, 2, 2))])
+    def test_matrix_must_be_2d(self, values):
+        with pytest.raises(ShapeError, match="training matrix must be 2-d, got shape"):
+            scaling.fit(values)
+
     def test_empty_matrix(self):
         with pytest.raises(FitError):
             scaling.fit(np.empty((0, 3)))

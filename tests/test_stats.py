@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 import scipy.stats as scipy_stats
+from hypothesis import given, settings, strategies as st
 
 from fixtures import (
     REFERENCE_BAC_MATRIX,
@@ -18,7 +19,6 @@ from mdenc.stats import (
     compare,
     f_distribution_sf,
     mean_ranks,
-    regularized_incomplete_beta,
     wilcoxon_signed_rank,
 )
 
@@ -88,6 +88,16 @@ class TestCombinedFTest:
         with pytest.raises(ParameterError):
             combined_5x2cv_f_test(np.ones(8), np.ones(8))
 
+    def test_names_the_cv_shape(self):
+        with pytest.raises(ParameterError, match=r"need 10 paired scores \(5 repeats x 2 folds\)"):
+            combined_5x2cv_f_test(np.ones(12), np.ones(12))
+
+    @pytest.mark.parametrize("alpha", ["x", None, "0.05"])
+    def test_alpha_must_be_a_number(self, alpha):
+        rng = np.random.default_rng(3)
+        with pytest.raises(ParameterError, match="alpha must be a number"):
+            combined_5x2cv_f_test(rng.uniform(size=10), rng.uniform(size=10), alpha=alpha)
+
 
 class TestFDistributionSf:
     def test_zero_gives_full_mass(self):
@@ -112,14 +122,29 @@ class TestFDistributionSf:
                 assert f_distribution_sf(float(x), d1, d2) == pytest.approx(
                     scipy_stats.f.sf(x, d1, d2), abs=1e-10)
 
+    def test_finite_sum_against_scipy_grid(self):
+        for d1, d2 in ((10, 5), (1, 1), (2, 7), (30, 4), (2, 2), (5, 5), (3, 8), (1, 40),
+                       (101, 99)):
+            for x in np.linspace(0.01, 40, 200):
+                assert abs(f_distribution_sf(float(x), d1, d2) - scipy_stats.f.sf(x, d1, d2)) <= 1e-12
+
     def test_incomplete_beta_against_scipy(self):
+        # P(F(d1, d2) > x) is I_y(d2/2, d1/2) at y = d2 / (d2 + d1 x)
         rng = np.random.default_rng(2)
         for _ in range(200):
-            x = float(rng.uniform(0, 1))
-            a = float(rng.uniform(0.2, 20))
-            b = float(rng.uniform(0.2, 20))
-            assert regularized_incomplete_beta(x, a, b) == pytest.approx(
-                scipy_stats.beta.cdf(x, a, b), abs=1e-10)
+            y = float(rng.uniform(0, 1))
+            d1, d2 = (int(d) for d in rng.integers(1, 41, size=2))
+            x = d2 * (1.0 - y) / (d1 * y)
+            assert f_distribution_sf(x, d1, d2) == pytest.approx(
+                scipy_stats.beta.cdf(d2 / (d2 + d1 * x), d2 / 2, d1 / 2), abs=1e-10)
+
+    @settings(max_examples=300, deadline=None)
+    @given(d1=st.integers(1, 400), d2=st.integers(1, 400), log_x=st.floats(-6.0, 6.0))
+    def test_matches_scipy_for_integer_degrees_of_freedom(self, d1, d2, log_x):
+        x = 10.0 ** log_x
+        sf = f_distribution_sf(x, d1, d2)
+        assert 0.0 <= sf <= 1.0
+        assert abs(sf - scipy_stats.f.sf(x, d1, d2)) <= 1e-12
 
     def test_domain_errors(self):
         with pytest.raises(ParameterError):
@@ -129,15 +154,10 @@ class TestFDistributionSf:
         with pytest.raises(ParameterError):
             f_distribution_sf(math.nan, 10, 5)
 
-    def test_incomplete_beta_rejects_nan(self):
-        with pytest.raises(ParameterError, match="nan"):
-            regularized_incomplete_beta(math.nan, 2.0, 3.0)
-
-    @pytest.mark.parametrize("a, b", [(math.nan, 3.0), (2.0, math.nan), (-1.0, 3.0),
-                                      (2.0, 0.0), (math.inf, 3.0)])
-    def test_incomplete_beta_shapes_must_be_positive(self, a, b):
-        with pytest.raises(ParameterError, match="a and b must be finite and above 0"):
-            regularized_incomplete_beta(0.5, a, b)
+    @pytest.mark.parametrize("x", ["1", None, [1.0]])
+    def test_x_must_be_a_number(self, x):
+        with pytest.raises(ParameterError, match="x must be a number"):
+            f_distribution_sf(x, 10, 5)
 
     @pytest.mark.parametrize("d1, d2", [(2.5, 3), (2, 3.0), ("2", 3), (-1, 3)])
     def test_degrees_of_freedom_must_be_integers(self, d1, d2):
@@ -148,18 +168,27 @@ class TestFDistributionSf:
     def test_infinite_x_has_no_mass_beyond(self):
         assert f_distribution_sf(math.inf, 10, 5) == 0.0
 
+    @pytest.mark.parametrize("x, d1, d2, expected", [
+        (0.0, 10, 5, 1.0), (5e-324, 10, 5, 1.0), (1e-300, 10, 5, 1.0), (1e-17, 7, 9, 1.0),
+        (1e300, 10, 5, 0.0), (math.inf, 1, 1, 0.0)])
+    def test_x_at_the_ends_of_the_range(self, x, d1, d2, expected):
+        # y = d2 / (d2 + d1 x) rounds to 1 or 0 here, or the tail is below 1e-300
+        assert f_distribution_sf(x, d1, d2) == expected
+
     def test_large_degrees_of_freedom_within_documented_error(self):
         # the exact value at x = 1 and d1 = d2 is 0.5
         assert f_distribution_sf(1.0, 10**4, 10**4) == pytest.approx(0.5, abs=1e-10)
         assert f_distribution_sf(1.0, 5 * 10**4, 5 * 10**4) == pytest.approx(0.5, abs=1e-10)
 
-    def test_non_convergence_is_a_parameter_error(self):
-        with pytest.raises(ParameterError, match="does not converge .* 500000 and 500000"):
-            f_distribution_sf(1.0, 10**6, 10**6)
+    def test_degrees_of_freedom_at_the_bound(self):
+        assert f_distribution_sf(1.0, 2**17, 2**17) == pytest.approx(0.5, abs=1e-10)
+        assert f_distribution_sf(1.01, 2**17, 2**17) == pytest.approx(
+            scipy_stats.f.sf(1.01, 2**17, 2**17), abs=1e-10)
 
-    def test_incomplete_beta_non_convergence_names_the_shapes(self):
-        with pytest.raises(ParameterError, match="shape parameters 1e\\+06 and 1e\\+06"):
-            regularized_incomplete_beta(0.5, 1e6, 1e6)
+    @pytest.mark.parametrize("d1, d2", [(10**6, 10**6), (2**17 + 1, 5), (10, 2**17 + 1)])
+    def test_degrees_of_freedom_above_the_bound_are_rejected(self, d1, d2):
+        with pytest.raises(ParameterError, match=r"must lie in 1\.\.2\*\*17, got "):
+            f_distribution_sf(1.0, d1, d2)
 
 
 class TestNonFiniteScores:
@@ -179,6 +208,11 @@ class TestNonFiniteScores:
 
 
 class TestWilcoxon:
+    @pytest.mark.parametrize("alpha", ["x", None, "0.05"])
+    def test_alpha_must_be_a_number(self, alpha):
+        with pytest.raises(ParameterError, match="alpha must be a number"):
+            wilcoxon_signed_rank(np.arange(1.0, 7.0), np.zeros(6), alpha=alpha)
+
     def test_all_zero_differences_insufficient(self):
         a = np.linspace(0, 1, 8)
         with pytest.raises(InsufficientDataError):
