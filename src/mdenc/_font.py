@@ -38,24 +38,39 @@ GLYPHS = {
     for ch, rows in _GLYPH_ROWS.items()
 }
 
-# the same glyphs as 0/255 pixels, indexed by ASCII code
+# the same glyphs as 0/255 pixels, indexed by ASCII code; a code without a
+# glyph (NUL, or the blank " ") draws nothing in its box
 _ATLAS = np.zeros((128, GLYPH_HEIGHT, GLYPH_WIDTH + 1), dtype=np.uint8)
 _ATLAS[[ord(ch) for ch in GLYPHS]] = 255 * np.stack(list(GLYPHS.values()))
 
 
-def draw_text(cells: np.ndarray, texts: list[str]) -> None:
+def text_codes(texts: list[str]) -> np.ndarray:
+    """``texts`` as an (N, L) uint8 matrix of ASCII codes, each row padded
+    with NUL (code 0) to the longest text, from one join of all texts;
+    ParameterError names the first character that has no glyph."""
+    flat = np.frombuffer("".join(texts).encode("utf-32-le", "surrogatepass"), dtype="<u4")
+    drawable = np.isin(flat, [ord(ch) for ch in GLYPHS])
+    if not drawable.all():
+        raise ParameterError(f"no glyph for character {chr(flat[np.argmin(drawable)])!r}")
+    lengths = np.fromiter(map(len, texts), dtype=np.intp, count=len(texts))
+    codes = np.zeros((len(texts), lengths.max(initial=0)), dtype=np.uint8)
+    codes[np.arange(codes.shape[1]) < lengths[:, None]] = flat
+    return codes
+
+
+def draw_text(cells: np.ndarray, texts) -> None:
     """Or ``texts[i]`` with foreground 255 into ``cells[i]`` of an (N, h, w)
     uint8 view: at the largest integer scale that fits (at least 1),
-    centered, and clipped to the cell. Texts of one length share their
+    centered, and clipped to the cell. ``texts`` is a list of N strings or
+    an (N, L) code matrix like ``text_codes`` returns; a text's length is
+    its count of codes that are not NUL. Texts of one length share their
     scale and offsets, so each length is one atlas gather and one blit."""
-    bad = next((ch for ch in "".join(texts) if ch not in GLYPHS), None)
-    if bad is not None:
-        raise ParameterError(f"no glyph for character {bad!r}")
+    codes = texts if isinstance(texts, np.ndarray) else text_codes(texts)
     _, h, w = cells.shape
-    for length in set(map(len, texts)) - {0}:
-        images = [i for i, t in enumerate(texts) if len(t) == length]
-        codes = np.frombuffer("".join(texts[i] for i in images).encode("ascii"), dtype=np.uint8)
-        text = _ATLAS[codes.reshape(len(images), length)].transpose(0, 2, 1, 3)
+    lengths = np.count_nonzero(codes, axis=1)
+    for length in np.unique(lengths[lengths > 0]).tolist():
+        images = np.flatnonzero(lengths == length)
+        text = _ATLAS[codes[images, :length]].transpose(0, 2, 1, 3)
         text = text.reshape(len(images), GLYPH_HEIGHT, -1)  # (texts, glyph rows, text columns)
         th, tw = GLYPH_HEIGHT, text.shape[2] - 1  # no spacer after the last glyph
         scale = max(1, min(w // tw, h // th))

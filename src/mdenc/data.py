@@ -51,8 +51,9 @@ class Dataset:
     class_names: tuple[str, ...]
 
     def __post_init__(self):
-        X = np.ascontiguousarray(float_array(self.X, "X must be a matrix of numbers"))
-        y = _indices(self.y, len(self.class_names), "class indices")
+        # copies, so that freezing them leaves the caller's arrays writable
+        X = np.array(float_array(self.X, "X must be a matrix of numbers"), order="C")
+        y = np.array(_indices(self.y, len(self.class_names), "class indices"))
         if X.ndim != 2:
             raise ParameterError("X must be a 2-d matrix")
         if y.ndim != 1 or y.shape[0] != X.shape[0]:

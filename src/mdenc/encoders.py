@@ -191,14 +191,23 @@ def fit_stml(ds_train: Dataset, size: tuple[int, int] = DEFAULT_CANVAS) -> Encod
     return EncoderModel("stml", _canvas(size), None, GridLayout(rows, cols, n))
 
 
+def stml_codes(X: np.ndarray) -> np.ndarray:
+    """The ``format_value`` text of every value of ``X`` as a (rows,
+    features, length) uint8 code matrix (``_font.text_codes``, NUL-padded
+    to the longest text), formatted and encoded once for the whole batch."""
+    codes = _font.text_codes([format_value(v) for v in X.ravel().tolist()])
+    return codes.reshape(X.shape[0], X.shape[1], codes.shape[1])
+
+
 def encode_stml(model: EncoderModel, X: np.ndarray) -> np.ndarray:
     """Render each raw feature value as glyph text in its cell; one
     ``_font.draw_text`` call writes one cell of every image."""
     width, height = model.canvas_size
     out = np.zeros((X.shape[0], height, width), dtype=np.uint8)
-    for f, column in enumerate(X.T.tolist()):
+    codes = stml_codes(X)
+    for f in range(model.layout.n):
         x0, y0, x1, y1 = model.layout.cell_rect(f, width, height)
-        _font.draw_text(out[:, y0:y1, x0:x1], [format_value(v) for v in column])
+        _font.draw_text(out[:, y0:y1, x0:x1], codes[:, f])
     return out
 
 

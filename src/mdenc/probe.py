@@ -3,8 +3,11 @@ loop.
 
 The 1-NN pixel probe lives in ``run_cv_eval``, a deterministic stand-in for
 a CNN: it only has to show whether class information survives an encoding.
-Its distances are exact (see ``_exact_pixels``), so it predicts what a
-float64 probe over every pixel would. A pixel distance ignores where each
+Its distances are exact, so it predicts what a float64 probe over every
+pixel would. ``stml`` distances come from glyph stamps with no row drawn,
+``G = Σ_f Φ_f S Φ_fᵀ`` (``_stamp_distances``); the other kinds draw their
+rows and prune the pixels (``_pixel_distances``, ``_exact_pixels``), the
+path that the tests hold the stamps to. A pixel distance ignores where each
 pixel sits, so the probe cannot rank ``igtd`` assignments. A tabular 1-NN
 twin on scaled feature vectors serves as the baseline.
 """
@@ -15,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import encoders, scaling
+from . import _font, encoders, scaling
 from ._doc import to_json
 from .data import CVPlan, Dataset
 from .errors import MetricError, ParameterError, ShapeError
@@ -87,6 +90,93 @@ def _exact_pixels(stack: np.ndarray) -> tuple[np.ndarray, type]:
     return np.floor_divide(kept, g, out=kept), dtype
 
 
+def _pixel_distances(model: encoders.EncoderModel, X: np.ndarray,
+                     split: int | None) -> np.ndarray:
+    """Exact squared distances between the encoded rows of ``X``, pruned and
+    cast by ``_exact_pixels``: the first ``split`` rows against the rest,
+    or every row against every row when ``split`` is None."""
+    pixels, dtype = _exact_pixels(encoders.encode_batch(model, X).reshape(len(X), -1))
+    sides = np.split(pixels, [] if split is None else [split])
+    return _sq_distances(*(side.astype(dtype) for side in sides))
+
+
+def _stamp_distances(model: encoders.EncoderModel, X: np.ndarray,
+                     split: int | None) -> np.ndarray:
+    """``_pixel_distances`` of an ``stml`` model, with no row drawn.
+
+    Cells are disjoint, and inside a cell each glyph of a text fills its own
+    box at the scale and offset that the text's length fixes, so a row's
+    image is a sum of disjoint stamps: one per (feature, position), keyed by
+    (cell shape, text length, position, character), clipped as drawn. The
+    stamps are drawn once by ``_font.draw_text``. With ``P`` their 0/1
+    pixels, ``S = P Pᵀ`` counts the pixels two stamps share, and with
+    ``Φ_f`` the 0/1 row-by-stamp matrix of feature f the pixel Gram is
+    ``G = Σ_f Φ_f S Φ_fᵀ``; the distances are ``|q|² + |r|² − 2G`` in units
+    of 255², the pixel path's after its gcd. ``G`` is summed over blocks of
+    features, each at most 2,048 stamp columns wide. Every term and partial
+    sum counts pixels that one row's stamps cover, at most the canvas's
+    ``W * H`` since the stamps lie in the cells that tile it. So, by the
+    ``_exact_pixels`` rule with values 0/1, the sums run in float32 when
+    ``2 * W * H <= 2**24``, exact in any BLAS summation order, and in
+    float64 otherwise.
+    """
+    width, height = model.canvas_size
+    dtype = np.float32 if 2 * width * height <= 2**24 else np.float64
+    codes = encoders.stml_codes(X)
+    n, n_features, longest = codes.shape
+    lengths = np.count_nonzero(codes, axis=2)[..., None]
+    position = np.arange(longest)
+    # the stamp key of each (row, feature, position), 0 past the text's end
+    keys = np.where(position < lengths, (lengths * longest + position) * 128 + codes, 0)
+    shapes = {}  # cell shape -> its features
+    for f in range(n_features):
+        x0, y0, x1, y1 = model.layout.cell_rect(f, width, height)
+        shapes.setdefault((y1 - y0, x1 - x0), []).append(f)
+    stamped = []  # (features, S, stamp of each (row, feature, position))
+    for (h, w), features in shapes.items():
+        stamps, index = np.unique(keys[:, features], return_inverse=True)
+        text, code = np.divmod(stamps, 128)
+        length, at = np.divmod(text, longest)
+        # the stamp as a text of its length, blank but for its one character
+        stamp_codes = np.where(position < length[:, None], ord(" "), 0).astype(np.uint8)
+        stamp_codes[np.arange(len(stamps)), at] = code
+        drawn = np.zeros((len(stamps), h, w), dtype=np.uint8)
+        _font.draw_text(drawn, stamp_codes)
+        drawn = drawn.reshape(len(stamps), -1)
+        ink = (drawn[:, drawn.any(axis=0)] != 0).astype(np.float32)
+        # counts of at most h * w <= 2**24 pixels: exact in float32
+        overlap = (ink @ ink.T).astype(dtype)
+        stamped.append((features, overlap, index.reshape(n, len(features), longest)))
+    norms = np.zeros(n, dtype=dtype)
+    gram = None
+    for features, overlap, index in stamped:
+        norms += np.diagonal(overlap)[index].sum(axis=(1, 2))
+        # a feature uses at most every stamp of its shape, so a block is at
+        # most 2,048 columns wide (a shape has fewer stamps than that)
+        per_block = max(1, 2048 // len(overlap))
+        for start in range(0, len(features), per_block):
+            part = index[:, start:start + per_block]
+            # one column per (feature, stamp) that a row of the block uses
+            pairs, column = np.unique(part + len(overlap) * np.arange(part.shape[1])[:, None],
+                                      return_inverse=True)
+            phi = np.zeros((n, len(pairs)), dtype=dtype)
+            phi[np.arange(n)[:, None, None], column.reshape(part.shape)] = 1.0
+            feature, stamp = np.divmod(pairs, len(overlap))
+            bounds = np.searchsorted(feature, np.arange(part.shape[1] + 1))
+            psi = np.empty_like(phi)
+            for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+                used = stamp[a:b]
+                psi[:, a:b] = phi[:, a:b] @ overlap.take(used, axis=0).take(used, axis=1)
+            product = psi[:split] @ phi[split:].T
+            gram = product if gram is None else np.add(gram, product, out=gram)
+    # |q|² + |r|² − 2G in place: every intermediate is an integer of at most
+    # 2 * W * H, so the order of the adds does not change the result
+    gram *= -2.0
+    gram += norms[:split, None]
+    gram += norms[None, split:]
+    return gram
+
+
 def knn1_tabular(X_train, y_train, X_test, scaler: scaling.ScalerParams) -> np.ndarray:
     """1-NN with Euclidean distance on scaled feature vectors."""
     refs = scaling.transform(scaler, X_train)
@@ -115,6 +205,8 @@ class EvalReport:
 
 
 EVAL_KINDS = encoders.KINDS + ("tabular",)
+# the exact distance path of each encoder kind; the others draw their pixels
+_DISTANCES = {"stml": _stamp_distances}
 
 
 def run_cv_eval(ds: Dataset, encoder_kind: str, plan: CVPlan, *,
@@ -127,9 +219,13 @@ def run_cv_eval(ds: Dataset, encoder_kind: str, plan: CVPlan, *,
     For every split the encoder (or the tabular scaler) is fitted on the
     training fold only and never sees test data; the held-out fold is
     classified with the 1-NN probe. Splits whose models have equal JSON
-    (every ``stml`` split) share one encode of all rows, a pure function of
-    (model, row), pruned once and split only for one exact matrix of
-    test-to-train row distances.
+    (every ``stml`` split) share one exact matrix of distances from the rows
+    they test to the rows they train on, a pure function of (model, rows).
+    ``_DISTANCES`` picks how it is computed: for ``stml``, the stamp Gram
+    ``G = Σ_f Φ_f S Φ_fᵀ`` of ``_stamp_distances``, in float32 only while
+    ``2 * W * H <= 2**24``; for the other kinds, ``_pixel_distances``, which
+    encodes the rows, prunes them once and splits them only for the
+    distance step, and which is the tests' oracle for the stamps.
 
     ``seed`` has no effect (``plan`` carries the CV seed, and no encoder
     draws random numbers), and encoding is serial: both stay only for
@@ -156,17 +252,14 @@ def run_cv_eval(ds: Dataset, encoder_kind: str, plan: CVPlan, *,
         for model, members in groups.values():
             q = np.unique(np.concatenate([splits[i][1] for i in members]))
             r = np.unique(np.concatenate([splits[i][0] for i in members]))
-            # tested rows first, then training rows: each side is a view of one matrix
+            # tested rows first, then training rows
             rows = q if len(q) == len(r) == ds.n_instances else np.concatenate([q, r])
-            pixels, dtype = _exact_pixels(
-                encoders.encode_batch(model, ds.X[rows]).reshape(len(rows), -1))
-            sides = np.split(pixels, [] if rows is q else [len(q)])
-            distances = _sq_distances(*(side.astype(dtype) for side in sides))
-            del pixels, sides  # before the next group's encode
+            distances = _DISTANCES.get(model.kind, _pixel_distances)(
+                model, ds.X[rows], None if rows is q else len(q))
             for i in members:
                 train_idx, test_idx = splits[i]
-                block = distances[np.ix_(np.searchsorted(q, test_idx),
-                                         np.searchsorted(r, train_idx))]
+                block = distances.take(np.searchsorted(q, test_idx), axis=0).take(
+                    np.searchsorted(r, train_idx), axis=1)
                 predictions[i] = _nearest_label(block, ds.y[train_idx])
     bacs = [balanced_accuracy(ds.y[test_idx], y_pred)
             for (_, test_idx), y_pred in zip(splits, predictions)]

@@ -292,6 +292,17 @@ class TestDatasetValidation:
         with pytest.raises(ShapeError, match="X must be a matrix of numbers"):
             Dataset("x", X, [0, 1], ("f",), ("0", "1"))
 
+    def test_caller_arrays_stay_writable_and_apart(self):
+        # contiguous float64 rows and int64 labels, and a view of such rows
+        base = np.zeros((3, 2))
+        for X in (base[:2], np.zeros((2, 2))):
+            y = np.array([0, 1])
+            ds = Dataset("x", X, y, ("a", "b"), ("0", "1"))
+            assert X.flags.writeable and y.flags.writeable
+            assert not ds.X.flags.writeable and not ds.y.flags.writeable
+            X[0, 0], y[0] = 5.0, 1
+            assert ds.X[0, 0] == 0.0 and ds.y[0] == 0
+
     def test_labels_of_any_integer_type(self):
         for y in ([0, 1], np.array([0, 1], dtype=np.uint8), (np.int32(1), np.int32(0))):
             ds = Dataset("x", np.zeros((2, 1)), y, ("f",), ("0", "1"))

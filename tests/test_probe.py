@@ -2,12 +2,13 @@ import dataclasses
 import hashlib
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mdenc import encoders, probe, read_json, scaling, write_json
+from mdenc import _font, encoders, probe, read_json, scaling, write_json
 from mdenc._doc import from_doc, to_doc
 from mdenc.data import CVPlan, Dataset, generate_synthetic, make_cv_plan
 from mdenc.errors import FitError, MetricError, ParameterError, ShapeError, StateError
@@ -253,6 +254,86 @@ class TestSqDistances:
         assert np.array_equal(got, probe._sq_distances(rows, rows.copy()))
 
 
+# any text the font can draw, 1 to 10 glyphs long, and format_value's texts
+# (up to 11 glyphs, such as the scientific 1.235e-5 and -1.235e-10)
+stml_texts = (st.text(alphabet=sorted(_font.GLYPHS), min_size=1, max_size=10)
+              | st.floats(allow_nan=False, allow_infinity=False).map(encoders.format_value))
+
+
+def stml_model(n_features, size):
+    ds = Dataset("t", np.zeros((2, n_features)), [0, 1],
+                 tuple(f"f{i}" for i in range(n_features)), ("0", "1"))
+    return encoders.fit_stml(ds, size)
+
+
+class TestStampDistances:
+    """``_stamp_distances`` against the pixel path it replaces for stml."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(texts=st.lists(stml_texts, min_size=1, max_size=40), n_rows=st.integers(1, 10),
+           n_features=st.integers(1, 20), cell=st.tuples(st.integers(5, 40), st.integers(7, 30)),
+           extra=st.tuples(st.integers(0, 9), st.integers(0, 9)),
+           split=st.none() | st.integers(0, 10), equal_rows=st.booleans(),
+           data_seed=st.integers(0, 2**32 - 1))
+    def test_matches_pixel_oracle(self, texts, n_rows, n_features, cell, extra, split,
+                                  equal_rows, data_seed):
+        # cells as tight as the canvas check allows, and uneven: the last
+        # column and row of cells absorb the remainder; a text longer than
+        # its cell is clipped. Row values index the texts.
+        model = stml_model(n_features, (4096, 4096))
+        rows, cols = model.layout.rows, model.layout.cols
+        size = (cols * cell[0] + extra[0] % cols, rows * cell[1] + extra[1] % rows)
+        model = dataclasses.replace(model, canvas_size=size)
+        rng = np.random.default_rng(data_seed)
+        X = rng.integers(0, len(texts), size=(n_rows, n_features)).astype(np.float64)
+        if equal_rows:
+            X[:] = X[0]
+        split = None if split is None else min(split, n_rows)
+        with mock.patch.object(encoders, "format_value", lambda v: texts[int(v)]):
+            got = probe._stamp_distances(model, X, split)
+            want = probe._pixel_distances(model, X, split)
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("n_rows, n_features, size, scale", [
+        (12, 7, (50, 37), 1.0),        # uneven cells
+        (12, 7, (50, 37), 1e-5),       # scientific texts, such as 1.235e-5
+        (10, 60, (64, 64), 1.0),       # 8x8 cells: every text clipped
+        (10, 1, (224, 224), 1.0),      # a single feature
+        (10, 4, (224, 224), 1e7),
+    ])
+    def test_matches_pixel_oracle_on_values(self, n_rows, n_features, size, scale):
+        X = generate_synthetic(n_rows, n_features, seed=n_features).X * scale
+        model = stml_model(n_features, size)
+        for split in (None, 0, n_rows // 3, n_rows):
+            got = probe._stamp_distances(model, X, split)
+            assert np.array_equal(got, probe._pixel_distances(model, X, split))
+        # all rows equal: every distance is 0
+        assert not probe._stamp_distances(model, X[[0] * 5], None).any()
+
+    @pytest.mark.parametrize("size, dtype", [((2896, 2896), np.float32),
+                                             ((2897, 2896), np.float64)])
+    def test_float32_only_within_the_bound(self, size, dtype):
+        # 2 * W * H <= 2**24 holds at 2896 x 2896 and fails one column wider
+        X = generate_synthetic(4, 100, seed=1).X
+        model = stml_model(100, size)
+        got = probe._stamp_distances(model, X, None)
+        assert got.dtype == dtype
+        assert np.array_equal(got, probe._pixel_distances(model, X, None))
+
+    def test_eval_allocates_far_less_than_the_pixel_stack(self):
+        # the pixel path drew a 600 x 224 x 224 uint8 stack (28.7 MiB) and
+        # cast its kept pixels; the stamp path draws stamps of one cell each
+        ds = generate_synthetic(600, 4, seed=1)
+        plan = make_cv_plan(ds, seed=1)
+        tracemalloc.start()
+        try:
+            run_cv_eval(ds, "stml", plan, size=(224, 224))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 600 * 224 * 224 / 2
+
+
 class TestKnnTabular:
     def test_training_row_maps_to_itself(self):
         X = np.array([[0.0, 0.0], [5.0, 5.0], [9.0, 0.0]])
@@ -375,13 +456,15 @@ class TestRunCvEval:
         assert (run_cv_eval(ds, "igtd", plan, igtd_max_iters=1).fold_predictions
                 == run_cv_eval(ds, "igtd", plan).fold_predictions)
 
-    @pytest.mark.parametrize("kind, encodes", [("stml", 1), ("retire", 10)])
-    def test_one_encode_and_distance_matrix_per_fitted_model(self, kind, encodes,
+    @pytest.mark.parametrize("kind, matrices", [("stml", 1), ("retire", 10)])
+    def test_one_encode_and_distance_matrix_per_fitted_model(self, kind, matrices,
                                                             monkeypatch):
         # every stml split fits an equal model, so the ten splits share one
-        # encode of all rows and one distance matrix; retire models differ
-        encoded, distances = [], []
+        # stamp Gram of all rows among themselves and draw no row; retire
+        # models differ, so each split encodes and takes one pixel matrix
+        encoded, distances, stamped = [], [], []
         encode_batch, sq_distances = encoders.encode_batch, probe._sq_distances
+        stamp_distances = probe._stamp_distances
 
         def counted_encode(model, X):
             encoded.append(len(X))
@@ -391,13 +474,21 @@ class TestRunCvEval:
             distances.append(len(operands))
             return sq_distances(*operands)
 
+        def counted_stamps(model, X, split):
+            stamped.append((len(X), split))
+            return stamp_distances(model, X, split)
+
         monkeypatch.setattr(encoders, "encode_batch", counted_encode)
         monkeypatch.setattr(probe, "_sq_distances", counted_distances)
+        monkeypatch.setitem(probe._DISTANCES, "stml", counted_stamps)
         ds = self.small_ds()
         run_cv_eval(ds, kind, make_cv_plan(ds, seed=0), size=(48, 48))
-        assert encoded == [ds.n_instances] * encodes
-        # one operand: the whole-set matrix of the rows among themselves
-        assert distances == ([1] if kind == "stml" else [2] * 10)
+        if kind == "stml":
+            assert (encoded, distances) == ([], [])
+            assert stamped == [(ds.n_instances, None)] * matrices
+        else:
+            assert encoded == [ds.n_instances] * matrices and stamped == []
+            assert distances == [2] * matrices
 
     @pytest.mark.parametrize("fold", [0, 1])
     @pytest.mark.parametrize("kind", EVAL_KINDS)
