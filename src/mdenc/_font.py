@@ -58,14 +58,13 @@ def text_codes(texts: list[str]) -> np.ndarray:
     return codes
 
 
-def draw_text(cells: np.ndarray, texts) -> None:
-    """Or ``texts[i]`` with foreground 255 into ``cells[i]`` of an (N, h, w)
-    uint8 view: at the largest integer scale that fits (at least 1),
-    centered, and clipped to the cell. ``texts`` is a list of N strings or
-    an (N, L) code matrix like ``text_codes`` returns; a text's length is
-    its count of codes that are not NUL. Texts of one length share their
-    scale and offsets, so each length is one atlas gather and one blit."""
-    codes = texts if isinstance(texts, np.ndarray) else text_codes(texts)
+def draw_text(cells: np.ndarray, codes: np.ndarray) -> None:
+    """Or the texts of an (N, L) code matrix like ``text_codes`` returns,
+    with foreground 255, into the cells of an (N, h, w) uint8 view, text
+    ``i`` into ``cells[i]``: at the largest integer scale that fits (at
+    least 1), centered, and clipped to the cell. A text's length is its
+    count of codes that are not NUL. Texts of one length share their scale
+    and offsets, so each length is one atlas gather and one blit."""
     _, h, w = cells.shape
     lengths = np.count_nonzero(codes, axis=1)
     for length in np.unique(lengths[lengths > 0]).tolist():

@@ -4,12 +4,11 @@ loop.
 The 1-NN pixel probe lives in ``run_cv_eval``, a deterministic stand-in for
 a CNN: it only has to show whether class information survives an encoding.
 Its distances are exact, so it predicts what a float64 probe over every
-pixel would. ``stml`` distances come from glyph stamps with no row drawn,
-``G = Σ_f Φ_f S Φ_fᵀ`` (``_stamp_distances``); the other kinds draw their
-rows and prune the pixels (``_pixel_distances``, ``_exact_pixels``), the
-path that the tests hold the stamps to. A pixel distance ignores where each
-pixel sits, so the probe cannot rank ``igtd`` assignments. A tabular 1-NN
-twin on scaled feature vectors serves as the baseline.
+pixel would: ``stml`` from glyph stamps (``_stamp_distances``), the other
+kinds from their drawn rows (``_pixel_distances``, the stamps' test oracle).
+A pixel distance ignores where each pixel sits, so the probe cannot rank
+``igtd`` assignments. A tabular 1-NN twin on scaled feature vectors serves
+as the baseline.
 """
 
 from __future__ import annotations
@@ -107,18 +106,21 @@ def _stamp_distances(model: encoders.EncoderModel, X: np.ndarray,
     Cells are disjoint, and inside a cell each glyph of a text fills its own
     box at the scale and offset that the text's length fixes, so a row's
     image is a sum of disjoint stamps: one per (feature, position), keyed by
-    (cell shape, text length, position, character), clipped as drawn. The
-    stamps are drawn once by ``_font.draw_text``. With ``P`` their 0/1
-    pixels, ``S = P Pᵀ`` counts the pixels two stamps share, and with
-    ``Φ_f`` the 0/1 row-by-stamp matrix of feature f the pixel Gram is
+    (cell shape, text length, position, character), clipped as drawn. Each
+    cell shape's stamps are drawn once by ``_font.draw_text``. With ``P``
+    their 0/1 pixels, ``S = P Pᵀ`` counts the pixels two stamps share, and
+    with ``Φ_f`` the 0/1 row-by-stamp matrix of feature f the pixel Gram is
     ``G = Σ_f Φ_f S Φ_fᵀ``; the distances are ``|q|² + |r|² − 2G`` in units
-    of 255², the pixel path's after its gcd. ``G`` is summed over blocks of
-    features, each at most 2,048 stamp columns wide. Every term and partial
-    sum counts pixels that one row's stamps cover, at most the canvas's
-    ``W * H`` since the stamps lie in the cells that tile it. So, by the
-    ``_exact_pixels`` rule with values 0/1, the sums run in float32 when
-    ``2 * W * H <= 2**24``, exact in any BLAS summation order, and in
-    float64 otherwise.
+    of 255², the pixel path's after its gcd, with the squared norms summed
+    from the diagonal of ``S``. Per block of a shape's features, at most
+    2,048 stamp columns wide, Φ is one (rows, features, stamps) array,
+    ``Ψ = −2 Φ S`` one matmul over all its features, and the block adds
+    ``Ψ Φᵀ`` (both flattened to rows × (features · stamps)) to ``−2G``.
+    Every term and partial sum is −2 times a count of pixels that one row's
+    stamps cover, at most the canvas's ``W * H`` since the stamps lie in
+    the cells that tile it. So, by the ``_exact_pixels`` rule with values
+    0/1, the sums run in float32 when ``2 * W * H <= 2**24``, exact in any
+    BLAS summation order, and in float64 otherwise.
     """
     width, height = model.canvas_size
     dtype = np.float32 if 2 * width * height <= 2**24 else np.float64
@@ -132,7 +134,8 @@ def _stamp_distances(model: encoders.EncoderModel, X: np.ndarray,
     for f in range(n_features):
         x0, y0, x1, y1 = model.layout.cell_rect(f, width, height)
         shapes.setdefault((y1 - y0, x1 - x0), []).append(f)
-    stamped = []  # (features, S, stamp of each (row, feature, position))
+    norms = np.zeros(n, dtype=dtype)
+    gram = None
     for (h, w), features in shapes.items():
         stamps, index = np.unique(keys[:, features], return_inverse=True)
         text, code = np.divmod(stamps, 128)
@@ -146,32 +149,20 @@ def _stamp_distances(model: encoders.EncoderModel, X: np.ndarray,
         ink = (drawn[:, drawn.any(axis=0)] != 0).astype(np.float32)
         # counts of at most h * w <= 2**24 pixels: exact in float32
         overlap = (ink @ ink.T).astype(dtype)
-        stamped.append((features, overlap, index.reshape(n, len(features), longest)))
-    norms = np.zeros(n, dtype=dtype)
-    gram = None
-    for features, overlap, index in stamped:
+        index = index.reshape(n, len(features), longest)
         norms += np.diagonal(overlap)[index].sum(axis=(1, 2))
-        # a feature uses at most every stamp of its shape, so a block is at
-        # most 2,048 columns wide (a shape has fewer stamps than that)
-        per_block = max(1, 2048 // len(overlap))
+        # a shape has fewer than 2,048 stamps, so a block is at most that wide
+        per_block = max(1, 2048 // len(stamps))
         for start in range(0, len(features), per_block):
             part = index[:, start:start + per_block]
-            # one column per (feature, stamp) that a row of the block uses
-            pairs, column = np.unique(part + len(overlap) * np.arange(part.shape[1])[:, None],
-                                      return_inverse=True)
-            phi = np.zeros((n, len(pairs)), dtype=dtype)
-            phi[np.arange(n)[:, None, None], column.reshape(part.shape)] = 1.0
-            feature, stamp = np.divmod(pairs, len(overlap))
-            bounds = np.searchsorted(feature, np.arange(part.shape[1] + 1))
-            psi = np.empty_like(phi)
-            for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
-                used = stamp[a:b]
-                psi[:, a:b] = phi[:, a:b] @ overlap.take(used, axis=0).take(used, axis=1)
-            product = psi[:split] @ phi[split:].T
+            phi = np.zeros((n, part.shape[1], len(stamps)), dtype=dtype)
+            phi[np.arange(n)[:, None, None], np.arange(part.shape[1])[:, None], part] = 1.0
+            # Ψ is freed once Ψ Φᵀ is formed: one block's Φ and Ψ at a time
+            product = (phi @ (-2 * overlap)).reshape(n, -1)[:split] @ phi.reshape(n, -1)[split:].T
             gram = product if gram is None else np.add(gram, product, out=gram)
-    # |q|² + |r|² − 2G in place: every intermediate is an integer of at most
-    # 2 * W * H, so the order of the adds does not change the result
-    gram *= -2.0
+    # |q|² + |r|² − 2G, the norms added to −2G in place: every intermediate
+    # is an integer of at most 2 * W * H, so the order of the adds does not
+    # change the result
     gram += norms[:split, None]
     gram += norms[None, split:]
     return gram
@@ -220,12 +211,9 @@ def run_cv_eval(ds: Dataset, encoder_kind: str, plan: CVPlan, *,
     training fold only and never sees test data; the held-out fold is
     classified with the 1-NN probe. Splits whose models have equal JSON
     (every ``stml`` split) share one exact matrix of distances from the rows
-    they test to the rows they train on, a pure function of (model, rows).
-    ``_DISTANCES`` picks how it is computed: for ``stml``, the stamp Gram
-    ``G = Σ_f Φ_f S Φ_fᵀ`` of ``_stamp_distances``, in float32 only while
-    ``2 * W * H <= 2**24``; for the other kinds, ``_pixel_distances``, which
-    encodes the rows, prunes them once and splits them only for the
-    distance step, and which is the tests' oracle for the stamps.
+    they test to the rows they train on, a pure function of (model, rows),
+    computed by ``_DISTANCES`` (``_stamp_distances`` for ``stml``) or else
+    by ``_pixel_distances``.
 
     ``seed`` has no effect (``plan`` carries the CV seed, and no encoder
     draws random numbers), and encoding is serial: both stay only for

@@ -70,8 +70,6 @@ def fit(X_train, l: float = DEFAULT_L, u: float = DEFAULT_U) -> ScalerParams:
     """Learn column-wise extrema from a non-empty training matrix; every
     column needs a finite range."""
     l, u = real_number(l, "l"), real_number(u, "u")
-    if not (0.0 <= l < u <= 1.0):
-        raise ParameterError(f"bounds must satisfy 0 <= l < u <= 1, got l={l}, u={u}")
     X = float_array(X_train, "training values must be an array of numbers")
     if X.ndim != 2:
         raise ShapeError(f"training matrix must be 2-d, got shape {X.shape}")

@@ -58,7 +58,7 @@ def ink_box(pixels):
 
 def draw_one(pixels, text):
     """``_font.draw_text`` on one cell: the whole of ``pixels``."""
-    _font.draw_text(pixels[None], [text])
+    _font.draw_text(pixels[None], _font.text_codes([text]))
     return pixels
 
 
@@ -100,7 +100,7 @@ class TestFont:
         # cell (x 4:24, y 2:12) of three images, texts of two lengths
         images = np.zeros((3, 16, 30), dtype=np.uint8)
         texts = ["1.5", "-20.25", "7.0"]
-        _font.draw_text(images[:, 2:12, 4:24], texts)
+        _font.draw_text(images[:, 2:12, 4:24], _font.text_codes(texts))
         for image, text in zip(images, texts):
             want = reference_draw_text(np.zeros((16, 30), dtype=np.uint8), text, (4, 2, 24, 12))
             assert np.array_equal(image, want)
@@ -109,15 +109,15 @@ class TestFont:
         # the first text is drawable, but nothing is written
         cells = np.zeros((2, 8, 20), dtype=np.uint8)
         with pytest.raises(ParameterError, match="'x'"):
-            _font.draw_text(cells, ["1.0", "1x"])
+            _font.draw_text(cells, _font.text_codes(["1.0", "1x"]))
         assert not cells.any()
         with pytest.raises(ParameterError, match="'é'"):  # not ASCII either
-            _font.draw_text(cells, ["1é"])
+            _font.draw_text(cells, _font.text_codes(["1é"]))
 
     def test_empty_text_draws_nothing(self):
         pixels = draw_one(np.zeros((8, 8), dtype=np.uint8), "")
         assert not pixels.any()
-        _font.draw_text(np.zeros((0, 8, 8), dtype=np.uint8), [])
+        _font.draw_text(np.zeros((0, 8, 8), dtype=np.uint8), _font.text_codes([]))
 
     def test_glyphs_carry_blank_spacer(self):
         for glyph in _font.GLYPHS.values():
@@ -138,7 +138,7 @@ class TestFontOracle:
         # a larger image that must stay blank around it
         x1, y1 = min(x0 + w, width), min(y0 + h, height)
         got = np.zeros((height, width), dtype=np.uint8)
-        _font.draw_text(got[None, y0:y1, x0:x1], [text])
+        _font.draw_text(got[None, y0:y1, x0:x1], _font.text_codes([text]))
         want = reference_draw_text(np.zeros((height, width), dtype=np.uint8), text,
                                    (x0, y0, max(x0, x1), max(y0, y1)))
         assert np.array_equal(got, want)
@@ -148,7 +148,7 @@ class TestFontOracle:
     def test_stack_matches_reference_image_by_image(self, stack, width, height):
         # one call on texts of mixed lengths equals one oracle call per image
         got = np.zeros((len(stack), height, width), dtype=np.uint8)
-        _font.draw_text(got, stack)
+        _font.draw_text(got, _font.text_codes(stack))
         for image, text in zip(got, stack):
             want = reference_draw_text(np.zeros((height, width), dtype=np.uint8), text,
                                        (0, 0, width, height))

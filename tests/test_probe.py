@@ -333,6 +333,24 @@ class TestStampDistances:
             tracemalloc.stop()
         assert peak < 600 * 224 * 224 / 2
 
+    def test_feature_blocks_bound_the_factors(self):
+        # 60 features at 224x224: 28x28 cells of one shape and 219 stamps, so
+        # 7 blocks of at most 9 features; a Φ of all 60 features at once would
+        # be 200 x 60 x 219 float32 (10.5 MB), and its Ψ as much again
+        n, n_features = 200, 60
+        X = generate_synthetic(n, n_features, seed=3).X
+        model = stml_model(n_features, (224, 224))
+        keys = X.size * encoders.stml_codes(X).shape[2] * 8  # int64 per (row, feature, position)
+        tracemalloc.start()
+        try:
+            probe._stamp_distances(model, X, None)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # one block's Φ and Ψ, the distances and one block's product, the
+        # codes, keys and stamp indices with np.unique's sort, and 1 MiB
+        assert peak < 2 * n * 2048 * 4 + 2 * n * n * 4 + 6 * keys + 2**20
+
 
 class TestKnnTabular:
     def test_training_row_maps_to_itself(self):
