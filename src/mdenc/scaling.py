@@ -43,10 +43,7 @@ class ScalerParams:
         with np.errstate(over="ignore", invalid="ignore"):
             if not np.isfinite(maxs - mins).all():
                 raise FitError("every feature needs a finite range (max - min)")
-        if not (0.0 <= self.l < self.u <= 1.0):
-            raise ParameterError(
-                f"bounds must satisfy 0 <= l < u <= 1, got l={self.l}, u={self.u}"
-            )
+        guard_bounds(self.l, self.u)
         mins.setflags(write=False)
         maxs.setflags(write=False)
         object.__setattr__(self, "mins", mins)
@@ -55,6 +52,14 @@ class ScalerParams:
     @property
     def n_features(self) -> int:
         return self.mins.shape[0]
+
+
+def guard_bounds(l, u) -> tuple[float, float]:
+    """The guard bounds as floats; ParameterError unless 0 <= l < u <= 1."""
+    l, u = real_number(l, "l"), real_number(u, "u")
+    if not (0.0 <= l < u <= 1.0):
+        raise ParameterError(f"bounds must satisfy 0 <= l < u <= 1, got l={l}, u={u}")
+    return l, u
 
 
 def matrix_fingerprint(X) -> str:
@@ -68,8 +73,8 @@ def matrix_fingerprint(X) -> str:
 
 def fit(X_train, l: float = DEFAULT_L, u: float = DEFAULT_U) -> ScalerParams:
     """Learn column-wise extrema from a non-empty training matrix; every
-    column needs a finite range."""
-    l, u = real_number(l, "l"), real_number(u, "u")
+    column needs a finite range. Bad bounds are reported before X is read."""
+    l, u = guard_bounds(l, u)
     X = float_array(X_train, "training values must be an array of numbers")
     if X.ndim != 2:
         raise ShapeError(f"training matrix must be 2-d, got shape {X.shape}")

@@ -30,6 +30,11 @@ class TestFit:
         with pytest.raises(ParameterError):
             scaling.fit(COLUMN, 0.0, 1.1)
 
+    @pytest.mark.parametrize("values", [np.empty((0, 1)), [[1.0], [2.0, 3.0]], [[np.inf], [0.0]]])
+    def test_bad_bounds_reported_before_bad_matrix(self, values):
+        with pytest.raises(ParameterError, match="0 <= l < u <= 1"):
+            scaling.fit(values, 0.9, 0.1)
+
     @pytest.mark.parametrize("bounds", [{"l": "0.1"}, {"u": None}, {"u": "0.9"}])
     def test_bounds_must_be_numbers(self, bounds):
         with pytest.raises(ParameterError, match=f"{next(iter(bounds))} must be a number"):
