@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mdenc import _font, encoders, probe, read_json, scaling, write_json
 from mdenc._doc import from_doc, to_doc
@@ -19,16 +19,50 @@ def stack(arrays):
     return np.asarray(arrays, dtype=np.uint8)
 
 
+def exact_pixels(stack):
+    """The exact pixel probe's pruning rule on a whole uint8 matrix of one
+    image per row: drop the pixels that hold one value in every row, divide
+    the rest by their gcd ``g`` and pick the dtype in which every
+    intermediate is an exact integer: float32 if ``2 * top**2 * pixels <=
+    2**24`` (``top`` the largest value left, ``pixels`` kept), else float64.
+    ``g`` is the gcd ``g0`` of the kept columns' extremes when every kept
+    value is a multiple of it, checked 8 rows at a time, and the gcd of all
+    kept values otherwise. Returns the pruned matrix and the dtype."""
+    lo = stack.min(axis=0, initial=255)
+    hi = stack.max(axis=0, initial=0)
+    varying = np.flatnonzero(lo != hi)
+    kept = np.take(stack, varying, axis=1)
+    g = int(np.gcd.reduce(np.gcd(lo[varying], hi[varying]))) or 1
+    blocks = (kept[start:start + 8] for start in range(0, len(kept), 8))
+    if g > 1 and any((block - block // g * g).any() for block in blocks):
+        g = int(np.gcd.reduce(kept, axis=None))
+    top = int(hi[varying].max(initial=0)) // g
+    dtype = np.float32 if 2 * top * top * len(varying) <= 2**24 else np.float64
+    return np.floor_divide(kept, g, out=kept), dtype
+
+
+def oracle_pixel_distances(pixels, split, prune=exact_pixels):
+    """Oracle for ``_pixel_distances``: ``prune`` the whole matrix, cast
+    both sides whole, one ``_sq_distances``."""
+    kept, dtype = prune(pixels)
+    sides = np.split(kept, [] if split is None else [split])
+    return probe._sq_distances(*(side.astype(dtype) for side in sides))
+
+
+def pixel_distances(pixels, split):
+    """``_pixel_distances`` on a uint8 matrix of one image per row, as if
+    ``encode_batch`` had drawn it."""
+    with mock.patch.object(encoders, "encode_batch", lambda model, X: pixels):
+        return probe._pixel_distances(None, np.zeros((len(pixels), 0)), split)
+
+
 def exact_pixel_probe(train_images, train_labels, test_images):
-    """``run_cv_eval``'s pixel probe on two uint8 ``(N, H, W)`` stacks:
-    prune the tested rows, then the training rows, as one matrix with
-    ``_exact_pixels``, split, cast, one distance matrix, nearest label, in
-    that order."""
-    pixels, dtype = probe._exact_pixels(np.concatenate(
-        [s.reshape(len(s), math.prod(s.shape[1:])) for s in (test_images, train_images)]))
-    queries, refs = np.split(pixels, [len(test_images)])
-    distances = probe._sq_distances(queries.astype(dtype), refs.astype(dtype))
-    return probe._nearest_label(distances, train_labels)
+    """``run_cv_eval``'s pixel probe on two uint8 ``(N, H, W)`` stacks: the
+    tested rows, then the training rows, as one matrix through
+    ``_pixel_distances``, then the nearest label."""
+    pixels = np.concatenate(
+        [s.reshape(len(s), math.prod(s.shape[1:])) for s in (test_images, train_images)])
+    return probe._nearest_label(pixel_distances(pixels, len(test_images)), train_labels)
 
 
 def reference_pixel_probe(train_images, train_labels, test_images):
@@ -166,24 +200,16 @@ class TestKnnPixel:
     @pytest.mark.parametrize("step, pixels, dtype", [
         (1, 129, np.float32), (1, 130, np.float64),
         (3, 1161, np.float32), (3, 1162, np.float64)])
-    def test_near_tie_at_float32_bound(self, step, pixels, dtype, monkeypatch):
+    def test_near_tie_at_float32_bound(self, step, pixels, dtype):
         # after dividing by the gcd ``step`` the largest value is 255 // step:
         # 2 * 255**2 * 129 and 2 * 85**2 * 1161 are the last sums <= 2**24
-        seen = []
-        sq_distances = probe._sq_distances
-
-        def spy(queries, refs):
-            seen.append(refs.dtype)
-            return sq_distances(queries, refs)
-
-        monkeypatch.setattr(probe, "_sq_distances", spy)
         train, test = near_tie_stacks(step, pixels)
         assert exact_pixel_probe(train, [0, 1, 2], test).tolist() == [1]
-        assert seen == [dtype]
+        assert pixel_distances(np.concatenate([test, train]).reshape(4, -1), 1).dtype == dtype
 
 
 def gcd_pruning_oracle(stack_2d):
-    """``_exact_pixels`` with the gcd of every kept value: the varying
+    """``exact_pixels`` with the gcd of every kept value: the varying
     columns divided by their full ``np.gcd.reduce``, and the dtype rule."""
     varying = np.flatnonzero(stack_2d.min(axis=0) != stack_2d.max(axis=0))
     kept = stack_2d[:, varying]
@@ -194,13 +220,36 @@ def gcd_pruning_oracle(stack_2d):
 
 def extremes_overstate_the_gcd():
     # the extremes of both varying columns are multiples of 9, but one value
-    # in a later 8-row block is 6, so the gcd of every value is 3
+    # is 6, so the gcd of every value is 3
     column = np.tile([9, 0], 10)
     column[13] = 6
     return stack(np.column_stack([column, np.tile([18, 9], 10), np.full(20, 10)]))
 
 
+def varied_stack(alphabet, n_rows, kept, constant, planted, seed):
+    """``n_rows`` images of ``kept`` varying and ``constant`` constant
+    pixels, interleaved at random, with values from ``alphabet``. With
+    ``planted``, the last varying pixel holds 0, 255 and 6 in its first three
+    rows: where the extremes' gcd is 255, only the gcd of every value finds
+    that it is 3."""
+    rng = np.random.default_rng(seed)
+    values = ALPHABETS[alphabet]
+    pixels = rng.choice(values, size=(n_rows, kept + constant))
+    is_constant = rng.permutation(kept + constant) < constant
+    pixels[:, is_constant] = pixels[0, is_constant]
+    varying = np.flatnonzero(~is_constant)
+    # a column whose first two rows are equal varies in its second row
+    same = varying[pixels[0, varying] == pixels[1, varying]]
+    pixels[1, same] = np.where(pixels[0, same] == values[0], values[-1], values[0])
+    if planted and kept:
+        pixels[:3, varying[-1]] = [0, 255, 6]
+    return stack(pixels)
+
+
 class TestExactPixels:
+    """``_pixel_distances``, which gathers, casts and sums the kept pixels
+    in blocks of 2,048, against the whole-matrix chain it replaced."""
+
     @pytest.mark.parametrize("pixels", [
         extremes_overstate_the_gcd(),
         stack(np.full((12, 5), 7)),
@@ -208,24 +257,56 @@ class TestExactPixels:
           for seed, values in enumerate(ALPHABETS.values())),
     ], ids=["extremes-overstate-gcd", "constant", *ALPHABETS])
     def test_matches_full_gcd_oracle(self, pixels):
-        want, want_dtype = gcd_pruning_oracle(pixels)
-        got, dtype = probe._exact_pixels(pixels.copy())
-        assert got.dtype == np.uint8 and got.shape == want.shape
-        assert np.array_equal(got, want)
-        assert dtype is want_dtype
+        for split in (None, len(pixels) // 3):
+            want = oracle_pixel_distances(pixels, split, prune=gcd_pruning_oracle)
+            got = pixel_distances(pixels, split)
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
 
-    def test_allocates_little_beyond_the_kept_matrix(self):
-        # the divisibility check works on a few rows at a time; a whole-matrix
-        # temporary of this 300 x 16384 stack would be 4.7 MiB
-        rng = np.random.default_rng(0)
-        pixels = stack(rng.choice([0, 255], size=(300, 128 * 128)))
+    @settings(max_examples=60, deadline=None)
+    @given(alphabet=st.sampled_from(sorted(ALPHABETS)), n_rows=st.integers(3, 6),
+           kept=st.sampled_from([1, 129, 130, 2047, 2048, 2049, 4096]) | st.integers(0, 4200),
+           constant=st.integers(0, 200), planted=st.booleans(),
+           split=st.none() | st.integers(0, 6), data_seed=st.integers(0, 2**32 - 1))
+    # float64 (the full alphabet past 129 kept pixels) in exactly one block
+    @example(alphabet="full", n_rows=3, kept=2048, constant=7, planted=False, split=None,
+             data_seed=0)
+    # the gcd fallback found in the second of two full blocks; no tested row
+    @example(alphabet="binary", n_rows=4, kept=4096, constant=50, planted=True, split=0,
+             data_seed=1)
+    # float32, one pixel past a block
+    @example(alphabet="binary", n_rows=5, kept=2049, constant=0, planted=False, split=2,
+             data_seed=2)
+    def test_blocks_match_the_oracle_chain(self, alphabet, n_rows, kept, constant, planted,
+                                           split, data_seed):
+        pixels = varied_stack(alphabet, n_rows, kept, constant, planted, data_seed)
+        split = None if split is None else min(split, n_rows)
+        want = oracle_pixel_distances(pixels, split)
+        got = pixel_distances(pixels, split)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+    def test_group_peaks_within_the_stack_and_one_block(self):
+        # one sonar-shaped retire group at 224x224: 208 rows, tested then
+        # training, keep about 28,700 of 50,176 pixels. The whole-matrix chain
+        # held the kept copy and float32 casts of both sides (28.7 MiB).
+        ds = generate_synthetic(208, 60, seed=0)
+        _, _, train_idx, test_idx = next(make_cv_plan(ds, seed=0).iter_splits())
+        model = encoders.fit("retire", ds.subset(train_idx), size=(224, 224))
+        X = ds.X[np.concatenate([test_idx, train_idx])]
         tracemalloc.start()
         try:
-            kept, _ = probe._exact_pixels(pixels)
+            distances = probe._pixel_distances(model, X, len(test_idx))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < kept.nbytes + 2**20
+        stack_bytes = len(X) * 224 * 224
+        block = len(X) * 2048 * (1 + 4)  # one block's uint8 gather and float32 cast
+        # the distances are the accumulator and one block's product; the
+        # margin holds the per-pixel extremes and mask and the kept-pixel
+        # index (peak measured 0.33 MiB above the rest)
+        assert distances.dtype == np.float32
+        assert peak < stack_bytes + 2 * distances.nbytes + block + 2**19
 
 
 class TestSqDistances:
@@ -348,8 +429,8 @@ class TestStampDistances:
         finally:
             tracemalloc.stop()
         # one block's Φ and Ψ, the distances and one block's product, the
-        # codes, keys and stamp indices with np.unique's sort, and 1 MiB
-        assert peak < 2 * n * 2048 * 4 + 2 * n * n * 4 + 6 * keys + 2**20
+        # keys, a gathered copy of them and the stamp indices, and 1 MiB
+        assert peak < 2 * n * 2048 * 4 + 2 * n * n * 4 + 3 * keys + 2**20
 
 
 class TestKnnTabular:
@@ -479,34 +560,37 @@ class TestRunCvEval:
                                                             monkeypatch):
         # every stml split fits an equal model, so the ten splits share one
         # stamp Gram of all rows among themselves and draw no row; retire
-        # models differ, so each split encodes and takes one pixel matrix
-        encoded, distances, stamped = [], [], []
-        encode_batch, sq_distances = encoders.encode_batch, probe._sq_distances
+        # models differ, so each split encodes its tested and training rows
+        # once and sums one pixel matrix of the first against the second
+        encoded, pixel, stamped = [], [], []
+        encode_batch, pixel_distances = encoders.encode_batch, probe._pixel_distances
         stamp_distances = probe._stamp_distances
 
         def counted_encode(model, X):
             encoded.append(len(X))
             return encode_batch(model, X)
 
-        def counted_distances(*operands):
-            distances.append(len(operands))
-            return sq_distances(*operands)
+        def counted_pixels(model, X, split):
+            pixel.append((len(X), split))
+            return pixel_distances(model, X, split)
 
         def counted_stamps(model, X, split):
             stamped.append((len(X), split))
             return stamp_distances(model, X, split)
 
         monkeypatch.setattr(encoders, "encode_batch", counted_encode)
-        monkeypatch.setattr(probe, "_sq_distances", counted_distances)
+        monkeypatch.setattr(probe, "_pixel_distances", counted_pixels)
         monkeypatch.setitem(probe._DISTANCES, "stml", counted_stamps)
         ds = self.small_ds()
-        run_cv_eval(ds, kind, make_cv_plan(ds, seed=0), size=(48, 48))
+        plan = make_cv_plan(ds, seed=0)
+        run_cv_eval(ds, kind, plan, size=(48, 48))
         if kind == "stml":
-            assert (encoded, distances) == ([], [])
+            assert (encoded, pixel) == ([], [])
             assert stamped == [(ds.n_instances, None)] * matrices
         else:
             assert encoded == [ds.n_instances] * matrices and stamped == []
-            assert distances == [2] * matrices
+            assert pixel == [(ds.n_instances, len(test_idx))
+                             for *_, test_idx in plan.iter_splits()]
 
     @pytest.mark.parametrize("fold", [0, 1])
     @pytest.mark.parametrize("kind", EVAL_KINDS)
