@@ -31,9 +31,6 @@ from .raster import PolarLayout, draw_polyline, fill_polygon, polar_layout, pola
 DEFAULT_CANVAS = (224, 224)
 MAX_CANVAS_PIXELS = 2**24  # per image: 4096 x 4096
 DEFAULT_IGTD_MAX_ITERS = 1000
-# rows per retire fill and stroke call; the fill's count table and the
-# stroke's per-pixel arrays grow with it
-RETIRE_CHUNK = 4
 
 logger = logging.getLogger(__name__)
 
@@ -147,12 +144,22 @@ def fit_retire(ds_train: Dataset, l: float = scaling.DEFAULT_L,
     return EncoderModel("retire", size, scaler, polar_layout(*size, ds_train.n_features))
 
 
+def _retire_chunk(n: int, pixels: int) -> int:
+    """Rows per ``retire`` fill and stroke call for ``n`` vertices on a
+    canvas of ``pixels``: about 1,024 vertices, and at least 4 rows, so a
+    call's fixed cost is shared while its sort, run and per-pixel arrays
+    stay small; but no more rows than hold 2**23 pixels (167 at 224x224),
+    which bounds the fill's uint8 interior stack of a call at 8 MiB."""
+    return min(max(4, 1024 // n), max(1, 2**23 // pixels))
+
+
 def encode_retire(model: EncoderModel, X: np.ndarray) -> np.ndarray:
     """Binarized radar silhouette of each row plus the radius-1.0 border:
     every image starts as the border, drawn once per call; the whole batch
     is scaled and its vertices placed in one pass each, and the rows are
-    then filled and stroked ``RETIRE_CHUNK`` at a time (drawing only sets
-    pixels to 255, so the order does not matter)."""
+    then filled and stroked ``_retire_chunk`` rows at a time, 17 for 60
+    features at 224x224 (drawing only sets pixels to 255, so the order does
+    not matter)."""
     layout = model.layout
     polygon = layout.n >= 3
     draw = fill_polygon if polygon else draw_polyline  # else a single point or chord
@@ -161,9 +168,9 @@ def encode_retire(model: EncoderModel, X: np.ndarray) -> np.ndarray:
                            polar_vertices(layout, np.ones(layout.n)), closed=polygon)
     out = np.repeat(border[None], X.shape[0], axis=0)
     vertices = polar_vertices(layout, scaling.transform(model.scaler, X))
-    for start in range(0, X.shape[0], RETIRE_CHUNK):
-        rows = slice(start, start + RETIRE_CHUNK)
-        draw(out[rows], vertices[rows])
+    chunk = _retire_chunk(layout.n, width * height)
+    for start in range(0, X.shape[0], chunk):
+        draw(out[start:start + chunk], vertices[start:start + chunk])
     return out
 
 

@@ -84,7 +84,9 @@ def _pixel_distances(model: encoders.EncoderModel, X: np.ndarray,
     dropped; the rest are divided by their gcd ``g`` (every distance scales
     by ``g**2``). Each kept column's extremes are kept values, so ``g``
     divides the gcd ``g0`` of the extremes: ``g`` is ``g0`` when every kept
-    value is a multiple of it, and the gcd of all kept values otherwise.
+    value is a multiple of it, and the gcd of all kept values otherwise;
+    each block is checked as it is summed, and the first block that fails
+    restarts the sums once with the full gcd.
     The sums run in float32 if ``2 * top**2 * pixels <= 2**24`` (``top``
     the largest value left, ``pixels`` kept), else in float64. Then every
     term and partial sum of ``|q|² + |r|² − 2 q·r`` is an integer below that
@@ -96,19 +98,27 @@ def _pixel_distances(model: encoders.EncoderModel, X: np.ndarray,
     hi = stack.max(axis=0, initial=0)
     varying = np.flatnonzero(lo != hi)
     g = int(np.gcd.reduce(np.gcd(lo[varying], hi[varying]))) or 1
-    # uint8 floor-divide and multiply run far faster than np.remainder or np.gcd
-    if g > 1 and any((block // g * g != block).any() for block in _column_blocks(stack, varying)):
+    while True:
+        top = int(hi[varying].max(initial=0)) // g
+        dtype = np.float32 if 2 * top * top * len(varying) <= 2**24 else np.float64
+        norms = np.zeros(len(X), dtype=dtype)
+        distances = np.zeros((len(norms[:split]), len(norms[split:])), dtype=dtype)
+        for block in _column_blocks(stack, varying):
+            # uint8 floor-divide and multiply run far faster than np.remainder
+            # or np.gcd, and their temporaries are freed before the cast
+            if g > 1 and (block // g * g != block).any():
+                break
+            block = np.floor_divide(block, g, out=block).astype(dtype)
+            norms += np.einsum("ij,ij->i", block, block)
+            # without ``split``, numpy's symmetric A @ A.T
+            distances += block[:split] @ block[split:].T
+        else:
+            break
+        # a kept value is not a multiple of g0: start over with the gcd of
+        # all of them, which every block passes
+        del norms, distances
         g = int(np.gcd.reduce([np.gcd.reduce(block, axis=None)
                                for block in _column_blocks(stack, varying)]))
-    top = int(hi[varying].max(initial=0)) // g
-    dtype = np.float32 if 2 * top * top * len(varying) <= 2**24 else np.float64
-    norms = np.zeros(len(X), dtype=dtype)
-    distances = np.zeros((len(norms[:split]), len(norms[split:])), dtype=dtype)
-    for block in _column_blocks(stack, varying):
-        block = np.floor_divide(block, g, out=block).astype(dtype)
-        norms += np.einsum("ij,ij->i", block, block)
-        # without ``split``, numpy's symmetric A @ A.T
-        distances += block[:split] @ block[split:].T
     distances *= -2.0
     distances += norms[:split, None]
     distances += norms[None, split:]
@@ -142,9 +152,10 @@ def _stamp_distances(model: encoders.EncoderModel, X: np.ndarray,
     dtype = np.float32 if 2 * width * height <= 2**24 else np.float64
     codes = encoders.stml_codes(X)
     n, n_features, longest = codes.shape
-    lengths = np.count_nonzero(codes, axis=2)[..., None]
-    position = np.arange(longest)
-    # the stamp key of each (row, feature, position), 0 past the text's end
+    lengths = np.count_nonzero(codes, axis=2).astype(np.int32)[..., None]
+    position = np.arange(longest, dtype=np.int32)
+    # the int32 stamp key of each (row, feature, position), 0 past the
+    # text's end: keys stay below (L·L + L)·128
     keys = np.where(position < lengths, (lengths * longest + position) * 128 + codes, 0)
     shapes = {}  # cell shape -> its features
     for f in range(n_features):
@@ -153,12 +164,12 @@ def _stamp_distances(model: encoders.EncoderModel, X: np.ndarray,
     norms = np.zeros(n, dtype=dtype)
     gram = None
     for (h, w), features in shapes.items():
-        # the shape's stamps in key order, and each key's rank among them,
-        # from a table of the (L·L + L)·128 possible keys: no sort
+        # the shape's stamps in key order, and each key's int16 rank among
+        # them (below 2,048), from a table of the possible keys: no sort
         present = np.zeros((longest * longest + longest) * 128, dtype=bool)
         present[keys[:, features]] = True
         stamps = np.flatnonzero(present)
-        index = (np.cumsum(present) - 1)[keys[:, features]]
+        index = (np.cumsum(present, dtype=np.int16) - 1)[keys[:, features]]
         text, code = np.divmod(stamps, 128)
         length, at = np.divmod(text, longest)
         # the stamp as a text of its length, blank but for its one character

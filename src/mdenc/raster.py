@@ -1,7 +1,9 @@
 """Deterministic 2-d rasterization into bare uint8 arrays: integer line
 stepping and even-odd polygon fill as numpy passes with no loop per image,
-step or scanline (the per-step and per-scanline references live in the
-tests), polar vertex placement and PGM/PPM export.
+step or scanline, polar vertex placement and PGM/PPM export. The fill
+sorts the crossings of a whole stack and writes its interior as runs
+between them, with no per-pixel table; the per-step, per-scanline and
+count-table references it replaced live in the tests.
 
 The drawing calls take one (height, width) image with (n, 2) points, or a
 (R, height, width) stack with (R, n, 2) points and draw points r into
@@ -147,30 +149,33 @@ def draw_polyline(pixels: np.ndarray, pts, closed: bool = False) -> np.ndarray:
     return pixels
 
 
-def _parity(pts: np.ndarray, height: int, width: int) -> np.ndarray:
-    """``scanline_fill_mask`` of checked ``pts`` as uint8 0/1 parity."""
+def _interior(pts: np.ndarray, height: int, width: int) -> np.ndarray:
+    """``scanline_fill_mask`` of checked ``pts`` as a uint8 0/255 stack."""
     lead, n = pts.shape[:-2], pts.shape[-2]
     (x1, y1), (x2, y2) = pts.reshape(-1, 2).T, np.roll(pts, -1, axis=-2).reshape(-1, 2).T
-    # edge e lists the scanlines j in [floor(min y), ceil(max y)), a superset
-    # of those with min y <= j + 0.5 < max y, which the exact test then keeps
-    lo = np.clip(np.floor(np.minimum(y1, y2)), 0, height).astype(np.int64)
-    edges, rows = _runs(lo, np.clip(np.ceil(np.maximum(y1, y2)), 0, height).astype(np.int64) - lo)
-    yc = rows + 0.5
-    crossing = (y1[edges] > yc) != (y2[edges] > yc)
-    edges, rows, yc = edges[crossing], rows[crossing], yc[crossing]
+    # edge e crosses the scanlines j with min y <= j + 0.5 < max y, that is
+    # ceil(min y - 0.5) <= j < ceil(max y - 0.5): as for the columns below,
+    # the subtraction is exact from 0.5 up and gives <= 0 either way below it
+    lo, hi = (np.clip(np.ceil(y - 0.5), 0, height).astype(np.int64)
+              for y in (np.minimum(y1, y2), np.maximum(y1, y2)))
+    edges, rows = _runs(lo, hi - lo)
     xa, ya = x1[edges], y1[edges]
-    xint = xa + (yc - ya) * (x2[edges] - xa) / (y2[edges] - ya)
-    # all shapes and rows at once: count each crossing at the first center
-    # not left of it; a center's parity is that of the counts to its right,
-    # and uint8 sums that wrap at 256 keep it. The first center c + 0.5 >= xint
-    # is c = ceil(xint - 0.5): the subtraction is exact for 0.5 <= xint < 2**52
+    xint = xa + (rows + 0.5 - ya) * (x2[edges] - xa) / (y2[edges] - ya)
+    # each crossing sits at the first center c + 0.5 >= xint, which is
+    # c = ceil(xint - 0.5): the subtraction is exact for 0.5 <= xint < 2**52
     # (points stay within MAX_COORD), and below 0.5 it gives c <= 0 either way
     first = np.clip(np.ceil(xint - 0.5), 0, width).astype(np.int64)
-    key = ((edges // n) * height + rows) * (width + 1) + first
-    table = np.bincount(key, minlength=math.prod(lead) * height * (width + 1))
-    table = table.astype(np.uint8).reshape(*lead, height, width + 1)
-    parity = np.cumsum(table[..., :0:-1], axis=-1, dtype=np.uint8)[..., ::-1]
-    return np.bitwise_and(parity, 1, out=parity)
+    # a center is inside when an odd number of its row's crossings sit at or
+    # left of it. Every row holds an even number of crossings, so the sorted
+    # flat keys of all shapes and rows pair up into [start, stop) interior
+    # runs within one row (a crossing at c = width keys the next row's start,
+    # which no run of this row reaches), and the gaps between keys alternate
+    # outside and inside
+    keys = np.sort(((edges // n) * height + rows) * width + first)
+    runs = np.diff(keys, prepend=0, append=math.prod(lead) * height * width)
+    values = np.zeros(len(runs), dtype=np.uint8)
+    values[1::2] = 255
+    return np.repeat(values, runs).reshape(*lead, height, width)
 
 
 def scanline_fill_mask(pts, width: int, height: int) -> np.ndarray:
@@ -183,7 +188,7 @@ def scanline_fill_mask(pts, width: int, height: int) -> np.ndarray:
     edges counts once and the fill matches a brute-force even-odd test.
     """
     width, height = non_negative_int(width, "width"), non_negative_int(height, "height")
-    return _parity(_points(pts, 3), height, width).astype(bool)
+    return _interior(_points(pts, 3), height, width) != 0
 
 
 def fill_polygon(pixels: np.ndarray, pts) -> np.ndarray:
@@ -194,8 +199,7 @@ def fill_polygon(pixels: np.ndarray, pts) -> np.ndarray:
     x, y = pts[..., 0], pts[..., 1]
     area = np.sum(x * np.roll(y, -1, axis=-1) - np.roll(x, -1, axis=-1) * y, axis=-1)
     # collapsed onto one point, a zero-area polygon crosses no scanline
-    parity = _parity(np.where((area != 0.0)[..., None, None], pts, 0.0), *pixels.shape[-2:])
-    pixels |= np.multiply(parity, 255, out=parity)
+    pixels |= _interior(np.where((area != 0.0)[..., None, None], pts, 0.0), *pixels.shape[-2:])
     return draw_polyline(pixels, pts, closed=True)
 
 

@@ -7,7 +7,8 @@ probe can recover the classes, which is all the suite needs from these
 datasets. Generation is deterministic per dataset name.
 
 ``even_odd_oracle`` is the brute-force fill oracle shared by the raster
-tests and acceptance criterion 1.
+tests and acceptance criterion 1; ``count_table_fill`` is the dense
+count-table fill that the sorted-run fill replaced.
 """
 
 from __future__ import annotations
@@ -186,3 +187,30 @@ def even_odd_oracle(pts, width, height):
         xint = x1 + (py - y1) * (x2 - x1) / (y2 - y1)
     hits = crosses & (px < xint)
     return hits.sum(axis=2) % 2 == 1
+
+
+def count_table_fill(pts, width, height):
+    """Even-odd fill of (..., n, 2) polygons as uint8 0/1 parity through a
+    dense (..., height, width + 1) table: every edge lists the scanlines in
+    [floor(min y), ceil(max y)), keeps those it crosses, counts each
+    crossing at the first center not left of it, and a center's parity is
+    that of the counts to its right (a reverse uint8 cumulative sum, which
+    keeps the parity when it wraps at 256)."""
+    pts = np.asarray(pts, dtype=np.float64)
+    lead, n = pts.shape[:-2], pts.shape[-2]
+    (x1, y1), (x2, y2) = pts.reshape(-1, 2).T, np.roll(pts, -1, axis=-2).reshape(-1, 2).T
+    lo = np.clip(np.floor(np.minimum(y1, y2)), 0, height).astype(np.int64)
+    count = np.clip(np.ceil(np.maximum(y1, y2)), 0, height).astype(np.int64) - lo
+    edges = np.repeat(np.arange(len(count)), count)
+    rows = np.arange(len(edges)) + (lo - (np.cumsum(count) - count))[edges]
+    yc = rows + 0.5
+    crossing = (y1[edges] > yc) != (y2[edges] > yc)
+    edges, rows, yc = edges[crossing], rows[crossing], yc[crossing]
+    xa, ya = x1[edges], y1[edges]
+    xint = xa + (yc - ya) * (x2[edges] - xa) / (y2[edges] - ya)
+    first = np.clip(np.ceil(xint - 0.5), 0, width).astype(np.int64)
+    key = ((edges // n) * height + rows) * (width + 1) + first
+    table = np.bincount(key, minlength=math.prod(lead) * height * (width + 1))
+    table = table.astype(np.uint8).reshape(*lead, height, width + 1)
+    parity = np.cumsum(table[..., :0:-1], axis=-1, dtype=np.uint8)[..., ::-1]
+    return np.bitwise_and(parity, 1, out=parity)

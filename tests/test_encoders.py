@@ -340,15 +340,16 @@ class TestRetirePinnedBytes:
         assert digest == PINNED_RETIRE_DIGESTS[n, side]
 
 
-CHUNK = encoders.RETIRE_CHUNK
-
-
 class TestRetireChunks:
     @pytest.mark.parametrize("n", [1, 2, 3, 60])
-    @pytest.mark.parametrize("rows", [1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1])
+    @pytest.mark.parametrize("rows", [1, 3, 4, 5, 9])
     def test_batch_rows_equal_single_rows(self, rows, n):
+        # ``rows`` counts rows at the 4-row minimum chunk: 1, c - 1, c, c + 1
+        # and 2c + 1 there, and the same places around n's own chunk c here.
         # n = 1 and 2 take the stroke-only path; a row far below the
         # training range scales to radius 0, a zero-area polygon
+        c = encoders._retire_chunk(n, 64 * 64)
+        rows = {1: 1, 3: c - 1, 4: c, 5: c + 1, 9: 2 * c + 1}[rows]
         ds = toy_dataset(n, seed=n)
         model = encoders.fit_retire(ds, size=(64, 64))
         X = np.random.default_rng(rows).normal(0.5, 0.6, size=(rows, n))
@@ -372,6 +373,21 @@ class TestRetireChunks:
         finally:
             tracemalloc.stop()
         assert peak < images.nbytes + 6 * 2**20
+
+    def test_large_canvas_chunks_hold_a_bounded_stack(self):
+        # 3 vertices would take 341 rows per call; at 1024x1024 the 2**23-
+        # pixel cap takes 8, so the fill's interior stack is 8 MiB, not the
+        # whole 24-row batch
+        model = encoders.fit_retire(toy_dataset(3, seed=3), size=(1024, 1024))
+        X = np.random.default_rng(5).normal(0.5, 0.6, size=(24, 3))
+        tracemalloc.start()
+        try:
+            images = encoders.encode_batch(model, X)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert encoders._retire_chunk(3, 1024 * 1024) == 8
+        assert peak < images.nbytes + 12 * 2**20
 
 
 class TestFormatValue:

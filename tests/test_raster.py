@@ -2,9 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from fixtures import even_odd_oracle
+from fixtures import count_table_fill, even_odd_oracle
 from mdenc.errors import CapacityError, ParameterError, ShapeError
 from mdenc.raster import (
     MAX_COORD,
@@ -99,15 +99,24 @@ def signed_area(pts):
     return np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y)
 
 
+# ``coords`` plus the scanline bounds' edge cases: centers j + 0.5, y = 0.25
+# and values below 0 on both sides of a center, and +-MAX_COORD
+bound_coords = st.one_of(
+    coords,
+    st.integers(-10, 75).map(lambda j: j + 0.5),
+    st.sampled_from([-MAX_COORD, MAX_COORD, -2.0, -0.5, -0.25, 0.25]),
+)
+
+
 @st.composite
-def stacks(draw, least=3):
+def stacks(draw, least=3, coord=coords):
     """1-6 shapes of one vertex count; some collapse onto one point, run
     along one horizontal line or form a bowtie whose lobes cancel, so zero
     signed areas mix with ordinary ones."""
     n = draw(st.integers(least, 12))
     shapes = []
     for _ in range(draw(st.integers(1, 6))):
-        pts = draw(st.lists(st.tuples(coords, coords), min_size=n, max_size=n))
+        pts = draw(st.lists(st.tuples(coord, coord), min_size=n, max_size=n))
         (x0, y0), (x1, y1) = pts[0], pts[-1]
         degenerate = {
             "point": [pts[0]] * n,
@@ -348,6 +357,52 @@ class TestFillOracle:
         want = np.concatenate([columns >= first[:, None], columns < first[:, None]])
         got = scanline_fill_mask(strips, width, 2)
         assert np.array_equal(got, np.repeat(want[:, None, :], 2, axis=1))
+
+
+M = MAX_COORD
+# 4-vertex shapes on a 9 x 7 canvas: zero areas (a point, a horizontal run,
+# a bowtie); shapes that cross no scanline (between the centers 0.5 and 1.5,
+# above the canvas, below it, on the center line y = 3.5 only); vertices at
+# centers, at y = 0.25 and below 0; +-MAX_COORD corners; and shapes hanging
+# off each canvas edge and off all four at once
+BOUND_CASES = np.array([
+    [(2.0, 2.0)] * 4,
+    [(-1.0, 3.5), (4.0, 3.5), (7.0, 3.5), (12.0, 3.5)],
+    [(1.0, 1.0), (6.0, 5.0), (6.0, 1.0), (1.0, 5.0)],
+    [(0.0, 0.6), (8.0, 0.75), (8.0, 1.5), (1.0, 1.5)],
+    [(0.0, -9.0), (9.0, -9.0), (9.0, 0.5), (0.0, 0.5)],
+    [(0.0, 7.0), (9.0, 7.0), (9.0, 12.0), (0.0, 7.5)],
+    [(1.0, 3.5), (5.0, 3.5), (5.0, 3.5), (1.0, 3.5)],
+    [(1.5, 0.5), (7.5, 2.5), (4.5, 6.5), (0.5, 3.5)],
+    [(0.25, 0.25), (8.0, -3.0), (6.0, 4.5), (-2.0, 6.75)],
+    [(-M, -M), (M, -M), (M, M), (-M, M)],
+    [(-M, 2.5), (3.0, -M), (M, 4.5), (6.0, M)],
+    [(-3.0, 1.0), (4.0, 1.0), (4.0, 5.0), (-3.0, 5.0)],
+    [(5.0, 1.0), (12.0, 1.0), (12.0, 5.0), (5.0, 5.0)],
+    [(2.0, -3.0), (7.0, -3.0), (7.0, 3.0), (2.0, 3.0)],
+    [(2.0, 4.0), (7.0, 4.0), (7.0, 10.0), (2.0, 10.0)],
+    [(4.5, -2.5), (11.5, 3.5), (4.5, 9.5), (-2.5, 3.5)],
+])
+
+
+class TestCountTableOracle:
+    """The sorted-run fill against the dense count-table fill it replaced,
+    which lists each edge's scanlines as a superset and tests each one, so
+    the closed-form scanline bounds are checked row by row."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(pts=stacks(coord=bound_coords), width=sides, height=sides)
+    @example(pts=BOUND_CASES, width=9, height=7)
+    @example(pts=BOUND_CASES, width=1, height=1)
+    @example(pts=BOUND_CASES[:0], width=9, height=7)
+    def test_stacks_match_the_count_table(self, pts, width, height):
+        parity = count_table_fill(pts, width, height)
+        assert np.array_equal(scanline_fill_mask(pts, width, height), parity.astype(bool))
+        stack = np.zeros((len(pts), height, width), dtype=np.uint8)
+        want = draw_polyline(stack.copy(), pts, closed=True)
+        nonzero_area = np.array([signed_area(shape) != 0.0 for shape in pts], dtype=bool)
+        want[(parity != 0) & nonzero_area[:, None, None]] = 255
+        assert np.array_equal(fill_polygon(stack, pts), want)
 
 
 class TestStackOracle:
