@@ -44,6 +44,8 @@ class GridLayout:
     n: int
 
     def __post_init__(self):
+        for name in ("rows", "cols", "n"):
+            object.__setattr__(self, name, non_negative_int(getattr(self, name), f"grid {name}"))
         if min(self.rows, self.cols, self.n) < 1 or self.n > self.rows * self.cols:
             raise ParameterError(f"{self.n} features do not fit a {self.rows}x{self.cols} grid")
 
@@ -69,6 +71,8 @@ class IgtdMapping:
     error_trace: tuple[float, ...]
 
     def __post_init__(self):
+        for name in ("rows", "cols"):
+            object.__setattr__(self, name, non_negative_int(getattr(self, name), f"grid {name}"))
         a = np.asarray(self.assignment)
         if (min(self.rows, self.cols) < 1 or a.ndim != 1 or a.size == 0
                 or a.dtype.kind not in "iu" or np.unique(a).size != a.size
@@ -97,7 +101,8 @@ class EncoderModel:
     def __post_init__(self):
         if not isinstance(self.layout, LAYOUTS.get(self.kind, ())):
             raise StateError(f"{self.kind!r} model with a {type(self.layout).__name__} layout")
-        if len(self.canvas_size) != 2 or min(self.canvas_size) < 1:
+        object.__setattr__(self, "canvas_size", _canvas(self.canvas_size))
+        if min(self.canvas_size) < 1:
             raise ParameterError(f"canvas size must be at least 1x1, got {self.canvas_size}")
         width, height = self.canvas_size
         if width * height > MAX_CANVAS_PIXELS:
@@ -122,8 +127,8 @@ KINDS = tuple(LAYOUTS)
 
 
 def _canvas(size) -> tuple[int, int]:
-    """``size`` as (width, height) ints; EncoderModel checks that each is 1
-    or more."""
+    """``size`` as a pair of Python ints (width, height); EncoderModel
+    checks that each is 1 or more."""
     try:
         width, height = size
     except (TypeError, ValueError):  # not iterable, or not two items
@@ -195,7 +200,7 @@ def fit_stml(ds_train: Dataset, size: tuple[int, int] = DEFAULT_CANVAS) -> Encod
         raise FitError("need at least 1 feature")
     rows = math.ceil(math.sqrt(n))
     cols = math.ceil(n / rows)
-    return EncoderModel("stml", _canvas(size), None, GridLayout(rows, cols, n))
+    return EncoderModel("stml", size, None, GridLayout(rows, cols, n))
 
 
 def stml_codes(X: np.ndarray) -> np.ndarray:
@@ -221,35 +226,20 @@ def encode_stml(model: EncoderModel, X: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # igtd
 
-def _column_distances(Xs: np.ndarray) -> np.ndarray:
-    """Euclidean distances between feature columns of the scaled matrix."""
-    gram = Xs.T @ Xs
-    sq = np.diag(gram)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * gram
-    np.maximum(d2, 0.0, out=d2)
-    return np.sqrt(d2)
+def _distance_ranks(points: np.ndarray) -> np.ndarray:
+    """Average ranks of the Euclidean distances between the columns of
+    ``points`` over the upper triangle, mirrored, with a zero diagonal.
 
-
-def _cell_distances(cols: int, n: int) -> np.ndarray:
-    """Euclidean distances between the centers of the first n grid cells."""
-    r, c = divmod(np.arange(n), cols)
-    dr = r[:, None] - r[None, :]
-    dc = c[:, None] - c[None, :]
-    return np.sqrt((dr * dr + dc * dc).astype(np.float64))
-
-
-def _pair_rank_matrix(dist: np.ndarray) -> np.ndarray:
-    """Average ranks of the upper-triangle distances, symmetrized.
-
-    Ranks are multiples of 0.5, so objective sums stay exact in float64.
+    Ranks are multiples of 0.5, so objective sums stay exact in float64;
+    integer points, such as cell coordinates, give exact squared distances.
     """
-    n = dist.shape[0]
-    iu = np.triu_indices(n, 1)
-    ranks = rank_average(dist[iu])
-    out = np.zeros_like(dist)
-    out[iu] = ranks
-    out[(iu[1], iu[0])] = ranks
-    return out
+    gram = points.T @ points
+    sq = np.diag(gram)
+    iu = np.triu_indices(gram.shape[0], 1)
+    d2 = (sq[:, None] + sq[None, :] - 2.0 * gram)[iu]
+    ranks = np.zeros_like(gram)
+    ranks[iu] = rank_average(np.sqrt(np.maximum(d2, 0.0)))
+    return ranks + ranks.T
 
 
 def assignment_error(rank_feat: np.ndarray, rank_pix: np.ndarray,
@@ -341,8 +331,9 @@ def fit_igtd(ds_train: Dataset, max_iters: int = DEFAULT_IGTD_MAX_ITERS,
     scaled = scaling.transform(scaler, ds_train.X)
     cols = math.ceil(math.sqrt(n))
     rows = math.ceil(n / cols)
-    rank_feat = _pair_rank_matrix(_column_distances(scaled))
-    rank_pix = _pair_rank_matrix(_cell_distances(cols, n))
+    rank_feat = _distance_ranks(scaled)
+    # cell k sits at (k // cols, k % cols), as encode_igtd places it
+    rank_pix = _distance_ranks(np.array(divmod(np.arange(n), cols), dtype=np.float64))
     assignment, trace, converged = _swap_descent(rank_feat, rank_pix, max_iters)
     logger.info("igtd search: %d features, %d steps, %s", n, len(trace) - 1,
                 "converged" if converged else "stopped at max_iters")
@@ -355,10 +346,9 @@ def encode_igtd(model: EncoderModel, X: np.ndarray) -> np.ndarray:
     assigned cell; unassigned cells stay 0. The image is the grid itself,
     one pixel per cell, and is the only non-binarized encoder output."""
     mapping = model.layout
-    out = np.zeros((X.shape[0], mapping.rows, mapping.cols), dtype=np.uint8)
-    r, c = divmod(mapping.assignment, mapping.cols)
-    out[:, r, c] = np.rint(255.0 * scaling.transform(model.scaler, X)).astype(np.uint8)
-    return out
+    out = np.zeros((X.shape[0], mapping.rows * mapping.cols), dtype=np.uint8)
+    out[:, mapping.assignment] = np.rint(255.0 * scaling.transform(model.scaler, X))
+    return out.reshape(X.shape[0], mapping.rows, mapping.cols)
 
 
 # ---------------------------------------------------------------------------

@@ -47,6 +47,7 @@ class PolarLayout:
     n: int
 
     def __post_init__(self):
+        object.__setattr__(self, "n", non_negative_int(self.n, "vertex count"))
         if self.n < 1:
             raise ParameterError("vertex count must be >= 1")
         if self.rmax <= 0:

@@ -6,15 +6,16 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.stats import rankdata
 
 from fixtures import make_benchmark_dataset
 from mdenc import _font, encoders, scaling
 from mdenc._doc import from_doc, read_json, to_doc, write_json
+from mdenc._ranking import rank_average
 from mdenc.data import Dataset
 from mdenc.errors import CapacityError, FitError, ParameterError, ShapeError, StateError
-from mdenc.raster import polar_vertices, scanline_fill_mask
+from mdenc.raster import PolarLayout, polar_vertices, scanline_fill_mask
 
 
 def model_from_doc(doc):
@@ -512,12 +513,78 @@ class TestStmlPinnedBytes:
         assert digest == PINNED_STML_DIGESTS[n, width, height]
 
 
+# The separate feature-distance, cell-distance and rank builders that
+# ``encoders._distance_ranks`` replaced, kept unchanged as its oracles
+
+def _column_distances(Xs: np.ndarray) -> np.ndarray:
+    """Euclidean distances between feature columns of the scaled matrix."""
+    gram = Xs.T @ Xs
+    sq = np.diag(gram)
+    d2 = sq[:, None] + sq[None, :] - 2.0 * gram
+    np.maximum(d2, 0.0, out=d2)
+    return np.sqrt(d2)
+
+
+def _cell_distances(cols: int, n: int) -> np.ndarray:
+    """Euclidean distances between the centers of the first n grid cells."""
+    r, c = divmod(np.arange(n), cols)
+    dr = r[:, None] - r[None, :]
+    dc = c[:, None] - c[None, :]
+    return np.sqrt((dr * dr + dc * dc).astype(np.float64))
+
+
+def _pair_rank_matrix(dist: np.ndarray) -> np.ndarray:
+    """Average ranks of the upper-triangle distances, symmetrized.
+
+    Ranks are multiples of 0.5, so objective sums stay exact in float64.
+    """
+    n = dist.shape[0]
+    iu = np.triu_indices(n, 1)
+    ranks = rank_average(dist[iu])
+    out = np.zeros_like(dist)
+    out[iu] = ranks
+    out[(iu[1], iu[0])] = ranks
+    return out
+
+
+class TestDistanceRanks:
+    # the smallest grids, and perfect squares, whose grids have no spare cell
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(2, 600))
+    @example(n=2)
+    @example(n=3)
+    @example(n=4)
+    @example(n=9)
+    @example(n=16)
+    @example(n=64)
+    @example(n=225)
+    @example(n=576)
+    def test_cell_grids_match_the_separate_builders(self, n):
+        cols = math.ceil(math.sqrt(n))
+        # the 2 x n float64 (row, column) coordinates that fit_igtd ranks
+        got = encoders._distance_ranks(np.array(divmod(np.arange(n), cols), dtype=np.float64))
+        want = _pair_rank_matrix(_cell_distances(cols, n))
+        assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(rows=st.integers(1, 30), n=st.integers(2, 60), seed=st.integers(0, 2**16),
+           kind=st.sampled_from(["random", "rounded", "duplicates"]))
+    def test_feature_matrices_match_the_separate_builders(self, rows, n, seed, kind):
+        rng = np.random.default_rng(seed)
+        X = rng.uniform(0.0, 1.0, size=(rows, n))
+        if kind == "rounded":  # distances tie
+            X = np.round(X, 1)
+        elif kind == "duplicates":  # columns repeat, so some distances are 0
+            X = X[:, rng.integers(0, max(1, n // 3), size=n)]
+        got = encoders._distance_ranks(X)
+        assert got.tobytes() == _pair_rank_matrix(_column_distances(X)).tobytes()
+
+
 def igtd_rank_matrices(model, ds):
     mapping = model.layout
     scaled = scaling.transform(model.scaler, ds.X)
-    rank_feat = encoders._pair_rank_matrix(encoders._column_distances(scaled))
-    rank_pix = encoders._pair_rank_matrix(
-        encoders._cell_distances(mapping.cols, mapping.n))
+    rank_feat = _pair_rank_matrix(_column_distances(scaled))
+    rank_pix = _pair_rank_matrix(_cell_distances(mapping.cols, mapping.n))
     return rank_feat, rank_pix
 
 
@@ -596,8 +663,8 @@ def random_rank_matrices(n, seed, coarse=False):
     if coarse:
         X = np.round(X)
     cols = math.ceil(math.sqrt(n))
-    return (encoders._pair_rank_matrix(encoders._column_distances(X)),
-            encoders._pair_rank_matrix(encoders._cell_distances(cols, n)))
+    return (_pair_rank_matrix(_column_distances(X)),
+            _pair_rank_matrix(_cell_distances(cols, n)))
 
 
 class TestSwapSearchOracle:
@@ -898,6 +965,42 @@ class TestGenericSurface:
     def test_canvas_size_must_be_a_pair(self, kind, size):
         with pytest.raises(ParameterError, match="canvas size must be a"):
             encoders.fit(kind, toy_dataset(5), size=size)
+
+    @pytest.mark.parametrize("build", [
+        lambda m: encoders.EncoderModel("stml", (32.0, 32.0), None, m["stml"].layout),
+        lambda m: encoders.EncoderModel("stml", ("a", "b"), None, m["stml"].layout),
+        lambda m: encoders.EncoderModel("retire", (64, None), m["retire"].scaler,
+                                        m["retire"].layout),
+        lambda m: encoders.GridLayout(3.0, 2, 5),
+        lambda m: encoders.GridLayout(3, "2", 5),
+        lambda m: encoders.GridLayout(3, 2, 5.0),
+        lambda m: encoders.IgtdMapping(2.0, 3, np.arange(5), ()),
+        lambda m: encoders.IgtdMapping(2, None, np.arange(5), ()),
+        lambda m: PolarLayout(32.0, 32.0, 28.0, 5.0),
+    ], ids=["float-canvas", "text-canvas", "none-canvas", "float-grid-rows", "text-grid-cols",
+            "float-grid-n", "float-igtd-rows", "none-igtd-cols", "float-vertex-count"])
+    def test_integer_fields_checked_when_built(self, build):
+        models = {kind: encoders.fit(kind, toy_dataset(5), size=(64, 64))
+                  for kind in ("retire", "stml")}
+        with pytest.raises(ParameterError, match="must be a non-negative integer"):
+            build(models)
+
+    @pytest.mark.parametrize("kind", encoders.KINDS)
+    def test_numpy_integer_fields_round_trip(self, kind, tmp_path):
+        ds = toy_dataset(5, seed=3)
+        model = encoders.fit(kind, ds, size=(64, 48))
+        ints = {name: np.int64(value) for name, value in vars(model.layout).items()
+                if isinstance(value, int)}
+        layout = type(model.layout)(**{**vars(model.layout), **ints})
+        size = tuple(map(np.uint16, model.canvas_size))
+        built = encoders.EncoderModel(kind, size, model.scaler, layout)
+        assert to_doc(built) == to_doc(model)
+        write_json(tmp_path / "model.json", built)
+        again = read_json(tmp_path / "model.json", encoders.EncoderModel)
+        assert to_doc(again) == to_doc(model)
+        assert all(type(side) is int for side in again.canvas_size)
+        assert encoders.encode_batch(again, ds.X).tobytes() == \
+            encoders.encode_batch(model, ds.X).tobytes()
 
     def test_largest_canvas_allowed(self):
         model = encoders.fit("stml", toy_dataset(5, n_rows=2), size=(4096, 4096))
