@@ -81,7 +81,10 @@ class IgtdMapping:
         a = np.array(a, dtype=np.int64)
         a.setflags(write=False)
         object.__setattr__(self, "assignment", a)
-        object.__setattr__(self, "error_trace", tuple(float(e) for e in self.error_trace))
+        trace = float_array(self.error_trace, "igtd error trace")
+        if trace.ndim != 1:
+            raise ShapeError("igtd error trace must be a sequence of numbers")
+        object.__setattr__(self, "error_trace", tuple(trace.tolist()))
 
     @property
     def n(self) -> int:

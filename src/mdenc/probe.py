@@ -5,7 +5,9 @@ The 1-NN pixel probe lives in ``run_cv_eval``, a deterministic stand-in for
 a CNN: it only has to show whether class information survives an encoding.
 Its distances are exact, so it predicts what a float64 probe over every
 pixel would: ``stml`` from glyph stamps (``_stamp_distances``), the other
-kinds from their drawn rows (``_pixel_distances``, the stamps' test oracle).
+kinds from their drawn rows (``_pixel_distances``, the stamps' test oracle:
+``_sq_distances`` added up over blocks of kept pixels, divided by their gcd
+``g``, so in units of ``g**2``).
 A pixel distance ignores where each pixel sits, so the probe cannot rank
 ``igtd`` assignments. A tabular 1-NN twin on scaled feature vectors serves
 as the baseline.
@@ -88,11 +90,10 @@ def _pixel_distances(model: encoders.EncoderModel, X: np.ndarray,
     each block is checked as it is summed, and the first block that fails
     restarts the sums once with the full gcd.
     The sums run in float32 if ``2 * top**2 * pixels <= 2**24`` (``top``
-    the largest value left, ``pixels`` kept), else in float64. Then every
-    term and partial sum of ``|q|² + |r|² − 2 q·r`` is an integer below that
-    bound, exact in any summation order, so the kept columns are gathered
-    from the stack, cast and summed one block at a time, and no copy of all
-    of them is held."""
+    the largest value left, ``pixels`` kept), else in float64, so each
+    block's ``_sq_distances`` and their running sum stay exact integers:
+    the kept columns are gathered from the stack, cast and summed one block
+    at a time, and no copy of all of them is held."""
     stack = encoders.encode_batch(model, X).reshape(len(X), -1)
     lo = stack.min(axis=0, initial=255)
     hi = stack.max(axis=0, initial=0)
@@ -101,27 +102,20 @@ def _pixel_distances(model: encoders.EncoderModel, X: np.ndarray,
     while True:
         top = int(hi[varying].max(initial=0)) // g
         dtype = np.float32 if 2 * top * top * len(varying) <= 2**24 else np.float64
-        norms = np.zeros(len(X), dtype=dtype)
-        distances = np.zeros((len(norms[:split]), len(norms[split:])), dtype=dtype)
+        distances = np.zeros((len(X[:split]), len(X[split:])), dtype=dtype)
         for block in _column_blocks(stack, varying):
             # uint8 floor-divide and multiply run far faster than np.remainder
             # or np.gcd, and their temporaries are freed before the cast
             if g > 1 and (block // g * g != block).any():
                 break
             block = np.floor_divide(block, g, out=block).astype(dtype)
-            norms += np.einsum("ij,ij->i", block, block)
-            # without ``split``, numpy's symmetric A @ A.T
-            distances += block[:split] @ block[split:].T
+            distances += _sq_distances(block[:split], None if split is None else block[split:])
         else:
             break
         # a kept value is not a multiple of g0: start over with the gcd of
         # all of them, which every block passes
-        del norms, distances
         g = int(np.gcd.reduce([np.gcd.reduce(block, axis=None)
                                for block in _column_blocks(stack, varying)]))
-    distances *= -2.0
-    distances += norms[:split, None]
-    distances += norms[None, split:]
     return distances
 
 
@@ -255,6 +249,8 @@ def run_cv_eval(ds: Dataset, encoder_kind: str, plan: CVPlan, *,
         raise ParameterError(f"unknown encoder kind {encoder_kind!r}")
     if jobs != 1:
         raise ParameterError(f"jobs must be 1 (encoding is serial), got {jobs}")
+    if not isinstance(plan, CVPlan):
+        raise ParameterError(f"plan must be a CVPlan, got {type(plan).__name__}")
     if plan.n_instances != ds.n_instances:
         raise ShapeError("plan was built for a different number of instances")
     splits = [(train_idx, test_idx) for _, _, train_idx, test_idx in plan.iter_splits()]

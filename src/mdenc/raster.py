@@ -24,7 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, ParameterError, ShapeError, float_array, non_negative_int
+from .errors import (CapacityError, ParameterError, ShapeError, float_array, non_negative_int,
+                     real_number)
 
 MARGIN = 4.0  # pixels between the radius-1.0 circle and the canvas edge
 # drawing calls reject coordinates that are not finite or beyond +-MAX_COORD
@@ -50,6 +51,11 @@ class PolarLayout:
         object.__setattr__(self, "n", non_negative_int(self.n, "vertex count"))
         if self.n < 1:
             raise ParameterError("vertex count must be >= 1")
+        for name in ("cx", "cy", "rmax"):
+            value = real_number(getattr(self, name), name)
+            if not math.isfinite(value):
+                raise ParameterError(f"{name} must be finite, got {value}")
+            object.__setattr__(self, name, value)
         if self.rmax <= 0:
             raise ParameterError("rmax must be positive")
 

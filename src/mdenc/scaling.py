@@ -34,8 +34,8 @@ class ScalerParams:
     fit_fingerprint: str
 
     def __post_init__(self):
-        mins = np.ascontiguousarray(self.mins, dtype=np.float64)
-        maxs = np.ascontiguousarray(self.maxs, dtype=np.float64)
+        mins = np.ascontiguousarray(float_array(self.mins, "mins"))
+        maxs = np.ascontiguousarray(float_array(self.maxs, "maxs"))
         if mins.shape != maxs.shape or mins.ndim != 1:
             raise ParameterError("mins and maxs must be 1-d arrays of equal length")
         if np.any(mins > maxs):

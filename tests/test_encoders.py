@@ -985,6 +985,18 @@ class TestGenericSurface:
         with pytest.raises(ParameterError, match="must be a non-negative integer"):
             build(models)
 
+    @pytest.mark.parametrize("build, error", [
+        (lambda: scaling.ScalerParams(["a"], ["b"], 0.1, 0.9, ""), ShapeError),
+        (lambda: scaling.ScalerParams([0.0], [[1.0], 2.0], 0.1, 0.9, ""), ShapeError),
+        (lambda: encoders.IgtdMapping(1, 2, [0, 1], ("a",)), ShapeError),
+        (lambda: encoders.IgtdMapping(1, 2, [0, 1], 0.5), ShapeError),
+        (lambda: encoders.IgtdMapping(1, 2, [0, 1], [[0.5]]), ShapeError),
+    ], ids=["text-scaler-extrema", "ragged-scaler-maxs", "text-igtd-trace", "scalar-igtd-trace",
+            "nested-igtd-trace"])
+    def test_number_fields_checked_when_built(self, build, error):
+        with pytest.raises(error):
+            build()
+
     @pytest.mark.parametrize("kind", encoders.KINDS)
     def test_numpy_integer_fields_round_trip(self, kind, tmp_path):
         ds = toy_dataset(5, seed=3)

@@ -521,6 +521,19 @@ class TestRunCvEval:
             with pytest.raises(ParameterError, match="jobs must be 1"):
                 run_cv_eval(ds, kind, plan, jobs=jobs)
 
+    @pytest.mark.parametrize("kind", EVAL_KINDS)
+    def test_plan_that_is_not_a_cv_plan_rejected_before_any_fit(self, kind, monkeypatch):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fitted before the plan check")
+
+        monkeypatch.setattr(encoders, "fit", no_fit)
+        monkeypatch.setattr(scaling, "fit", no_fit)
+        ds = self.small_ds()
+        splits = list(make_cv_plan(ds, seed=0).iter_splits())
+        for plan in (None, splits):
+            with pytest.raises(ParameterError, match="plan must be a CVPlan"):
+                run_cv_eval(ds, kind, plan)
+
     @settings(max_examples=40, deadline=None)
     @given(kind=st.sampled_from(encoders.KINDS), n=st.integers(6, 16),
            n_features=st.integers(2, 6), three_folds=st.booleans(),
@@ -672,3 +685,42 @@ class TestPinnedPredictions:
         report = run_cv_eval(ds, kind, make_cv_plan(ds, seed=seed), **options)
         digest = hashlib.sha256(repr(report.fold_predictions).encode()).hexdigest()
         assert digest == PINNED_PREDICTION_DIGESTS[kind, seed]
+
+
+# SHA-256 of dtype.str plus the bytes of _pixel_distances, recorded with
+# the probe that summed its own norms and Gram matrix: per (kind, seed),
+# the first split of a 208 x 60 synthetic set, tested rows then training
+# rows, at 224x224
+PINNED_PIXEL_DISTANCE_DIGESTS = {
+    ("retire", 0): "49af1eb320fffb4c79e62cf7db9cf6375bf8da39a47e3101382a688394a1ba73",
+    ("retire", 7): "9531ec276eaed429c996ebd59f17df23e0f20463aca8435aafd41910eee222e0",
+    ("igtd", 0): "81040f5f30f2c8ee5bca266c736e44ae5887fc2f931445c426fb25d46275eeb3",
+    ("igtd", 7): "c98b0a701b4b228313da3e403ae4df8863c5a107c0a7dc183a9e7197390426d3",
+}
+
+
+def distance_digest(distances):
+    return hashlib.sha256(distances.dtype.str.encode() + distances.tobytes()).hexdigest()
+
+
+class TestPinnedPixelDistances:
+    @pytest.mark.parametrize("kind, seed", sorted(PINNED_PIXEL_DISTANCE_DIGESTS))
+    def test_group_distances_unchanged(self, kind, seed):
+        ds = generate_synthetic(208, 60, seed=seed)
+        _, _, train_idx, test_idx = next(make_cv_plan(ds, seed=seed).iter_splits())
+        model = encoders.fit(kind, ds.subset(train_idx), size=(224, 224))
+        X = ds.X[np.concatenate([test_idx, train_idx])]
+        distances = probe._pixel_distances(model, X, len(test_idx))
+        assert distance_digest(distances) == PINNED_PIXEL_DISTANCE_DIGESTS[kind, seed]
+
+    def test_every_row_against_every_row_unchanged(self):
+        ds = generate_synthetic(40, 60, seed=0)
+        model = encoders.fit("retire", ds, size=(96, 96))
+        assert distance_digest(probe._pixel_distances(model, ds.X, None)) == (
+            "a04cc91cd9b74faa86e2b77d94e130340d70c803ad8919a98ef5cfd2b40c0a73")
+
+    @pytest.mark.parametrize("split, want", [
+        (None, "1123666c6a75f9022a173833a7354c2edcdce629bff45e1d67f17e2cc988a51d"),
+        (7, "9d7d7e348b34802349a9152fef3018ff3277eaf972693140c3cf08c991bad8d9")])
+    def test_full_gcd_restart_unchanged(self, split, want):
+        assert distance_digest(pixel_distances(extremes_overstate_the_gcd(), split)) == want

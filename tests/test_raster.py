@@ -173,6 +173,19 @@ class TestPolarVertices:
         with pytest.raises(ParameterError):
             PolarLayout(0, 0, 0.0, 3)
 
+    @pytest.mark.parametrize("cx, cy, rmax", [
+        (1.0, 1.0, "a"), ("x", "y", 5.0), (None, 1.0, 5.0),
+        (math.nan, 1.0, 5.0), (1.0, math.inf, 5.0), (1.0, 1.0, math.inf),
+        (1.0, 1.0, math.nan), (-math.inf, 1.0, 5.0)])
+    def test_layout_coordinates_checked_when_built(self, cx, cy, rmax):
+        with pytest.raises(ParameterError, match="must be (a number|finite)"):
+            PolarLayout(cx, cy, rmax, 3)
+
+    def test_layout_coordinates_stored_as_floats(self):
+        layout = PolarLayout(np.int64(10), np.float32(12.5), 5, 3)
+        assert (layout.cx, layout.cy, layout.rmax) == (10.0, 12.5, 5.0)
+        assert all(type(v) is float for v in (layout.cx, layout.cy, layout.rmax))
+
     def test_layout_factory_margin(self):
         layout = polar_layout(224, 224, 4)
         assert layout.rmax == 108.0
