@@ -8,14 +8,9 @@ import numpy as np
 
 def rank_average(values) -> np.ndarray:
     """1-based ranks of ``values``; tied entries share the mean of their
-    positions (so e.g. two smallest equal values both get rank 1.5)."""
-    v = np.asarray(values, dtype=np.float64).ravel()
-    order = np.argsort(v, kind="stable")
-    sv = v[order]
-    starts = np.flatnonzero(np.r_[True, sv[1:] != sv[:-1]])
-    ends = np.r_[starts[1:], len(v)]
-    # mean of 1-based positions starts+1 .. ends
-    group_rank = 0.5 * (starts + ends - 1) + 1.0
-    ranks = np.empty(len(v), dtype=np.float64)
-    ranks[order] = np.repeat(group_rank, ends - starts)
-    return ranks
+    positions (so e.g. two smallest equal values both get rank 1.5). The
+    tied groups are those of ``np.unique``, so the values must be finite:
+    it would put every NaN in one group."""
+    _, inverse, counts = np.unique(np.asarray(values, dtype=np.float64).ravel(),
+                                   return_inverse=True, return_counts=True)
+    return (np.cumsum(counts) - 0.5 * (counts - 1))[inverse]

@@ -51,6 +51,10 @@ class Dataset:
     class_names: tuple[str, ...]
 
     def __post_init__(self):
+        if not isinstance(self.name, str):
+            raise ParameterError(f"dataset name must be text, got {self.name!r}")
+        object.__setattr__(self, "feature_names", _names(self.feature_names, "feature_names"))
+        object.__setattr__(self, "class_names", _names(self.class_names, "class_names"))
         # copies, so that freezing them leaves the caller's arrays writable
         X = np.array(float_array(self.X, "X must be a matrix of numbers"), order="C")
         y = np.array(_indices(self.y, len(self.class_names), "class indices"))
@@ -68,8 +72,6 @@ class Dataset:
         y.setflags(write=False)
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "y", y)
-        object.__setattr__(self, "feature_names", tuple(self.feature_names))
-        object.__setattr__(self, "class_names", tuple(self.class_names))
 
     @property
     def n_instances(self) -> int:
@@ -89,6 +91,18 @@ class Dataset:
         return Dataset(
             self.name, self.X[idx], self.y[idx], self.feature_names, self.class_names
         )
+
+
+def _names(values, what: str) -> tuple[str, ...]:
+    """``values`` as a tuple of text; ParameterError naming ``what`` for
+    anything else, such as a number, a bare string or a non-text entry."""
+    try:
+        names = tuple(values)
+    except TypeError:  # not iterable
+        names = (None,)
+    if isinstance(values, str) or not all(isinstance(v, str) for v in names):
+        raise ParameterError(f"{what} must be a sequence of text, got {values!r}")
+    return names
 
 
 def _indices(values, bound: int, what: str) -> np.ndarray:

@@ -23,7 +23,7 @@ import numpy as np
 from . import _font, encoders, scaling
 from ._doc import to_json
 from .data import CVPlan, Dataset
-from .errors import MetricError, ParameterError, ShapeError
+from .errors import MetricError, ParameterError, ShapeError, float_array, real_number
 
 
 def balanced_accuracy(y_true, y_pred) -> float:
@@ -215,9 +215,18 @@ class EvalReport:
     config: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        bacs = (*self.per_split_bac, self.mean_bac)  # the splits, then their mean
-        if len(bacs) < 2 or not all(0.0 <= v <= 1.0 for v in bacs):
-            raise MetricError(f"a report needs one or more splits and BACs in [0, 1], got {bacs}")
+        for name in ("dataset", "encoder"):
+            if not isinstance(getattr(self, name), str):
+                raise ParameterError(f"report {name} must be text, got {getattr(self, name)!r}")
+        splits = float_array(self.per_split_bac, "per-split BACs must be numbers")
+        mean = real_number(self.mean_bac, "mean BAC")
+        bacs = np.append(splits, mean)  # the splits, then their mean
+        if splits.ndim != 1 or bacs.size < 2 or not ((0.0 <= bacs) & (bacs <= 1.0)).all():
+            raise MetricError(f"a report needs one or more splits and BACs in [0, 1], "
+                              f"got {self.per_split_bac!r} and {self.mean_bac!r}")
+        # stored as floats, as read_json reads them back
+        object.__setattr__(self, "per_split_bac", tuple(splits.tolist()))
+        object.__setattr__(self, "mean_bac", mean)
 
 
 EVAL_KINDS = encoders.KINDS + ("tabular",)

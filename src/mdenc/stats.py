@@ -160,10 +160,8 @@ def _exact_min_tail(ranks: np.ndarray, w: float) -> float:
     total = int(doubled.sum())
     counts = np.zeros(total + 1, dtype=np.float64)
     counts[0] = 1.0
-    for r in doubled:
-        shifted = np.zeros_like(counts)
-        shifted[r:] = counts[:counts.size - r]
-        counts += shifted
+    for r in doubled:  # numpy buffers the overlapping right-hand side
+        counts[r:] += counts[:total + 1 - r]
     sums = np.arange(total + 1, dtype=np.float64)
     min_stat = np.minimum(sums, total - sums) / 2.0
     return float(counts[min_stat <= w].sum()) / 2.0 ** ranks.size

@@ -8,7 +8,9 @@ datasets. Generation is deterministic per dataset name.
 
 ``even_odd_oracle`` is the brute-force fill oracle shared by the raster
 tests and acceptance criterion 1; ``count_table_fill`` is the dense
-count-table fill that the sorted-run fill replaced.
+count-table fill that the sorted-run fill replaced. ``argsort_rank_average``
+and ``shifted_copy_min_tail`` are the average-rank build and the Wilcoxon
+exact-null loop that ``np.unique`` and the in-place shifted add replaced.
 """
 
 from __future__ import annotations
@@ -214,3 +216,36 @@ def count_table_fill(pts, width, height):
     table = table.astype(np.uint8).reshape(*lead, height, width + 1)
     parity = np.cumsum(table[..., :0:-1], axis=-1, dtype=np.uint8)[..., ::-1]
     return np.bitwise_and(parity, 1, out=parity)
+
+
+def argsort_rank_average(values):
+    """1-based average ranks by stable argsort, a scan for the boundaries
+    of tied groups in the sorted values, and a scatter of each group's mean
+    position back to the input order."""
+    v = np.asarray(values, dtype=np.float64).ravel()
+    order = np.argsort(v, kind="stable")
+    sv = v[order]
+    starts = np.flatnonzero(np.r_[True, sv[1:] != sv[:-1]])
+    ends = np.r_[starts[1:], len(v)]
+    # mean of 1-based positions starts+1 .. ends
+    group_rank = 0.5 * (starts + ends - 1) + 1.0
+    ranks = np.empty(len(v), dtype=np.float64)
+    ranks[order] = np.repeat(group_rank, ends - starts)
+    return ranks
+
+
+def shifted_copy_min_tail(ranks, w):
+    """Exact two-sided Wilcoxon tail P(min(W+, W-) <= w) from the counts of
+    2 W+ over all sign assignments, adding a zero-filled shifted copy of the
+    counts for each doubled rank."""
+    doubled = np.rint(2.0 * ranks).astype(np.int64)
+    total = int(doubled.sum())
+    counts = np.zeros(total + 1, dtype=np.float64)
+    counts[0] = 1.0
+    for r in doubled:
+        shifted = np.zeros_like(counts)
+        shifted[r:] = counts[:counts.size - r]
+        counts += shifted
+    sums = np.arange(total + 1, dtype=np.float64)
+    min_stat = np.minimum(sums, total - sums) / 2.0
+    return float(counts[min_stat <= w].sum()) / 2.0 ** ranks.size

@@ -292,6 +292,23 @@ class TestDatasetValidation:
         with pytest.raises(ShapeError, match="X must be a matrix of numbers"):
             Dataset("x", X, [0, 1], ("f",), ("0", "1"))
 
+    @pytest.mark.parametrize("name", [None, 5, b"x", ("x",)])
+    def test_name_must_be_text(self, name):
+        with pytest.raises(ParameterError, match="dataset name must be text"):
+            Dataset(name, np.zeros((2, 2)), [0, 1], ("a", "b"), ("0", "1"))
+
+    @pytest.mark.parametrize("features, classes", [
+        (3, ("0", "1")), (("f0", "f1", 2), ("0", "1")), ("ab", ("0", "1")),
+        (("a", None), ("0", "1")), (("a", "b"), None), (("a", "b"), ("0", 1)),
+        (("a", "b"), 2)])
+    def test_names_must_be_sequences_of_text(self, features, classes):
+        with pytest.raises(ParameterError, match="must be a sequence of text"):
+            Dataset("x", np.zeros((2, 2)), [0, 1], features, classes)
+
+    def test_names_stored_as_tuples(self):
+        ds = Dataset("x", np.zeros((2, 2)), [0, 1], ["a", "b"], iter(["0", "1"]))
+        assert (ds.feature_names, ds.class_names) == (("a", "b"), ("0", "1"))
+
     def test_caller_arrays_stay_writable_and_apart(self):
         # contiguous float64 rows and int64 labels, and a view of such rows
         base = np.zeros((3, 2))

@@ -17,7 +17,7 @@ from mdenc._doc import to_doc, to_json
 from mdenc.bench import run_timing_sweep
 from mdenc.cli import main
 from mdenc.data import make_cv_plan
-from mdenc.errors import MetricError, StateError
+from mdenc.errors import MetricError, ParameterError, ShapeError, StateError
 from mdenc.probe import EvalReport, run_cv_eval
 from mdenc.stats import combined_5x2cv_f_test
 
@@ -117,6 +117,22 @@ class TestReportRange:
 
     def test_bounds_accepted(self):
         assert EvalReport("d", "retire", (0.0, 1.0), 0.5).mean_bac == 0.5
+
+    @pytest.mark.parametrize("dataset, encoder, bacs, mean, error", [
+        (None, "retire", (0.5,), 0.5, ParameterError), (5, "retire", (0.5,), 0.5, ParameterError),
+        ("d", None, (0.5,), 0.5, ParameterError), ("d", b"retire", (0.5,), 0.5, ParameterError),
+        ("d", "retire", ("a",), 0.5, ShapeError), ("d", "retire", ((0.5,), (0.5, 0.5)), 0.5, ShapeError),
+        ("d", "retire", (0.5, 0.5), "x", ParameterError), ("d", "retire", (0.5, 0.5), None, ParameterError),
+        ("d", "retire", 0.5, 0.5, MetricError), ("d", "retire", ((0.5,), (0.5,)), 0.5, MetricError)])
+    def test_fields_checked_when_built(self, dataset, encoder, bacs, mean, error):
+        with pytest.raises(error):
+            EvalReport(dataset, encoder, bacs, mean)
+
+    def test_bacs_stored_as_floats_that_read_back(self, tmp_path):
+        report = EvalReport("d", "retire", np.array([0.5, 0.75], dtype=np.float32), np.float32(0.625))
+        assert report.per_split_bac == (0.5, 0.75) and type(report.mean_bac) is float
+        write_json(tmp_path / "r.json", report)
+        assert read_json(tmp_path / "r.json", EvalReport) == report
 
 
 class TestModelLayout:

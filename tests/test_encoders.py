@@ -9,10 +9,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.stats import rankdata
 
-from fixtures import make_benchmark_dataset
+from fixtures import argsort_rank_average, make_benchmark_dataset
 from mdenc import _font, encoders, scaling
 from mdenc._doc import from_doc, read_json, to_doc, write_json
-from mdenc._ranking import rank_average
 from mdenc.data import Dataset
 from mdenc.errors import CapacityError, FitError, ParameterError, ShapeError, StateError
 from mdenc.raster import PolarLayout, polar_vertices, scanline_fill_mask
@@ -540,7 +539,7 @@ def _pair_rank_matrix(dist: np.ndarray) -> np.ndarray:
     """
     n = dist.shape[0]
     iu = np.triu_indices(n, 1)
-    ranks = rank_average(dist[iu])
+    ranks = argsort_rank_average(dist[iu])
     out = np.zeros_like(dist)
     out[iu] = ranks
     out[(iu[1], iu[0])] = ranks

@@ -1,0 +1,98 @@
+"""Average ranks and the Wilcoxon exact null against the argsort build and
+the shifted-copy loop they replaced, and SHA-256 pins of the results that
+rest on them: IGTD fits, mean ranks and Wilcoxon tests."""
+
+import hashlib
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from fixtures import argsort_rank_average, shifted_copy_min_tail
+from mdenc import encoders, stats
+from mdenc._ranking import rank_average
+from mdenc.data import generate_synthetic, make_cv_plan
+
+
+def digest(*arrays) -> str:
+    return hashlib.sha256(b"".join(np.asarray(a).tobytes() for a in arrays)).hexdigest()
+
+
+def tied_values(kind, size, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "levels":  # five integer levels
+        return rng.integers(0, 5, size).astype(np.float64)
+    values = rng.normal(size=size)
+    if kind == "rounded":
+        values = np.round(values, 1)
+    elif kind == "signed zeros":  # -0.0 and 0.0 share one group
+        values[rng.random(size) < 0.3] = 0.0
+        values[rng.random(size) < 0.3] = -0.0
+    return values
+
+
+class TestRankAverage:
+    @settings(max_examples=300, deadline=None)
+    @given(values=st.lists(st.floats(-1e6, 1e6) | st.sampled_from([-0.0, 0.0, 1.0, 2.5]),
+                           min_size=1, max_size=200),
+           decimals=st.none() | st.integers(0, 2))
+    @example(values=[3.0], decimals=None)
+    @example(values=[0.0, -0.0, 0.0, 1.0, -0.0], decimals=None)
+    @example(values=[2.0, 2.0, 2.0], decimals=None)
+    def test_matches_the_argsort_build(self, values, decimals):
+        if decimals is not None:  # rounding makes ties
+            values = np.round(values, decimals)
+        assert rank_average(values).tobytes() == argsort_rank_average(values).tobytes()
+
+    # sonar's 60 features give 1,770 pairs; 500 features give 124,750
+    @pytest.mark.parametrize("size", [1770, 124750])
+    @pytest.mark.parametrize("kind", ["gaussian", "rounded", "levels", "signed zeros"])
+    def test_matches_the_argsort_build_on_pair_counts(self, kind, size):
+        values = tied_values(kind, size, seed=size)
+        assert rank_average(values).tobytes() == argsort_rank_average(values).tobytes()
+
+    def test_matrix_is_ranked_flat(self):
+        values = np.array([[2.0, 1.0], [1.0, 3.0]])
+        assert rank_average(values).tolist() == [3.0, 1.5, 1.5, 4.0]
+
+
+class TestExactNull:
+    @settings(max_examples=300, deadline=None)
+    @given(levels=st.lists(st.integers(1, 6), min_size=5, max_size=20),
+           fraction=st.floats(0.0, 1.0))
+    def test_matches_the_shifted_copy_loop(self, levels, fraction):
+        ranks = rank_average(levels)  # tied levels give half ranks
+        w = np.round(fraction * ranks.sum()) / 2.0
+        assert stats._exact_min_tail(ranks, w) == shifted_copy_min_tail(ranks, w)
+
+
+class TestPinnedResults:
+    @pytest.mark.parametrize("seed, want", [
+        (0, "caa5cf6a437ccb7fd35611ec7c7d415df8a59ed0f37099220622182409c4c10e"),
+        (7, "16e4bcf8ac11902ee1593b1e54a5220a4a08035f841f6bc3fd025752d0ea4bed")])
+    def test_igtd_first_split_unchanged(self, seed, want):
+        ds = generate_synthetic(208, 60, seed=seed)
+        _, _, train_idx, _ = next(make_cv_plan(ds, seed=seed).iter_splits())
+        mapping = encoders.fit("igtd", ds.subset(train_idx)).layout
+        assert digest(mapping.assignment, mapping.error_trace) == want
+
+    def test_igtd_full_fit_unchanged(self):
+        mapping = encoders.fit("igtd", generate_synthetic(100, 150, seed=3)).layout
+        assert digest(mapping.assignment, mapping.error_trace) == (
+            "4b74ad5ce4ae15c457f94258798267d8f1547d514d5df2a627632b5a6133da53")
+
+    def test_mean_ranks_of_a_tied_matrix_unchanged(self):
+        tied = np.random.default_rng(11).integers(0, 4, size=(15, 6)) / 8.0
+        assert digest(stats.mean_ranks(tied)) == (
+            "884f2f0bf838d8daad11f5585e4e775a558a8ec0a84ae86339f7b198a1d63f6f")
+
+    @pytest.mark.parametrize("n, exact, want", [
+        (8, True, "63801626186d06adcd319cd40daea6af6cf9ce3d39add2621686a9ed0218d676"),
+        (40, False, "e5676ae190c0bf538d1116b60d4bbe59fa6b5747cc79f1bc3ddaebc25db9cd9b")])
+    def test_wilcoxon_unchanged(self, n, exact, want):
+        rng = np.random.default_rng(n)
+        a = rng.integers(50, 100, n).astype(np.float64)
+        b = a - rng.integers(1, 6, n) * rng.choice([-1, 1], n)  # tied, never zero
+        result = stats.wilcoxon_signed_rank(a, b)
+        assert (result.n, result.exact) == (n, exact)
+        assert digest([result.w_stat, result.p_value]) == want
