@@ -245,15 +245,6 @@ def _distance_ranks(points: np.ndarray) -> np.ndarray:
     return ranks + ranks.T
 
 
-def assignment_error(rank_feat: np.ndarray, rank_pix: np.ndarray,
-                     assignment: np.ndarray) -> float:
-    """Sum over feature pairs of |feature-distance rank - pixel-distance
-    rank of the assigned cells|."""
-    rp = rank_pix[np.ix_(assignment, assignment)]
-    iu = np.triu_indices(rank_feat.shape[0], 1)
-    return float(np.abs(rank_feat - rp)[iu].sum())
-
-
 def _swap_deltas(rank_feat, P, D, i) -> np.ndarray:
     # Objective change of swapping the cells of features i and j, for every
     # j, given P = rank_pix[a][:, a] and D = |rank_feat - P| of the current
@@ -266,29 +257,24 @@ def _swap_deltas(rank_feat, P, D, i) -> np.ndarray:
 
 
 def _swap_descent(rank_feat, rank_pix, max_iters):
-    # Zhu et al.'s IGTD search: one descent from the identity assignment.
-    # Each step takes the feature idle longest (lowest index on ties),
-    # scores its n - 1 swaps in one call and applies the lowest-index best
-    # one if it strictly lowers the objective; both swapped features are
-    # stamped with the step number, and so is the chosen feature when
-    # nothing is swapped. n steps in a row without a swap visit every
-    # feature once, so the search then sits at a pairwise local optimum and
-    # stops; otherwise it stops after ``max_iters`` steps. The trace is the
-    # error after each step, non-increasing because only strictly improving
-    # swaps are applied. Ranks are multiples of 0.5, so every delta and
-    # running error is exact whatever the summation order.
-    # Returns (assignment, trace, converged), where ``converged`` says the
-    # search stopped at a pairwise local optimum, not at ``max_iters``.
+    # The chosen feature is the one with the oldest step stamp, the lowest
+    # index on ties, and its swap is the lowest-index best one. Both swapped
+    # features are stamped with the step number, and so is the chosen
+    # feature when nothing is swapped, so n steps in a row without a swap
+    # have chosen every feature once. D counts each pair twice; ranks are
+    # multiples of 0.5, so D.sum() / 2, every delta and every running error
+    # are exact whatever the summation order.
+    # Returns (assignment, trace, converged); converged is False when
+    # max_iters stopped the search.
     n = rank_feat.shape[0]
     assignment = np.arange(n)
-    error = assignment_error(rank_feat, rank_pix, assignment)
+    P = rank_pix
+    D = np.abs(rank_feat - P)
+    error = float(D.sum()) / 2
     trace = [error]
     last_selected = np.zeros(n, dtype=np.int64)
-    idle = 0  # steps in a row without a swap; 0 right after the assignment changed
+    idle = 0  # steps in a row without a swap
     for step in range(1, max_iters + 1):
-        if idle == 0:
-            P = rank_pix[np.ix_(assignment, assignment)]
-            D = np.abs(rank_feat - P)
         i = int(np.argmin(last_selected))
         deltas = _swap_deltas(rank_feat, P, D, i)
         j = int(np.argmin(deltas))
@@ -298,6 +284,8 @@ def _swap_descent(rank_feat, rank_pix, max_iters):
             error += float(deltas[j])
             last_selected[j] = step
             idle = 0
+            P = rank_pix[np.ix_(assignment, assignment)]
+            D = np.abs(rank_feat - P)
         else:
             idle += 1
         trace.append(error)

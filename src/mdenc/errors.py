@@ -87,9 +87,15 @@ def real_number(value, what: str) -> float:
 
 
 def float_array(values, what: str) -> np.ndarray:
-    """``values`` as a float64 array; ShapeError starting with ``what``
-    when they are ragged or not numbers."""
+    """``values`` as a float64 array (a float64 array itself, not a copy);
+    ShapeError starting with ``what`` when they are ragged or not numbers.
+    Text is not a number here, although numpy would parse ``"0.5"``."""
     try:
-        return np.asarray(values, dtype=np.float64)
+        array = np.asarray(values, dtype=np.float64)
+        given = values if isinstance(values, np.ndarray) else np.asarray(values)
     except (TypeError, ValueError) as exc:
         raise ShapeError(f"{what}: {exc}") from None
+    if given.dtype.kind in "US" or given.dtype.kind == "O" and any(
+            isinstance(v, (str, bytes)) for v in given.flat):
+        raise ShapeError(f"{what}: text is not a number")
+    return array

@@ -224,9 +224,29 @@ class EvalReport:
         if splits.ndim != 1 or bacs.size < 2 or not ((0.0 <= bacs) & (bacs <= 1.0)).all():
             raise MetricError(f"a report needs one or more splits and BACs in [0, 1], "
                               f"got {self.per_split_bac!r} and {self.mean_bac!r}")
-        # stored as floats, as read_json reads them back
+        if not isinstance(self.config, dict):
+            raise ParameterError(f"report config must be a dict, got {self.config!r}")
+        # stored as floats and ints, as read_json reads them back
         object.__setattr__(self, "per_split_bac", tuple(splits.tolist()))
         object.__setattr__(self, "mean_bac", mean)
+        object.__setattr__(self, "fold_predictions", _label_rows(self.fold_predictions))
+
+
+def _label_rows(values) -> tuple[tuple[int, ...], ...]:
+    """Fold predictions as a tuple of tuples of Python ints; ParameterError
+    for anything else, such as a bare number, floats, bools or text."""
+    try:
+        values = list(values)
+        rows = [np.asarray(row) for row in values]
+    except (TypeError, ValueError):  # not iterable, or a ragged row
+        rows = None
+    if (rows is None
+            or not all(r.ndim == 1 and (r.dtype.kind in "iu" or not r.size) for r in rows)
+            # numpy makes integers of [1, True]
+            or any(isinstance(v, (bool, np.bool_))
+                   for row in values if not isinstance(row, np.ndarray) for v in row)):
+        raise ParameterError("report fold_predictions must be sequences of integer labels")
+    return tuple(tuple(r.tolist()) for r in rows)
 
 
 EVAL_KINDS = encoders.KINDS + ("tabular",)
@@ -287,5 +307,4 @@ def run_cv_eval(ds: Dataset, encoder_kind: str, plan: CVPlan, *,
                 predictions[i] = _nearest_label(block, ds.y[train_idx])
     bacs = [balanced_accuracy(ds.y[test_idx], y_pred)
             for (_, test_idx), y_pred in zip(splits, predictions)]
-    return EvalReport(ds.name, encoder_kind, tuple(bacs), float(np.mean(bacs)),
-                      tuple(tuple(p.tolist()) for p in predictions))
+    return EvalReport(ds.name, encoder_kind, tuple(bacs), float(np.mean(bacs)), predictions)

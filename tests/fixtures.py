@@ -11,6 +11,8 @@ tests and acceptance criterion 1; ``count_table_fill`` is the dense
 count-table fill that the sorted-run fill replaced. ``argsort_rank_average``
 and ``shifted_copy_min_tail`` are the average-rank build and the Wilcoxon
 exact-null loop that ``np.unique`` and the in-place shifted add replaced.
+``assignment_error`` sums the IGTD objective from scratch, the oracle for
+the running error that the swap search seeds and updates itself.
 """
 
 from __future__ import annotations
@@ -216,6 +218,15 @@ def count_table_fill(pts, width, height):
     table = table.astype(np.uint8).reshape(*lead, height, width + 1)
     parity = np.cumsum(table[..., :0:-1], axis=-1, dtype=np.uint8)[..., ::-1]
     return np.bitwise_and(parity, 1, out=parity)
+
+
+def assignment_error(rank_feat: np.ndarray, rank_pix: np.ndarray,
+                     assignment: np.ndarray) -> float:
+    """Sum over feature pairs of |feature-distance rank - pixel-distance
+    rank of the assigned cells|."""
+    rp = rank_pix[np.ix_(assignment, assignment)]
+    iu = np.triu_indices(rank_feat.shape[0], 1)
+    return float(np.abs(rank_feat - rp)[iu].sum())
 
 
 def argsort_rank_average(values):

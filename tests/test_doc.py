@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import mdenc
 from fixtures import make_benchmark_dataset, strict_loads
@@ -131,6 +132,49 @@ class TestReportRange:
     def test_bacs_stored_as_floats_that_read_back(self, tmp_path):
         report = EvalReport("d", "retire", np.array([0.5, 0.75], dtype=np.float32), np.float32(0.625))
         assert report.per_split_bac == (0.5, 0.75) and type(report.mean_bac) is float
+        write_json(tmp_path / "r.json", report)
+        assert read_json(tmp_path / "r.json", EvalReport) == report
+
+
+# the config values that JSON keeps as they are: a tuple reads back as a
+# list and a non-finite float as None, so neither is drawn
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=8)
+LABELS = st.lists(st.integers(0, 2**63 - 1), max_size=5)
+
+
+class TestReportFields:
+    @pytest.mark.parametrize("predictions", [
+        5, "01", ((0, 1.5),), [[0.0]], [[True, False]], [[1, True]], [np.array([True])],
+        [[1, [2]]], [{0: 1}], [[2**70]], [np.array([0.5])], [np.zeros((1, 1), dtype=int)], [None]])
+    def test_bad_fold_predictions_raise_parameter_error(self, predictions):
+        with pytest.raises(ParameterError, match="fold_predictions"):
+            EvalReport("d", "e", (0.5, 0.6), 0.55, fold_predictions=predictions)
+
+    @pytest.mark.parametrize("config", [[1], None, "x", (("a", 1),)])
+    def test_config_must_be_a_dict(self, config):
+        with pytest.raises(ParameterError, match="config must be a dict"):
+            EvalReport("d", "e", (0.5, 0.6), 0.55, config=config)
+
+    def test_integer_arrays_stored_as_tuples_of_ints(self):
+        report = EvalReport("d", "e", (0.5, 0.6), 0.55,
+                            fold_predictions=np.array([[0, 1], [1, 0]], dtype=np.uint8))
+        assert report.fold_predictions == ((0, 1), (1, 0))
+        assert type(report.fold_predictions[0][0]) is int
+
+    @settings(max_examples=100, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(dataset=st.text(), encoder=st.text(),
+           bacs=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=10), mean=st.floats(0.0, 1.0),
+           predictions=st.lists(LABELS.map(list) | LABELS.map(tuple)
+                                | LABELS.map(lambda v: np.array(v, dtype=np.int64)), max_size=4),
+           config=st.dictionaries(st.text(), JSON_VALUES, max_size=4))
+    def test_every_built_report_reads_back_equal(self, tmp_path, dataset, encoder, bacs, mean,
+                                                 predictions, config):
+        report = EvalReport(dataset, encoder, bacs, mean, predictions, config)
         write_json(tmp_path / "r.json", report)
         assert read_json(tmp_path / "r.json", EvalReport) == report
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.stats import rankdata
 
-from fixtures import argsort_rank_average, make_benchmark_dataset
+from fixtures import argsort_rank_average, assignment_error, make_benchmark_dataset
 from mdenc import _font, encoders, scaling
 from mdenc._doc import from_doc, read_json, to_doc, write_json
 from mdenc.data import Dataset
@@ -629,7 +629,7 @@ def reference_swap_descent(rank_feat, rank_pix, max_iters):
     (assignment, trace, converged)."""
     n = rank_feat.shape[0]
     assignment = np.arange(n)
-    error = encoders.assignment_error(rank_feat, rank_pix, assignment)
+    error = assignment_error(rank_feat, rank_pix, assignment)
     trace = [error]
     last_selected = [0] * n
     idle = 0
@@ -738,7 +738,7 @@ class TestIgtd:
             ds = toy_dataset(4, seed=100 + seed)
             model = encoders.fit_igtd(ds)
             rank_feat, rank_pix = igtd_rank_matrices(model, ds)
-            best = min(encoders.assignment_error(rank_feat, rank_pix, np.array(p))
+            best = min(assignment_error(rank_feat, rank_pix, np.array(p))
                        for p in itertools.permutations(range(4)))
             assert model.layout.error_trace[-1] == best
 
@@ -771,8 +771,7 @@ class TestIgtd:
             ds = toy_dataset(7, seed=50 + seed)
             model = encoders.fit_igtd(ds)
             rank_feat, rank_pix = igtd_rank_matrices(model, ds)
-            recomputed = encoders.assignment_error(rank_feat, rank_pix,
-                                                   model.layout.assignment)
+            recomputed = assignment_error(rank_feat, rank_pix, model.layout.assignment)
             assert model.layout.error_trace[-1] == recomputed  # exact
             assert oracle_error(ds, model, model.layout.assignment) == recomputed
 

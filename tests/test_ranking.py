@@ -81,6 +81,21 @@ class TestPinnedResults:
         assert digest(mapping.assignment, mapping.error_trace) == (
             "4b74ad5ce4ae15c457f94258798267d8f1547d514d5df2a627632b5a6133da53")
 
+    # a 40-feature fit capped while it still swaps (its seventh step swaps),
+    # and the smallest grids: n = 2 never moves, n = 3 swaps on its first
+    # step (the seed-1 fit capped right after it) or never
+    @pytest.mark.parametrize("n_samples, n_features, seed, max_iters, want", [
+        (60, 40, 1, 7, "ca70c03783ae3e574c79b9f6ed8129a98406b5bb48a3f043223dd0dd44c55b1b"),
+        (20, 2, 0, 1000, "174c34cc57b8b6919edc809c434d881572e57c2e79010c31546ecf7d7ba6a713"),
+        (20, 3, 0, 1000, "c0d7d1b6f47e69b1969918a6d9c0ee5339d02aebc487980a06aadf427c51fd06"),
+        (20, 3, 1, 1, "1af51102a26daddfbd4746fa717a1ef3a008624aa19a27d1534cdabc86113490"),
+        (20, 3, 2, 1000, "8c6e7a432d6e4f72f327638b278adcc63ef2ca9df99edefb5bffa7267f5f93a8")])
+    def test_igtd_small_and_capped_fits_unchanged(self, n_samples, n_features, seed,
+                                                   max_iters, want):
+        ds = generate_synthetic(n_samples, n_features, seed=seed)
+        mapping = encoders.fit_igtd(ds, max_iters=max_iters).layout
+        assert digest(mapping.assignment, mapping.error_trace) == want
+
     def test_mean_ranks_of_a_tied_matrix_unchanged(self):
         tied = np.random.default_rng(11).integers(0, 4, size=(15, 6)) / 8.0
         assert digest(stats.mean_ranks(tied)) == (
