@@ -1,10 +1,10 @@
 """Every JSON artefact (model, report, comparison, sweep record) is written
-and read here. A dataclass becomes an object with one key per field, in field
-order; arrays and tuples become lists; a non-finite float becomes ``null``, so
-the text is strict JSON. Reading checks every key and value against the field
+and read here, as strict JSON. A dataclass becomes an object with one key
+per field, in field order; arrays and tuples become lists; a non-finite
+float becomes ``null``. Reading checks every key and value against the field
 annotations: a malformed document raises :class:`StateError` naming the key,
-and a file that is not UTF-8 JSON raises :class:`StateError`. Every error of
-``read_json`` names the file.
+and so does a file that is not UTF-8 strict JSON (a ``NaN`` or ``Infinity``
+token included). Every error of ``read_json`` names the file.
 """
 
 from __future__ import annotations
@@ -43,6 +43,15 @@ def to_json(value, indent: int | None = 2) -> str:
     return json.dumps(to_doc(value), indent=indent, allow_nan=False)
 
 
+def from_json(text: str):
+    """The value of strict JSON ``text``; a ``NaN`` or ``Infinity`` raises ValueError."""
+    return json.loads(text, parse_constant=_not_strict)
+
+
+def _not_strict(constant):
+    raise ValueError(f"{constant} is not strict JSON")
+
+
 def write_json(path, value) -> None:
     Path(path).write_text(to_json(value))
 
@@ -51,8 +60,8 @@ def read_json(path, cls):
     """Dataclass ``cls`` read from file ``path``; key paths in its errors
     start at the last word of the class name, such as ``model``."""
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, or too deep
+        doc = from_json(Path(path).read_text(encoding="utf-8"))
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, NaN, or too deep
         raise StateError(f"{path} is not a UTF-8 JSON document: {exc}") from None
     try:
         return from_doc(cls, doc, re.findall("[A-Z][a-z]*", cls.__name__)[-1].lower())

@@ -124,7 +124,7 @@ def cmd_eval(args) -> int:
     plan = data.make_cv_plan(ds, args.seed)
     report = probe.run_cv_eval(ds, args.encoder, plan, l=args.l, u=args.u,
                                size=args.size, igtd_max_iters=args.igtd_iters)
-    config = {name: getattr(args, name) for name in _EVAL_CONFIG_FIELDS}
+    config = {name: getattr(args, name) for name in _EVAL_CONFIG_FIELDS} | {"size": list(args.size)}
     _emit(args, to_json(dataclasses.replace(report, config=config)))
     print(f"{ds.name} / {args.encoder}: mean BAC {report.mean_bac:.3f}", file=sys.stderr)
     return 0

@@ -190,7 +190,7 @@ def format_value(v: float) -> str:
     compact scientific form when the fixed rendering does not fit in 7
     characters (123456.7 -> '1.235e5')."""
     s = f"{v:#.4g}"
-    if "e" not in s and "E" not in s and len(s) <= 7:
+    if "e" not in s and len(s) <= 7:
         return s
     mantissa, _, exponent = f"{v:.3e}".partition("e")
     return f"{mantissa}e{int(exponent)}"
@@ -207,11 +207,10 @@ def fit_stml(ds_train: Dataset, size: tuple[int, int] = DEFAULT_CANVAS) -> Encod
 
 
 def stml_codes(X: np.ndarray) -> np.ndarray:
-    """The ``format_value`` text of every value of ``X`` as a (rows,
-    features, length) uint8 code matrix (``_font.text_codes``, NUL-padded
-    to the longest text), formatted and encoded once for the whole batch."""
-    codes = _font.text_codes([format_value(v) for v in X.ravel().tolist()])
-    return codes.reshape(X.shape[0], X.shape[1], codes.shape[1])
+    """The ``format_value`` texts of ``X`` as a (rows, features, length)
+    uint8 matrix of ASCII codes: numpy's NUL-padded fixed-width byte strings."""
+    texts = np.array([format_value(v) for v in X.ravel().tolist()], dtype=bytes)
+    return texts.view(np.uint8).reshape(*X.shape, texts.itemsize)
 
 
 def encode_stml(model: EncoderModel, X: np.ndarray) -> np.ndarray:

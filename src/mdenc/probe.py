@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _font, encoders, scaling
-from ._doc import to_json
+from ._doc import from_json, to_json
 from .data import CVPlan, Dataset
 from .errors import MetricError, ParameterError, ShapeError, float_array, real_number
 
@@ -224,8 +224,13 @@ class EvalReport:
         if splits.ndim != 1 or bacs.size < 2 or not ((0.0 <= bacs) & (bacs <= 1.0)).all():
             raise MetricError(f"a report needs one or more splits and BACs in [0, 1], "
                               f"got {self.per_split_bac!r} and {self.mean_bac!r}")
-        if not isinstance(self.config, dict):
-            raise ParameterError(f"report config must be a dict, got {self.config!r}")
+        try:  # a tuple, a non-finite float or a key that is not text reads back changed
+            unchanged = isinstance(self.config, dict) and from_json(to_json(self.config)) == self.config
+        except (TypeError, ValueError):  # to_json fails on a set or a tuple key
+            unchanged = False
+        if not unchanged:
+            raise ParameterError(f"report config must be a dict that reads back from JSON "
+                                 f"unchanged, got {self.config!r}")
         # stored as floats and ints, as read_json reads them back
         object.__setattr__(self, "per_split_bac", tuple(splits.tolist()))
         object.__setattr__(self, "mean_bac", mean)

@@ -13,6 +13,9 @@ and ``shifted_copy_min_tail`` are the average-rank build and the Wilcoxon
 exact-null loop that ``np.unique`` and the in-place shifted add replaced.
 ``assignment_error`` sums the IGTD objective from scratch, the oracle for
 the running error that the swap search seeds and updates itself.
+``glyph_masks`` reads the font's hand-drawn rows, not its atlas, and
+``text_codes`` builds code matrices in plain Python, so neither shares code
+with the blitter or ``encoders.stml_codes`` that they check.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
+from mdenc import _font
 from mdenc.data import Dataset
 
 # name -> (n_instances, n_features)
@@ -260,3 +264,17 @@ def shifted_copy_min_tail(ranks, w):
     sums = np.arange(total + 1, dtype=np.float64)
     min_stat = np.minimum(sums, total - sums) / 2.0
     return float(counts[min_stat <= w].sum()) / 2.0 ** ranks.size
+
+
+def glyph_masks():
+    """Each drawable character's hand-drawn 5x7 glyph as a bool mask."""
+    return {ch: np.array([[cell == "#" for cell in row] for row in rows])
+            for ch, rows in _font._GLYPH_ROWS.items()}
+
+
+def text_codes(texts):
+    """``texts`` as an (N, L) uint8 matrix of ASCII codes, each row padded
+    with NUL (code 0) to the longest text."""
+    longest = max(map(len, texts), default=0)
+    return np.array([list(t.encode("ascii").ljust(longest, b"\0")) for t in texts],
+                    dtype=np.uint8).reshape(len(texts), longest)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import logging
 
@@ -5,11 +6,11 @@ import numpy as np
 import pytest
 
 from fixtures import make_benchmark_dataset, save_csv, strict_loads, write_keel_file
-from mdenc import encoders, read_json, write_json
+from mdenc import encoders, read_json, scaling, write_json
 from mdenc.cli import main
-from mdenc.data import Dataset
+from mdenc.data import Dataset, load_csv, make_cv_plan
 from mdenc.raster import to_pgm, to_ppm
-from mdenc.probe import EvalReport
+from mdenc.probe import EvalReport, run_cv_eval
 
 
 @pytest.fixture()
@@ -375,6 +376,17 @@ class TestEval:
         assert doc["encoder"] == "tabular"
         assert len(doc["per_split_bac"]) == 10
         assert doc["config"]["seed"] == 3
+
+    def test_out_report_reads_back_equal(self, tmp_path, csv_file):
+        # the CLI records --size as a list, which JSON keeps as it is
+        out = tmp_path / "report.json"
+        assert main(["eval", "--dataset", str(csv_file), "--encoder", "stml", "--size", "32x24",
+                     "--l", "0.2", "--seed", "4", "--out", str(out)]) == 0
+        ds = load_csv(csv_file)
+        report = run_cv_eval(ds, "stml", make_cv_plan(ds, 4), l=0.2, size=(32, 24))
+        config = {"dataset": str(csv_file), "encoder": "stml", "l": 0.2, "u": scaling.DEFAULT_U,
+                  "seed": 4, "igtd_iters": encoders.DEFAULT_IGTD_MAX_ITERS, "size": [32, 24]}
+        assert read_json(out, EvalReport) == dataclasses.replace(report, config=config)
 
     def test_retire_eval_deterministic(self, tmp_path, csv_file):
         outs = []

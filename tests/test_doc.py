@@ -136,13 +136,36 @@ class TestReportRange:
         assert read_json(tmp_path / "r.json", EvalReport) == report
 
 
-# the config values that JSON keeps as they are: a tuple reads back as a
-# list and a non-finite float as None, so neither is drawn
+# the config values that JSON keeps as they are
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False)
     | st.text(),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
     max_leaves=8)
+# config keys and values, also those that JSON changes (a tuple reads back
+# as a list, a non-finite float as None, an integer key as text) or cannot
+# write (a set, a tuple key)
+CONFIG_KEYS = st.text() | st.integers() | st.tuples(st.integers())
+CONFIG_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text()
+    | st.sets(st.integers(), max_size=2),
+    lambda inner: st.lists(inner, max_size=3) | st.tuples(inner, inner)
+    | st.dictionaries(CONFIG_KEYS, inner, max_size=3),
+    max_leaves=8)
+
+
+def json_kept(value):
+    """Whether JSON reads ``value`` back unchanged: dicts with text keys,
+    lists, text, integers, bools, None and finite floats."""
+    if isinstance(value, dict):
+        return all(isinstance(k, str) and json_kept(v) for k, v in value.items())
+    if isinstance(value, list):
+        return all(map(json_kept, value))
+    if isinstance(value, float):
+        return math.isfinite(value)
+    return value is None or isinstance(value, (str, int))  # a bool is an int
+
+
 LABELS = st.lists(st.integers(0, 2**63 - 1), max_size=5)
 
 
@@ -165,18 +188,40 @@ class TestReportFields:
         assert report.fold_predictions == ((0, 1), (1, 0))
         assert type(report.fold_predictions[0][0]) is int
 
-    @settings(max_examples=100, derandomize=True, deadline=None,
+    @settings(max_examples=200, derandomize=True, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(dataset=st.text(), encoder=st.text(),
            bacs=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=10), mean=st.floats(0.0, 1.0),
            predictions=st.lists(LABELS.map(list) | LABELS.map(tuple)
                                 | LABELS.map(lambda v: np.array(v, dtype=np.int64)), max_size=4),
-           config=st.dictionaries(st.text(), JSON_VALUES, max_size=4))
+           config=st.dictionaries(st.text(), JSON_VALUES, max_size=4)
+           | st.dictionaries(CONFIG_KEYS, CONFIG_VALUES, max_size=4))
     def test_every_built_report_reads_back_equal(self, tmp_path, dataset, encoder, bacs, mean,
                                                  predictions, config):
+        # a config that JSON would change is refused when the report is built
+        if not json_kept(config):
+            with pytest.raises(ParameterError, match="config must be a dict that reads back"):
+                EvalReport(dataset, encoder, bacs, mean, predictions, config)
+            return
         report = EvalReport(dataset, encoder, bacs, mean, predictions, config)
         write_json(tmp_path / "r.json", report)
         assert read_json(tmp_path / "r.json", EvalReport) == report
+
+    @pytest.mark.parametrize("config", [
+        {"a": {1, 2}}, {(1, 2): 0}, {"size": (32, 32)}, {"x": math.nan}, {1: 0},
+        {"a": [math.inf]}, {"a": np.array([1, 2])}, {"a": np.int64(1)}])
+    def test_config_that_json_changes_raises_parameter_error(self, config):
+        with pytest.raises(ParameterError, match="config must be a dict that reads back"):
+            EvalReport("d", "e", (0.5, 0.6), 0.55, config=config)
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_non_strict_token_raises_state_error(self, tmp_path, token):
+        # strict JSON on read: no NaN that write_json would then write as null
+        path = tmp_path / "r.json"
+        text = to_json(EvalReport("d", "e", (0.5, 0.6), 0.55, config={"x": 0}))
+        path.write_text(text.replace('"x": 0', f'"x": {token}'))
+        with pytest.raises(StateError, match=f"^{re.escape(str(path))} .*{token} is not strict"):
+            read_json(path, EvalReport)
 
 
 class TestModelLayout:

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -9,7 +10,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.stats import rankdata
 
-from fixtures import argsort_rank_average, assignment_error, make_benchmark_dataset
+from fixtures import (argsort_rank_average, assignment_error, glyph_masks, make_benchmark_dataset,
+                      text_codes)
 from mdenc import _font, encoders, scaling
 from mdenc._doc import from_doc, read_json, to_doc, write_json
 from mdenc.data import Dataset
@@ -28,6 +30,10 @@ def toy_dataset(n_features, n_rows=20, seed=0, name="toy"):
     return Dataset(name, X, y, tuple(f"f{i}" for i in range(n_features)), ("0", "1"))
 
 
+# the hand-drawn glyphs, not the atlas that draw_text reads
+GLYPH_MASKS = glyph_masks()
+
+
 def reference_draw_text(pixels, text, rect):
     """Oracle for ``_font.draw_text``: the placement ``encode_stml`` used to
     work out (largest integer scale that fits, at least 1, centered), then
@@ -41,7 +47,7 @@ def reference_draw_text(pixels, text, rect):
     cx0, cy0 = max(0, x0), max(0, y0)
     cx1, cy1 = min(pixels.shape[1], x1), min(pixels.shape[0], y1)
     for ch in text:
-        mask = _font.GLYPHS[ch][:, :5].repeat(scale, axis=0).repeat(scale, axis=1)
+        mask = GLYPH_MASKS[ch].repeat(scale, axis=0).repeat(scale, axis=1)
         gx0, gy0 = max(x, cx0), max(y, cy0)
         gx1, gy1 = min(x + mask.shape[1], cx1), min(y + mask.shape[0], cy1)
         if gx0 < gx1 and gy0 < gy1:
@@ -58,7 +64,7 @@ def ink_box(pixels):
 
 def draw_one(pixels, text):
     """``_font.draw_text`` on one cell: the whole of ``pixels``."""
-    _font.draw_text(pixels[None], _font.text_codes([text]))
+    _font.draw_text(pixels[None], text_codes([text]))
     return pixels
 
 
@@ -87,7 +93,7 @@ class TestFont:
         # division (offsets (3 - 5) // 2 = -1 and (4 - 7) // 2 = -2) and cut
         pixels = np.zeros((20, 20), dtype=np.uint8)
         draw_one(pixels[10:14, 10:13], "8")
-        glyph = _font.GLYPHS["8"][:, :5]
+        glyph = GLYPH_MASKS["8"]
         assert np.array_equal(pixels[10:14, 10:13] > 0, glyph[2:6, 1:4])
         assert pixels.sum() == 255 * glyph[2:6, 1:4].sum()
 
@@ -100,29 +106,19 @@ class TestFont:
         # cell (x 4:24, y 2:12) of three images, texts of two lengths
         images = np.zeros((3, 16, 30), dtype=np.uint8)
         texts = ["1.5", "-20.25", "7.0"]
-        _font.draw_text(images[:, 2:12, 4:24], _font.text_codes(texts))
+        _font.draw_text(images[:, 2:12, 4:24], text_codes(texts))
         for image, text in zip(images, texts):
             want = reference_draw_text(np.zeros((16, 30), dtype=np.uint8), text, (4, 2, 24, 12))
             assert np.array_equal(image, want)
 
-    def test_unknown_glyph(self):
-        # the first text is drawable, but nothing is written
-        cells = np.zeros((2, 8, 20), dtype=np.uint8)
-        with pytest.raises(ParameterError, match="'x'"):
-            _font.draw_text(cells, _font.text_codes(["1.0", "1x"]))
-        assert not cells.any()
-        with pytest.raises(ParameterError, match="'é'"):  # not ASCII either
-            _font.draw_text(cells, _font.text_codes(["1é"]))
-
     def test_empty_text_draws_nothing(self):
         pixels = draw_one(np.zeros((8, 8), dtype=np.uint8), "")
         assert not pixels.any()
-        _font.draw_text(np.zeros((0, 8, 8), dtype=np.uint8), _font.text_codes([]))
+        _font.draw_text(np.zeros((0, 8, 8), dtype=np.uint8), text_codes([]))
 
     def test_glyphs_carry_blank_spacer(self):
-        for glyph in _font.GLYPHS.values():
-            assert glyph.shape == (_font.GLYPH_HEIGHT, _font.GLYPH_WIDTH + 1)
-            assert not glyph[:, -1].any()
+        assert _font._ATLAS.shape == (128, _font.GLYPH_HEIGHT, _font.GLYPH_WIDTH + 1)
+        assert not _font._ATLAS[:, :, -1].any()
 
 
 texts = st.floats(allow_nan=False, allow_infinity=False).map(encoders.format_value)
@@ -138,7 +134,7 @@ class TestFontOracle:
         # a larger image that must stay blank around it
         x1, y1 = min(x0 + w, width), min(y0 + h, height)
         got = np.zeros((height, width), dtype=np.uint8)
-        _font.draw_text(got[None, y0:y1, x0:x1], _font.text_codes([text]))
+        _font.draw_text(got[None, y0:y1, x0:x1], text_codes([text]))
         want = reference_draw_text(np.zeros((height, width), dtype=np.uint8), text,
                                    (x0, y0, max(x0, x1), max(y0, y1)))
         assert np.array_equal(got, want)
@@ -148,7 +144,7 @@ class TestFontOracle:
     def test_stack_matches_reference_image_by_image(self, stack, width, height):
         # one call on texts of mixed lengths equals one oracle call per image
         got = np.zeros((len(stack), height, width), dtype=np.uint8)
-        _font.draw_text(got, _font.text_codes(stack))
+        _font.draw_text(got, text_codes(stack))
         for image, text in zip(got, stack):
             want = reference_draw_text(np.zeros((height, width), dtype=np.uint8), text,
                                        (0, 0, width, height))
@@ -416,7 +412,58 @@ class TestFormatValue:
         rng = np.random.default_rng(1)
         for v in rng.uniform(-1e9, 1e9, size=100):
             text = encoders.format_value(float(v))
-            assert set(text) <= set(_font.GLYPHS)
+            assert set(text) <= set(GLYPH_MASKS)
+
+
+# floats where format_value's rules meet: 4-significant-digit ties, the
+# 0.01, 0.1 (negative) and 1e4 edges of the fixed form, subnormals, signed
+# zeros and the largest finite floats; each also one step up and down
+EDGE_FLOATS = [9.9995, 999.95, 0.0099995, 0.099995, 99.995, 9999.5, 9999.49, 1e4, 0.01,
+               0.00999, 0.1, 1e-4, 5e-324, 2.2250738585072014e-308, 0.0, 123456.7, -1.5e-10,
+               1e300, sys.float_info.max]
+edge_floats = (
+    st.sampled_from(EDGE_FLOATS + [-v for v in EDGE_FLOATS]).flatmap(
+        lambda v: st.sampled_from([v, math.nextafter(v, math.inf), math.nextafter(v, -math.inf)]))
+    .filter(math.isfinite)
+    # log-uniform magnitudes over the whole finite range
+    | st.builds(lambda sign, e: sign * 10.0 ** e, st.sampled_from([1.0, -1.0]),
+                st.floats(-323.0, 308.0)))
+# six rows of four features that hold the edge values, for the pins below
+EDGE_MATRIX = np.array([
+    [9.9995, 999.95, 0.0099995, -0.0],
+    [5e-324, -5e-324, sys.float_info.max, -sys.float_info.max],
+    [9999.5, 9999.49, 0.01, 0.00999],
+    [-0.1, -0.099995, 1e-4, 0.0],
+    [123456.7, -1.5e-10, 1e300, -2.2250738585072014e-308],
+    [1.0, -12.5, 99.995, 1e4],
+])
+
+
+class TestStmlCodes:
+    """``stml_codes`` against ``format_value`` and a plain-Python code oracle."""
+
+    @settings(max_examples=400, derandomize=True, deadline=None)
+    @given(rows=st.integers(1, 4).flatmap(lambda n: st.lists(
+        st.lists(edge_floats, min_size=n, max_size=n), min_size=1, max_size=6)))
+    def test_codes_are_the_ascii_of_format_value(self, rows):
+        X = np.array(rows)
+        texts = [encoders.format_value(v) for v in X.ravel().tolist()]
+        for text in texts:
+            assert set(text) <= set(GLYPH_MASKS) and len(text) <= 11, text
+        got = encoders.stml_codes(X)
+        assert got.dtype == np.uint8
+        assert np.array_equal(got, text_codes(texts).reshape(*X.shape, -1))
+
+    def test_pinned_codes_and_image(self):
+        # recorded before the codes came from numpy's byte strings
+        codes = encoders.stml_codes(EDGE_MATRIX)
+        assert codes.shape == (6, 4, 11)
+        assert hashlib.sha256(codes.tobytes()).hexdigest() == (
+            "8fd08b168238c2514dd3287711dc841bea0c47a76ad5930cde63d9df01a336cb")
+        model = encoders.fit_stml(toy_dataset(4), size=(64, 64))
+        images = encoders.encode_batch(model, EDGE_MATRIX)
+        assert hashlib.sha256(images.tobytes()).hexdigest() == (
+            "9cb1a686f196948689642ad673bf0cc78c764d2d86984bc59eacfad0963d7c49")
 
 
 class TestStml:

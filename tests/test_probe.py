@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from mdenc import _font, encoders, probe, read_json, scaling, write_json
+from fixtures import glyph_masks
+from mdenc import encoders, probe, read_json, scaling, write_json
 from mdenc._doc import from_doc, to_doc
 from mdenc.data import CVPlan, Dataset, generate_synthetic, make_cv_plan
 from mdenc.errors import FitError, MetricError, ParameterError, ShapeError, StateError
@@ -337,7 +338,7 @@ class TestSqDistances:
 
 # any text the font can draw, 1 to 10 glyphs long, and format_value's texts
 # (up to 11 glyphs, such as the scientific 1.235e-5 and -1.235e-10)
-stml_texts = (st.text(alphabet=sorted(_font.GLYPHS), min_size=1, max_size=10)
+stml_texts = (st.text(alphabet=sorted(glyph_masks()), min_size=1, max_size=10)
               | st.floats(allow_nan=False, allow_infinity=False).map(encoders.format_value))
 
 
