@@ -1,9 +1,9 @@
 """Deterministic 2-d rasterization into bare uint8 arrays: integer line
 stepping and even-odd polygon fill as numpy passes with no loop per image,
-step or scanline, polar vertex placement and PGM/PPM export. The fill
-sorts the crossings of a whole stack and writes its interior as runs
-between them, with no per-pixel table; the per-step, per-scanline and
-count-table references it replaced live in the tests.
+step or scanline, polar vertex placement and PGM/PPM export. The stroke
+clips each segment once, on both axes, and steps its minor axis exactly in
+float64; the fill writes a stack's interior as runs between its sorted
+crossings. The references they replaced live in the tests.
 
 The drawing calls take one (height, width) image with (n, 2) points, or a
 (R, height, width) stack with (R, n, 2) points and draw points r into
@@ -108,11 +108,11 @@ def _points(pts, least: int, pixels=None) -> np.ndarray:
     return pts
 
 
-def _runs(start: np.ndarray, count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each element's run index and value, for runs ``count`` long that
-    count up from ``start``."""
-    run = np.repeat(np.arange(len(count)), count)
-    return run, np.arange(len(run)) + (start - (np.cumsum(count) - count))[run]
+def _ramps(start, count: np.ndarray) -> np.ndarray:
+    """Back-to-back float runs ``count`` long that count up from ``start``."""
+    ramp = np.repeat(np.asarray(start - (np.cumsum(count) - count), dtype=np.float64), count)
+    ramp += np.arange(len(ramp), dtype=np.float64)
+    return ramp
 
 
 def draw_polyline(pixels: np.ndarray, pts, closed: bool = False) -> np.ndarray:
@@ -121,38 +121,46 @@ def draw_polyline(pixels: np.ndarray, pts, closed: bool = False) -> np.ndarray:
 
     Endpoints are mapped to their containing pixels. Each segment plots the
     pixels of integer Bresenham stepping, endpoints inclusive, in closed
-    form and only for the steps that land on the image; off-image pixels
-    are clipped silently. A single point plots one pixel.
+    form with exact float64 minor steps, clipped once on both axes to the
+    steps that land on the image. A single point plots one pixel.
     """
     pts = _points(pts, 1, pixels)
     height, width = pixels.shape[-2:]
-    start = np.floor(pts).astype(np.int64)
-    # segment i runs to point i + 1; an open polyline ends on a zero-length
-    # segment at its last point, which adds no pixel
-    end = np.roll(start, -1, axis=-2)
-    if not closed:
-        end[..., -1, :] = start[..., -1, :]
-    start, end = start.reshape(-1, 2), end.reshape(-1, 2)
-    delta, sign = np.abs(end - start), np.where(start < end, 1, -1)
-    steps = delta.max(axis=1)
-    seg = np.arange(len(start))
-    major = (delta[:, 1] > delta[:, 0]).astype(np.intp)  # 0: x, 1: y
-    origin, forward = start[seg, major], sign[seg, major] > 0
-    size = np.take((width, height), major)
-    # steps k in [lo, hi] put the major coordinate origin +- k on the image
-    lo = np.maximum(np.where(forward, -origin, origin - size + 1), 0)
-    hi = np.minimum(np.where(forward, size - 1 - origin, origin), steps)
-    seg, k = _runs(lo, np.maximum(hi - lo + 1, 0))
-    # step k of L steps sits k along the major axis and
-    # floor((2 |d| k + L - 1) / 2L) along the minor one
-    span = np.maximum(steps, 1)[seg]
-    minor = (2 * delta.min(axis=1)[seg] * k + span - 1) // (2 * span)
-    y_major = major.astype(bool)[seg]
-    x = start[:, 0][seg] + sign[:, 0][seg] * np.where(y_major, minor, k)
-    y = start[:, 1][seg] + sign[:, 1][seg] * np.where(y_major, k, minor)
-    on = (x >= 0) & (x < width) & (y >= 0) & (y < height)
-    # flat C-order index of (shape, y, x); put writes through any strides
-    np.put(pixels, (((seg // pts.shape[-2]) * height + y) * width + x)[on], 255)
+    # (x, y) rows of the points' pixels; segment i runs to point i + 1, and an
+    # open polyline ends on a zero-length segment at its last point (no pixel)
+    start = np.floor(np.moveaxis(pts.reshape(-1, pts.shape[-2], 2), -1, 0)).astype(np.int64, order="C")
+    end = np.concatenate([start[..., 1:], start[..., :1] if closed else start[..., -1:]], axis=-1)
+    start, end = start.reshape(2, -1), end.reshape(2, -1)
+    delta, forward, lim = np.abs(end - start), start < end, np.array([[width - 1], [height - 1]])
+    steps = np.maximum(delta[0], delta[1])
+    span, twice, div = np.maximum(steps, 1), 2 * delta, np.maximum(2 * delta, 1)
+    # step k of L steps moves floor((2 d k + L - 1) / 2L) along an axis of
+    # extent d (k along the major one), never decreasing in k: at least m iff
+    # 2 d k >= (2m - 1) L + 1, at most M iff 2 d k <= (2M + 1) L, and with
+    # d = 0 the divisor 1 gives all k or none. Coordinate start +- c is on the
+    # image for c in [first, first + lim]; lo is capped past the last step
+    first = np.where(forward, -start, start - lim)
+    lo = np.clip(np.max(-(((1 - 2 * first) * span - 1) // div), axis=0), 0, steps + 1)
+    hi = np.minimum(np.min((2 * (first + lim) + 1) * span // div, axis=0), steps)
+    # a step moves the flat C-order index of (shape, y, x) by ``along`` on
+    # the major axis (y when |dy| > |dx|) and by ``across`` on the minor one,
+    # which from step lo has moved floor((2 d k + r) / 2L) more, r being
+    # (2 d lo + L - 1) mod 2L. Float64 gives N // D exactly for N < 2**52
+    # (points stay within MAX_COORD), and flat indices are far below 2**53
+    stride = np.where(forward, 1, -1) * np.array([[1], [width]])
+    along, across = np.where(delta[1] > delta[0], stride[::-1], stride)
+    twice = np.min(twice, axis=0)
+    minor, rest = np.divmod(twice * lo + span - 1, 2 * span)
+    flat = ((np.arange(len(steps)) // pts.shape[-2]) * height + start[1]) * width + start[0]
+    flat += along * lo + across * minor  # the pixel of step lo
+    count = np.maximum(hi - lo + 1, 0)
+    twice, rest, den, along, across, flat = np.array(
+        [twice, rest, 2 * span, along, across, flat], dtype=np.float64)
+    k = _ramps(0, count)
+    minor = k * np.repeat(twice, count) + np.repeat(rest, count)
+    minor = np.floor(minor / np.repeat(den, count)) * np.repeat(across, count)
+    k = k * np.repeat(along, count) + np.repeat(flat, count) + minor
+    np.put(pixels, k.astype(np.intp), 255)  # put writes through any strides
     return pixels
 
 
@@ -163,23 +171,30 @@ def _interior(pts: np.ndarray, height: int, width: int) -> np.ndarray:
     # edge e crosses the scanlines j with min y <= j + 0.5 < max y, that is
     # ceil(min y - 0.5) <= j < ceil(max y - 0.5): as for the columns below,
     # the subtraction is exact from 0.5 up and gives <= 0 either way below it
-    lo, hi = (np.clip(np.ceil(y - 0.5), 0, height).astype(np.int64)
-              for y in (np.minimum(y1, y2), np.maximum(y1, y2)))
-    edges, rows = _runs(lo, hi - lo)
-    xa, ya = x1[edges], y1[edges]
-    xint = xa + (rows + 0.5 - ya) * (x2[edges] - xa) / (y2[edges] - ya)
+    lo, hi = (np.clip(np.ceil(y - 0.5), 0, height) for y in (np.minimum(y1, y2), np.maximum(y1, y2)))
+    count = (hi - lo).astype(np.intp)
+    rows = _ramps(lo, count)
+    xint = rows + 0.5
+    xint -= np.repeat(y1, count)
+    xint *= np.repeat(x2 - x1, count)
+    xint /= np.repeat(y2 - y1, count)
+    xint += np.repeat(x1, count)
     # each crossing sits at the first center c + 0.5 >= xint, which is
     # c = ceil(xint - 0.5): the subtraction is exact for 0.5 <= xint < 2**52
     # (points stay within MAX_COORD), and below 0.5 it gives c <= 0 either way
-    first = np.clip(np.ceil(xint - 0.5), 0, width).astype(np.int64)
+    xint -= 0.5
+    first = np.clip(np.ceil(xint, out=xint), 0, width, out=xint)
     # a center is inside when an odd number of its row's crossings sit at or
     # left of it. Every row holds an even number of crossings, so the sorted
-    # flat keys of all shapes and rows pair up into [start, stop) interior
-    # runs within one row (a crossing at c = width keys the next row's start,
-    # which no run of this row reaches), and the gaps between keys alternate
-    # outside and inside
-    keys = np.sort(((edges // n) * height + rows) * width + first)
-    runs = np.diff(keys, prepend=0, append=math.prod(lead) * height * width)
+    # flat keys of all shapes and rows (integers, exact in float64) pair up
+    # into [start, stop) interior runs within one row (a crossing at
+    # c = width keys the next row's start, which no run of this row
+    # reaches), and the gaps between keys alternate outside and inside
+    keys = np.repeat((np.arange(len(lo)) // n) * float(height * width), count)
+    keys += np.multiply(rows, width, out=rows)
+    keys += first
+    keys.sort()
+    runs = np.diff(keys, prepend=0, append=math.prod(lead) * height * width).astype(np.intp)
     values = np.zeros(len(runs), dtype=np.uint8)
     values[1::2] = 255
     return np.repeat(values, runs).reshape(*lead, height, width)

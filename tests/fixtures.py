@@ -8,7 +8,9 @@ datasets. Generation is deterministic per dataset name.
 
 ``even_odd_oracle`` is the brute-force fill oracle shared by the raster
 tests and acceptance criterion 1; ``count_table_fill`` is the dense
-count-table fill that the sorted-run fill replaced. ``argsort_rank_average``
+count-table fill that the sorted-run fill replaced, and
+``closed_form_stroke`` the int64 closed-form stroke that the per-segment
+clipped one replaced. ``argsort_rank_average``
 and ``shifted_copy_min_tail`` are the average-rank build and the Wilcoxon
 exact-null loop that ``np.unique`` and the in-place shifted add replaced.
 ``assignment_error`` sums the IGTD objective from scratch, the oracle for
@@ -222,6 +224,42 @@ def count_table_fill(pts, width, height):
     table = table.astype(np.uint8).reshape(*lead, height, width + 1)
     parity = np.cumsum(table[..., :0:-1], axis=-1, dtype=np.uint8)[..., ::-1]
     return np.bitwise_and(parity, 1, out=parity)
+
+
+def closed_form_stroke(pixels, pts, closed=False):
+    """Stroke (..., n, 2) points into a (..., height, width) uint8 stack as
+    Bresenham stepping in int64 closed form: step k of a segment of L steps
+    sits k along its major axis and floor((2 |d| k + L - 1) / 2L) along its
+    minor one. Only the steps that put the major coordinate on the image
+    are formed, and the minor coordinate is masked to the image afterwards;
+    an open polyline ends on a zero-length segment at its last point."""
+    pts = np.asarray(pts, dtype=np.float64)
+    height, width = pixels.shape[-2:]
+    start = np.floor(pts).astype(np.int64)
+    end = np.roll(start, -1, axis=-2)
+    if not closed:
+        end[..., -1, :] = start[..., -1, :]
+    start, end = start.reshape(-1, 2), end.reshape(-1, 2)
+    delta, sign = np.abs(end - start), np.where(start < end, 1, -1)
+    steps = delta.max(axis=1)
+    seg = np.arange(len(start))
+    major = (delta[:, 1] > delta[:, 0]).astype(np.intp)  # 0: x, 1: y
+    origin, forward = start[seg, major], sign[seg, major] > 0
+    size = np.take((width, height), major)
+    # steps k in [lo, hi] put the major coordinate origin +- k on the image
+    lo = np.maximum(np.where(forward, -origin, origin - size + 1), 0)
+    hi = np.minimum(np.where(forward, size - 1 - origin, origin), steps)
+    count = np.maximum(hi - lo + 1, 0)
+    seg = np.repeat(seg, count)
+    k = np.arange(len(seg)) + (lo - (np.cumsum(count) - count))[seg]
+    span = np.maximum(steps, 1)[seg]
+    minor = (2 * delta.min(axis=1)[seg] * k + span - 1) // (2 * span)
+    y_major = major.astype(bool)[seg]
+    x = start[:, 0][seg] + sign[:, 0][seg] * np.where(y_major, minor, k)
+    y = start[:, 1][seg] + sign[:, 1][seg] * np.where(y_major, k, minor)
+    on = (x >= 0) & (x < width) & (y >= 0) & (y < height)
+    np.put(pixels, (((seg // pts.shape[-2]) * height + y) * width + x)[on], 255)
+    return pixels
 
 
 def assignment_error(rank_feat: np.ndarray, rank_pix: np.ndarray,

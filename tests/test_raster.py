@@ -1,10 +1,11 @@
+import functools
 import math
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from fixtures import count_table_fill, even_odd_oracle
+from fixtures import closed_form_stroke, count_table_fill, even_odd_oracle
 from mdenc.errors import CapacityError, ParameterError, ShapeError
 from mdenc.raster import (
     MAX_COORD,
@@ -39,6 +40,31 @@ def reference_line_pixels(x0, y0, x1, y1):
         yield x, y
         if x == x1 and y == y1:
             return
+        e2 = 2 * err
+        if e2 > -dy:
+            err -= dy
+            x += sx
+        if e2 < dx:
+            err += dx
+            y += sy
+
+
+@functools.cache
+def stepped_window(x0, y0, x1, y1, width, height):
+    """The pixels of ``reference_line_pixels`` inside a width x height
+    image, from the same stepping written as one loop, which runs 2**25
+    steps in a few seconds."""
+    dx, dy = abs(x1 - x0), abs(y1 - y0)
+    sx = 1 if x0 < x1 else -1
+    sy = 1 if y0 < y1 else -1
+    err = dx - dy
+    x, y = x0, y0
+    inside = set()
+    while True:
+        if 0 <= x < width and 0 <= y < height:
+            inside.add((x, y))
+        if x == x1 and y == y1:
+            return frozenset(inside)
         e2 = 2 * err
         if e2 > -dy:
             err -= dy
@@ -315,6 +341,13 @@ class TestStrokeOracle:
         want = reference_draw_polyline(blank(width, height), pts, closed=closed)
         assert np.array_equal(got, want)
 
+    def test_stepped_window_matches_the_reference_stepping(self):
+        rng = np.random.default_rng(23)
+        for x0, y0, x1, y1 in rng.integers(-20, 30, size=(300, 4)).tolist():
+            want = {p for p in reference_line_pixels(x0, y0, x1, y1)
+                    if 0 <= p[0] < 9 and 0 <= p[1] < 7}
+            assert stepped_window(x0, y0, x1, y1, 9, 7) == want
+
     def test_matches_reference_on_seeded_shapes(self):
         rng = np.random.default_rng(21)
         for _ in range(300):
@@ -398,6 +431,20 @@ BOUND_CASES = np.array([
 ])
 
 
+# 2-point segments on a 12 x 12 canvas that leave it across their minor
+# axis partway along: x-major ones through the bottom and the top edge, and
+# y-major ones through the right and the left edge; the last two also start
+# off the image. Reversed or closed, each is also stepped the other way
+MINOR_EXITS = np.array([
+    [(0.5, 6.5), (11.5, 15.5)],
+    [(0.5, 5.5), (11.5, -3.5)],
+    [(6.5, 0.5), (15.5, 11.5)],
+    [(5.5, 0.5), (-3.5, 11.5)],
+    [(-4.0, 2.25), (20.0, 13.75)],
+    [(3.75, -6.0), (-7.25, 18.0)],
+])
+
+
 class TestCountTableOracle:
     """The sorted-run fill against the dense count-table fill it replaced,
     which lists each edge's scanlines as a superset and tests each one, so
@@ -445,6 +492,26 @@ class TestStackOracle:
             assert np.array_equal(image, want)
 
     @settings(max_examples=200, deadline=None)
+    @given(pts=stacks(least=1, coord=bound_coords), closed=st.booleans(), width=sides,
+           height=sides)
+    @example(pts=MINOR_EXITS, closed=True, width=12, height=12)
+    @example(pts=MINOR_EXITS, closed=False, width=12, height=12)
+    @example(pts=MINOR_EXITS[:, ::-1], closed=False, width=12, height=12)
+    @example(pts=MINOR_EXITS, closed=True, width=5, height=9)
+    def test_stroke_matches_closed_form_at_bounds(self, pts, closed, width, height):
+        # the int64 closed form clips on the major axis only and masks the
+        # minor one afterwards, so it checks the per-segment minor bounds;
+        # the stepping reference is too slow for +-MAX_COORD, so it checks
+        # the shapes whose points are all near the canvas
+        stroked = draw_polyline(np.zeros((len(pts), height, width), dtype=np.uint8), pts, closed)
+        want = closed_form_stroke(np.zeros_like(stroked), pts, closed)
+        assert np.array_equal(stroked, want)
+        for shape, image in zip(pts, stroked):
+            if np.all(np.abs(shape) <= 300.0):
+                assert np.array_equal(
+                    image, reference_draw_polyline(blank(width, height), shape, closed=closed))
+
+    @settings(max_examples=200, deadline=None)
     @given(pts=stacks(), width=sides, height=sides, seed=st.integers(0, 2**32 - 1))
     def test_fill_ors_into_set_pixels(self, pts, width, height, seed):
         # pixels already set stay set, and unset ones get the fill of a blank
@@ -469,6 +536,39 @@ class TestStackOracle:
         assert verts.shape == (3, 5, 2)
         for row, v in zip(scaled, verts):
             assert np.array_equal(v, polar_vertices(layout, row))
+
+
+class TestFloatBound:
+    """The stroke's float64 minor steps at their largest numerators, about
+    2**51: segments 2**25 steps long between +-MAX_COORD, and the flat fill
+    keys of the largest stack that ``retire`` draws at 224 x 224."""
+
+    @pytest.mark.parametrize("width, height", [(8, 8), (1, 4096), (4096, 1)])
+    def test_longest_segments_match_the_closed_form_and_stepping(self, width, height):
+        # extents 2**25 and 2**25 - 1, so the one step along the major axis
+        # alone falls next to the origin, on the image or just off it; the
+        # closed polylines step each segment both ways
+        M = MAX_COORD
+        shapes = np.array([
+            [(-M, -M), (M, M - 0.5)],
+            [(-M, M), (M, -M + 1.0)],
+            [(M - 0.5, -M), (-M, M)],
+        ])
+        stroked = draw_polyline(np.zeros((3, height, width), dtype=np.uint8), shapes, closed=True)
+        assert np.array_equal(stroked, closed_form_stroke(np.zeros_like(stroked), shapes, True))
+        m = int(M)
+        want = {(x, y) for x, y in stepped_window(-m, -m, m, m - 1, 4096, 4096)
+                | stepped_window(m, m - 1, -m, -m, 4096, 4096) if x < width and y < height}
+        assert want and set_pixels(stroked[0]) == want
+
+    def test_largest_retire_stack_matches_single_images(self):
+        # 6 vertices at 224 x 224 draw 167 rows per call, the 2**23-pixel
+        # cap, so the fill keys of the last row run up to 167 * 224 * 224
+        layout = polar_layout(224, 224, 6)
+        pts = polar_vertices(layout, np.random.default_rng(24).uniform(size=(167, 6)))
+        stack = fill_polygon(np.zeros((167, 224, 224), dtype=np.uint8), pts)
+        for shape, image in zip(pts, stack):
+            assert np.array_equal(image, fill_polygon(blank(224, 224), shape))
 
 
 class TestFillPolygon:
