@@ -1,19 +1,17 @@
 """Every JSON artefact (model, report, comparison, sweep record) is written
 and read here, as strict JSON. A dataclass becomes an object with one key
 per field, in field order; arrays and tuples become lists; a non-finite
-float becomes ``null``. Reading checks every key and value against the field
-annotations: a malformed document raises :class:`StateError` naming the key,
-and so does a file that is not UTF-8 strict JSON (a ``NaN`` or ``Infinity``
-token included). Every error of ``read_json`` names the file.
+float becomes ``null``. Reading checks the keys, picks the member of a union
+and builds nested dataclasses, whose constructors check every value. Any
+malformed document raises :class:`StateError` naming the key path and the
+failed check, as does a file that is not UTF-8 strict JSON (a ``NaN`` or
+``Infinity`` token included). Every error of ``read_json`` names the file.
 """
-
-from __future__ import annotations
 
 import dataclasses
 import json
 import math
 import re
-import sys
 import types
 import typing
 from pathlib import Path
@@ -57,20 +55,21 @@ def write_json(path, value) -> None:
 
 
 def read_json(path, cls):
-    """Dataclass ``cls`` read from file ``path``; key paths in its errors
-    start at the last word of the class name, such as ``model``."""
+    """Dataclass ``cls`` from file ``path``; a StateError names the file, the key
+    path from the class name's last word (``model.layout``) and the failed check."""
     try:
         doc = from_json(Path(path).read_text(encoding="utf-8"))
     except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, NaN, or too deep
         raise StateError(f"{path} is not a UTF-8 JSON document: {exc}") from None
     try:
         return from_doc(cls, doc, re.findall("[A-Z][a-z]*", cls.__name__)[-1].lower())
-    except MdencError as exc:  # the same type, naming the file
-        raise type(exc)(f"{path}: {exc}") from None
+    except StateError as exc:
+        raise StateError(f"{path}: {exc}") from None
 
 
 def from_doc(cls, doc, where: str):
-    """Dataclass ``cls`` built from ``doc``; only fields with a default may be missing."""
+    """Dataclass ``cls`` built from ``doc`` (only fields with a default may be
+    missing); a failed check of its constructor is a StateError at ``where``."""
     if not isinstance(doc, dict):
         raise StateError(f"{where} must be a JSON object")
     fields = dataclasses.fields(cls)
@@ -84,43 +83,28 @@ def from_doc(cls, doc, where: str):
             values[f.name] = _value(hints[f.name], doc[f.name], f"{where}.{f.name}")
         elif f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
             raise StateError(f"{where} lacks the key {f.name!r}")
-    return cls(**values)
-
-
-def _is_number(value) -> bool:
-    """A JSON number that converts to a finite float (not a bool)."""
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and abs(value) <= sys.float_info.max)
+    try:
+        return cls(**values)
+    except MdencError as exc:
+        raise StateError(f"{where}: {exc}") from None
 
 
 def _value(hint, value, where: str):
-    origin, args = typing.get_origin(hint), typing.get_args(hint)
-    if origin in (typing.Union, types.UnionType):  # of dataclasses, maybe None
-        members = [a for a in args if a is not type(None)]
-        if value is None and len(members) < len(args):
+    """A nested dataclass built from its object; any other value as it is,
+    but JSON ``true`` and ``false`` only in a field annotated dict or bool."""
+    if typing.get_origin(hint) in (typing.Union, types.UnionType):  # of dataclasses, maybe None
+        if value is None and type(None) in typing.get_args(hint):
             return None
+        members = [a for a in typing.get_args(hint) if a is not type(None)]
         # the member that knows the most keys, the first one on a tie
         keys = set(value) if isinstance(value, dict) else set()
         hint = min(members, key=lambda a: len(keys - {f.name for f in dataclasses.fields(a)}))
-        return _value(hint, value, where)
     if dataclasses.is_dataclass(hint):
         return from_doc(hint, value, where)
-    if origin is tuple:
-        if not isinstance(value, list):
-            raise StateError(f"{where} must be a list")
-        if args[-1] is Ellipsis:
-            args = (args[0],) * len(value)
-        elif len(value) != len(args):
-            raise StateError(f"{where} must hold {len(args)} values")
-        return tuple(_value(a, v, f"{where}[{i}]") for i, (a, v) in enumerate(zip(args, value)))
-    if hint is np.ndarray and isinstance(value, list) and all(map(_is_number, value)):
-        array = np.asarray(value)
-        if array.dtype.kind in "iuf":  # not ints beyond 64 bits
-            return array
-    if hint is float and _is_number(value):
-        return float(value)
-    if hint is int and _is_number(value) and isinstance(value, int):
-        return value
-    if hint in (str, dict) and isinstance(value, hint):
-        return value
-    raise StateError(f"{where} must be of type {hint.__name__}")
+    items = [value]  # a flat walk: arrays may nest as deep as the parser allows
+    while hint not in (dict, bool) and items:
+        item = items.pop()
+        if isinstance(item, bool):
+            raise StateError(f"{where} holds {json.dumps(item)}, which is not a number")
+        items.extend(item if isinstance(item, list) else ())
+    return value

@@ -73,8 +73,11 @@ class IgtdMapping:
     def __post_init__(self):
         for name in ("rows", "cols"):
             object.__setattr__(self, name, non_negative_int(getattr(self, name), f"grid {name}"))
-        a = np.asarray(self.assignment)
-        if (min(self.rows, self.cols) < 1 or a.ndim != 1 or a.size == 0
+        try:
+            a = np.asarray(self.assignment)
+        except ValueError:  # a ragged list
+            a = None
+        if (a is None or min(self.rows, self.cols) < 1 or a.ndim != 1 or a.size == 0
                 or a.dtype.kind not in "iu" or np.unique(a).size != a.size
                 or a.min() < 0 or a.max() >= self.rows * self.cols):
             raise ParameterError(f"assignment must hit distinct cells of the {self.rows}x{self.cols} grid")
@@ -84,6 +87,8 @@ class IgtdMapping:
         trace = float_array(self.error_trace, "igtd error trace")
         if trace.ndim != 1:
             raise ShapeError("igtd error trace must be a sequence of numbers")
+        if not np.isfinite(trace).all():
+            raise ParameterError("igtd error trace must be finite")
         object.__setattr__(self, "error_trace", tuple(trace.tolist()))
 
     @property
@@ -102,6 +107,8 @@ class EncoderModel:
     layout: PolarLayout | GridLayout | IgtdMapping
 
     def __post_init__(self):
+        if not isinstance(self.kind, str):
+            raise StateError(f"model kind must be text, got {self.kind!r}")
         if not isinstance(self.layout, LAYOUTS.get(self.kind, ())):
             raise StateError(f"{self.kind!r} model with a {type(self.layout).__name__} layout")
         object.__setattr__(self, "canvas_size", _canvas(self.canvas_size))

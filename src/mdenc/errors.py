@@ -68,9 +68,10 @@ class FitError(MdencError):
 
 def non_negative_int(value, what: str) -> int:
     """``value`` as an int when it is a non-negative integer (a seed, a
-    sample count, a canvas side); ParameterError naming ``what`` if not."""
+    sample count, a canvas side), not a bool; ParameterError naming ``what`` if not."""
     try:
-        number = operator.index(value)
+        # numpy 1.x still indexes with np.bool_, with a DeprecationWarning
+        number = -1 if isinstance(value, (bool, np.bool_)) else operator.index(value)
     except TypeError:  # a float, a string, None
         number = -1
     if number < 0:
@@ -79,11 +80,14 @@ def non_negative_int(value, what: str) -> int:
 
 
 def real_number(value, what: str) -> float:
-    """``value`` as a float when it is a real number (numpy scalars
-    included); ParameterError naming ``what`` if not, such as for text."""
-    if not isinstance(value, numbers.Real):
-        raise ParameterError(f"{what} must be a number, got {value!r}")
-    return float(value)
+    """``value`` as a float when it is a real number in float range (numpy
+    scalars included, bools not); ParameterError naming ``what`` if not."""
+    try:
+        if isinstance(value, numbers.Real) and not isinstance(value, bool):  # np.bool_ is not Real
+            return float(value)
+    except OverflowError:  # an integer beyond float range
+        pass
+    raise ParameterError(f"{what} must be a number, got {value!r}")
 
 
 def float_array(values, what: str) -> np.ndarray:
@@ -93,7 +97,7 @@ def float_array(values, what: str) -> np.ndarray:
     try:
         array = np.asarray(values, dtype=np.float64)
         given = values if isinstance(values, np.ndarray) else np.asarray(values)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: an int past float range
         raise ShapeError(f"{what}: {exc}") from None
     if given.dtype.kind in "US" or given.dtype.kind == "O" and any(
             isinstance(v, (str, bytes)) for v in given.flat):

@@ -226,12 +226,12 @@ class EvalReport:
                               f"got {self.per_split_bac!r} and {self.mean_bac!r}")
         try:  # a tuple, a non-finite float or a key that is not text reads back changed
             unchanged = isinstance(self.config, dict) and from_json(to_json(self.config)) == self.config
-        except (TypeError, ValueError):  # to_json fails on a set or a tuple key
+        except (TypeError, ValueError, RecursionError):  # a set, a tuple key, or too deep
             unchanged = False
         if not unchanged:
             raise ParameterError(f"report config must be a dict that reads back from JSON "
                                  f"unchanged, got {self.config!r}")
-        # stored as floats and ints, as read_json reads them back
+        # stored as floats and ints, as JSON reads them back
         object.__setattr__(self, "per_split_bac", tuple(splits.tolist()))
         object.__setattr__(self, "mean_bac", mean)
         object.__setattr__(self, "fold_predictions", _label_rows(self.fold_predictions))
@@ -240,6 +240,8 @@ class EvalReport:
 def _label_rows(values) -> tuple[tuple[int, ...], ...]:
     """Fold predictions as a tuple of tuples of Python ints; ParameterError
     for anything else, such as a bare number, floats, bools or text."""
+    if isinstance(values, (str, dict)):  # iterable, but of characters or keys
+        values = None  # which list() refuses below
     try:
         values = list(values)
         rows = [np.asarray(row) for row in values]

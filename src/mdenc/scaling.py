@@ -43,11 +43,13 @@ class ScalerParams:
         with np.errstate(over="ignore", invalid="ignore"):
             if not np.isfinite(maxs - mins).all():
                 raise FitError("every feature needs a finite range (max - min)")
-        guard_bounds(self.l, self.u)
+        bounds = guard_bounds(self.l, self.u)
+        if not isinstance(self.fit_fingerprint, str):
+            raise ParameterError(f"fit_fingerprint must be text, got {self.fit_fingerprint!r}")
         mins.setflags(write=False)
         maxs.setflags(write=False)
-        object.__setattr__(self, "mins", mins)
-        object.__setattr__(self, "maxs", maxs)
+        for name, value in zip(("mins", "maxs", "l", "u"), (mins, maxs, *bounds)):
+            object.__setattr__(self, name, value)
 
     @property
     def n_features(self) -> int:

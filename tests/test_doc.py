@@ -1,5 +1,6 @@
 """JSON artefacts: pinned file bytes, strict text and typed, checked reads."""
 
+import copy
 import dataclasses
 import hashlib
 import json
@@ -17,7 +18,7 @@ from mdenc import encoders, read_json, write_json
 from mdenc._doc import to_doc, to_json
 from mdenc.bench import run_timing_sweep
 from mdenc.cli import main
-from mdenc.data import make_cv_plan
+from mdenc.data import Dataset, make_cv_plan
 from mdenc.errors import MetricError, ParameterError, ShapeError, StateError
 from mdenc.probe import EvalReport, run_cv_eval
 from mdenc.stats import combined_5x2cv_f_test
@@ -105,7 +106,7 @@ class TestReportRange:
         doc = to_doc(EvalReport("d1", "stml", BACS, float(np.mean(BACS))))
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc | change))
-        with pytest.raises(MetricError):
+        with pytest.raises(StateError):
             read_json(bad, EvalReport)
         assert main(["stats", "--reports", str(good), str(bad)]) == 2
         assert f"error: {bad}: " in capsys.readouterr().err
@@ -174,6 +175,11 @@ class TestReportFields:
         5, "01", ((0, 1.5),), [[0.0]], [[True, False]], [[1, True]], [np.array([True])],
         [[1, [2]]], [{0: 1}], [[2**70]], [np.array([0.5])], [np.zeros((1, 1), dtype=int)], [None]])
     def test_bad_fold_predictions_raise_parameter_error(self, predictions):
+        with pytest.raises(ParameterError, match="fold_predictions"):
+            EvalReport("d", "e", (0.5, 0.6), 0.55, fold_predictions=predictions)
+
+    @pytest.mark.parametrize("predictions", ["", {}, {"0": [0]}])
+    def test_text_or_object_is_not_a_list_of_rows(self, predictions):
         with pytest.raises(ParameterError, match="fold_predictions"):
             EvalReport("d", "e", (0.5, 0.6), 0.55, fold_predictions=predictions)
 
@@ -255,3 +261,111 @@ class TestModelLayout:
         doc["layout"] = layout
         with pytest.raises(StateError, match=message):
             self.load(tmp_path, doc)
+
+
+# documents to edit: a model of each kind (5 features in [0, 1]; igtd puts
+# them on a 2x3 grid) and a report
+UNIT_ROWS = Dataset("unit", np.random.default_rng(0).uniform(0.0, 1.0, size=(20, 5)),
+                    np.tile([0, 1], 10), tuple(f"f{i}" for i in range(5)), ("0", "1"))
+DOCUMENTS = {kind: to_doc(encoders.fit(kind, UNIT_ROWS, size=(64, 64))) for kind in encoders.KINDS}
+DOCUMENTS["report"] = to_doc(EvalReport("d", "retire", BACS, float(np.mean(BACS)), ((0, 1),),
+                                        {"seed": 0}))
+PAST_FLOATS = "1" + "0" * 400  # an integer literal beyond float range
+
+
+def edited_file(tmp_path, name, path, text):
+    """The file of document ``name`` with the value at key ``path`` written
+    as the JSON ``text``, which may be a literal that json.dumps never writes."""
+    doc = copy.deepcopy(DOCUMENTS[name])
+    *parents, key = path
+    node = doc
+    for step in parents:
+        node = node[step]
+    node[key] = "<value>"
+    file = tmp_path / f"{name}.json"
+    file.write_text(json.dumps(doc).replace('"<value>"', text))
+    return file
+
+
+class TestMalformedDocuments:
+    """Every value check belongs to a constructor, and a document that fails
+    one raises StateError naming the file and the enclosing key path."""
+
+    @pytest.mark.parametrize("name, path, text, where", [
+        # a bool, null, text, float or out-of-range literal for a number or an int
+        ("report", ("mean_bac",), "true", "report"),
+        ("report", ("mean_bac",), "null", "report"),
+        ("report", ("mean_bac",), '"0.8"', "report"),
+        ("report", ("mean_bac",), "1e999", "report"),
+        ("report", ("mean_bac",), PAST_FLOATS, "report"),
+        ("retire", ("layout", "n"), "true", "model.layout"),
+        ("retire", ("layout", "n"), "null", "model.layout"),
+        ("retire", ("layout", "n"), '"5"', "model.layout"),
+        ("retire", ("layout", "n"), "5.0", "model.layout"),
+        ("retire", ("layout", "n"), "1e999", "model.layout"),
+        ("retire", ("layout", "cx"), "true", "model.layout"),
+        ("retire", ("layout", "cx"), "1e999", "model.layout"),
+        ("retire", ("layout", "rmax"), PAST_FLOATS, "model.layout"),
+        ("retire", ("scaler", "l"), "false", "model.scaler"),
+        ("retire", ("scaler", "u"), "null", "model.scaler"),
+        ("stml", ("layout", "rows"), "true", "model.layout"),
+        ("stml", ("canvas_size", 0), "true", "model"),
+        ("stml", ("canvas_size", 0), "64.0", "model"),
+        ("stml", ("canvas_size", 1), '"64"', "model"),
+        ("stml", ("canvas_size", 1), "null", "model"),
+        ("igtd", ("layout", "cols"), "3.0", "model.layout"),
+        ("igtd", ("layout", "error_trace", 0), "null", "model.layout"),
+        ("igtd", ("layout", "error_trace", 0), "1e999", "model.layout"),
+        ("igtd", ("layout", "error_trace", 0), '"0"', "model.layout"),
+        ("igtd", ("layout", "assignment", 0), "0.0", "model.layout"),
+        ("igtd", ("layout", "assignment", 0), PAST_FLOATS, "model.layout"),
+        ("retire", ("scaler", "mins", 0), PAST_FLOATS, "model.scaler"),
+        ("retire", ("scaler", "mins", 0), "null", "model.scaler"),
+        ("retire", ("scaler", "maxs", 0), "1e999", "model.scaler"),
+        # a number where text is expected, and a list kind
+        ("report", ("dataset",), "5", "report"),
+        ("report", ("encoder",), "null", "report"),
+        ("retire", ("kind",), "5", "model"),
+        ("retire", ("scaler", "fit_fingerprint"), "5", "model.scaler"),
+        ("retire", ("kind",), '["retire"]', "model"),
+        # bools in number lists, each of which would read as 1 or 1.0
+        ("report", ("per_split_bac", 0), "true", "report"),
+        ("retire", ("scaler", "maxs", 0), "true", "model.scaler"),
+        ("igtd", ("layout", "error_trace", 0), "false", "model.layout"),
+        ("igtd", ("layout", "assignment"), "[true, 0, 2, 3, 4]", "model.layout"),
+        ("report", ("fold_predictions", 0), "[true, 0]", "report"),
+        # ragged and nested arrays
+        ("retire", ("scaler", "mins", 0), "[0.0]", "model.scaler"),
+        ("retire", ("scaler", "mins"), "[[0.0, 0.0, 0.0, 0.0, 0.0]]", "model.scaler"),
+        ("report", ("per_split_bac", 0), "[0.8]", "report"),
+        ("report", ("per_split_bac",), "[[0.8, 0.8]]", "report"),
+        ("igtd", ("layout", "error_trace"), "[[1.0]]", "model.layout"),
+        ("igtd", ("layout", "assignment", 0), "[[2]]", "model.layout"),
+        ("igtd", ("layout", "assignment"), "[[0, 1, 2, 3, 4]]", "model.layout"),
+        ("report", ("fold_predictions", 0), "[0, [1]]", "report"),
+        ("stml", ("canvas_size", 0), "[64]", "model"),
+        # an object or text where a list is expected
+        ("report", ("fold_predictions",), "{}", "report"),
+        ("report", ("fold_predictions",), '""', "report"),
+        ("retire", ("scaler", "mins"), "{}", "model.scaler"),
+        ("igtd", ("layout", "error_trace"), "3.0", "model.layout"),
+        # a config value that reads back as inf
+        ("report", ("config",), '{"x": 1e999}', "report"),
+    ])
+    def test_refused_with_its_key_path(self, tmp_path, name, path, text, where):
+        file = edited_file(tmp_path, name, path, text)
+        with pytest.raises(StateError, match=f"^{re.escape(str(file))}: {re.escape(where)}[.:]"):
+            read_json(file, EvalReport if name == "report" else encoders.EncoderModel)
+
+    def test_config_too_deep_to_write(self, tmp_path):
+        # the parser reads 600 levels, but writing them back needs more frames
+        file = edited_file(tmp_path, "report", ("config",), f'{{"x": {"[" * 600}{"]" * 600}}}')
+        with pytest.raises(StateError, match=f"^{re.escape(str(file))}: report: report config"):
+            read_json(file, EvalReport)
+
+    def test_integer_past_64_bits_in_a_float_list_loads_as_its_float(self, tmp_path):
+        file = edited_file(tmp_path, "retire", ("scaler", "mins", 0), str(-2**70))
+        model = read_json(file, encoders.EncoderModel)
+        assert model.scaler.mins[0] == -2.0**70
+        write_json(file, model)
+        assert to_doc(read_json(file, encoders.EncoderModel)) == to_doc(model)

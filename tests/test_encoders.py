@@ -957,7 +957,7 @@ class TestGenericSurface:
     def test_igtd_assignment_must_hit_distinct_grid_cells(self, assignment):
         doc = self.model_doc("igtd")  # 5 features on a 2x3 grid
         doc["layout"]["assignment"] = assignment
-        with pytest.raises(ParameterError):
+        with pytest.raises(StateError):
             model_from_doc(doc)
 
     @pytest.mark.parametrize("kind", ["retire", "igtd"])
@@ -965,13 +965,13 @@ class TestGenericSurface:
         doc = self.model_doc(kind)
         doc["scaler"]["mins"].pop()
         doc["scaler"]["maxs"].pop()
-        with pytest.raises(ShapeError):
+        with pytest.raises(StateError):
             model_from_doc(doc)
 
     def test_igtd_canvas_is_its_grid(self):
         doc = self.model_doc("igtd")
         doc["canvas_size"] = [64, 64]
-        with pytest.raises(ShapeError):
+        with pytest.raises(StateError):
             model_from_doc(doc)
 
     @pytest.mark.parametrize("key, value", [
@@ -979,7 +979,7 @@ class TestGenericSurface:
     def test_loaded_stml_cells_must_hold_a_glyph(self, key, value):
         doc = self.model_doc("stml")
         doc[key] = value
-        with pytest.raises(CapacityError, match="one 5x7 glyph per cell"):
+        with pytest.raises(StateError, match="one 5x7 glyph per cell"):
             model_from_doc(doc)
 
     @pytest.mark.parametrize("kind", encoders.KINDS)
@@ -989,7 +989,7 @@ class TestGenericSurface:
         doc["canvas_size"] = [side, side]
         if kind == "igtd":  # its canvas is its grid, whatever size asks
             doc["layout"].update(rows=side, cols=side)
-        with pytest.raises(CapacityError, match="exceeds 16777216 pixels"):
+        with pytest.raises(StateError, match="exceeds 16777216 pixels"):
             model_from_doc(doc)
         if kind != "igtd":
             with pytest.raises(CapacityError):
@@ -1041,6 +1041,16 @@ class TestGenericSurface:
     def test_number_fields_checked_when_built(self, build, error):
         with pytest.raises(error):
             build()
+
+    def test_ragged_igtd_assignment_raises_parameter_error(self):
+        with pytest.raises(ParameterError, match="assignment must hit distinct cells"):
+            encoders.IgtdMapping(2, 3, [[[2]], 4, 1, 3, 0], (1.0,))
+
+    @pytest.mark.parametrize("kind", [["retire"], {"retire": 0}, None, 5, b"retire"])
+    def test_kind_must_be_text(self, kind):
+        model = encoders.fit("retire", toy_dataset(5), size=(64, 64))
+        with pytest.raises(StateError, match="model kind must be text"):
+            encoders.EncoderModel(kind, model.canvas_size, model.scaler, model.layout)
 
     @pytest.mark.parametrize("kind", encoders.KINDS)
     def test_numpy_integer_fields_round_trip(self, kind, tmp_path):

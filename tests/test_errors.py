@@ -1,13 +1,18 @@
 """Text is not a number: every entry point that reads rows, scores or
 points through ``errors.float_array`` raises ``ShapeError`` for text, numeric
-text such as ``"0.5"`` included, and takes numbers as numpy converts them."""
+text such as ``"0.5"`` included, and takes numbers as numpy converts them.
+A bool is not a scalar number either, and an integer past float range is
+refused with a typed error."""
+
+import math
 
 import numpy as np
 import pytest
 
 from mdenc import encoders, scaling, stats
 from mdenc.data import Dataset, generate_synthetic
-from mdenc.errors import ShapeError, float_array
+from mdenc.errors import (ParameterError, ShapeError, float_array, non_negative_int,
+                          real_number)
 from mdenc.probe import EvalReport
 from mdenc.raster import draw_polyline, fill_polygon, scanline_fill_mask
 
@@ -68,3 +73,25 @@ def test_numbers_convert_as_numpy_converts_them(values):
 def test_float64_array_is_not_copied():
     values = np.zeros((2, 3))
     assert float_array(values, "x") is values
+
+
+@pytest.mark.parametrize("value", [True, False, np.True_, np.False_])
+def test_a_bool_is_not_a_scalar_number(value):
+    with pytest.raises(ParameterError, match="must be a non-negative integer"):
+        non_negative_int(value, "x")
+    with pytest.raises(ParameterError, match="must be a number"):
+        real_number(value, "x")
+
+
+def test_integer_past_float_range():
+    assert real_number(-2**70, "x") == -2.0**70
+    with pytest.raises(ParameterError, match="x must be a number"):
+        real_number(10**400, "x")
+    with pytest.raises(ShapeError, match="^x: int too large"):
+        float_array([1.0, 10**400], "x")
+
+
+@pytest.mark.parametrize("trace", [[math.nan], [1.0, math.inf], [-math.inf, 0.0]])
+def test_igtd_error_trace_must_be_finite(trace):
+    with pytest.raises(ParameterError, match="igtd error trace must be finite"):
+        encoders.IgtdMapping(1, 2, [0, 1], trace)

@@ -153,6 +153,18 @@ class TestTransform:
             assert np.allclose(base, again, atol=1e-12)
 
 
+class TestParamsFields:
+    @pytest.mark.parametrize("fingerprint", [5, None, b"ab", ["ab"]])
+    def test_fingerprint_must_be_text(self, fingerprint):
+        with pytest.raises(ParameterError, match="fit_fingerprint must be text"):
+            scaling.ScalerParams([0.0], [1.0], 0.1, 0.9, fingerprint)
+
+    def test_bounds_stored_as_floats(self):
+        params = scaling.ScalerParams([0.0], [1.0], 0, np.float32(0.5), "")
+        assert (params.l, params.u) == (0.0, 0.5)
+        assert type(params.l) is float and type(params.u) is float
+
+
 class TestSerialization:
     def test_json_round_trip_exact(self, tmp_path):
         # the scaler's part of a model file: plain JSON, read back exactly
