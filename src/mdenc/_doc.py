@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import MdencError, StateError
+from .errors import MdencError, StateError, brief
 
 
 def to_doc(value):
@@ -75,7 +75,7 @@ def from_doc(cls, doc, where: str):
     fields = dataclasses.fields(cls)
     unknown = sorted(set(doc) - {f.name for f in fields}, key=str)
     if unknown:
-        raise StateError(f"{where} has unknown keys {unknown}")
+        raise StateError(f"{where} has unknown keys {brief(unknown)}")
     hints = typing.get_type_hints(cls)
     values = {}
     for f in fields:

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import encoders
 from .data import generate_synthetic
-from .errors import FitError, ParameterError, non_negative_int
+from .errors import FitError, ParameterError, brief, non_negative_int
 
 DEFAULT_GRID = (10, 25, 50, 100, 200, 350, 500)
 DEFAULT_SAMPLES = 100
@@ -58,7 +58,7 @@ def run_timing_sweep(encoder_kind: str, feature_counts=DEFAULT_GRID,
     if non_negative_int(repeats, "repeats") < 1:
         raise ParameterError("repeats must be >= 1")
     if not (isinstance(budget_secs, numbers.Real) and 0.0 < budget_secs < math.inf):  # also NaN
-        raise ParameterError(f"budget_secs must be finite and above 0, got {budget_secs!r}")
+        raise ParameterError(f"budget_secs must be finite and above 0, got {brief(budget_secs)}")
     records = []
     for index, n_features in enumerate(counts):
         ds = generate_synthetic(n_samples, n_features, seed + index)

@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import bench, data, encoders, probe, scaling, stats
 from ._doc import read_json, to_json
-from .errors import MdencError, ParameterError, ParseError
+from .errors import MdencError, ParameterError, ParseError, brief
 from .raster import to_pgm, to_ppm
 
 
@@ -105,7 +105,7 @@ def cmd_encode(args) -> int:
     ds = _load_dataset(args)
     rows = _parse_rows(args.rows, ds.n_instances)
     if "\0" in ds.name or Path(ds.name).name != ds.name:  # names come from @relation
-        raise ParameterError(f"dataset name {ds.name!r} is not a plain file name")
+        raise ParameterError(f"dataset name {brief(ds.name)} is not a plain file name")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     images = encoders.encode_batch(model, ds.X[rows])

@@ -24,6 +24,7 @@ from .errors import (
     ParseError,
     StratificationError,
     UnsupportedFeatureError,
+    brief,
     float_array,
     non_negative_int,
 )
@@ -52,7 +53,7 @@ class Dataset:
 
     def __post_init__(self):
         if not isinstance(self.name, str):
-            raise ParameterError(f"dataset name must be text, got {self.name!r}")
+            raise ParameterError(f"dataset name must be text, got {brief(self.name)}")
         object.__setattr__(self, "feature_names", _names(self.feature_names, "feature_names"))
         object.__setattr__(self, "class_names", _names(self.class_names, "class_names"))
         # copies, so that freezing them leaves the caller's arrays writable
@@ -101,7 +102,7 @@ def _names(values, what: str) -> tuple[str, ...]:
     except TypeError:  # not iterable
         names = (None,)
     if isinstance(values, str) or not all(isinstance(v, str) for v in names):
-        raise ParameterError(f"{what} must be a sequence of text, got {values!r}")
+        raise ParameterError(f"{what} must be a sequence of text, got {brief(values)}")
     return names
 
 
@@ -143,7 +144,8 @@ def _read_rows(name: str, source: str, header: list[str], out_col: int,
                 feats.append(float(tokens[col]))
             except ValueError:
                 raise UnsupportedFeatureError(
-                    f"non-numeric value {tokens[col]!r} in column {header[col]!r} (line {lineno})"
+                    f"non-numeric value {brief(tokens[col])} in column {brief(header[col])} "
+                    f"(line {lineno})"
                 ) from None
         rows.append(feats)
         y.append(classes.setdefault(tokens[out_col], len(classes)))
@@ -223,7 +225,7 @@ def load_keel(path) -> Dataset:
             data_start = lineno
             break
         else:
-            raise ParseError(f"unknown directive {directive!r}", line=lineno)
+            raise ParseError(f"unknown directive {brief(directive)}", line=lineno)
     if data_start is None:
         raise ParseError("missing @data section", line=len(lines))
     if not attributes:
@@ -238,14 +240,14 @@ def load_keel(path) -> Dataset:
     else:
         out_name = names[-1]
     if out_name not in nominal:
-        raise MissingColumnError(f"output attribute {out_name!r} is not declared")
+        raise MissingColumnError(f"output attribute {brief(out_name)} is not declared")
     wanted = set(inputs) if inputs is not None else set(names) - {out_name}
     for name in wanted:
         if name not in nominal:
-            raise MissingColumnError(f"input attribute {name!r} is not declared")
+            raise MissingColumnError(f"input attribute {brief(name)} is not declared")
         if nominal[name]:
             raise UnsupportedFeatureError(
-                f"categorical input feature {name!r} is not supported"
+                f"categorical input feature {brief(name)} is not supported"
             )
     # @attribute declaration order defines the column order
     in_cols = [i for i, name in enumerate(names) if name in wanted and name != out_name]
@@ -273,7 +275,7 @@ def load_csv(path, label_column: str | int = -1) -> Dataset:
         raise ParseError("empty file", line=1) from None
     if isinstance(label_column, str):
         if label_column not in header:
-            raise MissingColumnError(f"label column {label_column!r} not in header")
+            raise MissingColumnError(f"label column {brief(label_column)} not in header")
         out_col = header.index(label_column)
     else:
         out_col = int(label_column)
@@ -339,7 +341,7 @@ def make_cv_plan(ds: Dataset, seed: int) -> CVPlan:
     lacking = np.flatnonzero(counts < 2)
     if lacking.size:
         raise StratificationError(
-            f"class {ds.class_names[lacking[0]]!r} has fewer than 2 instances"
+            f"class {brief(ds.class_names[lacking[0]])} has fewer than 2 instances"
         )
     assignments = np.zeros((CV_REPEATS, ds.n_instances), dtype=np.int8)
     for repeat, child in enumerate(np.random.SeedSequence(seed).spawn(CV_REPEATS)):

@@ -10,7 +10,9 @@
 
 Fitting touches training data only. After fitting, ``encode_batch`` checks
 the rows once and ``encode_<kind>`` draws them into one ``(N, H, W)`` uint8
-array: a pure function of (model, rows).
+stack. The caller may own that stack and pass it as ``out``; every encoder
+overwrites all of it and allocates none of its own, so the images are a pure
+function of (model, rows) whatever ``out`` held before.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from . import _font, scaling
 from ._ranking import rank_average
 from .data import Dataset
 from .errors import (CapacityError, FitError, ParameterError, ShapeError, StateError,
-                     float_array, non_negative_int)
+                     brief, float_array, non_negative_int)
 from .raster import PolarLayout, draw_polyline, fill_polygon, polar_layout, polar_vertices
 
 DEFAULT_CANVAS = (224, 224)
@@ -108,15 +110,17 @@ class EncoderModel:
 
     def __post_init__(self):
         if not isinstance(self.kind, str):
-            raise StateError(f"model kind must be text, got {self.kind!r}")
+            raise StateError(f"model kind must be text, got {brief(self.kind)}")
         if not isinstance(self.layout, LAYOUTS.get(self.kind, ())):
-            raise StateError(f"{self.kind!r} model with a {type(self.layout).__name__} layout")
+            raise StateError(f"{brief(self.kind)} model with a "
+                             f"{type(self.layout).__name__} layout")
         object.__setattr__(self, "canvas_size", _canvas(self.canvas_size))
         if min(self.canvas_size) < 1:
-            raise ParameterError(f"canvas size must be at least 1x1, got {self.canvas_size}")
+            raise ParameterError(f"canvas size must be at least 1x1, got {brief(self.canvas_size)}")
         width, height = self.canvas_size
         if width * height > MAX_CANVAS_PIXELS:
-            raise CapacityError(f"a {width}x{height} canvas exceeds {MAX_CANVAS_PIXELS} pixels")
+            raise CapacityError(f"a {brief(width)}x{brief(height)} canvas exceeds "
+                                f"{MAX_CANVAS_PIXELS} pixels")
         if (self.scaler is None) != (self.kind == "stml"):
             raise StateError(f"a {self.kind} model {'takes no' if self.scaler else 'needs a'} scaler")
         if self.scaler is not None and self.scaler.n_features != self.layout.n:
@@ -142,7 +146,8 @@ def _canvas(size) -> tuple[int, int]:
     try:
         width, height = size
     except (TypeError, ValueError):  # not iterable, or not two items
-        raise ParameterError(f"canvas size must be a (width, height) pair, got {size!r}") from None
+        raise ParameterError(f"canvas size must be a (width, height) pair, "
+                             f"got {brief(size)}") from None
     return non_negative_int(width, "canvas width"), non_negative_int(height, "canvas height")
 
 
@@ -168,25 +173,23 @@ def _retire_chunk(n: int, pixels: int) -> int:
     return min(max(4, 1024 // n), max(1, 2**23 // pixels))
 
 
-def encode_retire(model: EncoderModel, X: np.ndarray) -> np.ndarray:
-    """Binarized radar silhouette of each row plus the radius-1.0 border:
-    every image starts as the border, drawn once per call; the whole batch
-    is scaled and its vertices placed in one pass each, and the rows are
-    then filled and stroked ``_retire_chunk`` rows at a time, 17 for 60
-    features at 224x224 (drawing only sets pixels to 255, so the order does
-    not matter)."""
+def encode_retire(model: EncoderModel, X: np.ndarray, out: np.ndarray) -> None:
+    """Draw into ``out`` the binarized radar silhouette of each row plus the
+    radius-1.0 border: every image is overwritten with the border, drawn
+    once per call; the whole batch is scaled and its vertices placed in one
+    pass each, and the rows are then filled and stroked ``_retire_chunk``
+    rows at a time, 17 for 60 features at 224x224 (drawing only sets pixels
+    to 255, so the order does not matter)."""
     layout = model.layout
     polygon = layout.n >= 3
     draw = fill_polygon if polygon else draw_polyline  # else a single point or chord
     width, height = model.canvas_size
-    border = draw_polyline(np.zeros((height, width), dtype=np.uint8),
+    out[:] = draw_polyline(np.zeros((height, width), dtype=np.uint8),
                            polar_vertices(layout, np.ones(layout.n)), closed=polygon)
-    out = np.repeat(border[None], X.shape[0], axis=0)
     vertices = polar_vertices(layout, scaling.transform(model.scaler, X))
     chunk = _retire_chunk(layout.n, width * height)
     for start in range(0, X.shape[0], chunk):
         draw(out[start:start + chunk], vertices[start:start + chunk])
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -220,16 +223,15 @@ def stml_codes(X: np.ndarray) -> np.ndarray:
     return texts.view(np.uint8).reshape(*X.shape, texts.itemsize)
 
 
-def encode_stml(model: EncoderModel, X: np.ndarray) -> np.ndarray:
-    """Render each raw feature value as glyph text in its cell; one
-    ``_font.draw_text`` call writes one cell of every image."""
+def encode_stml(model: EncoderModel, X: np.ndarray, out: np.ndarray) -> None:
+    """Clear ``out`` and render each raw feature value as glyph text in its
+    cell; one ``_font.draw_text`` call writes one cell of every image."""
     width, height = model.canvas_size
-    out = np.zeros((X.shape[0], height, width), dtype=np.uint8)
+    out[:] = 0
     codes = stml_codes(X)
     for f in range(model.layout.n):
         x0, y0, x1, y1 = model.layout.cell_rect(f, width, height)
         _font.draw_text(out[:, y0:y1, x0:x1], codes[:, f])
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -338,14 +340,16 @@ def fit_igtd(ds_train: Dataset, max_iters: int = DEFAULT_IGTD_MAX_ITERS,
     return EncoderModel("igtd", (cols, rows), scaler, mapping)
 
 
-def encode_igtd(model: EncoderModel, X: np.ndarray) -> np.ndarray:
+def encode_igtd(model: EncoderModel, X: np.ndarray, out: np.ndarray) -> None:
     """One grayscale pixel per feature: round(255 * scaled value) in its
-    assigned cell; unassigned cells stay 0. The image is the grid itself,
-    one pixel per cell, and is the only non-binarized encoder output."""
+    assigned cell of ``out``; unassigned cells are 0. The image is the grid
+    itself, one pixel per cell, and is the only non-binarized encoder
+    output."""
     mapping = model.layout
-    out = np.zeros((X.shape[0], mapping.rows * mapping.cols), dtype=np.uint8)
-    out[:, mapping.assignment] = np.rint(255.0 * scaling.transform(model.scaler, X))
-    return out.reshape(X.shape[0], mapping.rows, mapping.cols)
+    # a view, since encode_batch takes only C-contiguous stacks
+    cells = out.reshape(X.shape[0], mapping.rows * mapping.cols)
+    cells[:] = 0
+    cells[:, mapping.assignment] = np.rint(255.0 * scaling.transform(model.scaler, X))
 
 
 # ---------------------------------------------------------------------------
@@ -363,12 +367,14 @@ def fit(kind: str, ds_train: Dataset, *, l: float = scaling.DEFAULT_L,
         return fit_stml(ds_train, size)
     if kind == "igtd":
         return fit_igtd(ds_train, igtd_max_iters, l, u)
-    raise ParameterError(f"unknown encoder kind {kind!r}")
+    raise ParameterError(f"unknown encoder kind {brief(kind)}")
 
 
-def encode_batch(model: EncoderModel, X) -> np.ndarray:
+def encode_batch(model: EncoderModel, X, *, out: np.ndarray | None = None) -> np.ndarray:
     """Encode the rows of matrix ``X`` in order into one ``(N, H, W)``
-    uint8 array."""
+    uint8 stack and return it: ``out`` when given, which must be a
+    writeable C-contiguous uint8 array of that shape (ShapeError if not)
+    and is overwritten whole, else a new array."""
     if not isinstance(model, EncoderModel):
         raise StateError("not a fitted encoder model")
     X = float_array(X, "rows must be an array of feature values")
@@ -377,8 +383,16 @@ def encode_batch(model: EncoderModel, X) -> np.ndarray:
     bad = np.flatnonzero(~np.isfinite(X).all(axis=1))
     if bad.size:
         raise ParameterError(f"row {bad[0]} holds a non-finite feature value")
+    width, height = model.canvas_size
+    shape = (X.shape[0], height, width)
+    if out is None:
+        out = np.empty(shape, dtype=np.uint8)
+    elif not (isinstance(out, np.ndarray) and out.shape == shape and out.dtype == np.uint8
+              and out.flags.c_contiguous and out.flags.writeable):
+        raise ShapeError(f"out must be a writeable C-contiguous uint8 array of shape {shape}")
     # looked up by name so a wrapper installed on this module takes effect
-    return globals()[f"encode_{model.kind}"](model, X)
+    globals()[f"encode_{model.kind}"](model, X, out)
+    return out
 
 
 def encode(model: EncoderModel, x) -> np.ndarray:

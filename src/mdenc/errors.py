@@ -8,6 +8,7 @@ genuine internal error (exit code 1).
 
 import numbers
 import operator
+import reprlib
 
 import numpy as np
 
@@ -66,6 +67,23 @@ class FitError(MdencError):
     """Training input unusable (empty or otherwise unfittable)."""
 
 
+_BRIEF = reprlib.Repr()
+_BRIEF.maxlevel = 3
+_BRIEF_LENGTH = 200
+
+
+def brief(value) -> str:
+    """``repr(value)`` for an error message, at most ``_BRIEF_LENGTH``
+    characters: reprlib shows a few items of each container, three levels
+    deep, and the ends of a long text, so a huge value costs little to
+    print. An int past ``str``'s digit limit prints as its type."""
+    try:
+        text = _BRIEF.repr(value)
+    except ValueError:  # str() refuses ints of more than 4,300 digits
+        text = f"<{type(value).__name__}>"
+    return text if len(text) <= _BRIEF_LENGTH else text[:_BRIEF_LENGTH - 3] + "..."
+
+
 def non_negative_int(value, what: str) -> int:
     """``value`` as an int when it is a non-negative integer (a seed, a
     sample count, a canvas side), not a bool; ParameterError naming ``what`` if not."""
@@ -75,7 +93,7 @@ def non_negative_int(value, what: str) -> int:
     except TypeError:  # a float, a string, None
         number = -1
     if number < 0:
-        raise ParameterError(f"{what} must be a non-negative integer, got {value!r}")
+        raise ParameterError(f"{what} must be a non-negative integer, got {brief(value)}")
     return number
 
 
@@ -87,19 +105,21 @@ def real_number(value, what: str) -> float:
             return float(value)
     except OverflowError:  # an integer beyond float range
         pass
-    raise ParameterError(f"{what} must be a number, got {value!r}")
+    raise ParameterError(f"{what} must be a number, got {brief(value)}")
 
 
 def float_array(values, what: str) -> np.ndarray:
     """``values`` as a float64 array (a float64 array itself, not a copy);
     ShapeError starting with ``what`` when they are ragged or not numbers.
     Text is not a number here, although numpy would parse ``"0.5"``."""
+    # text is found before the cast, whose error would quote all of it
     try:
-        array = np.asarray(values, dtype=np.float64)
         given = values if isinstance(values, np.ndarray) else np.asarray(values)
+        text = given.dtype.kind in "US" or given.dtype.kind == "O" and any(
+            isinstance(v, (str, bytes)) for v in given.flat)
+        array = None if text else np.asarray(given, dtype=np.float64)
     except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: an int past float range
         raise ShapeError(f"{what}: {exc}") from None
-    if given.dtype.kind in "US" or given.dtype.kind == "O" and any(
-            isinstance(v, (str, bytes)) for v in given.flat):
+    if array is None:
         raise ShapeError(f"{what}: text is not a number")
     return array

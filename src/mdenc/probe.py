@@ -23,7 +23,7 @@ import numpy as np
 from . import _font, encoders, scaling
 from ._doc import from_json, to_json
 from .data import CVPlan, Dataset
-from .errors import MetricError, ParameterError, ShapeError, float_array, real_number
+from .errors import MetricError, ParameterError, ShapeError, brief, float_array, real_number
 
 
 def balanced_accuracy(y_true, y_pred) -> float:
@@ -77,10 +77,17 @@ def _column_blocks(stack: np.ndarray, columns: np.ndarray) -> Iterator[np.ndarra
 
 
 def _pixel_distances(model: encoders.EncoderModel, X: np.ndarray,
-                     split: int | None) -> np.ndarray:
+                     split: int | None, held: list) -> np.ndarray:
     """Exact squared distances between the encoded rows of ``X``: the first
     ``split`` rows against the rest, or every row against every row when
     ``split`` is None.
+
+    The rows are drawn into the leading rows of ``held[0]``, the uint8
+    stack that the caller keeps between calls (``held`` empty before the
+    first one). It is allocated, sized for ``X``, when ``held`` is empty or
+    its stack has fewer rows than ``X``, so an eval whose groups draw the
+    same number of rows allocates one. Only block copies are divided, never
+    the stack.
 
     Pixels that hold one value in every row add 0 to every distance and are
     dropped; the rest are divided by their gcd ``g`` (every distance scales
@@ -94,7 +101,11 @@ def _pixel_distances(model: encoders.EncoderModel, X: np.ndarray,
     block's ``_sq_distances`` and their running sum stay exact integers:
     the kept columns are gathered from the stack, cast and summed one block
     at a time, and no copy of all of them is held."""
-    stack = encoders.encode_batch(model, X).reshape(len(X), -1)
+    if not held or len(held[0]) < len(X):
+        width, height = model.canvas_size
+        held.clear()  # the old stack is freed before its successor is allocated
+        held.append(np.empty((len(X), height, width), dtype=np.uint8))
+    stack = encoders.encode_batch(model, X, out=held[0][:len(X)]).reshape(len(X), -1)
     lo = stack.min(axis=0, initial=255)
     hi = stack.max(axis=0, initial=0)
     varying = np.flatnonzero(lo != hi)
@@ -120,8 +131,9 @@ def _pixel_distances(model: encoders.EncoderModel, X: np.ndarray,
 
 
 def _stamp_distances(model: encoders.EncoderModel, X: np.ndarray,
-                     split: int | None) -> np.ndarray:
-    """``_pixel_distances`` of an ``stml`` model, with no row drawn.
+                     split: int | None, held: list) -> np.ndarray:
+    """``_pixel_distances`` of an ``stml`` model, with no row drawn, so
+    ``held`` is left as it is.
 
     Cells are disjoint, and inside a cell each glyph of a text fills its own
     box at the scale and offset that the text's length fixes, so a row's
@@ -217,20 +229,21 @@ class EvalReport:
     def __post_init__(self):
         for name in ("dataset", "encoder"):
             if not isinstance(getattr(self, name), str):
-                raise ParameterError(f"report {name} must be text, got {getattr(self, name)!r}")
+                raise ParameterError(f"report {name} must be text, "
+                                     f"got {brief(getattr(self, name))}")
         splits = float_array(self.per_split_bac, "per-split BACs must be numbers")
         mean = real_number(self.mean_bac, "mean BAC")
         bacs = np.append(splits, mean)  # the splits, then their mean
         if splits.ndim != 1 or bacs.size < 2 or not ((0.0 <= bacs) & (bacs <= 1.0)).all():
             raise MetricError(f"a report needs one or more splits and BACs in [0, 1], "
-                              f"got {self.per_split_bac!r} and {self.mean_bac!r}")
+                              f"got {brief(self.per_split_bac)} and {brief(self.mean_bac)}")
         try:  # a tuple, a non-finite float or a key that is not text reads back changed
             unchanged = isinstance(self.config, dict) and from_json(to_json(self.config)) == self.config
         except (TypeError, ValueError, RecursionError):  # a set, a tuple key, or too deep
             unchanged = False
         if not unchanged:
             raise ParameterError(f"report config must be a dict that reads back from JSON "
-                                 f"unchanged, got {self.config!r}")
+                                 f"unchanged, got {brief(self.config)}")
         # stored as floats and ints, as JSON reads them back
         object.__setattr__(self, "per_split_bac", tuple(splits.tolist()))
         object.__setattr__(self, "mean_bac", mean)
@@ -274,7 +287,9 @@ def run_cv_eval(ds: Dataset, encoder_kind: str, plan: CVPlan, *,
     (every ``stml`` split) share one exact matrix of distances from the rows
     they test to the rows they train on, a pure function of (model, rows),
     computed by ``_DISTANCES`` (``_stamp_distances`` for ``stml``) or else
-    by ``_pixel_distances``.
+    by ``_pixel_distances``. The eval keeps one uint8 image stack for the
+    pixel path, which each group draws its rows into (see
+    ``_pixel_distances``); the stamp path and ``tabular`` draw none.
 
     ``seed`` has no effect (``plan`` carries the CV seed, and no encoder
     draws random numbers), and encoding is serial: both stay only for
@@ -282,7 +297,7 @@ def run_cv_eval(ds: Dataset, encoder_kind: str, plan: CVPlan, *,
     ``jobs`` raises before anything is fitted.
     """
     if encoder_kind not in EVAL_KINDS:
-        raise ParameterError(f"unknown encoder kind {encoder_kind!r}")
+        raise ParameterError(f"unknown encoder kind {brief(encoder_kind)}")
     if jobs != 1:
         raise ParameterError(f"jobs must be 1 (encoding is serial), got {jobs}")
     if not isinstance(plan, CVPlan):
@@ -296,6 +311,7 @@ def run_cv_eval(ds: Dataset, encoder_kind: str, plan: CVPlan, *,
     else:
         predictions = [None] * len(splits)
         groups = {}  # model JSON -> (model, the splits that fitted it), in fit order
+        held = []  # the pixel path's image stack, once a group draws one
         for i, (train_idx, _) in enumerate(splits):
             model = encoders.fit(encoder_kind, ds.subset(train_idx), l=l, u=u, size=size,
                                  igtd_max_iters=igtd_max_iters)
@@ -306,7 +322,7 @@ def run_cv_eval(ds: Dataset, encoder_kind: str, plan: CVPlan, *,
             # tested rows first, then training rows
             rows = q if len(q) == len(r) == ds.n_instances else np.concatenate([q, r])
             distances = _DISTANCES.get(model.kind, _pixel_distances)(
-                model, ds.X[rows], None if rows is q else len(q))
+                model, ds.X[rows], None if rows is q else len(q), held)
             for i in members:
                 train_idx, test_idx = splits[i]
                 block = distances.take(np.searchsorted(q, test_idx), axis=0).take(

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FitError, ParameterError, ShapeError, float_array, real_number
+from .errors import FitError, ParameterError, ShapeError, brief, float_array, real_number
 
 DEFAULT_L = 0.05
 DEFAULT_U = 0.95
@@ -45,7 +45,7 @@ class ScalerParams:
                 raise FitError("every feature needs a finite range (max - min)")
         bounds = guard_bounds(self.l, self.u)
         if not isinstance(self.fit_fingerprint, str):
-            raise ParameterError(f"fit_fingerprint must be text, got {self.fit_fingerprint!r}")
+            raise ParameterError(f"fit_fingerprint must be text, got {brief(self.fit_fingerprint)}")
         mins.setflags(write=False)
         maxs.setflags(write=False)
         for name, value in zip(("mins", "maxs", "l", "u"), (mins, maxs, *bounds)):

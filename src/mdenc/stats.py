@@ -14,8 +14,8 @@ import numpy as np
 from ._doc import to_doc
 from ._ranking import rank_average
 from .data import CV_FOLDS, CV_REPEATS
-from .errors import (InsufficientDataError, ParameterError, float_array, non_negative_int,
-                     real_number)
+from .errors import (InsufficientDataError, ParameterError, brief, float_array,
+                     non_negative_int, real_number)
 
 N_SPLITS = CV_REPEATS * CV_FOLDS
 DEFAULT_ALPHA = 0.05
@@ -224,11 +224,11 @@ def compare(reports, alpha: float = DEFAULT_ALPHA) -> dict:
             methods.append(report.encoder)
         key = (report.dataset, report.encoder)
         if key in table:
-            raise ParameterError(f"duplicate report for {key}")
+            raise ParameterError(f"duplicate report for {brief(key)}")
         table[key] = report
     missing = [(d, m) for d in datasets for m in methods if (d, m) not in table]
     if missing:
-        raise ParameterError(f"missing reports for {missing}")
+        raise ParameterError(f"missing reports for {brief(missing)}")
     if len(methods) < 2:
         raise ParameterError("need reports for at least 2 methods")
 

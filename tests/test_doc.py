@@ -357,6 +357,27 @@ class TestMalformedDocuments:
         with pytest.raises(StateError, match=f"^{re.escape(str(file))}: {re.escape(where)}[.:]"):
             read_json(file, EvalReport if name == "report" else encoders.EncoderModel)
 
+    @pytest.mark.parametrize("name, path, text, where", [
+        ("stml", ("canvas_size",), json.dumps([64] * 100_000), "model"),
+        ("report", ("per_split_bac",), json.dumps([2.0] * 100_000), "report"),
+        ("report", ("dataset",), json.dumps([0] * 100_000), "report"),
+        ("report", ("config",), json.dumps({"x": [0.5] * 100_000}).replace("0.5", "1e999"),
+         "report"),
+        ("retire", ("kind",), json.dumps("x" * 100_000), "model"),
+        ("retire", ("scaler", "fit_fingerprint"), json.dumps(list(range(100_000))),
+         "model.scaler"),
+        ("retire", ("scaler", "mins"), json.dumps(["0" * 100_000] * 5), "model.scaler"),
+        ("retire", ("layout",), json.dumps({f"k{i}": 0 for i in range(100_000)}), "model.layout"),
+    ], ids=["canvas_size", "per_split_bac", "dataset", "config", "kind", "fit_fingerprint",
+            "text-mins", "unknown-keys"])
+    def test_huge_value_gives_a_short_message(self, tmp_path, name, path, text, where):
+        # messages print what the file holds, cut short
+        file = edited_file(tmp_path, name, path, text)
+        with pytest.raises(StateError, match=f"^{re.escape(str(file))}: {re.escape(where)}[.: ]") \
+                as caught:
+            read_json(file, EvalReport if name == "report" else encoders.EncoderModel)
+        assert len(str(caught.value)) < 1024
+
     def test_config_too_deep_to_write(self, tmp_path):
         # the parser reads 600 levels, but writing them back needs more frames
         file = edited_file(tmp_path, "report", ("config",), f'{{"x": {"[" * 600}{"]" * 600}}}')

@@ -1005,6 +1005,13 @@ class TestGenericSurface:
         assert model.canvas_size == (64, 48)
         assert all(type(side) is int for side in model.canvas_size)
 
+    @pytest.mark.parametrize("size, error", [((0, 10**5000), ParameterError),
+                                             ((10**5000, 64), CapacityError)])
+    def test_canvas_side_too_long_to_print(self, size, error):
+        # str() of an int of more than 4,300 digits raises ValueError
+        with pytest.raises(error, match="canvas"):
+            encoders.fit("stml", toy_dataset(5), size=size)
+
     @pytest.mark.parametrize("kind", ["retire", "stml"])
     @pytest.mark.parametrize("size", [(64,), 64, (64, 64, 3), None])
     def test_canvas_size_must_be_a_pair(self, kind, size):
@@ -1086,3 +1093,75 @@ class TestGenericSurface:
                 encoders.encode_batch(model, X)
             with pytest.raises(ParameterError, match="row 0 "):
                 encoders.encode(model, X[1])
+
+
+def out_cases():
+    """(id, model, rows) for every encoder: retire polygons, its stroke-only
+    path, and 500 features, whose 4-row chunks 9 rows cross twice; stml;
+    igtd with one surplus cell and with a full grid."""
+    rng = np.random.default_rng(17)
+    cases = []
+    for kind, n, rows in [("retire", 1, 5), ("retire", 3, 7), ("retire", 60, 20),
+                          ("retire", 500, 9), ("stml", 7, 6), ("igtd", 5, 8), ("igtd", 6, 8)]:
+        model = encoders.fit(kind, toy_dataset(n, seed=n), size=(64, 64), igtd_max_iters=20)
+        X = rng.normal(0.5, 0.6, size=(rows, n))
+        X[rows // 2] = -1e6  # every feature clamped to the lower bound
+        cases.append((f"{kind}-{n}", model, X))
+    return cases
+
+
+OUT_CASES = out_cases()
+
+
+class TestOutStack:
+    @pytest.mark.parametrize("model, X", [c[1:] for c in OUT_CASES], ids=[c[0] for c in OUT_CASES])
+    def test_dirty_out_gives_the_fresh_bytes(self, model, X):
+        fresh = encoders.encode_batch(model, X)
+        dirty = np.full_like(fresh, 0xAB)
+        assert encoders.encode_batch(model, X, out=dirty) is dirty
+        assert dirty.tobytes() == fresh.tobytes()
+        # a leading view of a larger stack, as run_cv_eval passes it
+        larger = np.full((len(X) + 3, *fresh.shape[1:]), 0xAB, dtype=np.uint8)
+        encoders.encode_batch(model, X, out=larger[:len(X)])
+        assert larger[:len(X)].tobytes() == fresh.tobytes()
+        assert (larger[len(X):] == 0xAB).all()
+
+    def bad_outs(self, shape):
+        rows, height, width = shape
+        read_only = np.zeros(shape, dtype=np.uint8)
+        read_only.setflags(write=False)
+        return {
+            "one-row-short": np.zeros((rows - 1, height, width), dtype=np.uint8),
+            "one-column-wide": np.zeros((rows, height, width + 1), dtype=np.uint8),
+            "flat": np.zeros((rows, height * width), dtype=np.uint8),
+            "uint16": np.zeros(shape, dtype=np.uint16),
+            "float64": np.zeros(shape),
+            "strided": np.zeros((2 * rows, height, width), dtype=np.uint8)[::2],
+            "fortran": np.zeros(shape, dtype=np.uint8, order="F"),
+            "read-only": read_only,
+            "list": np.zeros(shape, dtype=np.uint8).tolist(),
+        }
+
+    @pytest.mark.parametrize("model, X", [c[1:] for c in OUT_CASES], ids=[c[0] for c in OUT_CASES])
+    def test_unfit_out_raises_shape_error_and_is_left_alone(self, model, X):
+        width, height = model.canvas_size
+        for name, out in self.bad_outs((len(X), height, width)).items():
+            before = np.array(out, copy=True)
+            with pytest.raises(ShapeError, match="out must be"):
+                encoders.encode_batch(model, X, out=out)
+            assert np.array_equal(np.asarray(out), before), name
+
+    @pytest.mark.parametrize("kind", ["retire", "stml"])
+    def test_encoding_into_out_allocates_no_stack(self, kind):
+        # tracemalloc counts what numpy allocates: chunk temporaries and
+        # glyph blits, well under half of the 4.8 MiB stack
+        model = encoders.fit(kind, toy_dataset(60, seed=2), size=(224, 224))
+        X = np.random.default_rng(2).uniform(size=(100, 60))
+        out = np.empty((100, 224, 224), dtype=np.uint8)
+        tracemalloc.start()
+        try:
+            encoders.encode_batch(model, X, out=out)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < out.nbytes / 2

@@ -11,7 +11,7 @@ import pytest
 
 from mdenc import encoders, scaling, stats
 from mdenc.data import Dataset, generate_synthetic
-from mdenc.errors import (ParameterError, ShapeError, float_array, non_negative_int,
+from mdenc.errors import (ParameterError, ShapeError, brief, float_array, non_negative_int,
                           real_number)
 from mdenc.probe import EvalReport
 from mdenc.raster import draw_polyline, fill_polygon, scanline_fill_mask
@@ -95,3 +95,29 @@ def test_integer_past_float_range():
 def test_igtd_error_trace_must_be_finite(trace):
     with pytest.raises(ParameterError, match="igtd error trace must be finite"):
         encoders.IgtdMapping(1, 2, [0, 1], trace)
+
+
+NESTED = [[[list(range(100))] * 100] * 100] * 100
+
+
+@pytest.mark.parametrize("value", [
+    "x" * 100_000, list(range(100_000)), {i: str(i) for i in range(100_000)}, NESTED,
+    np.arange(100_000.0), -10**5000, [10**5000],
+], ids=["text", "list", "dict", "nested", "array", "huge-int", "huge-int-in-list"])
+def test_brief_bounds_what_a_message_prints(value):
+    # str() of an int of more than 4,300 digits raises ValueError
+    assert len(brief(value)) <= 200
+    with pytest.raises(ParameterError, match="^x must be a non-negative integer, got "):
+        non_negative_int(value, "x")
+    with pytest.raises(ParameterError, match="^x must be a number, got "):
+        real_number(value, "x")
+
+
+def test_brief_prints_small_values_as_repr():
+    for value in ("retire", (0, 64), [1.5, None], {"x": True}, 0.25, -3):
+        assert brief(value) == repr(value)
+
+
+def test_text_too_long_to_print_is_still_not_a_number():
+    with pytest.raises(ShapeError, match="^x: text is not a number$"):
+        float_array(["0" * 100_000], "x")

@@ -52,9 +52,14 @@ def oracle_pixel_distances(pixels, split, prune=exact_pixels):
 
 def pixel_distances(pixels, split):
     """``_pixel_distances`` on a uint8 matrix of one image per row, as if
-    ``encode_batch`` had drawn it."""
-    with mock.patch.object(encoders, "encode_batch", lambda model, X: pixels):
-        return probe._pixel_distances(None, np.zeros((len(pixels), 0)), split)
+    ``encode_batch`` had drawn it into the stack that the caller holds."""
+    def drawn(model, X, *, out):
+        out[:] = pixels.reshape(out.shape)
+        return out
+
+    held = [np.empty((len(pixels), 1, pixels.shape[1]), dtype=np.uint8)]
+    with mock.patch.object(encoders, "encode_batch", drawn):
+        return probe._pixel_distances(None, np.zeros((len(pixels), 0)), split, held)
 
 
 def exact_pixel_probe(train_images, train_labels, test_images):
@@ -297,7 +302,7 @@ class TestExactPixels:
         X = ds.X[np.concatenate([test_idx, train_idx])]
         tracemalloc.start()
         try:
-            distances = probe._pixel_distances(model, X, len(test_idx))
+            distances = probe._pixel_distances(model, X, len(test_idx), [])
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -372,8 +377,8 @@ class TestStampDistances:
             X[:] = X[0]
         split = None if split is None else min(split, n_rows)
         with mock.patch.object(encoders, "format_value", lambda v: texts[int(v)]):
-            got = probe._stamp_distances(model, X, split)
-            want = probe._pixel_distances(model, X, split)
+            got = probe._stamp_distances(model, X, split, [])
+            want = probe._pixel_distances(model, X, split, [])
         assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("n_rows, n_features, size, scale", [
@@ -387,10 +392,10 @@ class TestStampDistances:
         X = generate_synthetic(n_rows, n_features, seed=n_features).X * scale
         model = stml_model(n_features, size)
         for split in (None, 0, n_rows // 3, n_rows):
-            got = probe._stamp_distances(model, X, split)
-            assert np.array_equal(got, probe._pixel_distances(model, X, split))
+            got = probe._stamp_distances(model, X, split, [])
+            assert np.array_equal(got, probe._pixel_distances(model, X, split, []))
         # all rows equal: every distance is 0
-        assert not probe._stamp_distances(model, X[[0] * 5], None).any()
+        assert not probe._stamp_distances(model, X[[0] * 5], None, []).any()
 
     @pytest.mark.parametrize("size, dtype", [((2896, 2896), np.float32),
                                              ((2897, 2896), np.float64)])
@@ -398,9 +403,9 @@ class TestStampDistances:
         # 2 * W * H <= 2**24 holds at 2896 x 2896 and fails one column wider
         X = generate_synthetic(4, 100, seed=1).X
         model = stml_model(100, size)
-        got = probe._stamp_distances(model, X, None)
+        got = probe._stamp_distances(model, X, None, [])
         assert got.dtype == dtype
-        assert np.array_equal(got, probe._pixel_distances(model, X, None))
+        assert np.array_equal(got, probe._pixel_distances(model, X, None, []))
 
     def test_eval_allocates_far_less_than_the_pixel_stack(self):
         # the pixel path drew a 600 x 224 x 224 uint8 stack (28.7 MiB) and
@@ -425,7 +430,7 @@ class TestStampDistances:
         keys = X.size * encoders.stml_codes(X).shape[2] * 8  # int64 per (row, feature, position)
         tracemalloc.start()
         try:
-            probe._stamp_distances(model, X, None)
+            probe._stamp_distances(model, X, None, [])
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -580,17 +585,17 @@ class TestRunCvEval:
         encode_batch, pixel_distances = encoders.encode_batch, probe._pixel_distances
         stamp_distances = probe._stamp_distances
 
-        def counted_encode(model, X):
+        def counted_encode(model, X, *, out=None):
             encoded.append(len(X))
-            return encode_batch(model, X)
+            return encode_batch(model, X, out=out)
 
-        def counted_pixels(model, X, split):
+        def counted_pixels(model, X, split, held):
             pixel.append((len(X), split))
-            return pixel_distances(model, X, split)
+            return pixel_distances(model, X, split, held)
 
-        def counted_stamps(model, X, split):
+        def counted_stamps(model, X, split, held):
             stamped.append((len(X), split))
-            return stamp_distances(model, X, split)
+            return stamp_distances(model, X, split, held)
 
         monkeypatch.setattr(encoders, "encode_batch", counted_encode)
         monkeypatch.setattr(probe, "_pixel_distances", counted_pixels)
@@ -605,6 +610,48 @@ class TestRunCvEval:
             assert encoded == [ds.n_instances] * matrices and stamped == []
             assert pixel == [(ds.n_instances, len(test_idx))
                              for *_, test_idx in plan.iter_splits()]
+
+    @pytest.mark.parametrize("kind", EVAL_KINDS)
+    def test_one_stack_per_eval(self, kind, monkeypatch):
+        # the pixel path draws every group into the one stack the eval
+        # holds. A tracemalloc peak cannot show this: a stack per group, each
+        # freed before the next is allocated, peaks at the same size. Each
+        # stack is kept here, so a new one could not reuse a freed address
+        stacks, held_by_stamps = [], []
+        encode_batch, stamp_distances = encoders.encode_batch, probe._stamp_distances
+
+        def recorded_encode(model, X, *, out=None):
+            stacks.append(out)
+            return encode_batch(model, X, out=out)
+
+        def recorded_stamps(model, X, split, held):
+            distances = stamp_distances(model, X, split, held)
+            held_by_stamps.append(list(held))
+            return distances
+
+        monkeypatch.setattr(encoders, "encode_batch", recorded_encode)
+        monkeypatch.setitem(probe._DISTANCES, "stml", recorded_stamps)
+        ds = self.small_ds()
+        run_cv_eval(ds, kind, make_cv_plan(ds, seed=0), size=(48, 48), igtd_max_iters=3)
+        if kind in ("retire", "igtd"):
+            assert len(stacks) == 10 and all(isinstance(out, np.ndarray) for out in stacks)
+            assert len({out.__array_interface__["data"][0] for out in stacks}) == 1
+        else:  # no stack drawn, none allocated
+            assert stacks == []
+            assert held_by_stamps == ([[]] if kind == "stml" else [])
+
+    def test_stack_is_replaced_only_for_more_rows_and_stays_as_drawn(self):
+        ds = generate_synthetic(12, 5, seed=4)
+        model = encoders.fit("retire", ds, size=(40, 40))
+        held, stacks = [], []
+        for rows, split in [(8, 3), (5, 2), (12, None)]:
+            X = ds.X[:rows]
+            got = probe._pixel_distances(model, X, split, held)
+            assert np.array_equal(got, probe._pixel_distances(model, X, split, []))
+            # the pixels are divided by their gcd, 255, in block copies only
+            assert np.array_equal(held[0][:rows], encoders.encode_batch(model, X))
+            stacks.append(held[0])
+        assert stacks[0] is stacks[1] and stacks[2].shape == (12, 40, 40)
 
     @pytest.mark.parametrize("fold", [0, 1])
     @pytest.mark.parametrize("kind", EVAL_KINDS)
@@ -711,13 +758,13 @@ class TestPinnedPixelDistances:
         _, _, train_idx, test_idx = next(make_cv_plan(ds, seed=seed).iter_splits())
         model = encoders.fit(kind, ds.subset(train_idx), size=(224, 224))
         X = ds.X[np.concatenate([test_idx, train_idx])]
-        distances = probe._pixel_distances(model, X, len(test_idx))
+        distances = probe._pixel_distances(model, X, len(test_idx), [])
         assert distance_digest(distances) == PINNED_PIXEL_DISTANCE_DIGESTS[kind, seed]
 
     def test_every_row_against_every_row_unchanged(self):
         ds = generate_synthetic(40, 60, seed=0)
         model = encoders.fit("retire", ds, size=(96, 96))
-        assert distance_digest(probe._pixel_distances(model, ds.X, None)) == (
+        assert distance_digest(probe._pixel_distances(model, ds.X, None, [])) == (
             "a04cc91cd9b74faa86e2b77d94e130340d70c803ad8919a98ef5cfd2b40c0a73")
 
     @pytest.mark.parametrize("split, want", [
