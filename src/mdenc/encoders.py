@@ -241,10 +241,12 @@ def _distance_ranks(points: np.ndarray) -> np.ndarray:
     """Average ranks of the Euclidean distances between the columns of
     ``points`` over the upper triangle, mirrored, with a zero diagonal.
 
-    Ranks are multiples of 0.5, so objective sums stay exact in float64;
-    integer points, such as cell coordinates, give exact squared distances.
+    The Gram comes from ``np.einsum``'s own loop, not BLAS, so its sums run
+    in one order whatever the BLAS thread count, and the ranks, ties
+    included, do not depend on it. Ranks are multiples of 0.5; integer
+    points, such as cell coordinates, give exact squared distances.
     """
-    gram = points.T @ points
+    gram = np.einsum("ki,kj->ij", points, points)
     sq = np.diag(gram)
     iu = np.triu_indices(gram.shape[0], 1)
     d2 = (sq[:, None] + sq[None, :] - 2.0 * gram)[iu]
@@ -253,15 +255,40 @@ def _distance_ranks(points: np.ndarray) -> np.ndarray:
     return ranks + ranks.T
 
 
-def _swap_deltas(rank_feat, P, D, i) -> np.ndarray:
+def _search_dtype(n: int) -> type:
+    """The narrowest dtype in which the swap search of ``n`` features is
+    exact: float32 when n²(n − 1) <= 2**23 (n <= 203), else float64.
+
+    Ranks are multiples of 0.5 of at most M = n(n − 1)/2, so a delta term
+    (two absolute differences less two discrepancies) lies within
+    ±2M = ±n(n − 1), and a row sum of n terms, with every partial sum,
+    within ±n²(n − 1). float32 holds every multiple of 0.5 up to 2**23, so
+    each step's sums are exact in any order; float64 holds them up to
+    2**52, past any n whose (n, n) rank matrices fit in memory."""
+    return np.float32 if n * n * (n - 1) <= 2**23 else np.float64
+
+
+def _swap_deltas(rank_feat, P, D, i, scratch=None) -> np.ndarray:
     # Objective change of swapping the cells of features i and j, for every
     # j, given P = rank_pix[a][:, a] and D = |rank_feat - P| of the current
-    # assignment a; entry i is 0. Column i and the diagonal drop out: pair
-    # (i, j) itself is unaffected because rank_pix is symmetric.
-    terms = np.abs(rank_feat[i] - P) + np.abs(rank_feat - P[i]) - D[i] - D
-    terms[:, i] = 0.0
-    np.fill_diagonal(terms, 0.0)
-    return terms.sum(axis=1)
+    # assignment a; entry i is 0. Row j sums the change of pairs (i, m) and
+    # (j, m) over every m. Pairs with m = i or m = j do not change, but as
+    # rank_feat and P are symmetric with a zero diagonal, each adds
+    # 2 min(rank_feat[i, j], P[i, j]) to the row, which the last term takes
+    # off. ``scratch`` is two (n, n) buffers to write into and a vector of
+    # n ones, all of the inputs' dtype; without it they are allocated. The
+    # row sums are a product with the ones; with the inputs in
+    # _search_dtype they are exact, so BLAS's summation order does not
+    # change them.
+    n = len(P)
+    terms, other, ones = scratch or (np.empty((n, n), P.dtype), np.empty((n, n), P.dtype),
+                                     np.ones(n, P.dtype))
+    np.abs(np.subtract(rank_feat[i], P, out=terms), out=terms)
+    np.abs(np.subtract(rank_feat, P[i], out=other), out=other)
+    terms += other
+    terms -= D[i]
+    terms -= D
+    return terms @ ones - 4 * np.minimum(rank_feat[i], P[i])
 
 
 def _swap_descent(rank_feat, rank_pix, max_iters):
@@ -269,31 +296,36 @@ def _swap_descent(rank_feat, rank_pix, max_iters):
     # index on ties, and its swap is the lowest-index best one. Both swapped
     # features are stamped with the step number, and so is the chosen
     # feature when nothing is swapped, so n steps in a row without a swap
-    # have chosen every feature once. D counts each pair twice; ranks are
-    # multiples of 0.5, so D.sum() / 2, every delta and every running error
-    # are exact whatever the summation order.
+    # have chosen every feature once. The search runs in _search_dtype, in
+    # which every delta is exact; D counts each pair twice, and its sum, the
+    # initial error, is taken in float64, so the error and every running
+    # error are exact too. One set of _swap_deltas buffers serves every step.
     # Returns (assignment, trace, converged); converged is False when
     # max_iters stopped the search.
     n = rank_feat.shape[0]
+    dtype = _search_dtype(n)
+    rank_feat = rank_feat.astype(dtype)
+    rank_pix = rank_pix.astype(dtype)
     assignment = np.arange(n)
     P = rank_pix
     D = np.abs(rank_feat - P)
-    error = float(D.sum()) / 2
+    error = float(D.sum(dtype=np.float64)) / 2
     trace = [error]
+    scratch = (np.empty((n, n), dtype), np.empty((n, n), dtype), np.ones(n, dtype))
     last_selected = np.zeros(n, dtype=np.int64)
     idle = 0  # steps in a row without a swap
     for step in range(1, max_iters + 1):
-        i = int(np.argmin(last_selected))
-        deltas = _swap_deltas(rank_feat, P, D, i)
-        j = int(np.argmin(deltas))
+        i = int(last_selected.argmin())  # the method skips np.argmin's Python wrapper
+        deltas = _swap_deltas(rank_feat, P, D, i, scratch)
+        j = int(deltas.argmin())
         last_selected[i] = step
         if deltas[j] < 0.0:
             assignment[[i, j]] = assignment[[j, i]]
             error += float(deltas[j])
             last_selected[j] = step
             idle = 0
-            P = rank_pix[np.ix_(assignment, assignment)]
-            D = np.abs(rank_feat - P)
+            P = rank_pix[assignment[:, None], assignment]
+            np.abs(np.subtract(rank_feat, P, out=D), out=D)
         else:
             idle += 1
         trace.append(error)
@@ -317,8 +349,8 @@ def fit_igtd(ds_train: Dataset, max_iters: int = DEFAULT_IGTD_MAX_ITERS,
     stops after N steps in a row without a swap, at a pairwise local
     optimum, or after ``max_iters`` steps. Nothing is random, so the
     model is a pure function of the training rows and the arguments. The
-    step count, and which of the two stopped the search, are logged at
-    INFO.
+    step count, which of the two stopped the search, and the dtype it
+    ran in (``_search_dtype``) are logged at INFO.
     """
     n = ds_train.n_features
     if n < 2:
@@ -334,8 +366,9 @@ def fit_igtd(ds_train: Dataset, max_iters: int = DEFAULT_IGTD_MAX_ITERS,
     # cell k sits at (k // cols, k % cols), as encode_igtd places it
     rank_pix = _distance_ranks(np.array(divmod(np.arange(n), cols), dtype=np.float64))
     assignment, trace, converged = _swap_descent(rank_feat, rank_pix, max_iters)
-    logger.info("igtd search: %d features, %d steps, %s", n, len(trace) - 1,
-                "converged" if converged else "stopped at max_iters")
+    logger.info("igtd search: %d features, %d steps, %s, %s", n, len(trace) - 1,
+                "converged" if converged else "stopped at max_iters",
+                np.dtype(_search_dtype(n)).name)
     mapping = IgtdMapping(rows, cols, assignment, tuple(trace))
     return EncoderModel("igtd", (cols, rows), scaler, mapping)
 

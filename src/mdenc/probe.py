@@ -15,6 +15,7 @@ as the baseline.
 
 from __future__ import annotations
 
+import pickle
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
@@ -283,13 +284,14 @@ def run_cv_eval(ds: Dataset, encoder_kind: str, plan: CVPlan, *,
 
     For every split the encoder (or the tabular scaler) is fitted on the
     training fold only and never sees test data; the held-out fold is
-    classified with the 1-NN probe. Splits whose models have equal JSON
-    (every ``stml`` split) share one exact matrix of distances from the rows
-    they test to the rows they train on, a pure function of (model, rows),
-    computed by ``_DISTANCES`` (``_stamp_distances`` for ``stml``) or else
-    by ``_pixel_distances``. The eval keeps one uint8 image stack for the
-    pixel path, which each group draws its rows into (see
-    ``_pixel_distances``); the stamp path and ``tabular`` draw none.
+    classified with the 1-NN probe. Splits whose models pickle to equal
+    bytes, an exact key that formats no float (every ``stml`` split), share
+    one exact matrix of distances from the rows they test to the rows they
+    train on, a pure function of (model, rows), computed by ``_DISTANCES``
+    (``_stamp_distances`` for ``stml``) or else by ``_pixel_distances``.
+    The eval keeps one uint8 image stack for the pixel path, which each
+    group draws its rows into (see ``_pixel_distances``); the stamp path
+    and ``tabular`` draw none.
 
     ``seed`` has no effect (``plan`` carries the CV seed, and no encoder
     draws random numbers), and encoding is serial: both stay only for
@@ -310,12 +312,12 @@ def run_cv_eval(ds: Dataset, encoder_kind: str, plan: CVPlan, *,
                        for t, test_idx in ((ds.subset(tr), te) for tr, te in splits)]
     else:
         predictions = [None] * len(splits)
-        groups = {}  # model JSON -> (model, the splits that fitted it), in fit order
+        groups = {}  # pickled model -> (model, the splits that fitted it), in fit order
         held = []  # the pixel path's image stack, once a group draws one
         for i, (train_idx, _) in enumerate(splits):
             model = encoders.fit(encoder_kind, ds.subset(train_idx), l=l, u=u, size=size,
                                  igtd_max_iters=igtd_max_iters)
-            groups.setdefault(to_json(model), (model, []))[1].append(i)
+            groups.setdefault(pickle.dumps(model), (model, []))[1].append(i)
         for model, members in groups.values():
             q = np.unique(np.concatenate([splits[i][1] for i in members]))
             r = np.unique(np.concatenate([splits[i][0] for i in members]))

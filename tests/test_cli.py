@@ -122,7 +122,7 @@ class TestVerbose:
         assert loud_out == quiet_out
         assert loud_model == quiet_model
         assert "mdenc.encoders: igtd search: 6 features, " in loud_err
-        assert "converged" in loud_err or "stopped at max_iters" in loud_err
+        assert "converged, float32" in loud_err or "stopped at max_iters, float32" in loud_err
         assert logging.getLogger("mdenc").level == logging.NOTSET
         assert self.fit(capsys, keel_file, out)[1] == quiet_err
 

@@ -2,8 +2,11 @@ import hashlib
 import itertools
 import json
 import math
+import os
+import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -560,11 +563,12 @@ class TestStmlPinnedBytes:
 
 
 # The separate feature-distance, cell-distance and rank builders that
-# ``encoders._distance_ranks`` replaced, kept unchanged as its oracles
+# ``encoders._distance_ranks`` replaced, kept as its oracles
 
 def _column_distances(Xs: np.ndarray) -> np.ndarray:
-    """Euclidean distances between feature columns of the scaled matrix."""
-    gram = Xs.T @ Xs
+    """Euclidean distances between feature columns of the scaled matrix,
+    from a Gram summed by numpy's own loop, as ``_distance_ranks`` sums it."""
+    gram = np.einsum("ki,kj->ij", Xs, Xs)
     sq = np.diag(gram)
     d2 = sq[:, None] + sq[None, :] - 2.0 * gram
     np.maximum(d2, 0.0, out=d2)
@@ -624,6 +628,22 @@ class TestDistanceRanks:
             X = X[:, rng.integers(0, max(1, n // 3), size=n)]
         got = encoders._distance_ranks(X)
         assert got.tobytes() == _pair_rank_matrix(_column_distances(X)).tobytes()
+
+    def test_feature_ranks_do_not_depend_on_the_blas_thread_count(self):
+        # scaled data of 3 levels ties many distances; a BLAS Gram sums each
+        # column pair in an order that its thread count picks, which breaks
+        # such ties one way or the other
+        script = ("import hashlib, numpy as np; from mdenc import encoders, scaling; "
+                  "X = np.random.default_rng(0).integers(0, 3, size=(500, 100)).astype(float); "
+                  "ranks = encoders._distance_ranks(scaling.transform(scaling.fit(X), X)); "
+                  "print(hashlib.sha256(ranks.tobytes()).hexdigest())")
+        src = str(Path(encoders.__file__).parents[1])
+        digests = {subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                                  check=True, env={**os.environ, "PYTHONPATH": src,
+                                                   "OPENBLAS_NUM_THREADS": threads,
+                                                   "OMP_NUM_THREADS": threads}).stdout
+                   for threads in ("1", "2")}
+        assert len(digests) == 1
 
 
 def igtd_rank_matrices(model, ds):
@@ -756,10 +776,15 @@ class TestSwapSearchOracle:
         with caplog.at_level("INFO", logger="mdenc.encoders"):
             encoders.fit_igtd(ds)
             encoders.fit_igtd(ds, max_iters=1)
-        converged, capped = [r.getMessage() for r in caplog.records]
+            # the line ends with the search's arithmetic, on each side of its bound
+            for n in (203, 204):
+                encoders.fit_igtd(toy_dataset(n, seed=4), max_iters=1)
+        converged, capped, last32, first64 = [r.getMessage() for r in caplog.records]
         assert converged.startswith("igtd search: 12 features, ")
-        assert converged.endswith(" steps, converged")
-        assert capped == "igtd search: 12 features, 1 steps, stopped at max_iters"
+        assert converged.endswith(" steps, converged, float32")
+        assert capped == "igtd search: 12 features, 1 steps, stopped at max_iters, float32"
+        assert last32 == "igtd search: 203 features, 1 steps, stopped at max_iters, float32"
+        assert first64 == "igtd search: 204 features, 1 steps, stopped at max_iters, float64"
 
 
 class TestIgtd:
@@ -799,7 +824,7 @@ class TestIgtd:
                              seed=shape)
         with caplog.at_level("INFO", logger="mdenc.encoders"):
             model = encoders.fit_igtd(ds)  # the default max_iters does not bind
-        assert caplog.records[-1].getMessage().endswith(" converged")
+        assert caplog.records[-1].getMessage().endswith(" converged, float32")
         rank_feat, rank_pix = igtd_rank_matrices(model, ds)
         a = model.layout.assignment
         P = rank_pix[np.ix_(a, a)]

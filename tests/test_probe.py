@@ -574,13 +574,14 @@ class TestRunCvEval:
         assert (run_cv_eval(ds, "igtd", plan, igtd_max_iters=1).fold_predictions
                 == run_cv_eval(ds, "igtd", plan).fold_predictions)
 
-    @pytest.mark.parametrize("kind, matrices", [("stml", 1), ("retire", 10)])
+    @pytest.mark.parametrize("kind, matrices", [("stml", 1), ("retire", 10), ("igtd", 10)])
     def test_one_encode_and_distance_matrix_per_fitted_model(self, kind, matrices,
                                                             monkeypatch):
         # every stml split fits an equal model, so the ten splits share one
         # stamp Gram of all rows among themselves and draw no row; retire
-        # models differ, so each split encodes its tested and training rows
-        # once and sums one pixel matrix of the first against the second
+        # and igtd models differ, so each split encodes its tested and
+        # training rows once and sums one pixel matrix of the first against
+        # the second
         encoded, pixel, stamped = [], [], []
         encode_batch, pixel_distances = encoders.encode_batch, probe._pixel_distances
         stamp_distances = probe._stamp_distances

@@ -3,6 +3,7 @@ the shifted-copy loop they replaced, and SHA-256 pins of the results that
 rest on them: IGTD fits, mean ranks and Wilcoxon tests."""
 
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -95,6 +96,30 @@ class TestPinnedResults:
         ds = generate_synthetic(n_samples, n_features, seed=seed)
         mapping = encoders.fit_igtd(ds, max_iters=max_iters).layout
         assert digest(mapping.assignment, mapping.error_trace) == want
+
+    # searches on rank matrices of integer points, whose squared distances
+    # are exact in any summation order: a 40-feature search, tie-heavy ones
+    # of 3 levels, and 25 steps on each side of n = 203, the largest search
+    # that runs in float32
+    @pytest.mark.parametrize("n, levels, rows, seed, max_iters, converged, want", [
+        (40, 10, 12, 0, 1000, True,
+         "59bc469e986ca8d7c73708e354dda4e779e15bb0a097353c583b14219daf41ee"),
+        (30, 3, 20, 1, 1000, True,
+         "21e490705f95a81be104b924cd3bb68b37b573954c2d6381d780057a69582405"),
+        (60, 3, 20, 2, 1000, True,
+         "26962eb1cad6a8c6258c063d30b482f8c1d3e65636542657372c08babfd2eba1"),
+        (203, 10, 12, 3, 25, False,
+         "73159ee43ee442d9f283a0edd21cc8ce21d8b1e5be0757ccfa323f9c7b9b0b95"),
+        (204, 10, 12, 4, 25, False,
+         "05bfd88ca10766d1a91282e7de3877812d7810203659496a249254b968f7760c")])
+    def test_igtd_searches_on_exact_ranks_unchanged(self, n, levels, rows, seed, max_iters,
+                                                    converged, want):
+        points = np.random.default_rng(seed).integers(0, levels, size=(rows, n)).astype(np.float64)
+        cells = np.array(divmod(np.arange(n), math.ceil(math.sqrt(n))), dtype=np.float64)
+        assignment, trace, got_converged = encoders._swap_descent(
+            encoders._distance_ranks(points), encoders._distance_ranks(cells), max_iters)
+        assert got_converged == converged
+        assert digest(assignment, trace) == want
 
     def test_mean_ranks_of_a_tied_matrix_unchanged(self):
         tied = np.random.default_rng(11).integers(0, 4, size=(15, 6)) / 8.0
