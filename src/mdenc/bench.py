@@ -1,8 +1,9 @@
 """Encode-time sweeps over feature dimensionality, with a least-squares
 linearity check.
 
-Sweeps run strictly single-threaded on a monotonic clock so points are
-comparable; the median over repeats resists scheduler noise.
+Sweeps time on a monotonic clock; the median over repeats resists scheduler
+noise. No thread count is set: the timed encodes make no BLAS call, and only
+the igtd fit, timed apart, sums rows through BLAS at the caller's count.
 """
 
 from __future__ import annotations

@@ -268,7 +268,7 @@ def _search_dtype(n: int) -> type:
     return np.float32 if n * n * (n - 1) <= 2**23 else np.float64
 
 
-def _swap_deltas(rank_feat, P, D, i, scratch=None) -> np.ndarray:
+def _swap_deltas(rank_feat, P, D, i, scratch) -> np.ndarray:
     # Objective change of swapping the cells of features i and j, for every
     # j, given P = rank_pix[a][:, a] and D = |rank_feat - P| of the current
     # assignment a; entry i is 0. Row j sums the change of pairs (i, m) and
@@ -276,13 +276,10 @@ def _swap_deltas(rank_feat, P, D, i, scratch=None) -> np.ndarray:
     # rank_feat and P are symmetric with a zero diagonal, each adds
     # 2 min(rank_feat[i, j], P[i, j]) to the row, which the last term takes
     # off. ``scratch`` is two (n, n) buffers to write into and a vector of
-    # n ones, all of the inputs' dtype; without it they are allocated. The
-    # row sums are a product with the ones; with the inputs in
-    # _search_dtype they are exact, so BLAS's summation order does not
-    # change them.
-    n = len(P)
-    terms, other, ones = scratch or (np.empty((n, n), P.dtype), np.empty((n, n), P.dtype),
-                                     np.ones(n, P.dtype))
+    # n ones, all of the inputs' dtype. The row sums are a product with the
+    # ones; with the inputs in _search_dtype they are exact, so BLAS's
+    # summation order does not change them.
+    terms, other, ones = scratch
     np.abs(np.subtract(rank_feat[i], P, out=terms), out=terms)
     np.abs(np.subtract(rank_feat, P[i], out=other), out=other)
     terms += other

@@ -4,10 +4,11 @@ loop.
 The 1-NN pixel probe lives in ``run_cv_eval``, a deterministic stand-in for
 a CNN: it only has to show whether class information survives an encoding.
 Its distances are exact, so it predicts what a float64 probe over every
-pixel would: ``stml`` from glyph stamps (``_stamp_distances``), the other
-kinds from their drawn rows (``_pixel_distances``, the stamps' test oracle:
-``_sq_distances`` added up over blocks of kept pixels, divided by their gcd
-``g``, so in units of ``g**2``).
+pixel would. The eval draws and the probe measures: ``stml`` from glyph
+stamps (``_stamp_distances``) with no row drawn, the other kinds from the
+rows that the eval draws into its one image stack (``_pixel_distances``,
+the stamps' test oracle: ``_sq_distances`` added up over blocks of kept
+pixels, divided by their gcd ``g``, so in units of ``g**2``).
 A pixel distance ignores where each pixel sits, so the probe cannot rank
 ``igtd`` assignments. A tabular 1-NN twin on scaled feature vectors serves
 as the baseline.
@@ -65,8 +66,8 @@ def _nearest_label(distances: np.ndarray, labels) -> np.ndarray:
     return labels[np.argmin(distances, axis=1)]
 
 
-def _column_blocks(stack: np.ndarray, columns: np.ndarray) -> Iterator[np.ndarray]:
-    """Copies of the ascending ``columns`` of ``stack``, at most 2,048 at a
+def _column_blocks(pixels: np.ndarray, columns: np.ndarray) -> Iterator[np.ndarray]:
+    """Copies of the ascending ``columns`` of ``pixels``, at most 2,048 at a
     time, each gathered as slices of its contiguous runs (about twice as
     fast as ``np.take`` on drawn images, whose kept pixels form runs)."""
     for start in range(0, len(columns), 2048):
@@ -74,21 +75,14 @@ def _column_blocks(stack: np.ndarray, columns: np.ndarray) -> Iterator[np.ndarra
         breaks = np.flatnonzero(np.diff(block) != 1) + 1
         starts = block[np.r_[0, breaks]].tolist()
         stops = (block[np.r_[breaks - 1, len(block) - 1]] + 1).tolist()
-        yield np.concatenate([stack[:, a:b] for a, b in zip(starts, stops)], axis=1)
+        yield np.concatenate([pixels[:, a:b] for a, b in zip(starts, stops)], axis=1)
 
 
-def _pixel_distances(model: encoders.EncoderModel, X: np.ndarray,
-                     split: int | None, held: list) -> np.ndarray:
-    """Exact squared distances between the encoded rows of ``X``: the first
-    ``split`` rows against the rest, or every row against every row when
-    ``split`` is None.
-
-    The rows are drawn into the leading rows of ``held[0]``, the uint8
-    stack that the caller keeps between calls (``held`` empty before the
-    first one). It is allocated, sized for ``X``, when ``held`` is empty or
-    its stack has fewer rows than ``X``, so an eval whose groups draw the
-    same number of rows allocates one. Only block copies are divided, never
-    the stack.
+def _pixel_distances(pixels: np.ndarray, split: int | None) -> np.ndarray:
+    """Exact squared distances between the rows of ``pixels``, a drawn uint8
+    (rows, pixels) matrix: the first ``split`` rows against the rest, or
+    every row against every row when ``split`` is None. ``pixels`` is only
+    read; each block of it is copied before it is divided.
 
     Pixels that hold one value in every row add 0 to every distance and are
     dropped; the rest are divided by their gcd ``g`` (every distance scales
@@ -97,25 +91,20 @@ def _pixel_distances(model: encoders.EncoderModel, X: np.ndarray,
     value is a multiple of it, and the gcd of all kept values otherwise;
     each block is checked as it is summed, and the first block that fails
     restarts the sums once with the full gcd.
-    The sums run in float32 if ``2 * top**2 * pixels <= 2**24`` (``top``
-    the largest value left, ``pixels`` kept), else in float64, so each
-    block's ``_sq_distances`` and their running sum stay exact integers:
-    the kept columns are gathered from the stack, cast and summed one block
-    at a time, and no copy of all of them is held."""
-    if not held or len(held[0]) < len(X):
-        width, height = model.canvas_size
-        held.clear()  # the old stack is freed before its successor is allocated
-        held.append(np.empty((len(X), height, width), dtype=np.uint8))
-    stack = encoders.encode_batch(model, X, out=held[0][:len(X)]).reshape(len(X), -1)
-    lo = stack.min(axis=0, initial=255)
-    hi = stack.max(axis=0, initial=0)
+    The sums run in float32 if ``2 * top**2 * kept <= 2**24`` (``top`` the
+    largest value left, ``kept`` the number of pixels kept), else in
+    float64, so each block's ``_sq_distances`` and their running sum stay
+    exact integers: the kept columns are gathered, cast and summed one
+    block at a time, and no copy of all of them is held."""
+    lo = pixels.min(axis=0, initial=255)
+    hi = pixels.max(axis=0, initial=0)
     varying = np.flatnonzero(lo != hi)
     g = int(np.gcd.reduce(np.gcd(lo[varying], hi[varying]))) or 1
     while True:
         top = int(hi[varying].max(initial=0)) // g
         dtype = np.float32 if 2 * top * top * len(varying) <= 2**24 else np.float64
-        distances = np.zeros((len(X[:split]), len(X[split:])), dtype=dtype)
-        for block in _column_blocks(stack, varying):
+        distances = np.zeros((len(pixels[:split]), len(pixels[split:])), dtype=dtype)
+        for block in _column_blocks(pixels, varying):
             # uint8 floor-divide and multiply run far faster than np.remainder
             # or np.gcd, and their temporaries are freed before the cast
             if g > 1 and (block // g * g != block).any():
@@ -127,14 +116,14 @@ def _pixel_distances(model: encoders.EncoderModel, X: np.ndarray,
         # a kept value is not a multiple of g0: start over with the gcd of
         # all of them, which every block passes
         g = int(np.gcd.reduce([np.gcd.reduce(block, axis=None)
-                               for block in _column_blocks(stack, varying)]))
+                               for block in _column_blocks(pixels, varying)]))
     return distances
 
 
 def _stamp_distances(model: encoders.EncoderModel, X: np.ndarray,
-                     split: int | None, held: list) -> np.ndarray:
-    """``_pixel_distances`` of an ``stml`` model, with no row drawn, so
-    ``held`` is left as it is.
+                     split: int | None) -> np.ndarray:
+    """``_pixel_distances`` of the rows of ``X`` as an ``stml`` model draws
+    them, with no row drawn.
 
     Cells are disjoint, and inside a cell each glyph of a text fills its own
     box at the scale and offset that the text's length fixes, so a row's
@@ -271,8 +260,6 @@ def _label_rows(values) -> tuple[tuple[int, ...], ...]:
 
 
 EVAL_KINDS = encoders.KINDS + ("tabular",)
-# the exact distance path of each encoder kind; the others draw their pixels
-_DISTANCES = {"stml": _stamp_distances}
 
 
 def run_cv_eval(ds: Dataset, encoder_kind: str, plan: CVPlan, *,
@@ -287,11 +274,13 @@ def run_cv_eval(ds: Dataset, encoder_kind: str, plan: CVPlan, *,
     classified with the 1-NN probe. Splits whose models pickle to equal
     bytes, an exact key that formats no float (every ``stml`` split), share
     one exact matrix of distances from the rows they test to the rows they
-    train on, a pure function of (model, rows), computed by ``_DISTANCES``
-    (``_stamp_distances`` for ``stml``) or else by ``_pixel_distances``.
-    The eval keeps one uint8 image stack for the pixel path, which each
-    group draws its rows into (see ``_pixel_distances``); the stamp path
-    and ``tabular`` draw none.
+    train on, a pure function of (model, rows): ``_stamp_distances`` for
+    ``stml``, which draws no row, and ``_pixel_distances`` of the drawn
+    rows for the other kinds. The eval draws and the probe measures: the
+    eval owns one uint8 image stack, allocated at the first group that
+    draws and replaced only for a group with more rows, and draws each
+    group's rows into its leading rows. ``stml`` and ``tabular`` allocate
+    none.
 
     ``seed`` has no effect (``plan`` carries the CV seed, and no encoder
     draws random numbers), and encoding is serial: both stay only for
@@ -313,7 +302,7 @@ def run_cv_eval(ds: Dataset, encoder_kind: str, plan: CVPlan, *,
     else:
         predictions = [None] * len(splits)
         groups = {}  # pickled model -> (model, the splits that fitted it), in fit order
-        held = []  # the pixel path's image stack, once a group draws one
+        stack = None  # the pixel path's image stack, once a group draws one
         for i, (train_idx, _) in enumerate(splits):
             model = encoders.fit(encoder_kind, ds.subset(train_idx), l=l, u=u, size=size,
                                  igtd_max_iters=igtd_max_iters)
@@ -323,8 +312,16 @@ def run_cv_eval(ds: Dataset, encoder_kind: str, plan: CVPlan, *,
             r = np.unique(np.concatenate([splits[i][0] for i in members]))
             # tested rows first, then training rows
             rows = q if len(q) == len(r) == ds.n_instances else np.concatenate([q, r])
-            distances = _DISTANCES.get(model.kind, _pixel_distances)(
-                model, ds.X[rows], None if rows is q else len(q), held)
+            split = None if rows is q else len(q)
+            if encoder_kind == "stml":
+                distances = _stamp_distances(model, ds.X[rows], split)
+            else:
+                if stack is None or len(stack) < len(rows):
+                    width, height = model.canvas_size
+                    stack = None  # the old stack is freed before its successor is allocated
+                    stack = np.empty((len(rows), height, width), dtype=np.uint8)
+                encoders.encode_batch(model, ds.X[rows], out=stack[:len(rows)])
+                distances = _pixel_distances(stack[:len(rows)].reshape(len(rows), -1), split)
             for i in members:
                 train_idx, test_idx = splits[i]
                 block = distances.take(np.searchsorted(q, test_idx), axis=0).take(

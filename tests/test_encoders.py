@@ -690,6 +690,13 @@ def reference_swap_delta(rank_feat, rank_pix, assignment, i, j):
     return float(after - before)
 
 
+def swap_scratch(P):
+    """The buffers that ``encoders._swap_deltas`` writes into: two (n, n)
+    matrices and a vector of n ones, in the dtype of ``P``."""
+    n = len(P)
+    return np.empty((n, n), P.dtype), np.empty((n, n), P.dtype), np.ones(n, P.dtype)
+
+
 def reference_swap_descent(rank_feat, rank_pix, max_iters):
     """Per-pair IGTD steps in one descent from the identity: the oracle for
     ``encoders._swap_descent``, returning the same
@@ -765,7 +772,8 @@ class TestSwapSearchOracle:
         assignment = np.random.default_rng(6).permutation(n)
         P = rank_pix[np.ix_(assignment, assignment)]
         D = np.abs(rank_feat - P)
-        deltas = np.array([encoders._swap_deltas(rank_feat, P, D, i) for i in range(n)])
+        scratch = swap_scratch(P)
+        deltas = np.array([encoders._swap_deltas(rank_feat, P, D, i, scratch) for i in range(n)])
         want = [[0.0 if j == i else reference_swap_delta(rank_feat, rank_pix, assignment, i, j)
                  for j in range(n)] for i in range(n)]
         assert deltas.tolist() == want
@@ -829,7 +837,8 @@ class TestIgtd:
         a = model.layout.assignment
         P = rank_pix[np.ix_(a, a)]
         D = np.abs(rank_feat - P)
-        assert min(encoders._swap_deltas(rank_feat, P, D, i).min()
+        scratch = swap_scratch(P)
+        assert min(encoders._swap_deltas(rank_feat, P, D, i, scratch).min()
                    for i in range(ds.n_features)) >= 0.0
 
     def test_error_trace_non_increasing(self):

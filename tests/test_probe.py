@@ -50,16 +50,9 @@ def oracle_pixel_distances(pixels, split, prune=exact_pixels):
     return probe._sq_distances(*(side.astype(dtype) for side in sides))
 
 
-def pixel_distances(pixels, split):
-    """``_pixel_distances`` on a uint8 matrix of one image per row, as if
-    ``encode_batch`` had drawn it into the stack that the caller holds."""
-    def drawn(model, X, *, out):
-        out[:] = pixels.reshape(out.shape)
-        return out
-
-    held = [np.empty((len(pixels), 1, pixels.shape[1]), dtype=np.uint8)]
-    with mock.patch.object(encoders, "encode_batch", drawn):
-        return probe._pixel_distances(None, np.zeros((len(pixels), 0)), split, held)
+def drawn_distances(model, X, split):
+    """``_pixel_distances`` of the rows of ``X`` as ``model`` draws them."""
+    return probe._pixel_distances(encoders.encode_batch(model, X).reshape(len(X), -1), split)
 
 
 def exact_pixel_probe(train_images, train_labels, test_images):
@@ -68,7 +61,7 @@ def exact_pixel_probe(train_images, train_labels, test_images):
     ``_pixel_distances``, then the nearest label."""
     pixels = np.concatenate(
         [s.reshape(len(s), math.prod(s.shape[1:])) for s in (test_images, train_images)])
-    return probe._nearest_label(pixel_distances(pixels, len(test_images)), train_labels)
+    return probe._nearest_label(probe._pixel_distances(pixels, len(test_images)), train_labels)
 
 
 def reference_pixel_probe(train_images, train_labels, test_images):
@@ -211,7 +204,8 @@ class TestKnnPixel:
         # 2 * 255**2 * 129 and 2 * 85**2 * 1161 are the last sums <= 2**24
         train, test = near_tie_stacks(step, pixels)
         assert exact_pixel_probe(train, [0, 1, 2], test).tolist() == [1]
-        assert pixel_distances(np.concatenate([test, train]).reshape(4, -1), 1).dtype == dtype
+        pixels = np.concatenate([test, train]).reshape(4, -1)
+        assert probe._pixel_distances(pixels, 1).dtype == dtype
 
 
 def gcd_pruning_oracle(stack_2d):
@@ -265,7 +259,7 @@ class TestExactPixels:
     def test_matches_full_gcd_oracle(self, pixels):
         for split in (None, len(pixels) // 3):
             want = oracle_pixel_distances(pixels, split, prune=gcd_pruning_oracle)
-            got = pixel_distances(pixels, split)
+            got = probe._pixel_distances(pixels, split)
             assert got.dtype == want.dtype
             assert np.array_equal(got, want)
 
@@ -288,9 +282,23 @@ class TestExactPixels:
         pixels = varied_stack(alphabet, n_rows, kept, constant, planted, data_seed)
         split = None if split is None else min(split, n_rows)
         want = oracle_pixel_distances(pixels, split)
-        got = pixel_distances(pixels, split)
+        got = probe._pixel_distances(pixels, split)
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("pixels", [
+        varied_stack("binary", 5, 3000, 20, False, 0),
+        extremes_overstate_the_gcd(),
+        varied_stack("binary", 4, 4096, 50, True, 1),
+    ], ids=["g0", "full-gcd-restart", "restart-in-second-block"])
+    def test_pixels_left_unchanged(self, pixels):
+        # the blocks are divided in copies: a read-only matrix is accepted
+        # and reads back as it was, on the g0 path and after a restart
+        drawn = pixels.copy()
+        pixels.setflags(write=False)
+        for split in (None, 2):
+            probe._pixel_distances(pixels, split)
+            assert np.array_equal(pixels, drawn)
 
     def test_group_peaks_within_the_stack_and_one_block(self):
         # one sonar-shaped retire group at 224x224: 208 rows, tested then
@@ -302,7 +310,7 @@ class TestExactPixels:
         X = ds.X[np.concatenate([test_idx, train_idx])]
         tracemalloc.start()
         try:
-            distances = probe._pixel_distances(model, X, len(test_idx), [])
+            distances = drawn_distances(model, X, len(test_idx))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -377,8 +385,8 @@ class TestStampDistances:
             X[:] = X[0]
         split = None if split is None else min(split, n_rows)
         with mock.patch.object(encoders, "format_value", lambda v: texts[int(v)]):
-            got = probe._stamp_distances(model, X, split, [])
-            want = probe._pixel_distances(model, X, split, [])
+            got = probe._stamp_distances(model, X, split)
+            want = drawn_distances(model, X, split)
         assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("n_rows, n_features, size, scale", [
@@ -392,10 +400,10 @@ class TestStampDistances:
         X = generate_synthetic(n_rows, n_features, seed=n_features).X * scale
         model = stml_model(n_features, size)
         for split in (None, 0, n_rows // 3, n_rows):
-            got = probe._stamp_distances(model, X, split, [])
-            assert np.array_equal(got, probe._pixel_distances(model, X, split, []))
+            got = probe._stamp_distances(model, X, split)
+            assert np.array_equal(got, drawn_distances(model, X, split))
         # all rows equal: every distance is 0
-        assert not probe._stamp_distances(model, X[[0] * 5], None, []).any()
+        assert not probe._stamp_distances(model, X[[0] * 5], None).any()
 
     @pytest.mark.parametrize("size, dtype", [((2896, 2896), np.float32),
                                              ((2897, 2896), np.float64)])
@@ -403,9 +411,9 @@ class TestStampDistances:
         # 2 * W * H <= 2**24 holds at 2896 x 2896 and fails one column wider
         X = generate_synthetic(4, 100, seed=1).X
         model = stml_model(100, size)
-        got = probe._stamp_distances(model, X, None, [])
+        got = probe._stamp_distances(model, X, None)
         assert got.dtype == dtype
-        assert np.array_equal(got, probe._pixel_distances(model, X, None, []))
+        assert np.array_equal(got, drawn_distances(model, X, None))
 
     def test_eval_allocates_far_less_than_the_pixel_stack(self):
         # the pixel path drew a 600 x 224 x 224 uint8 stack (28.7 MiB) and
@@ -430,7 +438,7 @@ class TestStampDistances:
         keys = X.size * encoders.stml_codes(X).shape[2] * 8  # int64 per (row, feature, position)
         tracemalloc.start()
         try:
-            probe._stamp_distances(model, X, None, [])
+            probe._stamp_distances(model, X, None)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -590,17 +598,17 @@ class TestRunCvEval:
             encoded.append(len(X))
             return encode_batch(model, X, out=out)
 
-        def counted_pixels(model, X, split, held):
-            pixel.append((len(X), split))
-            return pixel_distances(model, X, split, held)
+        def counted_pixels(pixels, split):
+            pixel.append((len(pixels), split))
+            return pixel_distances(pixels, split)
 
-        def counted_stamps(model, X, split, held):
+        def counted_stamps(model, X, split):
             stamped.append((len(X), split))
-            return stamp_distances(model, X, split, held)
+            return stamp_distances(model, X, split)
 
         monkeypatch.setattr(encoders, "encode_batch", counted_encode)
         monkeypatch.setattr(probe, "_pixel_distances", counted_pixels)
-        monkeypatch.setitem(probe._DISTANCES, "stml", counted_stamps)
+        monkeypatch.setattr(probe, "_stamp_distances", counted_stamps)
         ds = self.small_ds()
         plan = make_cv_plan(ds, seed=0)
         run_cv_eval(ds, kind, plan, size=(48, 48))
@@ -614,45 +622,68 @@ class TestRunCvEval:
 
     @pytest.mark.parametrize("kind", EVAL_KINDS)
     def test_one_stack_per_eval(self, kind, monkeypatch):
-        # the pixel path draws every group into the one stack the eval
-        # holds. A tracemalloc peak cannot show this: a stack per group, each
-        # freed before the next is allocated, peaks at the same size. Each
-        # stack is kept here, so a new one could not reuse a freed address
-        stacks, held_by_stamps = [], []
-        encode_batch, stamp_distances = encoders.encode_batch, probe._stamp_distances
+        # the eval draws every group into the one stack it holds, and the
+        # probe measures that stack. A tracemalloc peak cannot show this: a
+        # stack per group, each freed before the next is allocated, peaks at
+        # the same size. Each stack is kept here, so a new one could not
+        # reuse a freed address
+        stacks, measured = [], []
+        encode_batch, pixel_distances = encoders.encode_batch, probe._pixel_distances
 
         def recorded_encode(model, X, *, out=None):
             stacks.append(out)
             return encode_batch(model, X, out=out)
 
-        def recorded_stamps(model, X, split, held):
-            distances = stamp_distances(model, X, split, held)
-            held_by_stamps.append(list(held))
-            return distances
+        def recorded_pixels(pixels, split):
+            measured.append(pixels)
+            return pixel_distances(pixels, split)
 
         monkeypatch.setattr(encoders, "encode_batch", recorded_encode)
-        monkeypatch.setitem(probe._DISTANCES, "stml", recorded_stamps)
+        monkeypatch.setattr(probe, "_pixel_distances", recorded_pixels)
         ds = self.small_ds()
         run_cv_eval(ds, kind, make_cv_plan(ds, seed=0), size=(48, 48), igtd_max_iters=3)
         if kind in ("retire", "igtd"):
             assert len(stacks) == 10 and all(isinstance(out, np.ndarray) for out in stacks)
-            assert len({out.__array_interface__["data"][0] for out in stacks}) == 1
+            addresses = {a.__array_interface__["data"][0] for a in stacks + measured}
+            assert len(addresses) == 1 and len(measured) == 10
         else:  # no stack drawn, none allocated
-            assert stacks == []
-            assert held_by_stamps == ([[]] if kind == "stml" else [])
+            assert stacks == measured == []
 
-    def test_stack_is_replaced_only_for_more_rows_and_stays_as_drawn(self):
+    def test_stack_is_replaced_only_for_more_rows_and_stays_as_drawn(self, monkeypatch):
+        # rows 0 and 1 are equal, and repeats 1 and 2 swap their folds, so
+        # each of their splits trains on the same matrix as its twin: the
+        # twins form one group of 14 rows, after the two 12-row groups of
+        # repeat 0 and before the two of repeat 3
         ds = generate_synthetic(12, 5, seed=4)
-        model = encoders.fit("retire", ds, size=(40, 40))
-        held, stacks = [], []
-        for rows, split in [(8, 3), (5, 2), (12, None)]:
-            X = ds.X[:rows]
-            got = probe._pixel_distances(model, X, split, held)
-            assert np.array_equal(got, probe._pixel_distances(model, X, split, []))
-            # the pixels are divided by their gcd, 255, in block copies only
-            assert np.array_equal(held[0][:rows], encoders.encode_batch(model, X))
-            stacks.append(held[0])
-        assert stacks[0] is stacks[1] and stacks[2].shape == (12, 40, 40)
+        X, y = ds.X.copy(), ds.y.copy()
+        X[1], y[1] = X[0], y[0]
+        ds = Dataset(ds.name, X, y, ds.feature_names, ds.class_names)
+        swapped = np.array([0, 1, 0, 0, 0, 0, 1, 1, 1, 1, 0, 1])
+        plan = CVPlan(4, 2, 0, [np.arange(12) % 2, swapped, swapped[[1, 0, *range(2, 12)]],
+                                np.arange(12) // 6])
+        stacks = []
+        encode_batch, pixel_distances = encoders.encode_batch, probe._pixel_distances
+
+        def recorded_encode(model, X, *, out=None):
+            stacks.append(out)
+            return encode_batch(model, X, out=out)
+
+        def unchanged_pixels(pixels, split):
+            drawn = pixels.copy()
+            distances = pixel_distances(pixels, split)
+            assert np.array_equal(pixels, drawn)
+            return distances
+
+        monkeypatch.setattr(encoders, "encode_batch", recorded_encode)
+        monkeypatch.setattr(probe, "_pixel_distances", unchanged_pixels)
+        report = run_cv_eval(ds, "retire", plan, size=(40, 40))
+        assert [len(out) for out in stacks] == [12, 12, 14, 14, 12, 12]
+        assert [out.base for out in stacks[1:2]] == [stacks[0].base]
+        assert all(out.base is stacks[2].base for out in stacks[3:])
+        assert stacks[0].base.shape == (12, 40, 40) and stacks[2].base.shape == (14, 40, 40)
+        monkeypatch.undo()
+        assert report.fold_predictions == reference_fold_predictions(ds, "retire", plan,
+                                                                     size=(40, 40))
 
     @pytest.mark.parametrize("fold", [0, 1])
     @pytest.mark.parametrize("kind", EVAL_KINDS)
@@ -759,17 +790,17 @@ class TestPinnedPixelDistances:
         _, _, train_idx, test_idx = next(make_cv_plan(ds, seed=seed).iter_splits())
         model = encoders.fit(kind, ds.subset(train_idx), size=(224, 224))
         X = ds.X[np.concatenate([test_idx, train_idx])]
-        distances = probe._pixel_distances(model, X, len(test_idx), [])
+        distances = drawn_distances(model, X, len(test_idx))
         assert distance_digest(distances) == PINNED_PIXEL_DISTANCE_DIGESTS[kind, seed]
 
     def test_every_row_against_every_row_unchanged(self):
         ds = generate_synthetic(40, 60, seed=0)
         model = encoders.fit("retire", ds, size=(96, 96))
-        assert distance_digest(probe._pixel_distances(model, ds.X, None, [])) == (
+        assert distance_digest(drawn_distances(model, ds.X, None)) == (
             "a04cc91cd9b74faa86e2b77d94e130340d70c803ad8919a98ef5cfd2b40c0a73")
 
     @pytest.mark.parametrize("split, want", [
         (None, "1123666c6a75f9022a173833a7354c2edcdce629bff45e1d67f17e2cc988a51d"),
         (7, "9d7d7e348b34802349a9152fef3018ff3277eaf972693140c3cf08c991bad8d9")])
     def test_full_gcd_restart_unchanged(self, split, want):
-        assert distance_digest(pixel_distances(extremes_overstate_the_gcd(), split)) == want
+        assert distance_digest(probe._pixel_distances(extremes_overstate_the_gcd(), split)) == want
