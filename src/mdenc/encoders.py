@@ -331,6 +331,25 @@ def _swap_descent(rank_feat, rank_pix, max_iters):
     return assignment, trace, False
 
 
+def igtd_iters(n_features: int, max_iters) -> int:
+    """``max_iters`` as an int, after the input checks of an ``igtd`` fit,
+    which an ``igtd`` eval makes too: FitError under 2 features, then
+    ParameterError unless ``max_iters`` is an integer of at least 1."""
+    if n_features < 2:
+        raise FitError("need at least 2 features")
+    max_iters = non_negative_int(max_iters, "max_iters")
+    if max_iters < 1:
+        raise ParameterError("max_iters must be >= 1")
+    return max_iters
+
+
+def igtd_values(scaler: scaling.ScalerParams, X: np.ndarray) -> np.ndarray:
+    """The (rows, features) uint8 values that ``encode_igtd`` writes to the
+    features' cells: round(255 * scaled value), in [0, 255] as ``transform``
+    clamps to [0, 1]."""
+    return np.rint(255.0 * scaling.transform(scaler, X)).astype(np.uint8)
+
+
 def fit_igtd(ds_train: Dataset, max_iters: int = DEFAULT_IGTD_MAX_ITERS,
              l: float = scaling.DEFAULT_L, u: float = scaling.DEFAULT_U) -> EncoderModel:
     """Search a feature-to-pixel assignment by Zhu et al.'s IGTD swap
@@ -350,11 +369,7 @@ def fit_igtd(ds_train: Dataset, max_iters: int = DEFAULT_IGTD_MAX_ITERS,
     ran in (``_search_dtype``) are logged at INFO.
     """
     n = ds_train.n_features
-    if n < 2:
-        raise FitError("need at least 2 features")
-    max_iters = non_negative_int(max_iters, "max_iters")
-    if max_iters < 1:
-        raise ParameterError("max_iters must be >= 1")
+    max_iters = igtd_iters(n, max_iters)
     scaler = scaling.fit(ds_train.X, l, u)
     scaled = scaling.transform(scaler, ds_train.X)
     cols = math.ceil(math.sqrt(n))
@@ -371,7 +386,7 @@ def fit_igtd(ds_train: Dataset, max_iters: int = DEFAULT_IGTD_MAX_ITERS,
 
 
 def encode_igtd(model: EncoderModel, X: np.ndarray, out: np.ndarray) -> None:
-    """One grayscale pixel per feature: round(255 * scaled value) in its
+    """One grayscale pixel per feature: its ``igtd_values`` value in its
     assigned cell of ``out``; unassigned cells are 0. The image is the grid
     itself, one pixel per cell, and is the only non-binarized encoder
     output."""
@@ -379,7 +394,7 @@ def encode_igtd(model: EncoderModel, X: np.ndarray, out: np.ndarray) -> None:
     # a view, since encode_batch takes only C-contiguous stacks
     cells = out.reshape(X.shape[0], mapping.rows * mapping.cols)
     cells[:] = 0
-    cells[:, mapping.assignment] = np.rint(255.0 * scaling.transform(model.scaler, X))
+    cells[:, mapping.assignment] = igtd_values(model.scaler, X)
 
 
 # ---------------------------------------------------------------------------

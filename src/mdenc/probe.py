@@ -5,13 +5,15 @@ The 1-NN pixel probe lives in ``run_cv_eval``, a deterministic stand-in for
 a CNN: it only has to show whether class information survives an encoding.
 Its distances are exact, so it predicts what a float64 probe over every
 pixel would. The eval draws and the probe measures: ``stml`` from glyph
-stamps (``_stamp_distances``) with no row drawn, the other kinds from the
-rows that the eval draws into its one image stack (``_pixel_distances``,
-the stamps' test oracle: ``_sq_distances`` added up over blocks of kept
+stamps (``_stamp_distances``) with no row drawn, ``retire`` from the rows
+that the eval draws into its one image stack (``_pixel_distances``, the
+stamps' test oracle: ``_sq_distances`` added up over blocks of kept
 pixels, divided by their gcd ``g``, so in units of ``g**2``).
 A pixel distance ignores where each pixel sits, so the probe cannot rank
-``igtd`` assignments. A tabular 1-NN twin on scaled feature vectors serves
-as the baseline.
+``igtd`` assignments: ``igtd`` takes ``_pixel_distances`` of the values its
+images hold, one per feature, with no assignment searched and no image
+drawn. A tabular 1-NN twin on scaled feature vectors serves as the
+baseline.
 """
 
 from __future__ import annotations
@@ -276,11 +278,19 @@ def run_cv_eval(ds: Dataset, encoder_kind: str, plan: CVPlan, *,
     one exact matrix of distances from the rows they test to the rows they
     train on, a pure function of (model, rows): ``_stamp_distances`` for
     ``stml``, which draws no row, and ``_pixel_distances`` of the drawn
-    rows for the other kinds. The eval draws and the probe measures: the
-    eval owns one uint8 image stack, allocated at the first group that
-    draws and replaced only for a group with more rows, and draws each
-    group's rows into its leading rows. ``stml`` and ``tabular`` allocate
-    none.
+    rows for ``retire``. The eval draws and the probe measures: the eval
+    owns one uint8 image stack, allocated at the first group that draws and
+    replaced only for a group with more rows, and draws each group's rows
+    into its leading rows. ``stml``, ``igtd`` and ``tabular`` allocate none.
+
+    An ``igtd`` split fits only its guard-bound scaler, which keys its
+    group, and the probe measures the (rows, features) ``igtd_values``
+    matrix. An ``igtd`` image holds those values in permuted cells, plus
+    cells that are 0 in every row, which ``_pixel_distances`` drops, so the
+    distances and predictions are those of the fitted images, whatever
+    assignment a search would find. ``igtd_max_iters`` is checked as a fit
+    checks it (``encoders.igtd_iters``, before each scaler is fitted) and
+    has no other effect.
 
     ``seed`` has no effect (``plan`` carries the CV seed, and no encoder
     draws random numbers), and encoding is serial: both stay only for
@@ -301,11 +311,14 @@ def run_cv_eval(ds: Dataset, encoder_kind: str, plan: CVPlan, *,
                        for t, test_idx in ((ds.subset(tr), te) for tr, te in splits)]
     else:
         predictions = [None] * len(splits)
-        groups = {}  # pickled model -> (model, the splits that fitted it), in fit order
+        groups = {}  # pickled model (igtd: scaler) -> (it, its splits), in fit order
         stack = None  # the pixel path's image stack, once a group draws one
         for i, (train_idx, _) in enumerate(splits):
-            model = encoders.fit(encoder_kind, ds.subset(train_idx), l=l, u=u, size=size,
-                                 igtd_max_iters=igtd_max_iters)
+            if encoder_kind == "igtd":  # the probe reads its values, not their cells
+                encoders.igtd_iters(ds.n_features, igtd_max_iters)
+                model = scaling.fit(ds.X[train_idx], l, u)
+            else:
+                model = encoders.fit(encoder_kind, ds.subset(train_idx), l=l, u=u, size=size)
             groups.setdefault(pickle.dumps(model), (model, []))[1].append(i)
         for model, members in groups.values():
             q = np.unique(np.concatenate([splits[i][1] for i in members]))
@@ -315,6 +328,8 @@ def run_cv_eval(ds: Dataset, encoder_kind: str, plan: CVPlan, *,
             split = None if rows is q else len(q)
             if encoder_kind == "stml":
                 distances = _stamp_distances(model, ds.X[rows], split)
+            elif encoder_kind == "igtd":
+                distances = _pixel_distances(encoders.igtd_values(model, ds.X[rows]), split)
             else:
                 if stack is None or len(stack) < len(rows):
                     width, height = model.canvas_size

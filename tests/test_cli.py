@@ -434,6 +434,25 @@ class TestEval:
         assert "unrecognized arguments: --jobs" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("iters", ["0", "-1"])
+    def test_igtd_iters_below_one_exits_2(self, tmp_path, csv_file, capsys, iters):
+        # the igtd eval searches no assignment, but checks --igtd-iters as fit does
+        out = tmp_path / "report.json"
+        code = main(["eval", "--dataset", str(csv_file), "--encoder", "igtd",
+                     f"--igtd-iters={iters}", "--out", str(out)])
+        assert code == 2
+        assert "max_iters must be" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_igtd_one_feature_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "one.csv"
+        path.write_text("a,label\n" + "".join(f"{i * 0.5},{i % 2}\n" for i in range(12)))
+        out = tmp_path / "report.json"
+        code = main(["eval", "--dataset", str(path), "--encoder", "igtd", "--out", str(out)])
+        assert code == 2
+        assert "need at least 2 features" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_config_echo_has_no_jobs(self, tmp_path, csv_file):
         out = tmp_path / "report.json"
         assert main(["eval", "--dataset", str(csv_file), "--encoder", "tabular",

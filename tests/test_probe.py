@@ -582,14 +582,61 @@ class TestRunCvEval:
         assert (run_cv_eval(ds, "igtd", plan, igtd_max_iters=1).fold_predictions
                 == run_cv_eval(ds, "igtd", plan).fold_predictions)
 
+    def test_igtd_eval_runs_no_search(self, monkeypatch):
+        # the probe cannot see an assignment, so the eval searches none
+        def no_search(*args, **kwargs):
+            raise AssertionError("the igtd eval ran a search")
+
+        ds = generate_synthetic(40, 7, seed=5)
+        plan = make_cv_plan(ds, seed=5)
+        monkeypatch.setattr(encoders, "fit_igtd", no_search)
+        monkeypatch.setattr(encoders, "_swap_descent", no_search)
+        report = run_cv_eval(ds, "igtd", plan)
+        monkeypatch.undo()
+        assert report.fold_predictions == reference_fold_predictions(ds, "igtd", plan)
+
+    @pytest.mark.parametrize("iters", [0, -1, True, 2.5])
+    def test_igtd_eval_checks_max_iters_as_a_fit_does(self, iters):
+        ds = self.small_ds()
+        with pytest.raises(ParameterError, match="max_iters"):
+            encoders.fit("igtd", ds, igtd_max_iters=iters)
+        with pytest.raises(ParameterError, match="max_iters"):
+            run_cv_eval(ds, "igtd", make_cv_plan(ds, seed=0), igtd_max_iters=iters)
+
+    def test_igtd_eval_needs_two_features_as_a_fit_does(self):
+        ds = generate_synthetic(24, 1, seed=2)
+        with pytest.raises(FitError, match="at least 2 features"):
+            encoders.fit("igtd", ds)
+        # the feature count is checked before max_iters, as in the fit
+        for iters in (encoders.DEFAULT_IGTD_MAX_ITERS, 0):
+            with pytest.raises(FitError, match="at least 2 features"):
+                run_cv_eval(ds, "igtd", make_cv_plan(ds, seed=0), igtd_max_iters=iters)
+
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(4, 30), n_features=st.integers(2, 40), levels=st.integers(0, 4),
+           data_seed=st.integers(0, 2**16))
+    @example(n=8, n_features=150, levels=0, data_seed=0)  # past the float32 bound
+    def test_igtd_values_give_the_drawn_distances(self, n, n_features, levels, data_seed):
+        # an igtd image holds its row's igtd_values in permuted cells, plus
+        # cells that are 0 in every row: the same distances, byte for byte
+        ds = generate_synthetic(n, n_features, seed=data_seed)
+        X = ds.X if not levels else np.random.default_rng(data_seed).integers(
+            0, levels, size=ds.X.shape).astype(float)  # tie-heavy
+        model = encoders.fit("igtd", ds, igtd_max_iters=5)
+        split = n // 2
+        drawn = drawn_distances(model, X, split)
+        values = probe._pixel_distances(encoders.igtd_values(model.scaler, X), split)
+        assert drawn.dtype == values.dtype and drawn.tobytes() == values.tobytes()
+
     @pytest.mark.parametrize("kind, matrices", [("stml", 1), ("retire", 10), ("igtd", 10)])
     def test_one_encode_and_distance_matrix_per_fitted_model(self, kind, matrices,
                                                             monkeypatch):
         # every stml split fits an equal model, so the ten splits share one
         # stamp Gram of all rows among themselves and draw no row; retire
-        # and igtd models differ, so each split encodes its tested and
-        # training rows once and sums one pixel matrix of the first against
-        # the second
+        # models differ, so each split encodes its tested and training rows
+        # once and sums one pixel matrix of the first against the second;
+        # igtd scalers differ too, and each split sums one matrix of its
+        # rows' values, one per feature, with no row encoded
         encoded, pixel, stamped = [], [], []
         encode_batch, pixel_distances = encoders.encode_batch, probe._pixel_distances
         stamp_distances = probe._stamp_distances
@@ -599,7 +646,7 @@ class TestRunCvEval:
             return encode_batch(model, X, out=out)
 
         def counted_pixels(pixels, split):
-            pixel.append((len(pixels), split))
+            pixel.append((pixels.shape, split))
             return pixel_distances(pixels, split)
 
         def counted_stamps(model, X, split):
@@ -616,17 +663,19 @@ class TestRunCvEval:
             assert (encoded, pixel) == ([], [])
             assert stamped == [(ds.n_instances, None)] * matrices
         else:
-            assert encoded == [ds.n_instances] * matrices and stamped == []
-            assert pixel == [(ds.n_instances, len(test_idx))
+            assert encoded == ([ds.n_instances] * matrices if kind == "retire" else [])
+            assert stamped == []
+            width = 48 * 48 if kind == "retire" else ds.n_features
+            assert pixel == [((ds.n_instances, width), len(test_idx))
                              for *_, test_idx in plan.iter_splits()]
 
     @pytest.mark.parametrize("kind", EVAL_KINDS)
     def test_one_stack_per_eval(self, kind, monkeypatch):
-        # the eval draws every group into the one stack it holds, and the
-        # probe measures that stack. A tracemalloc peak cannot show this: a
-        # stack per group, each freed before the next is allocated, peaks at
-        # the same size. Each stack is kept here, so a new one could not
-        # reuse a freed address
+        # the eval draws every retire group into the one stack it holds, and
+        # the probe measures that stack. A tracemalloc peak cannot show this:
+        # a stack per group, each freed before the next is allocated, peaks
+        # at the same size. Each stack is kept here, so a new one could not
+        # reuse a freed address. igtd measures its values with no stack
         stacks, measured = [], []
         encode_batch, pixel_distances = encoders.encode_batch, probe._pixel_distances
 
@@ -642,18 +691,22 @@ class TestRunCvEval:
         monkeypatch.setattr(probe, "_pixel_distances", recorded_pixels)
         ds = self.small_ds()
         run_cv_eval(ds, kind, make_cv_plan(ds, seed=0), size=(48, 48), igtd_max_iters=3)
-        if kind in ("retire", "igtd"):
+        if kind == "retire":
             assert len(stacks) == 10 and all(isinstance(out, np.ndarray) for out in stacks)
             addresses = {a.__array_interface__["data"][0] for a in stacks + measured}
             assert len(addresses) == 1 and len(measured) == 10
+        elif kind == "igtd":  # no stack drawn, none allocated: one value per feature
+            assert stacks == []
+            assert [pixels.shape for pixels in measured] == [(ds.n_instances, ds.n_features)] * 10
         else:  # no stack drawn, none allocated
             assert stacks == measured == []
 
-    def test_stack_is_replaced_only_for_more_rows_and_stays_as_drawn(self, monkeypatch):
-        # rows 0 and 1 are equal, and repeats 1 and 2 swap their folds, so
-        # each of their splits trains on the same matrix as its twin: the
-        # twins form one group of 14 rows, after the two 12-row groups of
-        # repeat 0 and before the two of repeat 3
+    @staticmethod
+    def twin_splits():
+        """Rows 0 and 1 are equal, and repeats 1 and 2 swap their folds, so
+        each of their splits trains on the same matrix as its twin: the
+        twins form one group of 14 rows, after the two 12-row groups of
+        repeat 0 and before the two of repeat 3."""
         ds = generate_synthetic(12, 5, seed=4)
         X, y = ds.X.copy(), ds.y.copy()
         X[1], y[1] = X[0], y[0]
@@ -661,6 +714,10 @@ class TestRunCvEval:
         swapped = np.array([0, 1, 0, 0, 0, 0, 1, 1, 1, 1, 0, 1])
         plan = CVPlan(4, 2, 0, [np.arange(12) % 2, swapped, swapped[[1, 0, *range(2, 12)]],
                                 np.arange(12) // 6])
+        return ds, plan
+
+    def test_stack_is_replaced_only_for_more_rows_and_stays_as_drawn(self, monkeypatch):
+        ds, plan = self.twin_splits()
         stacks = []
         encode_batch, pixel_distances = encoders.encode_batch, probe._pixel_distances
 
@@ -684,6 +741,23 @@ class TestRunCvEval:
         monkeypatch.undo()
         assert report.fold_predictions == reference_fold_predictions(ds, "retire", plan,
                                                                      size=(40, 40))
+
+    def test_igtd_splits_with_one_scaler_share_one_matrix(self, monkeypatch):
+        # twin splits fit equal scalers, so each pair shares one matrix of
+        # its 14 rows' values
+        ds, plan = self.twin_splits()
+        measured = []
+        pixel_distances = probe._pixel_distances
+
+        def recorded_pixels(pixels, split):
+            measured.append(pixels.shape)
+            return pixel_distances(pixels, split)
+
+        monkeypatch.setattr(probe, "_pixel_distances", recorded_pixels)
+        report = run_cv_eval(ds, "igtd", plan)
+        assert measured == [(rows, 5) for rows in (12, 12, 14, 14, 12, 12)]
+        monkeypatch.undo()
+        assert report.fold_predictions == reference_fold_predictions(ds, "igtd", plan)
 
     @pytest.mark.parametrize("fold", [0, 1])
     @pytest.mark.parametrize("kind", EVAL_KINDS)
