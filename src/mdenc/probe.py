@@ -57,15 +57,16 @@ def _sq_distances(queries: np.ndarray, refs: np.ndarray | None = None) -> np.nda
     return distances
 
 
-def _nearest_label(distances: np.ndarray, labels) -> np.ndarray:
-    """Label of the reference (column) at minimal distance from each query
-    (row); ties break toward the lowest reference index."""
-    if distances.shape[1] == 0:
+def _nearest_label(distances: np.ndarray, labels, axis: int = 1) -> np.ndarray:
+    """Label of the reference at minimal distance from each query, the
+    references along ``axis`` (columns by default, the queries being rows);
+    ties break toward the lowest reference index."""
+    if distances.shape[axis] == 0:
         raise MetricError("empty training set")
     labels = np.asarray(labels)
-    if labels.shape != (distances.shape[1],):
+    if labels.shape != (distances.shape[axis],):
         raise ShapeError("one label per training row required")
-    return labels[np.argmin(distances, axis=1)]
+    return labels[np.argmin(distances, axis=axis)]
 
 
 def _column_blocks(pixels: np.ndarray, columns: np.ndarray) -> Iterator[np.ndarray]:
@@ -137,9 +138,11 @@ def _stamp_distances(model: encoders.EncoderModel, X: np.ndarray,
     ``G = Σ_f Φ_f S Φ_fᵀ``; the distances are ``|q|² + |r|² − 2G`` in units
     of 255², the pixel path's after its gcd, with the squared norms summed
     from the diagonal of ``S``. Per block of a shape's features, at most
-    2,048 stamp columns wide, Φ is one (rows, features, stamps) array,
-    ``Ψ = −2 Φ S`` one matmul over all its features, and the block adds
-    ``Ψ Φᵀ`` (both flattened to rows × (features · stamps)) to ``−2G``.
+    2,048 stamp columns wide, Φ is one (rows · features, stamps) matrix,
+    ``Ψ = −2 Φ S`` is formed by flat GEMMs of 1,024 of its rows each (a
+    stacked (rows, features, stamps) matmul makes one BLAS call per row),
+    and the block adds ``Ψ Φᵀ``, both viewed as rows × (features · stamps),
+    to ``−2G`` in one GEMM.
     Every term and partial sum is −2 times a count of pixels that one row's
     stamps cover, at most the canvas's ``W * H`` since the stamps lie in
     the cells that tile it. So, by the ``_pixel_distances`` rule with values
@@ -180,14 +183,21 @@ def _stamp_distances(model: encoders.EncoderModel, X: np.ndarray,
         # counts of at most h * w <= 2**24 pixels: exact in float32
         overlap = (ink @ ink.T).astype(dtype)
         norms += np.diagonal(overlap)[index].sum(axis=(1, 2))
+        overlap *= -2
         # a shape has fewer than 2,048 stamps, so a block is at most that wide
         per_block = max(1, 2048 // len(stamps))
         for start in range(0, len(features), per_block):
             part = index[:, start:start + per_block]
             phi = np.zeros((n, part.shape[1], len(stamps)), dtype=dtype)
             phi[np.arange(n)[:, None, None], np.arange(part.shape[1])[:, None], part] = 1.0
+            # Ψ = Φ · −2S as flat GEMMs of 1,024 (row, feature) pairs each: one
+            # call for all rows would grow OpenBLAS's pack buffer (peak RSS)
+            phi = phi.reshape(-1, len(stamps))
+            psi = np.empty_like(phi)
+            for lo in range(0, len(phi), 1024):
+                np.matmul(phi[lo:lo + 1024], overlap, out=psi[lo:lo + 1024])
             # Ψ is freed once Ψ Φᵀ is formed: one block's Φ and Ψ at a time
-            product = (phi @ (-2 * overlap)).reshape(n, -1)[:split] @ phi.reshape(n, -1)[split:].T
+            product = psi.reshape(n, -1)[:split] @ phi.reshape(n, -1)[split:].T
             gram = product if gram is None else np.add(gram, product, out=gram)
     # |q|² + |r|² − 2G, the norms added to −2G in place: every intermediate
     # is an integer of at most 2 * W * H, so the order of the adds does not
@@ -198,12 +208,29 @@ def _stamp_distances(model: encoders.EncoderModel, X: np.ndarray,
 
 
 def knn1_tabular(X_train, y_train, X_test, scaler: scaling.ScalerParams) -> np.ndarray:
-    """1-NN with Euclidean distance on scaled feature vectors."""
+    """1-NN with Euclidean distance on scaled feature vectors.
+
+    The distances are the float64 ``q2 + r2 − 2·product`` of
+    ``_sq_distances``, with ``product = queries @ refs.T`` one BLAS call,
+    but formed and reduced 64 queries at a time in one reused buffer: no
+    full distance matrix is held, and each element has the same bytes."""
     refs = scaling.transform(scaler, X_train)
-    queries = scaling.transform(scaler, X_test)
+    queries = np.atleast_2d(scaling.transform(scaler, X_test))
     if refs.ndim != 2:
         raise ShapeError("training rows must form a 2-d matrix")
-    return _nearest_label(_sq_distances(np.atleast_2d(queries), refs), y_train)
+    q2 = np.einsum("ij,ij->i", queries, queries)
+    r2 = np.einsum("ij,ij->i", refs, refs)
+    product = queries @ refs.T
+    product *= 2.0
+    buffer = np.empty((min(64, len(queries)), len(refs)))
+    labels = []
+    # one pass even without queries, so the label checks still run
+    for start in range(0, max(len(queries), 1), 64):
+        rows = slice(start, start + 64)
+        distances = np.add(q2[rows, None], r2, out=buffer[:len(q2[rows])])
+        distances -= product[rows]
+        labels.append(_nearest_label(distances, y_train))
+    return np.concatenate(labels)
 
 
 @dataclass(frozen=True)
@@ -278,10 +305,14 @@ def run_cv_eval(ds: Dataset, encoder_kind: str, plan: CVPlan, *,
     one exact matrix of distances from the rows they test to the rows they
     train on, a pure function of (model, rows): ``_stamp_distances`` for
     ``stml``, which draws no row, and ``_pixel_distances`` of the drawn
-    rows for ``retire``. The eval draws and the probe measures: the eval
-    owns one uint8 image stack, allocated at the first group that draws and
-    replaced only for a group with more rows, and draws each group's rows
-    into its leading rows. ``stml``, ``igtd`` and ``tabular`` allocate none.
+    rows for ``retire``. Such a matrix of the whole set against itself
+    (every ``stml`` group) is exactly symmetric, so a split that swaps the
+    folds of the split before it takes its labels from that split's block
+    along its rows, and a 2-fold repeat takes one block. The eval draws and
+    the probe measures: the eval owns one uint8 image stack, allocated at
+    the first group that draws and replaced only for a group with more rows,
+    and draws each group's rows into its leading rows. ``stml``, ``igtd``
+    and ``tabular`` allocate none.
 
     An ``igtd`` split fits only its guard-bound scaler, which keys its
     group, and the probe measures the (rows, features) ``igtd_values``
@@ -337,11 +368,22 @@ def run_cv_eval(ds: Dataset, encoder_kind: str, plan: CVPlan, *,
                     stack = np.empty((len(rows), height, width), dtype=np.uint8)
                 encoders.encode_batch(model, ds.X[rows], out=stack[:len(rows)])
                 distances = _pixel_distances(stack[:len(rows)].reshape(len(rows), -1), split)
+            last = None  # on a symmetric matrix: the last split's rows and block
             for i in members:
                 train_idx, test_idx = splits[i]
+                if last is not None and np.array_equal(train_idx, last[1]) \
+                        and np.array_equal(test_idx, last[0]):
+                    # the last split with its folds swapped: its block is the
+                    # transpose of the last one's
+                    predictions[i] = _nearest_label(last[2], ds.y[train_idx], axis=0)
+                    last = None
+                    continue
                 block = distances.take(np.searchsorted(q, test_idx), axis=0).take(
                     np.searchsorted(r, train_idx), axis=1)
                 predictions[i] = _nearest_label(block, ds.y[train_idx])
+                last = (train_idx, test_idx, block) if split is None else None
+                # freed with ``last``, before the next block is taken
+                del block
     bacs = [balanced_accuracy(ds.y[test_idx], y_pred)
             for (_, test_idx), y_pred in zip(splits, predictions)]
     return EvalReport(ds.name, encoder_kind, tuple(bacs), float(np.mean(bacs)), predictions)

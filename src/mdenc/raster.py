@@ -124,7 +124,11 @@ def draw_polyline(pixels: np.ndarray, pts, closed: bool = False) -> np.ndarray:
     form with exact float64 minor steps, clipped once on both axes to the
     steps that land on the image. A single point plots one pixel.
     """
-    pts = _points(pts, 1, pixels)
+    return _stroke(pixels, _points(pts, 1, pixels), closed)
+
+
+def _stroke(pixels: np.ndarray, pts: np.ndarray, closed: bool) -> np.ndarray:
+    """``draw_polyline`` of points already checked by ``_points``."""
     height, width = pixels.shape[-2:]
     # (x, y) rows of the points' pixels; segment i runs to point i + 1, and an
     # open polyline ends on a zero-length segment at its last point (no pixel)
@@ -219,10 +223,16 @@ def fill_polygon(pixels: np.ndarray, pts) -> np.ndarray:
     boundary is never broken; returns ``pixels``, whose set pixels stay set."""
     pts = _points(pts, 3, pixels)
     x, y = pts[..., 0], pts[..., 1]
-    area = np.sum(x * np.roll(y, -1, axis=-1) - np.roll(x, -1, axis=-1) * y, axis=-1)
+    # twice the signed area: the sum of the terms x[i] y[i+1] - x[i+1] y[i]
+    terms = np.empty(x.shape)
+    np.multiply(x[..., :-1], y[..., 1:], out=terms[..., :-1])
+    terms[..., :-1] -= x[..., 1:] * y[..., :-1]
+    terms[..., -1] = x[..., -1] * y[..., 0] - x[..., 0] * y[..., -1]
+    flat = terms.sum(axis=-1) == 0.0
     # collapsed onto one point, a zero-area polygon crosses no scanline
-    pixels |= _interior(np.where((area != 0.0)[..., None, None], pts, 0.0), *pixels.shape[-2:])
-    return draw_polyline(pixels, pts, closed=True)
+    pixels |= _interior(np.where(flat[..., None, None], 0.0, pts) if flat.any() else pts,
+                        *pixels.shape[-2:])
+    return _stroke(pixels, pts, closed=True)
 
 
 def to_pgm(pixels: np.ndarray) -> bytes:

@@ -66,11 +66,14 @@ def stable_seed(name: str) -> int:
     return int.from_bytes(hashlib.sha256(name.encode()).digest()[:4], "big")
 
 
-def make_benchmark_dataset(name: str, separation: float = DEFAULT_SEPARATION) -> Dataset:
+def make_benchmark_dataset(name: str, separation: float = DEFAULT_SEPARATION,
+                           seed: int | None = None) -> Dataset:
     """Two unit-variance Gaussian clusters at the given centroid separation,
-    shaped like the named benchmark dataset."""
+    shaped like the named benchmark dataset. Given a ``seed``, the rows are
+    those that ``perfbench``'s ``make_dataset`` draws for it."""
     n_samples, n_features = BENCHMARK_SHAPES[name]
-    rng = np.random.default_rng(np.random.SeedSequence(stable_seed(name)))
+    entropy = stable_seed(name) if seed is None else [seed, stable_seed(name)]
+    rng = np.random.default_rng(np.random.SeedSequence(entropy))
     corner = rng.integers(0, 2, size=n_features).astype(np.float64)
     direction = 1.0 - 2.0 * corner
     centroids = np.stack(

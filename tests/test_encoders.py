@@ -442,8 +442,61 @@ EDGE_MATRIX = np.array([
 ])
 
 
+
+
+def nudged(value, steps):
+    """``value`` moved ``steps`` floats up (or down, if negative)."""
+    for _ in range(abs(steps)):
+        value = math.nextafter(value, math.copysign(math.inf, steps))
+    return value
+
+
+# where stml_codes' numpy formatter must hand a value to format_value, or
+# must round as it does: within a few ulps of a 4-significant-digit tie
+# d.ddd5·10^k (9.9995·10^k rounds up to the next power), of a power of ten
+# (where log10 may be off by one), of the magnitudes where #.4g turns
+# scientific (1e-4, 1e4) or passes 7 characters (0.01, and 0.1 when
+# negative); either sign, and signed zeros and subnormals
+hazard_floats = st.builds(
+    lambda base, steps, sign: sign * nudged(base, steps),
+    st.builds(lambda digits, k: (digits + 0.5) * 10.0 ** k, st.integers(1000, 9999),
+              st.integers(-10, 8))
+    | st.builds(lambda k: 10.0 ** k, st.integers(-9, 9))
+    | st.sampled_from([1e-4, 0.01, 0.1, 1e4, 0.0099995, 0.099995, 9999.5]),
+    st.integers(-4, 4), st.sampled_from([1.0, -1.0])) | st.sampled_from([0.0, -0.0]) | st.floats(
+    -sys.float_info.min, sys.float_info.min, allow_nan=False)
+
+
 class TestStmlCodes:
     """``stml_codes`` against ``format_value`` and a plain-Python code oracle."""
+
+    @settings(max_examples=500, derandomize=True, deadline=None)
+    @given(values=st.lists(hazard_floats, min_size=1, max_size=30))
+    def test_hazards_give_the_format_value_codes(self, values):
+        X = np.array(values).reshape(1, -1)
+        want = text_codes([encoders.format_value(v) for v in values])
+        assert np.array_equal(encoders.stml_codes(X), want.reshape(1, len(values), -1))
+
+    @pytest.mark.parametrize("shift", [-0.5, 0.5])
+    def test_exponents_are_checked_not_trusted(self, shift, monkeypatch):
+        # with log10 off by half a decade, half of the exponents are off by
+        # one; the mantissa range must catch each of them
+        X = np.geomspace(0.011, 9000.0, 600).reshape(-1, 6) * [1, -1, 1, -1, 1, 1]
+        want = encoders.stml_codes(X)
+        log10 = np.log10
+        monkeypatch.setattr(np, "log10", lambda a: log10(a) + shift)
+        assert np.array_equal(encoders.stml_codes(X), want)
+
+    @pytest.mark.parametrize("exponent", range(-3, 5))
+    def test_every_mantissa_and_tie_of_an_exponent(self, exponent):
+        # the mantissas 1000..9999 and their ties, at 10**exponent, one ulp
+        # either side and both signs: every fixed text, and each rounding
+        # hazard the numpy path decides itself
+        base = np.arange(1000, 10000, 0.5) * 10.0 ** (exponent - 3)
+        values = np.concatenate([base, np.nextafter(base, 0), np.nextafter(base, np.inf)])
+        X = np.concatenate([values, -values]).reshape(-1, 6)
+        want = text_codes([encoders.format_value(v) for v in X.ravel().tolist()])
+        assert np.array_equal(encoders.stml_codes(X), want.reshape(*X.shape, -1))
 
     @settings(max_examples=400, derandomize=True, deadline=None)
     @given(rows=st.integers(1, 4).flatmap(lambda n: st.lists(

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from fixtures import glyph_masks
+from fixtures import glyph_masks, make_benchmark_dataset
 from mdenc import encoders, probe, read_json, scaling, write_json
 from mdenc._doc import from_doc, to_doc
 from mdenc.data import CVPlan, Dataset, generate_synthetic, make_cv_plan
@@ -169,6 +169,16 @@ class TestKnnPixel:
     def test_empty_training_set(self):
         with pytest.raises(MetricError, match="empty training set"):
             probe._nearest_label(np.zeros((1, 0)), [])
+        # references along the rows
+        with pytest.raises(MetricError, match="empty training set"):
+            probe._nearest_label(np.zeros((0, 1)), [], axis=0)
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_one_label_per_reference(self, axis):
+        distances = np.zeros((2, 3)) if axis == 1 else np.zeros((3, 2))
+        with pytest.raises(ShapeError):
+            probe._nearest_label(distances, [0, 1], axis=axis)
+        assert probe._nearest_label(distances, [5, 6, 7], axis=axis).tolist() == [5, 5]
 
     @settings(max_examples=300, deadline=None)
     @given(alphabet=st.sampled_from(sorted(ALPHABETS)), n_ref=st.integers(1, 10),
@@ -486,6 +496,50 @@ class TestKnnTabular:
         pred = knn1_tabular(ds.X, ds.y, ds.X, scaler)
         assert balanced_accuracy(ds.y, pred) == 1.0
 
+    @staticmethod
+    def tie_heavy(n_rows=300, seed=11):
+        """Rows of 5 integer levels 0..4 over 6 features, each level present
+        in every column of the even (training) rows, and 3 labels."""
+        rng = np.random.default_rng(seed)
+        X = rng.integers(0, 5, size=(n_rows, 6)).astype(np.float64)
+        X[:2] = [[0.0] * 6, [4.0] * 6]
+        return X, rng.integers(0, 3, size=n_rows)
+
+    def test_tie_heavy_predictions_pinned(self):
+        # with bounds [0, 1] the scaled values are quarters, so every distance
+        # is exact in any summation order and many tie: each tie goes to the
+        # lowest training index. Digest recorded with the probe that held
+        # the whole distance matrix
+        X, y = self.tie_heavy()
+        train, test = np.arange(0, 300, 2), np.arange(1, 300, 2)
+        pred = knn1_tabular(X[train], y[train], X[test], scaling.fit(X[train], 0.0, 1.0))
+        assert hashlib.sha256(pred.astype(np.int64).tobytes()).hexdigest() == (
+            "d4490f4b40b95edf4bef0e1c78fa1101fbc5e1a1661eed7204d8fa57cb86cafb")
+        quarters = X / 4.0
+        distances = ((quarters[test, None] - quarters[None, train]) ** 2).sum(axis=2)
+        tied = (distances == distances.min(axis=1, keepdims=True)).sum(axis=1)
+        assert (tied > 1).sum() == 47  # of 150 queries
+        assert pred.tolist() == y[train][distances.argmin(axis=1)].tolist()
+
+    @pytest.mark.parametrize("n_test", [0, 1, 63, 64, 65, 129, 150])
+    def test_blocks_give_the_bytes_of_one_distance_matrix(self, n_test):
+        # at the default bounds the scaled values are inexact: the 64-query
+        # blocks must form the same float64 expressions as _sq_distances
+        X, y = self.tie_heavy(450, seed=n_test)
+        train, test = np.arange(0, 300, 2), 1 + 2 * np.arange(n_test)
+        scaler = scaling.fit(X[train])
+        want = probe._nearest_label(probe._sq_distances(
+            scaling.transform(scaler, X[test]), scaling.transform(scaler, X[train])), y[train])
+        got = knn1_tabular(X[train], y[train], X[test], scaler)
+        assert got.tolist() == want.tolist()
+
+    def test_label_checks_run_without_queries(self):
+        X = np.array([[0.0, 0.0], [10.0, 10.0]])
+        scaler = scaling.fit(X)
+        with pytest.raises(ShapeError):
+            knn1_tabular(X, [0], np.zeros((0, 2)), scaler)
+        assert knn1_tabular(X, [0, 1], np.zeros((0, 2)), scaler).shape == (0,)
+
 
 class TestRunCvEval:
     def small_ds(self):
@@ -759,6 +813,41 @@ class TestRunCvEval:
         monkeypatch.undo()
         assert report.fold_predictions == reference_fold_predictions(ds, "igtd", plan)
 
+    @pytest.mark.parametrize("folds", [2, 3])
+    def test_complementary_splits_read_one_block(self, folds, monkeypatch):
+        # tie-heavy texts on hand-built plans. With 2 folds a repeat's two
+        # splits swap their folds, the second in any repeat, so it reads the
+        # first one's block along its rows; with 3 no split's folds are
+        # another's swapped. Either way the labels are those of each split's
+        # own block taken from the matrix
+        rng = np.random.default_rng(5)
+        X = rng.integers(0, 3, size=(40, 3)).astype(np.float64)
+        ds = Dataset("ties", X, np.arange(40) // 2 % 2, ("a", "b", "c"), ("0", "1"))
+        fold = np.arange(40) % folds
+        plan = CVPlan(3, folds, 0, [fold, np.arange(40) * folds // 40, rng.permutation(fold)])
+        axes = []
+        nearest_label = probe._nearest_label
+
+        def recorded(distances, labels, axis=1):
+            axes.append(axis)
+            return nearest_label(distances, labels, axis)
+
+        monkeypatch.setattr(probe, "_nearest_label", recorded)
+        report = run_cv_eval(ds, "stml", plan, size=(64, 48))
+        monkeypatch.undo()
+        assert axes == ([1, 0] * 3 if folds == 2 else [1] * 9)
+        distances = probe._stamp_distances(encoders.fit_stml(ds, (64, 48)), ds.X, None)
+        want, tied = [], 0
+        for _, _, train_idx, test_idx in plan.iter_splits():
+            block = distances[np.ix_(test_idx, train_idx)]
+            nearest = block == block.min(axis=1, keepdims=True)
+            # rows whose tied neighbours do not all share one label
+            tied += sum(len(set(ds.y[train_idx][row].tolist())) > 1 for row in nearest)
+            # the lowest training index among the tied
+            want.append(tuple(ds.y[train_idx][nearest.argmax(axis=1)].tolist()))
+        assert tied > 20, tied  # of the 120 tested rows
+        assert report.fold_predictions == tuple(want)
+
     @pytest.mark.parametrize("fold", [0, 1])
     @pytest.mark.parametrize("kind", EVAL_KINDS)
     def test_empty_fold_raises(self, kind, fold):
@@ -855,6 +944,32 @@ PINNED_PIXEL_DISTANCE_DIGESTS = {
 
 def distance_digest(distances):
     return hashlib.sha256(distances.dtype.str.encode() + distances.tobytes()).hexdigest()
+
+
+# SHA-256 of dtype.str plus the bytes of _stamp_distances at 224x224 on the
+# benchmark's eval data (its Gaussian classes at seed 7), recorded with Ψ
+# formed by one stacked matmul per row: every row against every row, and the
+# first split's tested rows against its training rows
+PINNED_STAMP_DISTANCE_DIGESTS = {
+    ("banknote", "all"): "ddcf4b7714a7b904f786d3228f4feb24fdee47a444089cf7dda09403c172f435",
+    ("banknote", "split"): "8ed5f961a77d766eae5574acf4a8675a7f2d70565cc9c12cef6fd7866a676226",
+    ("sonar", "all"): "6d7087ba9d9ac27a93c36d4ee270132948233165681dacd46025a9268a7cb534",
+    ("sonar", "split"): "93d21c0bf5d6f94c163822ab1d801221383e40e1b641f317fc4c24178796821a",
+}
+
+
+class TestPinnedStampDistances:
+    @pytest.mark.parametrize("name, rows", sorted(PINNED_STAMP_DISTANCE_DIGESTS))
+    def test_eval_shapes_unchanged(self, name, rows):
+        ds = make_benchmark_dataset(name, seed=7)
+        model = encoders.fit_stml(ds, size=(224, 224))
+        if rows == "all":
+            distances = probe._stamp_distances(model, ds.X, None)
+        else:
+            _, _, train_idx, test_idx = next(make_cv_plan(ds, seed=7).iter_splits())
+            X = ds.X[np.concatenate([test_idx, train_idx])]
+            distances = probe._stamp_distances(model, X, len(test_idx))
+        assert distance_digest(distances) == PINNED_STAMP_DISTANCE_DIGESTS[name, rows]
 
 
 class TestPinnedPixelDistances:

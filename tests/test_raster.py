@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from fixtures import closed_form_stroke, count_table_fill, even_odd_oracle
+from mdenc import raster
 from mdenc.errors import CapacityError, ParameterError, ShapeError
 from mdenc.raster import (
     MAX_COORD,
@@ -593,6 +594,26 @@ class TestFillPolygon:
     def test_too_few_points(self):
         with pytest.raises(ParameterError):
             fill_polygon(blank(8, 8), [(0, 0), (1, 1)])
+
+    @pytest.mark.parametrize("flat", [False, True])
+    def test_points_checked_once_and_only_read(self, flat, monkeypatch):
+        # a square and a second shape, zero-area or not, in one stack from
+        # read-only points: one check of them, the square filled, a
+        # collapsed shape stroked
+        checked = []
+        points = raster._points
+        monkeypatch.setattr(raster, "_points", lambda *args: checked.append(args) or points(*args))
+        pts = np.array([self.SQUARE, [(3.5, 3.5)] * 4 if flat else self.SQUARE[::-1]])
+        pts.setflags(write=False)
+        got = fill_polygon(np.zeros((2, 8, 8), dtype=np.uint8), pts)
+        monkeypatch.undo()
+        assert len(checked) == 1
+        square = fill_polygon(blank(8, 8), self.SQUARE)
+        assert np.array_equal(got[0], square)
+        if flat:
+            assert set_pixels(got[1]) == {(3, 3)}
+        else:
+            assert np.array_equal(got[1], square)
 
     def test_fill_matches_oracle_on_convex_polygons(self):
         rng = np.random.default_rng(11)
