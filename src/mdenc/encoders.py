@@ -218,31 +218,17 @@ def fit_stml(ds_train: Dataset, size: tuple[int, int] = DEFAULT_CANVAS) -> Encod
 
 # The fixed texts of ``#.4g`` for four digits abcd and a decimal exponent of
 # -2..3, at [negative * 6 + exponent + 2]; a negative one at -2 would take 8
-# characters, so format_value writes it in scientific form.
+# characters, so format_value writes it in scientific form. Each as its
+# characters' ASCII codes, NUL-padded to 8 and 0 where a digit goes, and the
+# positions of its four digits.
 _FIXED_TEXTS = [sign + text for sign in ("", "-")
                 for text in ("0.0abcd", "0.abcd", "a.bcd", "ab.cd", "abc.d", "abcd.")]
-
-
-def _packing(text: str) -> tuple[int, int, int, int, int]:
-    """``text``, its digits written abcd, as little-endian uint64 bytes made
-    from ``D``, the ASCII codes of the digits packed the same way:
-    ``other | (D << head) & head_mask | (D << tail) & tail_mask``. ``other``
-    holds its characters that are not digits; the head shift and mask place
-    the digits before its point (all four when no point follows a), the
-    tail ones the digits after it."""
-    first = text.index("a")
-    point = text.find(".", first)
-    before = 4 if point < 0 else point - first  # digits before the point
-    other = sum(ord(c) << 8 * i for i, c in enumerate(text) if c not in "abcd")
-    return (other, 8 * first, (256**before - 1) << 8 * first,
-            8 * max(point + 1 - before, 0), (256**(4 - before) - 1) << 8 * (point + 1))
-
-
-_FIXED = np.array([_packing(text) for text in _FIXED_TEXTS], dtype=np.uint64)
+_TEMPLATE = np.array([[0 if c in "abcd" else ord(c) for c in text.ljust(8, "\0")]
+                      for text in _FIXED_TEXTS], dtype=np.uint8)
+_DIGIT_AT = np.array([[text.index(c) for c in "abcd"] for text in _FIXED_TEXTS])
 _FIXED_LENGTHS = np.array([len(text) for text in _FIXED_TEXTS])
-# D of each mantissa 0..9999: its four digits' ASCII codes as uint64 bytes
-_DIGITS = np.ascontiguousarray(np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1).T
-                               + ord("0")).view("<u4")[:, 0].astype(np.uint64)
+# the ASCII codes of the four digits of each mantissa 0..9999
+_DIGIT_CODES = (np.arange(10000)[:, None] // [1000, 100, 10, 1] % 10 + ord("0")).astype(np.uint8)
 
 
 def stml_codes(X: np.ndarray) -> np.ndarray:
@@ -253,9 +239,10 @@ def stml_codes(X: np.ndarray) -> np.ndarray:
     A value of magnitude 0.01 to 9999 is written from numpy arithmetic:
     e = floor(log10 |v|), the mantissa m = |v| · 10^(3 − e), one rounding
     of the exact product as the power of ten is exact, and its four digits
-    ``rint(m)``. The ties x.5 are floats, so m lies on the same side of each
-    as the exact product, or on it, and ``rint`` rounds as the correctly
-    rounded ``#.4g`` does unless m is a tie. A value goes to ``format_value``
+    ``rint(m)``, written into its sign and exponent's template. The ties
+    x.5 are floats, so m lies on the same side of each as the exact
+    product, or on it, and ``rint`` rounds as the correctly rounded
+    ``#.4g`` does unless m is a tie. A value goes to ``format_value``
     instead when m is a tie, when m is not in [1000, 9999.5) (log10 off by
     one near a power of ten, or a mantissa that rounds up to 10000), when
     its text is in scientific form (a negative value under 0.1), and when it
@@ -272,17 +259,15 @@ def stml_codes(X: np.ndarray) -> np.ndarray:
     digits = np.rint(mantissa)
     kept = (mantissa >= 1000) & (digits <= 9999) & (np.abs(mantissa - digits) < 0.5)
     index, template = index[kept], negative[index[kept]] * 6 + exponent[kept] + 2
-    other, head, head_mask, tail, tail_mask = _FIXED[template].T
-    packed = _DIGITS[digits[kept].astype(np.intp)]
-    fixed = other | ((packed << head) & head_mask) | ((packed << tail) & tail_mask)
     slow = np.ones(len(values), dtype=bool)
     slow[index] = False
     slow = np.flatnonzero(slow)
     texts = np.array([format_value(v) for v in values[slow].tolist()], dtype=bytes)
     width = max(texts.itemsize, _FIXED_LENGTHS[template].max(initial=0))
     codes = np.zeros((len(values), width), dtype=np.uint8)
-    # a fixed text fills at most 7 of its 8 bytes
-    codes[index, :8] = fixed.astype("<u8", copy=False).view(np.uint8).reshape(-1, 8)[:, :width]
+    # a template is NUL past its text, which fits in width
+    codes[index, :8] = _TEMPLATE[template, :width]
+    codes[index[:, None], _DIGIT_AT[template]] = _DIGIT_CODES[digits[kept].astype(np.intp)]
     codes[slow, :texts.itemsize] = texts.view(np.uint8).reshape(len(slow), texts.itemsize)
     return codes.reshape(*X.shape, width)
 

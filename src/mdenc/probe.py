@@ -42,31 +42,43 @@ def balanced_accuracy(y_true, y_pred) -> float:
     return float(np.mean(recalls))
 
 
-def _sq_distances(queries: np.ndarray, refs: np.ndarray | None = None) -> np.ndarray:
-    # |q - r|^2 expanded through one matmul (without ``refs``, among the
-    # rows of ``queries``: numpy's symmetric A @ A.T). For integer inputs
-    # every term and partial sum is an integer, exact in any summation order
-    # while at most 2**24 in float32 (2**53 in float64)
+def _sq_distance_blocks(queries: np.ndarray, refs: np.ndarray | None = None,
+                        rows: int | None = None) -> Iterator[np.ndarray]:
+    """|q - r|² of ``rows`` queries at a time (all of them by default), each
+    block written over the last one's buffer: ``q2 + r2 − 2·product``, the
+    product one matmul (without ``refs``, among the rows of ``queries``:
+    numpy's symmetric A @ A.T). At least one block, empty without queries.
+    For integer inputs every term and partial sum is an integer, exact in
+    any summation order while at most 2**24 in float32 (2**53 in float64)."""
     refs = queries if refs is None else refs
+    rows = rows or max(len(queries), 1)
     q2 = np.einsum("ij,ij->i", queries, queries)
     r2 = q2 if refs is queries else np.einsum("ij,ij->i", refs, refs)
-    distances = q2[:, None] + r2[None, :]
     product = queries @ refs.T
     product *= 2.0
-    distances -= product
-    return distances
+    buffer = np.empty((min(rows, len(queries)), len(refs)), dtype=product.dtype)
+    for start in range(0, max(len(queries), 1), rows):
+        block = slice(start, start + rows)
+        distances = np.add(q2[block, None], r2, out=buffer[:len(q2[block])])
+        distances -= product[block]
+        yield distances
 
 
-def _nearest_label(distances: np.ndarray, labels, axis: int = 1) -> np.ndarray:
-    """Label of the reference at minimal distance from each query, the
-    references along ``axis`` (columns by default, the queries being rows);
-    ties break toward the lowest reference index."""
-    if distances.shape[axis] == 0:
+def _sq_distances(queries: np.ndarray, refs: np.ndarray | None = None) -> np.ndarray:
+    """``_sq_distance_blocks`` of all the queries in one block."""
+    return next(_sq_distance_blocks(queries, refs))
+
+
+def _nearest_label(distances: np.ndarray, labels) -> np.ndarray:
+    """Label of the reference at minimal distance from each query (rows are
+    queries, columns references); ties break toward the lowest reference
+    index."""
+    if distances.shape[1] == 0:
         raise MetricError("empty training set")
     labels = np.asarray(labels)
-    if labels.shape != (distances.shape[axis],):
+    if labels.shape != (distances.shape[1],):
         raise ShapeError("one label per training row required")
-    return labels[np.argmin(distances, axis=axis)]
+    return labels[np.argmin(distances, axis=1)]
 
 
 def _column_blocks(pixels: np.ndarray, columns: np.ndarray) -> Iterator[np.ndarray]:
@@ -196,8 +208,8 @@ def _stamp_distances(model: encoders.EncoderModel, X: np.ndarray,
             psi = np.empty_like(phi)
             for lo in range(0, len(phi), 1024):
                 np.matmul(phi[lo:lo + 1024], overlap, out=psi[lo:lo + 1024])
-            # Ψ is freed once Ψ Φᵀ is formed: one block's Φ and Ψ at a time
             product = psi.reshape(n, -1)[:split] @ phi.reshape(n, -1)[split:].T
+            del phi, psi  # freed once Ψ Φᵀ is formed: one block's Φ and Ψ at a time
             gram = product if gram is None else np.add(gram, product, out=gram)
     # |q|² + |r|² − 2G, the norms added to −2G in place: every intermediate
     # is an integer of at most 2 * W * H, so the order of the adds does not
@@ -210,27 +222,16 @@ def _stamp_distances(model: encoders.EncoderModel, X: np.ndarray,
 def knn1_tabular(X_train, y_train, X_test, scaler: scaling.ScalerParams) -> np.ndarray:
     """1-NN with Euclidean distance on scaled feature vectors.
 
-    The distances are the float64 ``q2 + r2 − 2·product`` of
-    ``_sq_distances``, with ``product = queries @ refs.T`` one BLAS call,
-    but formed and reduced 64 queries at a time in one reused buffer: no
-    full distance matrix is held, and each element has the same bytes."""
+    The distances are the float64 ``_sq_distance_blocks``, one
+    ``queries @ refs.T`` BLAS call formed and reduced 64 queries at a time in
+    one reused buffer: no full distance matrix is held, and each element has
+    the bytes that ``_sq_distances`` gives it."""
     refs = scaling.transform(scaler, X_train)
     queries = np.atleast_2d(scaling.transform(scaler, X_test))
     if refs.ndim != 2:
         raise ShapeError("training rows must form a 2-d matrix")
-    q2 = np.einsum("ij,ij->i", queries, queries)
-    r2 = np.einsum("ij,ij->i", refs, refs)
-    product = queries @ refs.T
-    product *= 2.0
-    buffer = np.empty((min(64, len(queries)), len(refs)))
-    labels = []
-    # one pass even without queries, so the label checks still run
-    for start in range(0, max(len(queries), 1), 64):
-        rows = slice(start, start + 64)
-        distances = np.add(q2[rows, None], r2, out=buffer[:len(q2[rows])])
-        distances -= product[rows]
-        labels.append(_nearest_label(distances, y_train))
-    return np.concatenate(labels)
+    return np.concatenate([_nearest_label(distances, y_train)
+                           for distances in _sq_distance_blocks(queries, refs, 64)])
 
 
 @dataclass(frozen=True)
@@ -307,8 +308,8 @@ def run_cv_eval(ds: Dataset, encoder_kind: str, plan: CVPlan, *,
     ``stml``, which draws no row, and ``_pixel_distances`` of the drawn
     rows for ``retire``. Such a matrix of the whole set against itself
     (every ``stml`` group) is exactly symmetric, so a split that swaps the
-    folds of the split before it takes its labels from that split's block
-    along its rows, and a 2-fold repeat takes one block. The eval draws and
+    folds of the split before it takes its labels from the transpose of
+    that split's block, and a 2-fold repeat takes one block. The eval draws and
     the probe measures: the eval owns one uint8 image stack, allocated at
     the first group that draws and replaced only for a group with more rows,
     and draws each group's rows into its leading rows. ``stml``, ``igtd``
@@ -368,21 +369,21 @@ def run_cv_eval(ds: Dataset, encoder_kind: str, plan: CVPlan, *,
                     stack = np.empty((len(rows), height, width), dtype=np.uint8)
                 encoders.encode_batch(model, ds.X[rows], out=stack[:len(rows)])
                 distances = _pixel_distances(stack[:len(rows)].reshape(len(rows), -1), split)
-            last = None  # on a symmetric matrix: the last split's rows and block
+            last = None  # on a symmetric matrix: the last split's folds and block
             for i in members:
                 train_idx, test_idx = splits[i]
                 if last is not None and np.array_equal(train_idx, last[1]) \
                         and np.array_equal(test_idx, last[0]):
                     # the last split with its folds swapped: its block is the
                     # transpose of the last one's
-                    predictions[i] = _nearest_label(last[2], ds.y[train_idx], axis=0)
-                    last = None
+                    predictions[i] = _nearest_label(last[2].T, ds.y[train_idx])
                     continue
+                last = None  # the last block is freed before the next one is taken
                 block = distances.take(np.searchsorted(q, test_idx), axis=0).take(
                     np.searchsorted(r, train_idx), axis=1)
                 predictions[i] = _nearest_label(block, ds.y[train_idx])
-                last = (train_idx, test_idx, block) if split is None else None
-                # freed with ``last``, before the next block is taken
+                if split is None:
+                    last = (train_idx, test_idx, block)
                 del block
     bacs = [balanced_accuracy(ds.y[test_idx], y_pred)
             for (_, test_idx), y_pred in zip(splits, predictions)]
