@@ -377,6 +377,7 @@ def run_cv_eval(ds: Dataset, encoder_kind: str, plan: CVPlan, *,
                     # the last split with its folds swapped: its block is the
                     # transpose of the last one's
                     predictions[i] = _nearest_label(last[2].T, ds.y[train_idx])
+                    last = None
                     continue
                 last = None  # the last block is freed before the next one is taken
                 block = distances.take(np.searchsorted(q, test_idx), axis=0).take(
