@@ -265,9 +265,11 @@ def stml_codes(X: np.ndarray) -> np.ndarray:
     texts = np.array([format_value(v) for v in values[slow].tolist()], dtype=bytes)
     width = max(texts.itemsize, _FIXED_LENGTHS[template].max(initial=0))
     codes = np.zeros((len(values), width), dtype=np.uint8)
-    # a template is NUL past its text, which fits in width
-    codes[index, :8] = _TEMPLATE[template, :width]
-    codes[index[:, None], _DIGIT_AT[template]] = _DIGIT_CODES[digits[kept].astype(np.intp)]
+    # a template is NUL past its text, which fits in width; ``take`` looks the
+    # tables up several times faster than indexing them with an array
+    codes[index, :8] = _TEMPLATE[:, :width].take(template, axis=0)
+    codes[index[:, None], _DIGIT_AT.take(template, axis=0)] = _DIGIT_CODES.take(
+        digits[kept].astype(np.intp), axis=0)
     codes[slow, :texts.itemsize] = texts.view(np.uint8).reshape(len(slow), texts.itemsize)
     return codes.reshape(*X.shape, width)
 
