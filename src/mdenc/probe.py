@@ -7,13 +7,13 @@ Its distances are exact, so it predicts what a float64 probe over every
 pixel would. The eval draws and the probe measures: ``stml`` from glyph
 stamps (``_stamp_distances``) with no row drawn, ``retire`` from the rows
 that the eval draws into its one image stack (``_pixel_distances``, the
-stamps' test oracle: ``_sq_distances`` added up over blocks of kept
-pixels, divided by their gcd ``g``, so in units of ``g**2``).
+stamps' test oracle: ``_sq_distances`` added up over blocks of kept 0/255
+pixels, divided by 255, so in units of 255²).
 A pixel distance ignores where each pixel sits, so the probe cannot rank
-``igtd`` assignments: ``igtd`` takes ``_pixel_distances`` of the values its
-images hold, one per feature, with no assignment searched and no image
-drawn. A tabular 1-NN twin on scaled feature vectors serves as the
-baseline.
+``igtd`` assignments: ``igtd`` takes one float64 ``_sq_distances`` of the
+values its images hold, one per feature, with no assignment searched and
+no image drawn. A tabular 1-NN twin on scaled feature vectors serves as
+the baseline.
 """
 
 from __future__ import annotations
@@ -94,44 +94,29 @@ def _column_blocks(pixels: np.ndarray, columns: np.ndarray) -> Iterator[np.ndarr
 
 
 def _pixel_distances(pixels: np.ndarray, split: int | None) -> np.ndarray:
-    """Exact squared distances between the rows of ``pixels``, a drawn uint8
-    (rows, pixels) matrix: the first ``split`` rows against the rest, or
-    every row against every row when ``split`` is None. ``pixels`` is only
-    read; each block of it is copied before it is divided.
+    """Exact squared distances, in units of 255², between the rows of
+    ``pixels``, a drawn 0/255 uint8 (rows, pixels) matrix: the first
+    ``split`` rows against the rest, or every row against every row when
+    ``split`` is None. ``pixels`` is only read; each block of it is copied
+    before it is divided.
 
     Pixels that hold one value in every row add 0 to every distance and are
-    dropped; the rest are divided by their gcd ``g`` (every distance scales
-    by ``g**2``). Each kept column's extremes are kept values, so ``g``
-    divides the gcd ``g0`` of the extremes: ``g`` is ``g0`` when every kept
-    value is a multiple of it, and the gcd of all kept values otherwise;
-    each block is checked as it is summed, and the first block that fails
-    restarts the sums once with the full gcd.
-    The sums run in float32 if ``2 * top**2 * kept <= 2**24`` (``top`` the
-    largest value left, ``kept`` the number of pixels kept), else in
-    float64, so each block's ``_sq_distances`` and their running sum stay
-    exact integers: the kept columns are gathered, cast and summed one
-    block at a time, and no copy of all of them is held."""
-    lo = pixels.min(axis=0, initial=255)
-    hi = pixels.max(axis=0, initial=0)
-    varying = np.flatnonzero(lo != hi)
-    g = int(np.gcd.reduce(np.gcd(lo[varying], hi[varying]))) or 1
-    while True:
-        top = int(hi[varying].max(initial=0)) // g
-        dtype = np.float32 if 2 * top * top * len(varying) <= 2**24 else np.float64
-        distances = np.zeros((len(pixels[:split]), len(pixels[split:])), dtype=dtype)
-        for block in _column_blocks(pixels, varying):
-            # uint8 floor-divide and multiply run far faster than np.remainder
-            # or np.gcd, and their temporaries are freed before the cast
-            if g > 1 and (block // g * g != block).any():
-                break
-            block = np.floor_divide(block, g, out=block).astype(dtype)
-            distances += _sq_distances(block[:split], None if split is None else block[split:])
-        else:
-            break
-        # a kept value is not a multiple of g0: start over with the gcd of
-        # all of them, which every block passes
-        g = int(np.gcd.reduce([np.gcd.reduce(block, axis=None)
-                               for block in _column_blocks(pixels, varying)]))
+    dropped; the rest are divided by 255, and a block holding any other
+    value raises ValueError. The sums run in float32 if ``2 * kept <=
+    2**24`` (``kept`` the number of pixels kept), else in float64, so each
+    block's ``_sq_distances`` and their running sum stay exact integers: the
+    kept columns are gathered, cast and summed one block at a time, and no
+    copy of all of them is held."""
+    varying = np.flatnonzero(pixels.min(axis=0, initial=255) != pixels.max(axis=0, initial=0))
+    dtype = np.float32 if 2 * len(varying) <= 2**24 else np.float64
+    distances = np.zeros((len(pixels[:split]), len(pixels[split:])), dtype=dtype)
+    for block in _column_blocks(pixels, varying):
+        # uint8 floor-divide and multiply run far faster than np.remainder,
+        # and their temporaries are freed before the cast
+        if (block // 255 * 255 != block).any():
+            raise ValueError("drawn pixels must be 0 or 255")
+        block = np.floor_divide(block, 255, out=block).astype(dtype)
+        distances += _sq_distances(block[:split], None if split is None else block[split:])
     return distances
 
 
@@ -148,7 +133,7 @@ def _stamp_distances(model: encoders.EncoderModel, X: np.ndarray,
     their 0/1 pixels, ``S = P Pᵀ`` counts the pixels two stamps share, and
     with ``Φ_f`` the 0/1 row-by-stamp matrix of feature f the pixel Gram is
     ``G = Σ_f Φ_f S Φ_fᵀ``; the distances are ``|q|² + |r|² − 2G`` in units
-    of 255², the pixel path's after its gcd, with the squared norms summed
+    of 255², as the pixel path's, with the squared norms summed
     from the diagonal of ``S``. Per block of a shape's features, at most
     2,048 stamp columns wide, Φ is one (rows · features, stamps) matrix,
     ``Ψ = −2 Φ S`` is formed by flat GEMMs of 1,024 of its rows each (a
@@ -317,12 +302,14 @@ def run_cv_eval(ds: Dataset, encoder_kind: str, plan: CVPlan, *,
 
     An ``igtd`` split fits only its guard-bound scaler, which keys its
     group, and the probe measures the (rows, features) ``igtd_values``
-    matrix. An ``igtd`` image holds those values in permuted cells, plus
-    cells that are 0 in every row, which ``_pixel_distances`` drops, so the
-    distances and predictions are those of the fitted images, whatever
-    assignment a search would find. ``igtd_max_iters`` is checked as a fit
-    checks it (``encoders.igtd_iters``, before each scaler is fitted) and
-    has no other effect.
+    matrix cast to float64 with one ``_sq_distances``: every term is an
+    integer below 2**53, exact in any BLAS summation order. An ``igtd``
+    image holds those values in permuted cells, plus cells that are 0 in
+    every row and add 0 to every distance, so the distances and predictions
+    are those of the fitted images, whatever assignment a search would
+    find. ``igtd_max_iters`` is checked as a fit checks it
+    (``encoders.igtd_iters``, before each scaler is fitted) and has no other
+    effect.
 
     ``seed`` has no effect (``plan`` carries the CV seed, and no encoder
     draws random numbers), and encoding is serial: both stay only for
@@ -361,7 +348,11 @@ def run_cv_eval(ds: Dataset, encoder_kind: str, plan: CVPlan, *,
             if encoder_kind == "stml":
                 distances = _stamp_distances(model, ds.X[rows], split)
             elif encoder_kind == "igtd":
-                distances = _pixel_distances(encoders.igtd_values(model, ds.X[rows]), split)
+                values = encoders.igtd_values(model, ds.X[rows]).astype(np.float64)
+                distances = _sq_distances(values[:split], None if split is None else values[split:])
+                # freed before the labels are taken: held through them, it
+                # left heap holes that made later retire stacks grow the heap
+                del values
             else:
                 if stack is None or len(stack) < len(rows):
                     width, height = model.canvas_size

@@ -21,25 +21,14 @@ def stack(arrays):
 
 
 def exact_pixels(stack):
-    """The exact pixel probe's pruning rule on a whole uint8 matrix of one
-    image per row: drop the pixels that hold one value in every row, divide
-    the rest by their gcd ``g`` and pick the dtype in which every
-    intermediate is an exact integer: float32 if ``2 * top**2 * pixels <=
-    2**24`` (``top`` the largest value left, ``pixels`` kept), else float64.
-    ``g`` is the gcd ``g0`` of the kept columns' extremes when every kept
-    value is a multiple of it, checked 8 rows at a time, and the gcd of all
-    kept values otherwise. Returns the pruned matrix and the dtype."""
-    lo = stack.min(axis=0, initial=255)
-    hi = stack.max(axis=0, initial=0)
-    varying = np.flatnonzero(lo != hi)
-    kept = np.take(stack, varying, axis=1)
-    g = int(np.gcd.reduce(np.gcd(lo[varying], hi[varying]))) or 1
-    blocks = (kept[start:start + 8] for start in range(0, len(kept), 8))
-    if g > 1 and any((block - block // g * g).any() for block in blocks):
-        g = int(np.gcd.reduce(kept, axis=None))
-    top = int(hi[varying].max(initial=0)) // g
-    dtype = np.float32 if 2 * top * top * len(varying) <= 2**24 else np.float64
-    return np.floor_divide(kept, g, out=kept), dtype
+    """The exact pixel probe's pruning rule on a whole 0/255 uint8 matrix of
+    one image per row: drop the pixels that hold one value in every row,
+    divide the rest by 255 and pick the dtype in which every intermediate is
+    an exact integer: float32 if ``2 * pixels <= 2**24`` (``pixels`` kept),
+    else float64. Returns the pruned matrix and the dtype."""
+    varying = np.flatnonzero(stack.min(axis=0, initial=255) != stack.max(axis=0, initial=0))
+    return np.take(stack, varying, axis=1) // 255, (
+        np.float32 if 2 * len(varying) <= 2**24 else np.float64)
 
 
 def oracle_pixel_distances(pixels, split, prune=exact_pixels):
@@ -64,15 +53,21 @@ def exact_pixel_probe(train_images, train_labels, test_images):
     return probe._nearest_label(probe._pixel_distances(pixels, len(test_images)), train_labels)
 
 
-def reference_pixel_probe(train_images, train_labels, test_images):
-    """Oracle for the exact pixel probe: the float64 probe over every pixel,
+def reference_pixel_distances(train_images, test_images):
+    """The float64 distances over every pixel of two ``(N, H, W)`` stacks,
     all queries in one matmul."""
     train_images = np.asarray(train_images)
     test_images = np.asarray(test_images)
     pixels = train_images.shape[1] * train_images.shape[2]
     refs = train_images.reshape(-1, pixels).astype(np.float64)
     queries = test_images.reshape(-1, pixels).astype(np.float64)
-    return probe._nearest_label(probe._sq_distances(queries, refs), train_labels)
+    return probe._sq_distances(queries, refs)
+
+
+def reference_pixel_probe(train_images, train_labels, test_images):
+    """Oracle for the exact pixel probe: the float64 probe over every pixel."""
+    return probe._nearest_label(reference_pixel_distances(train_images, test_images),
+                                train_labels)
 
 
 def reference_fold_predictions(ds, kind, plan, **options):
@@ -89,23 +84,18 @@ def reference_fold_predictions(ds, kind, plan, **options):
     return tuple(predictions)
 
 
-# pixel alphabets: the binarized encoders, values sharing the factor 3,
-# and igtd's full grayscale range
-ALPHABETS = {"binary": np.array([0, 255]), "gcd3": np.arange(0, 256, 3),
-             "full": np.arange(256)}
+# the values that the drawn (binarized) images hold
+BINARY = np.array([0, 255])
 
 
-def near_tie_stacks(step, pixels):
-    """Two references at squared distances 2 and 1 (in units of ``step``)
-    from an all-255 query, then an all-0 reference, so every pixel varies.
-    Where float32 rounding is inexact the two distances round to the same
-    value and the tie goes to the farther reference at index 0."""
-    query = np.full(pixels, 255)
-    farther, nearer = query.copy(), query.copy()
-    farther[:2] -= step
-    nearer[0] -= step
-    refs = stack([farther, nearer, np.zeros(pixels)]).reshape(3, 1, pixels)
-    return refs, stack([query]).reshape(1, 1, pixels)
+def near_tie_pixels(pixels):
+    """An all-255 query, then references at squared distances 2 and 1 (in
+    units of 255²) from it and an all-0 reference, so every pixel varies."""
+    rows = np.full((4, pixels), 255, dtype=np.uint8)
+    rows[1, :2] = 0
+    rows[2, 0] = 0
+    rows[3] = 0
+    return rows
 
 
 class TestBalancedAccuracy:
@@ -136,7 +126,7 @@ class TestBalancedAccuracy:
 class TestKnnPixel:
     def test_exact_copy_wins(self):
         rng = np.random.default_rng(1)
-        train = stack(rng.integers(0, 256, size=(4, 8, 8)))
+        train = stack(rng.choice(BINARY, size=(4, 8, 8)))
         labels = np.array([0, 1, 2, 3])
         pred = exact_pixel_probe(train, labels, train[2:3])
         assert pred.tolist() == [2]
@@ -151,8 +141,8 @@ class TestKnnPixel:
     def test_matches_bruteforce_oracle(self):
         rng = np.random.default_rng(2)
         for _ in range(20):
-            train_arrays = rng.integers(0, 256, size=(3, 8, 8))
-            test_arrays = rng.integers(0, 256, size=(2, 8, 8))
+            train_arrays = rng.choice(BINARY, size=(3, 8, 8))
+            test_arrays = rng.choice(BINARY, size=(2, 8, 8))
             labels = rng.integers(0, 3, size=3)
             pred = exact_pixel_probe(stack(train_arrays), labels, stack(test_arrays))
             for t, got in zip(test_arrays, pred):
@@ -171,18 +161,17 @@ class TestKnnPixel:
             probe._nearest_label(np.zeros((1, 0)), [])
 
     @settings(max_examples=300, deadline=None)
-    @given(alphabet=st.sampled_from(sorted(ALPHABETS)), n_ref=st.integers(1, 10),
+    @given(n_ref=st.integers(1, 10),
            n_query=st.integers(0, 10), height=st.integers(1, 40), width=st.integers(1, 40),
            constant_share=st.sampled_from([0.0, 0.5, 0.9, 1.0]),
            duplicates=st.integers(0, 4), all_zero=st.booleans(),
            data_seed=st.integers(0, 2**32 - 1))
-    def test_matches_reference(self, alphabet, n_ref, n_query, height, width,
-                               constant_share, duplicates, all_zero, data_seed):
+    def test_matches_reference(self, n_ref, n_query, height, width, constant_share,
+                               duplicates, all_zero, data_seed):
         rng = np.random.default_rng(data_seed)
-        values = ALPHABETS[alphabet]
-        images = rng.choice(values, size=(n_ref + n_query, height * width))
+        images = rng.choice(BINARY, size=(n_ref + n_query, height * width))
         constant = rng.random(height * width) < constant_share
-        images[:, constant] = rng.choice(values, size=int(constant.sum()))
+        images[:, constant] = rng.choice(BINARY, size=int(constant.sum()))
         for _ in range(duplicates):
             # a reference repeated later (a tie), or a query that is a reference
             source, target = rng.integers(0, n_ref), rng.integers(0, n_ref + n_query)
@@ -196,21 +185,19 @@ class TestKnnPixel:
         got = exact_pixel_probe(train, labels, test)
         assert np.array_equal(got, reference_pixel_probe(train, labels, test))
 
-    @pytest.mark.parametrize("step, pixels, dtype", [
-        (1, 129, np.float32), (1, 130, np.float64),
-        (3, 1161, np.float32), (3, 1162, np.float64)])
-    def test_near_tie_at_float32_bound(self, step, pixels, dtype):
-        # after dividing by the gcd ``step`` the largest value is 255 // step:
-        # 2 * 255**2 * 129 and 2 * 85**2 * 1161 are the last sums <= 2**24
-        train, test = near_tie_stacks(step, pixels)
-        assert exact_pixel_probe(train, [0, 1, 2], test).tolist() == [1]
-        pixels = np.concatenate([test, train]).reshape(4, -1)
-        assert probe._pixel_distances(pixels, 1).dtype == dtype
+    @pytest.mark.parametrize("pixels, dtype", [(2**23, np.float32), (2**23 + 1, np.float64)])
+    def test_near_tie_at_float32_bound(self, pixels, dtype):
+        # 2 * kept <= 2**24 holds at 2**23 kept pixels and fails one past it;
+        # the nearer reference wins by 1 in 2**23
+        distances = probe._pixel_distances(near_tie_pixels(pixels), 1)
+        assert distances.dtype == dtype
+        assert distances.tolist() == [[2, 1, pixels]]
 
 
 def gcd_pruning_oracle(stack_2d):
-    """``exact_pixels`` with the gcd of every kept value: the varying
-    columns divided by their full ``np.gcd.reduce``, and the dtype rule."""
+    """``exact_pixels`` with the gcd of every kept value in place of 255:
+    the varying columns divided by their full ``np.gcd.reduce``, and float32
+    if ``2 * top**2 * pixels <= 2**24`` (``top`` the largest value left)."""
     varying = np.flatnonzero(stack_2d.min(axis=0) != stack_2d.max(axis=0))
     kept = stack_2d[:, varying]
     g = int(np.gcd.reduce(kept, axis=None)) or 1
@@ -218,31 +205,17 @@ def gcd_pruning_oracle(stack_2d):
     return kept // g, np.float32 if 2 * top * top * len(varying) <= 2**24 else np.float64
 
 
-def extremes_overstate_the_gcd():
-    # the extremes of both varying columns are multiples of 9, but one value
-    # is 6, so the gcd of every value is 3
-    column = np.tile([9, 0], 10)
-    column[13] = 6
-    return stack(np.column_stack([column, np.tile([18, 9], 10), np.full(20, 10)]))
-
-
-def varied_stack(alphabet, n_rows, kept, constant, planted, seed):
-    """``n_rows`` images of ``kept`` varying and ``constant`` constant
-    pixels, interleaved at random, with values from ``alphabet``. With
-    ``planted``, the last varying pixel holds 0, 255 and 6 in its first three
-    rows: where the extremes' gcd is 255, only the gcd of every value finds
-    that it is 3."""
+def varied_stack(n_rows, kept, constant, seed):
+    """``n_rows`` 0/255 images of ``kept`` varying and ``constant`` constant
+    pixels, interleaved at random."""
     rng = np.random.default_rng(seed)
-    values = ALPHABETS[alphabet]
-    pixels = rng.choice(values, size=(n_rows, kept + constant))
+    pixels = rng.choice(BINARY, size=(n_rows, kept + constant))
     is_constant = rng.permutation(kept + constant) < constant
     pixels[:, is_constant] = pixels[0, is_constant]
     varying = np.flatnonzero(~is_constant)
     # a column whose first two rows are equal varies in its second row
     same = varying[pixels[0, varying] == pixels[1, varying]]
-    pixels[1, same] = np.where(pixels[0, same] == values[0], values[-1], values[0])
-    if planted and kept:
-        pixels[:3, varying[-1]] = [0, 255, 6]
+    pixels[1, same] = 255 - pixels[0, same]
     return stack(pixels)
 
 
@@ -251,12 +224,12 @@ class TestExactPixels:
     in blocks of 2,048, against the whole-matrix chain it replaced."""
 
     @pytest.mark.parametrize("pixels", [
-        extremes_overstate_the_gcd(),
         stack(np.full((12, 5), 7)),
-        *(stack(np.random.default_rng(seed).choice(values, size=(20, 30)))
-          for seed, values in enumerate(ALPHABETS.values())),
-    ], ids=["extremes-overstate-gcd", "constant", *ALPHABETS])
+        stack(np.random.default_rng(0).choice(BINARY, size=(20, 30))),
+    ], ids=["constant", "binary"])
     def test_matches_full_gcd_oracle(self, pixels):
+        # the gcd of a 0/255 image's kept values is 255: dropped pixels may
+        # hold any value
         for split in (None, len(pixels) // 3):
             want = oracle_pixel_distances(pixels, split, prune=gcd_pruning_oracle)
             got = probe._pixel_distances(pixels, split)
@@ -264,40 +237,45 @@ class TestExactPixels:
             assert np.array_equal(got, want)
 
     @settings(max_examples=60, deadline=None)
-    @given(alphabet=st.sampled_from(sorted(ALPHABETS)), n_rows=st.integers(3, 6),
-           kept=st.sampled_from([1, 129, 130, 2047, 2048, 2049, 4096]) | st.integers(0, 4200),
-           constant=st.integers(0, 200), planted=st.booleans(),
-           split=st.none() | st.integers(0, 6), data_seed=st.integers(0, 2**32 - 1))
-    # float64 (the full alphabet past 129 kept pixels) in exactly one block
-    @example(alphabet="full", n_rows=3, kept=2048, constant=7, planted=False, split=None,
-             data_seed=0)
-    # the gcd fallback found in the second of two full blocks; no tested row
-    @example(alphabet="binary", n_rows=4, kept=4096, constant=50, planted=True, split=0,
-             data_seed=1)
-    # float32, one pixel past a block
-    @example(alphabet="binary", n_rows=5, kept=2049, constant=0, planted=False, split=2,
-             data_seed=2)
-    def test_blocks_match_the_oracle_chain(self, alphabet, n_rows, kept, constant, planted,
-                                           split, data_seed):
-        pixels = varied_stack(alphabet, n_rows, kept, constant, planted, data_seed)
+    @given(n_rows=st.integers(3, 6),
+           kept=st.sampled_from([1, 2047, 2048, 2049, 4096]) | st.integers(0, 4200),
+           constant=st.integers(0, 200), split=st.none() | st.integers(0, 6),
+           data_seed=st.integers(0, 2**32 - 1))
+    # two full blocks; no tested row
+    @example(n_rows=4, kept=4096, constant=50, split=0, data_seed=1)
+    # one pixel past a block
+    @example(n_rows=5, kept=2049, constant=0, split=2, data_seed=2)
+    def test_blocks_match_the_oracle_chain(self, n_rows, kept, constant, split, data_seed):
+        pixels = varied_stack(n_rows, kept, constant, data_seed)
         split = None if split is None else min(split, n_rows)
         want = oracle_pixel_distances(pixels, split)
         got = probe._pixel_distances(pixels, split)
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)
 
-    @pytest.mark.parametrize("pixels", [
-        varied_stack("binary", 5, 3000, 20, False, 0),
-        extremes_overstate_the_gcd(),
-        varied_stack("binary", 4, 4096, 50, True, 1),
-    ], ids=["g0", "full-gcd-restart", "restart-in-second-block"])
-    def test_pixels_left_unchanged(self, pixels):
+    def test_pixels_left_unchanged(self):
         # the blocks are divided in copies: a read-only matrix is accepted
-        # and reads back as it was, on the g0 path and after a restart
+        # and reads back as it was
+        pixels = varied_stack(5, 3000, 20, 0)
         drawn = pixels.copy()
         pixels.setflags(write=False)
         for split in (None, 2):
             probe._pixel_distances(pixels, split)
+            assert np.array_equal(pixels, drawn)
+
+    @pytest.mark.parametrize("block", [0, 1], ids=["first-block", "second-block"])
+    def test_a_gray_value_raises(self, block):
+        # a kept pixel that holds 128 in one row, in the first block or in
+        # the second, after the first block's sums: no distances are
+        # returned, and the read-only matrix reads back as it was
+        pixels = varied_stack(4, 4096, 50, 1)
+        varying = np.flatnonzero(pixels.min(axis=0) != pixels.max(axis=0))
+        pixels[2, varying[2048 * block + 7]] = 128
+        drawn = pixels.copy()
+        pixels.setflags(write=False)
+        for split in (None, 0, 2):
+            with pytest.raises(ValueError, match="0 or 255"):
+                probe._pixel_distances(pixels, split)
             assert np.array_equal(pixels, drawn)
 
     def test_group_peaks_within_the_stack_and_one_block(self):
@@ -662,18 +640,22 @@ class TestRunCvEval:
     @settings(max_examples=25, deadline=None)
     @given(n=st.integers(4, 30), n_features=st.integers(2, 40), levels=st.integers(0, 4),
            data_seed=st.integers(0, 2**16))
-    @example(n=8, n_features=150, levels=0, data_seed=0)  # past the float32 bound
+    @example(n=8, n_features=150, levels=0, data_seed=0)  # more features than drawn above
     def test_igtd_values_give_the_drawn_distances(self, n, n_features, levels, data_seed):
         # an igtd image holds its row's igtd_values in permuted cells, plus
-        # cells that are 0 in every row: the same distances, byte for byte
+        # cells that are 0 in every row: the eval's float64 product of the
+        # values gives the float64 distances over every drawn pixel, byte for
+        # byte, among the rows and from the first half to the second
         ds = generate_synthetic(n, n_features, seed=data_seed)
         X = ds.X if not levels else np.random.default_rng(data_seed).integers(
             0, levels, size=ds.X.shape).astype(float)  # tie-heavy
         model = encoders.fit("igtd", ds, igtd_max_iters=5)
-        split = n // 2
-        drawn = drawn_distances(model, X, split)
-        values = probe._pixel_distances(encoders.igtd_values(model.scaler, X), split)
-        assert drawn.dtype == values.dtype and drawn.tobytes() == values.tobytes()
+        values = encoders.igtd_values(model.scaler, X).astype(np.float64)
+        images = encoders.encode_batch(model, X)
+        for got, want in [(probe._sq_distances(values), reference_pixel_distances(images, images)),
+                          (probe._sq_distances(values[:n // 2], values[n // 2:]),
+                           reference_pixel_distances(images[n // 2:], images[:n // 2]))]:
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("kind, matrices", [("stml", 1), ("retire", 10), ("igtd", 10)])
     def test_one_encode_and_distance_matrix_per_fitted_model(self, kind, matrices,
@@ -682,11 +664,11 @@ class TestRunCvEval:
         # stamp Gram of all rows among themselves and draw no row; retire
         # models differ, so each split encodes its tested and training rows
         # once and sums one pixel matrix of the first against the second;
-        # igtd scalers differ too, and each split sums one matrix of its
-        # rows' values, one per feature, with no row encoded
-        encoded, pixel, stamped = [], [], []
+        # igtd scalers differ too, and each split takes one float64 product
+        # of its rows' values, one per feature, with no row encoded
+        encoded, pixel, stamped, products = [], [], [], []
         encode_batch, pixel_distances = encoders.encode_batch, probe._pixel_distances
-        stamp_distances = probe._stamp_distances
+        stamp_distances, sq_distances = probe._stamp_distances, probe._sq_distances
 
         def counted_encode(model, X, *, out=None):
             encoded.append(len(X))
@@ -700,21 +682,29 @@ class TestRunCvEval:
             stamped.append((len(X), split))
             return stamp_distances(model, X, split)
 
+        def counted_products(queries, refs=None):
+            products.append((queries.dtype, queries.shape, refs.shape))
+            return sq_distances(queries, refs)
+
         monkeypatch.setattr(encoders, "encode_batch", counted_encode)
         monkeypatch.setattr(probe, "_pixel_distances", counted_pixels)
         monkeypatch.setattr(probe, "_stamp_distances", counted_stamps)
+        monkeypatch.setattr(probe, "_sq_distances", counted_products)
         ds = self.small_ds()
         plan = make_cv_plan(ds, seed=0)
         run_cv_eval(ds, kind, plan, size=(48, 48))
+        folds = [(len(test_idx), len(train_idx)) for *_, train_idx, test_idx in plan.iter_splits()]
         if kind == "stml":
-            assert (encoded, pixel) == ([], [])
+            assert (encoded, pixel, products) == ([], [], [])
             assert stamped == [(ds.n_instances, None)] * matrices
-        else:
-            assert encoded == ([ds.n_instances] * matrices if kind == "retire" else [])
+        elif kind == "retire":
+            assert encoded == [ds.n_instances] * matrices
             assert stamped == []
-            width = 48 * 48 if kind == "retire" else ds.n_features
-            assert pixel == [((ds.n_instances, width), len(test_idx))
-                             for *_, test_idx in plan.iter_splits()]
+            assert pixel == [((ds.n_instances, 48 * 48), tested) for tested, _ in folds]
+        else:
+            assert (encoded, pixel, stamped) == ([], [], [])
+            assert products == [(np.float64, (tested, ds.n_features), (trained, ds.n_features))
+                                for tested, trained in folds]
 
     @pytest.mark.parametrize("kind", EVAL_KINDS)
     def test_one_stack_per_eval(self, kind, monkeypatch):
@@ -723,8 +713,9 @@ class TestRunCvEval:
         # a stack per group, each freed before the next is allocated, peaks
         # at the same size. Each stack is kept here, so a new one could not
         # reuse a freed address. igtd measures its values with no stack
-        stacks, measured = [], []
+        stacks, measured, products = [], [], []
         encode_batch, pixel_distances = encoders.encode_batch, probe._pixel_distances
+        sq_distances = probe._sq_distances
 
         def recorded_encode(model, X, *, out=None):
             stacks.append(out)
@@ -734,17 +725,23 @@ class TestRunCvEval:
             measured.append(pixels)
             return pixel_distances(pixels, split)
 
+        def recorded_products(queries, refs=None):
+            products.append(np.concatenate([queries, refs]))
+            return sq_distances(queries, refs)
+
         monkeypatch.setattr(encoders, "encode_batch", recorded_encode)
         monkeypatch.setattr(probe, "_pixel_distances", recorded_pixels)
         ds = self.small_ds()
+        if kind == "igtd":
+            monkeypatch.setattr(probe, "_sq_distances", recorded_products)
         run_cv_eval(ds, kind, make_cv_plan(ds, seed=0), size=(48, 48), igtd_max_iters=3)
         if kind == "retire":
             assert len(stacks) == 10 and all(isinstance(out, np.ndarray) for out in stacks)
             addresses = {a.__array_interface__["data"][0] for a in stacks + measured}
             assert len(addresses) == 1 and len(measured) == 10
         elif kind == "igtd":  # no stack drawn, none allocated: one value per feature
-            assert stacks == []
-            assert [pixels.shape for pixels in measured] == [(ds.n_instances, ds.n_features)] * 10
+            assert stacks == measured == []
+            assert [values.shape for values in products] == [(ds.n_instances, ds.n_features)] * 10
         else:  # no stack drawn, none allocated
             assert stacks == measured == []
 
@@ -790,17 +787,17 @@ class TestRunCvEval:
                                                                      size=(40, 40))
 
     def test_igtd_splits_with_one_scaler_share_one_matrix(self, monkeypatch):
-        # twin splits fit equal scalers, so each pair shares one matrix of
+        # twin splits fit equal scalers, so each pair shares one product of
         # its 14 rows' values
         ds, plan = self.twin_splits()
         measured = []
-        pixel_distances = probe._pixel_distances
+        sq_distances = probe._sq_distances
 
-        def recorded_pixels(pixels, split):
-            measured.append(pixels.shape)
-            return pixel_distances(pixels, split)
+        def recorded_products(queries, refs=None):
+            measured.append(np.concatenate([queries, refs]).shape)
+            return sq_distances(queries, refs)
 
-        monkeypatch.setattr(probe, "_pixel_distances", recorded_pixels)
+        monkeypatch.setattr(probe, "_sq_distances", recorded_products)
         report = run_cv_eval(ds, "igtd", plan)
         assert measured == [(rows, 5) for rows in (12, 12, 14, 14, 12, 12)]
         monkeypatch.undo()
@@ -903,8 +900,8 @@ class TestRunCvEval:
 
 # SHA-256 of repr(run_cv_eval(...).fold_predictions), recorded with the
 # float64 whole-stack probe; (rows, features, keywords) per kind. The
-# retire and stml stacks are 0/255 (the float32 path), and 140 igtd
-# pixels of 0..255 are past the float32 bound (the float64 path).
+# retire and stml stacks are 0/255 (the float32 path), and igtd's 140
+# values of 0..255 per row are summed in float64.
 PINNED_PREDICTION_CASES = {
     "retire": (60, 5, {"size": (48, 48)}),
     "stml": (60, 5, {"size": (64, 64)}),
@@ -937,8 +934,6 @@ class TestPinnedPredictions:
 PINNED_PIXEL_DISTANCE_DIGESTS = {
     ("retire", 0): "49af1eb320fffb4c79e62cf7db9cf6375bf8da39a47e3101382a688394a1ba73",
     ("retire", 7): "9531ec276eaed429c996ebd59f17df23e0f20463aca8435aafd41910eee222e0",
-    ("igtd", 0): "81040f5f30f2c8ee5bca266c736e44ae5887fc2f931445c426fb25d46275eeb3",
-    ("igtd", 7): "c98b0a701b4b228313da3e403ae4df8863c5a107c0a7dc183a9e7197390426d3",
 }
 
 
@@ -987,9 +982,3 @@ class TestPinnedPixelDistances:
         model = encoders.fit("retire", ds, size=(96, 96))
         assert distance_digest(drawn_distances(model, ds.X, None)) == (
             "a04cc91cd9b74faa86e2b77d94e130340d70c803ad8919a98ef5cfd2b40c0a73")
-
-    @pytest.mark.parametrize("split, want", [
-        (None, "1123666c6a75f9022a173833a7354c2edcdce629bff45e1d67f17e2cc988a51d"),
-        (7, "9d7d7e348b34802349a9152fef3018ff3277eaf972693140c3cf08c991bad8d9")])
-    def test_full_gcd_restart_unchanged(self, split, want):
-        assert distance_digest(probe._pixel_distances(extremes_overstate_the_gcd(), split)) == want
