@@ -9,7 +9,6 @@ the igtd fit, timed apart, sums rows through BLAS at the caller's count.
 from __future__ import annotations
 
 import math
-import numbers
 import time
 from dataclasses import dataclass
 
@@ -17,7 +16,7 @@ import numpy as np
 
 from . import encoders
 from .data import generate_synthetic
-from .errors import FitError, ParameterError, brief, non_negative_int
+from .errors import FitError, ParameterError, non_negative_int, real_number
 
 DEFAULT_GRID = (10, 25, 50, 100, 200, 350, 500)
 DEFAULT_SAMPLES = 100
@@ -58,8 +57,9 @@ def run_timing_sweep(encoder_kind: str, feature_counts=DEFAULT_GRID,
         raise ParameterError("feature_counts must be strictly ascending")
     if non_negative_int(repeats, "repeats") < 1:
         raise ParameterError("repeats must be >= 1")
-    if not (isinstance(budget_secs, numbers.Real) and 0.0 < budget_secs < math.inf):  # also NaN
-        raise ParameterError(f"budget_secs must be finite and above 0, got {brief(budget_secs)}")
+    budget_secs = real_number(budget_secs, "budget_secs")
+    if not 0.0 < budget_secs < math.inf:  # also NaN
+        raise ParameterError(f"budget_secs must be finite and above 0, got {budget_secs}")
     records = []
     for index, n_features in enumerate(counts):
         ds = generate_synthetic(n_samples, n_features, seed + index)

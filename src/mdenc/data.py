@@ -316,7 +316,12 @@ class CVPlan:
         return self.assignments.shape[1]
 
     def split(self, repeat: int, fold: int) -> tuple[np.ndarray, np.ndarray]:
-        """(train_idx, test_idx) with the given fold held out as the test set."""
+        """(train_idx, test_idx) with the given fold held out as the test set;
+        ParameterError unless ``repeat`` and ``fold`` are in range."""
+        repeat, fold = non_negative_int(repeat, "repeat"), non_negative_int(fold, "fold")
+        if repeat >= self.repeats or fold >= self.folds:
+            raise ParameterError(f"split ({repeat}, {fold}) is outside a plan of "
+                                 f"{self.repeats} repeats of {self.folds} folds")
         mask = self.assignments[repeat] == fold
         return np.flatnonzero(~mask), np.flatnonzero(mask)
 

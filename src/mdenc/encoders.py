@@ -140,6 +140,15 @@ LAYOUTS = {"retire": PolarLayout, "stml": GridLayout, "igtd": IgtdMapping}
 KINDS = tuple(LAYOUTS)
 
 
+def exact_float(bound: int) -> type:
+    """float32 when ``bound <= 2**24``, else float64 (to 2**53): the type in
+    which sums of integers, every term and partial sum at most ``bound`` in
+    magnitude, are exact. It holds every integer in that range, so no
+    addition or multiply-add rounds, whatever BLAS's summation order,
+    blocking or thread count. Multiples of 0.5 pass twice their bound."""
+    return np.float32 if bound <= 2**24 else np.float64
+
+
 def _canvas(size) -> tuple[int, int]:
     """``size`` as a pair of Python ints (width, height); EncoderModel
     checks that each is 1 or more."""
@@ -307,16 +316,12 @@ def _distance_ranks(points: np.ndarray) -> np.ndarray:
 
 
 def _search_dtype(n: int) -> type:
-    """The narrowest dtype in which the swap search of ``n`` features is
-    exact: float32 when n²(n − 1) <= 2**23 (n <= 203), else float64.
-
-    Ranks are multiples of 0.5 of at most M = n(n − 1)/2, so a delta term
-    (two absolute differences less two discrepancies) lies within
-    ±2M = ±n(n − 1), and a row sum of n terms, with every partial sum,
-    within ±n²(n − 1). float32 holds every multiple of 0.5 up to 2**23, so
-    each step's sums are exact in any order; float64 holds them up to
-    2**52, past any n whose (n, n) rank matrices fit in memory."""
-    return np.float32 if n * n * (n - 1) <= 2**23 else np.float64
+    """The ``exact_float`` of the swap search of ``n`` features: float32 up
+    to n = 203. Ranks are multiples of 0.5 of at most M = n(n − 1)/2, so a
+    delta term (two absolute differences less two discrepancies) lies
+    within ±2M = ±n(n − 1), and a row sum of n terms, with every partial
+    sum, within ±n²(n − 1)."""
+    return exact_float(2 * n * n * (n - 1))
 
 
 def _swap_deltas(rank_feat, P, D, i, scratch) -> np.ndarray:
@@ -328,8 +333,7 @@ def _swap_deltas(rank_feat, P, D, i, scratch) -> np.ndarray:
     # 2 min(rank_feat[i, j], P[i, j]) to the row, which the last term takes
     # off. ``scratch`` is two (n, n) buffers to write into and a vector of
     # n ones, all of the inputs' dtype. The row sums are a product with the
-    # ones; with the inputs in _search_dtype they are exact, so BLAS's
-    # summation order does not change them.
+    # ones, exact in _search_dtype in any BLAS summation order.
     terms, other, ones = scratch
     np.abs(np.subtract(rank_feat[i], P, out=terms), out=terms)
     np.abs(np.subtract(rank_feat, P[i], out=other), out=other)

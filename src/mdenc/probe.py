@@ -3,17 +3,17 @@ loop.
 
 The 1-NN pixel probe lives in ``run_cv_eval``, a deterministic stand-in for
 a CNN: it only has to show whether class information survives an encoding.
-Its distances are exact, so it predicts what a float64 probe over every
-pixel would. The eval draws and the probe measures: ``stml`` from glyph
-stamps (``_stamp_distances``) with no row drawn, ``retire`` from the rows
-that the eval draws into its one image stack (``_pixel_distances``, the
-stamps' test oracle: ``_sq_distances`` added up over blocks of kept 0/255
-pixels, divided by 255, so in units of 255²).
-A pixel distance ignores where each pixel sits, so the probe cannot rank
-``igtd`` assignments: ``igtd`` takes one float64 ``_sq_distances`` of the
-values its images hold, one per feature, with no assignment searched and
-no image drawn. A tabular 1-NN twin on scaled feature vectors serves as
-the baseline.
+Each path sums integers in ``encoders.exact_float`` of its own bound, so it
+predicts what a float64 probe over every pixel would. The eval draws and
+the probe measures: ``stml`` from glyph stamps (``_stamp_distances``) with
+no row drawn, ``retire`` from the rows that the eval draws into its one
+image stack (``_pixel_distances``, the stamps' test oracle:
+``_sq_distances`` added up over blocks of kept 0/255 pixels, divided by
+255, so in units of 255²). A pixel distance ignores where each pixel sits,
+so the probe cannot rank ``igtd`` assignments: ``igtd`` takes one
+``_sq_distances`` of the values its images hold, one per feature (float32
+up to 129 features), with no assignment searched and no image drawn. A
+tabular 1-NN twin on scaled feature vectors serves as the baseline.
 """
 
 from __future__ import annotations
@@ -48,8 +48,8 @@ def _sq_distance_blocks(queries: np.ndarray, refs: np.ndarray | None = None,
     block written over the last one's buffer: ``q2 + r2 − 2·product``, the
     product one matmul (without ``refs``, among the rows of ``queries``:
     numpy's symmetric A @ A.T). At least one block, empty without queries.
-    For integer inputs every term and partial sum is an integer, exact in
-    any summation order while at most 2**24 in float32 (2**53 in float64)."""
+    Non-negative integers of at most m over k features keep every term and
+    partial sum within 2·m²·k, exact in ``encoders.exact_float`` of that."""
     refs = queries if refs is None else refs
     rows = rows or max(len(queries), 1)
     q2 = np.einsum("ij,ij->i", queries, queries)
@@ -102,13 +102,11 @@ def _pixel_distances(pixels: np.ndarray, split: int | None) -> np.ndarray:
 
     Pixels that hold one value in every row add 0 to every distance and are
     dropped; the rest are divided by 255, and a block holding any other
-    value raises ValueError. The sums run in float32 if ``2 * kept <=
-    2**24`` (``kept`` the number of pixels kept), else in float64, so each
-    block's ``_sq_distances`` and their running sum stay exact integers: the
-    kept columns are gathered, cast and summed one block at a time, and no
-    copy of all of them is held."""
+    value raises ValueError. The kept columns are gathered, cast to
+    ``exact_float(2 * kept)`` and summed one block at a time, so no copy of
+    all of them is held."""
     varying = np.flatnonzero(pixels.min(axis=0, initial=255) != pixels.max(axis=0, initial=0))
-    dtype = np.float32 if 2 * len(varying) <= 2**24 else np.float64
+    dtype = encoders.exact_float(2 * len(varying))
     distances = np.zeros((len(pixels[:split]), len(pixels[split:])), dtype=dtype)
     for block in _column_blocks(pixels, varying):
         # uint8 floor-divide and multiply run far faster than np.remainder,
@@ -142,12 +140,10 @@ def _stamp_distances(model: encoders.EncoderModel, X: np.ndarray,
     to ``−2G`` in one GEMM.
     Every term and partial sum is −2 times a count of pixels that one row's
     stamps cover, at most the canvas's ``W * H`` since the stamps lie in
-    the cells that tile it. So, by the ``_pixel_distances`` rule with values
-    0/1, the sums run in float32 when ``2 * W * H <= 2**24``, exact in any
-    BLAS summation order, and in float64 otherwise.
+    the cells that tile it, so the sums run in ``exact_float(2 * W * H)``.
     """
     width, height = model.canvas_size
-    dtype = np.float32 if 2 * width * height <= 2**24 else np.float64
+    dtype = encoders.exact_float(2 * width * height)
     codes = encoders.stml_codes(X)
     n, n_features, longest = codes.shape
     lengths = np.count_nonzero(codes, axis=2).astype(np.int32)[..., None]
@@ -176,9 +172,8 @@ def _stamp_distances(model: encoders.EncoderModel, X: np.ndarray,
         drawn = np.zeros((len(stamps), h, w), dtype=np.uint8)
         _font.draw_text(drawn, stamp_codes)
         drawn = drawn.reshape(len(stamps), -1)
-        ink = (drawn[:, drawn.any(axis=0)] != 0).astype(np.float32)
-        # counts of at most h * w <= 2**24 pixels: exact in float32
-        overlap = (ink @ ink.T).astype(dtype)
+        ink = (drawn[:, drawn.any(axis=0)] != 0).astype(encoders.exact_float(h * w))
+        overlap = (ink @ ink.T).astype(dtype)  # S: counts of at most h * w pixels
         norms += np.diagonal(overlap)[index].sum(axis=(1, 2))
         overlap *= -2
         # a shape has fewer than 2,048 stamps, so a block is at most that wide
@@ -302,8 +297,8 @@ def run_cv_eval(ds: Dataset, encoder_kind: str, plan: CVPlan, *,
 
     An ``igtd`` split fits only its guard-bound scaler, which keys its
     group, and the probe measures the (rows, features) ``igtd_values``
-    matrix cast to float64 with one ``_sq_distances``: every term is an
-    integer below 2**53, exact in any BLAS summation order. An ``igtd``
+    matrix with one ``_sq_distances`` in ``encoders.exact_float(2 * 255**2
+    * features)``: float32 up to 129 features, else float64. An ``igtd``
     image holds those values in permuted cells, plus cells that are 0 in
     every row and add 0 to every distance, so the distances and predictions
     are those of the fitted images, whatever assignment a search would
@@ -348,7 +343,8 @@ def run_cv_eval(ds: Dataset, encoder_kind: str, plan: CVPlan, *,
             if encoder_kind == "stml":
                 distances = _stamp_distances(model, ds.X[rows], split)
             elif encoder_kind == "igtd":
-                values = encoders.igtd_values(model, ds.X[rows]).astype(np.float64)
+                values = encoders.igtd_values(model, ds.X[rows]).astype(
+                    encoders.exact_float(2 * 255**2 * ds.n_features))
                 distances = _sq_distances(values[:split], None if split is None else values[split:])
                 # freed before the labels are taken: held through them, it
                 # left heap holes that made later retire stacks grow the heap

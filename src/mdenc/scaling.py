@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FitError, ParameterError, ShapeError, brief, float_array, real_number
+from .errors import (FitError, ParameterError, ShapeError, StateError, brief, float_array,
+                     real_number)
 
 DEFAULT_L = 0.05
 DEFAULT_U = 0.95
@@ -93,6 +94,8 @@ def transform(params: ScalerParams, x) -> np.ndarray:
     outside is clamped to [0, 1]. Degenerate features (min == max) map to
     the midpoint (l + u) / 2.
     """
+    if not isinstance(params, ScalerParams):
+        raise StateError("not a fitted scaler")
     x = float_array(x, "feature values must be an array of numbers")
     if x.ndim not in (1, 2) or x.shape[-1] != params.n_features:
         raise ShapeError(

@@ -80,7 +80,7 @@ class TestTimingSweep:
             with pytest.raises(ParameterError, match="must be a non-negative integer"):
                 run_timing_sweep("retire", grid, n_samples=10, repeats=repeats)
 
-    @pytest.mark.parametrize("budget", [math.nan, 0.0, -1.0, math.inf, "1", None])
+    @pytest.mark.parametrize("budget", [math.nan, 0.0, -1.0, math.inf, "1", None, True])
     def test_budget_must_be_finite_and_positive(self, budget):
         with pytest.raises(ParameterError, match="budget_secs"):
             run_timing_sweep("retire", [10], n_samples=10, repeats=1, budget_secs=budget)

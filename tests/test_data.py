@@ -369,6 +369,19 @@ class TestCVPlan:
         with pytest.raises(ParameterError, match="seed must be a non-negative integer"):
             make_cv_plan(generate_synthetic(10, 2, seed=0), seed)
 
+    @pytest.mark.parametrize("repeat, fold", [(5, 0), (0.5, 0), (-1, 0), (0, 2), (0, -1),
+                                              (True, 0), (0, None)])
+    def test_split_outside_the_plan_rejected(self, repeat, fold):
+        plan = make_cv_plan(generate_synthetic(10, 2, seed=0), seed=0)
+        with pytest.raises(ParameterError, match="repeat|fold"):
+            plan.split(repeat, fold)
+
+    def test_split_of_last_repeat_and_fold(self):
+        plan = make_cv_plan(generate_synthetic(10, 2, seed=0), seed=0)
+        train_idx, test_idx = plan.split(np.int64(4), 1)
+        assert np.array_equal(test_idx, np.flatnonzero(plan.assignments[4] == 1))
+        assert np.array_equal(train_idx, np.flatnonzero(plan.assignments[4] == 0))
+
     def test_single_member_class_rejected(self):
         ds = Dataset("t", np.arange(8.0).reshape(4, 2), np.array([0, 0, 0, 1]),
                      ("a", "b"), ("0", "1"))

@@ -847,6 +847,12 @@ class TestSwapSearchOracle:
         assert last32 == "igtd search: 203 features, 1 steps, stopped at max_iters, float32"
         assert first64 == "igtd search: 204 features, 1 steps, stopped at max_iters, float64"
 
+    def test_exact_float_bound(self):
+        # float32 holds every integer up to 2**24, and 2**24 + 1 is the first it rounds
+        assert encoders.exact_float(2**24) is np.float32
+        assert encoders.exact_float(2**24 + 1) is np.float64
+        assert float(np.float32(2**24 + 1)) != 2**24 + 1
+
 
 class TestIgtd:
     def test_two_features_symmetric(self):

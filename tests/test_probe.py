@@ -643,19 +643,46 @@ class TestRunCvEval:
     @example(n=8, n_features=150, levels=0, data_seed=0)  # more features than drawn above
     def test_igtd_values_give_the_drawn_distances(self, n, n_features, levels, data_seed):
         # an igtd image holds its row's igtd_values in permuted cells, plus
-        # cells that are 0 in every row: the eval's float64 product of the
-        # values gives the float64 distances over every drawn pixel, byte for
-        # byte, among the rows and from the first half to the second
+        # cells that are 0 in every row: the eval's product of the values, in
+        # exact_float of their bound (float32 up to 129 features), gives the
+        # float64 distances over every drawn pixel, byte for byte once
+        # widened, among the rows and from the first half to the second
         ds = generate_synthetic(n, n_features, seed=data_seed)
         X = ds.X if not levels else np.random.default_rng(data_seed).integers(
             0, levels, size=ds.X.shape).astype(float)  # tie-heavy
         model = encoders.fit("igtd", ds, igtd_max_iters=5)
-        values = encoders.igtd_values(model.scaler, X).astype(np.float64)
+        dtype = encoders.exact_float(2 * 255**2 * n_features)
+        values = encoders.igtd_values(model.scaler, X).astype(dtype)
         images = encoders.encode_batch(model, X)
         for got, want in [(probe._sq_distances(values), reference_pixel_distances(images, images)),
                           (probe._sq_distances(values[:n // 2], values[n // 2:]),
                            reference_pixel_distances(images[n // 2:], images[:n // 2]))]:
-            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            assert got.dtype == dtype and got.astype(np.float64).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n_features, dtype", [(129, np.float32), (130, np.float64)])
+    def test_igtd_values_sum_in_float32_up_to_129_features(self, n_features, dtype,
+                                                           monkeypatch):
+        # 2 * 255**2 * 129 <= 2**24 < 2 * 255**2 * 130: the values' dtype flips
+        # between the two, and either side predicts what the drawn images do.
+        # Two levels scaled to 0 and 255, nine in ten at 255, bring the norms
+        # near the bound and tie many distances
+        products = []
+        sq_distances = probe._sq_distances
+
+        def recorded_products(queries, refs=None):
+            products.append(queries.dtype)
+            return sq_distances(queries, refs)
+
+        ds = generate_synthetic(24, n_features, seed=11)
+        X = (np.random.default_rng(11).random(ds.X.shape) < 0.9).astype(float)
+        ds = Dataset(ds.name, X, ds.y, ds.feature_names, ds.class_names)
+        plan = make_cv_plan(ds, seed=11)
+        options = {"l": 0.0, "u": 1.0, "igtd_max_iters": 2}
+        monkeypatch.setattr(probe, "_sq_distances", recorded_products)
+        report = run_cv_eval(ds, "igtd", plan, **options)
+        monkeypatch.undo()
+        assert products == [dtype] * plan.repeats * plan.folds
+        assert report.fold_predictions == reference_fold_predictions(ds, "igtd", plan, **options)
 
     @pytest.mark.parametrize("kind, matrices", [("stml", 1), ("retire", 10), ("igtd", 10)])
     def test_one_encode_and_distance_matrix_per_fitted_model(self, kind, matrices,
@@ -664,8 +691,9 @@ class TestRunCvEval:
         # stamp Gram of all rows among themselves and draw no row; retire
         # models differ, so each split encodes its tested and training rows
         # once and sums one pixel matrix of the first against the second;
-        # igtd scalers differ too, and each split takes one float64 product
-        # of its rows' values, one per feature, with no row encoded
+        # igtd scalers differ too, and each split takes one product of its
+        # rows' values, one per feature, in exact_float of their bound, with
+        # no row encoded
         encoded, pixel, stamped, products = [], [], [], []
         encode_batch, pixel_distances = encoders.encode_batch, probe._pixel_distances
         stamp_distances, sq_distances = probe._stamp_distances, probe._sq_distances
@@ -703,7 +731,8 @@ class TestRunCvEval:
             assert pixel == [((ds.n_instances, 48 * 48), tested) for tested, _ in folds]
         else:
             assert (encoded, pixel, stamped) == ([], [], [])
-            assert products == [(np.float64, (tested, ds.n_features), (trained, ds.n_features))
+            dtype = encoders.exact_float(2 * 255**2 * ds.n_features)
+            assert products == [(dtype, (tested, ds.n_features), (trained, ds.n_features))
                                 for tested, trained in folds]
 
     @pytest.mark.parametrize("kind", EVAL_KINDS)

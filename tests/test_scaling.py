@@ -7,7 +7,8 @@ from hypothesis import given, strategies as st
 
 from mdenc import scaling
 from mdenc._doc import read_json, write_json
-from mdenc.errors import FitError, ParameterError, ShapeError
+from mdenc.errors import FitError, ParameterError, ShapeError, StateError
+from mdenc.probe import knn1_tabular
 
 COLUMN = np.array([[0.0], [10.0], [5.0]])
 
@@ -98,6 +99,15 @@ class TestTransform:
             warnings.simplefilter("error")
             out = scaling.transform(params, np.array([[1e300], [-1e300]]))
         assert out.ravel().tolist() == [1.0, 0.0]
+
+    @pytest.mark.parametrize("params", [None, {"mins": [0.0], "maxs": [1.0]}, "scaler"])
+    def test_needs_fitted_params(self, params):
+        X = np.array([[0.0], [1.0]])
+        with pytest.raises(StateError, match="not a fitted scaler"):
+            scaling.transform(params, X)
+        # the tabular probe scales through transform
+        with pytest.raises(StateError, match="not a fitted scaler"):
+            knn1_tabular(X, [0, 1], X, params)
 
     def test_shape_mismatch(self):
         params = scaling.fit(COLUMN)
