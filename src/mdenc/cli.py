@@ -116,14 +116,13 @@ def cmd_encode(args) -> int:
     return 0
 
 
-_EVAL_CONFIG_FIELDS = ("dataset", "encoder", "l", "u", "seed", "igtd_iters", "size")
+_EVAL_CONFIG_FIELDS = ("dataset", "encoder", "l", "u", "seed", "size")
 
 
 def cmd_eval(args) -> int:
     ds = _load_dataset(args)
     plan = data.make_cv_plan(ds, args.seed)
-    report = probe.run_cv_eval(ds, args.encoder, plan, l=args.l, u=args.u,
-                               size=args.size, igtd_max_iters=args.igtd_iters)
+    report = probe.run_cv_eval(ds, args.encoder, plan, l=args.l, u=args.u, size=args.size)
     config = {name: getattr(args, name) for name in _EVAL_CONFIG_FIELDS} | {"size": list(args.size)}
     _emit(args, to_json(dataclasses.replace(report, config=config)))
     print(f"{ds.name} / {args.encoder}: mean BAC {report.mean_bac:.3f}", file=sys.stderr)
@@ -188,7 +187,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="lower guard bound (default 0.05)")
     fit_args.add_argument("--u", type=float, default=scaling.DEFAULT_U,
                           help="upper guard bound (default 0.95)")
-    fit_args.add_argument("--igtd-iters", type=int, default=encoders.DEFAULT_IGTD_MAX_ITERS)
 
     dataset_arg = argparse.ArgumentParser(add_help=False)
     dataset_arg.add_argument("--dataset", required=True, help="path to .dat or .csv")
@@ -199,6 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit = sub.add_parser("fit", parents=[common, fit_args, dataset_arg],
                            help="fit an encoder and write the model JSON")
     p_fit.add_argument("--encoder", choices=encoders.KINDS, required=True)
+    p_fit.add_argument("--igtd-iters", type=int, default=encoders.DEFAULT_IGTD_MAX_ITERS)
     p_fit.add_argument("--out", required=True)
     p_fit.set_defaults(func=cmd_fit)
 

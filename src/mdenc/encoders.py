@@ -386,15 +386,18 @@ def _swap_descent(rank_feat, rank_pix, max_iters):
     return assignment, trace, False
 
 
-def igtd_iters(n_features: int, max_iters) -> int:
-    """``max_iters`` as an int, after the input checks of an ``igtd`` fit,
-    which an ``igtd`` eval makes too: FitError under 2 features, then
-    ParameterError unless ``max_iters`` is an integer of at least 1."""
-    if n_features < 2:
+def check_options(kind: str, n_features: int, max_iters, l, u, size=DEFAULT_CANVAS) -> int:
+    """``max_iters`` as an int, once every option of ``fit`` and ``probe.run_cv_eval``
+    is checked, also one ``kind`` ignores: FitError for ``igtd`` under 2
+    features, then ParameterError unless ``max_iters`` is an integer >= 1,
+    ``scaling.guard_bounds`` takes ``l`` and ``u`` and ``_canvas`` ``size``."""
+    if kind == "igtd" and n_features < 2:
         raise FitError("need at least 2 features")
     max_iters = non_negative_int(max_iters, "max_iters")
     if max_iters < 1:
         raise ParameterError("max_iters must be >= 1")
+    scaling.guard_bounds(l, u)
+    _canvas(size)
     return max_iters
 
 
@@ -424,7 +427,7 @@ def fit_igtd(ds_train: Dataset, max_iters: int = DEFAULT_IGTD_MAX_ITERS,
     ran in (``_search_dtype``) are logged at INFO.
     """
     n = ds_train.n_features
-    max_iters = igtd_iters(n, max_iters)
+    max_iters = check_options("igtd", n, max_iters, l, u)
     scaler = scaling.fit(ds_train.X, l, u)
     scaled = scaling.transform(scaler, ds_train.X)
     cols = math.ceil(math.sqrt(n))
@@ -458,9 +461,10 @@ def encode_igtd(model: EncoderModel, X: np.ndarray, out: np.ndarray) -> None:
 def fit(kind: str, ds_train: Dataset, *, l: float = scaling.DEFAULT_L,
         u: float = scaling.DEFAULT_U, size: tuple[int, int] = DEFAULT_CANVAS,
         igtd_max_iters: int = DEFAULT_IGTD_MAX_ITERS, seed: int = 0) -> EncoderModel:
-    """Fit the ``kind`` encoder on training data. ``seed`` has no effect,
-    since no encoder draws random numbers; it stays for callers that pass
-    it (``perfbench``)."""
+    """Fit the ``kind`` encoder on training data, once ``check_options``
+    has passed every option. ``seed`` has no effect, since no encoder draws
+    random numbers; it stays for callers that pass it (``perfbench``)."""
+    check_options(kind, ds_train.n_features, igtd_max_iters, l, u, size)
     if kind == "retire":
         return fit_retire(ds_train, l, u, size)
     if kind == "stml":

@@ -302,14 +302,14 @@ def run_cv_eval(ds: Dataset, encoder_kind: str, plan: CVPlan, *,
     image holds those values in permuted cells, plus cells that are 0 in
     every row and add 0 to every distance, so the distances and predictions
     are those of the fitted images, whatever assignment a search would
-    find. ``igtd_max_iters`` is checked as a fit checks it
-    (``encoders.igtd_iters``, before each scaler is fitted) and has no other
-    effect.
+    find.
 
-    ``seed`` has no effect (``plan`` carries the CV seed, and no encoder
-    draws random numbers), and encoding is serial: both stay only for
-    callers passing ``seed=`` and ``jobs=1`` (``perfbench``); any other
-    ``jobs`` raises before anything is fitted.
+    ``l``, ``u``, ``size`` and ``igtd_max_iters`` are checked once, before
+    anything is fitted, as a fit checks them (``encoders.check_options``),
+    also where the kind ignores them. No eval searches an assignment, and
+    ``plan`` carries the CV seed, so ``igtd_max_iters`` and ``seed`` have no
+    other effect; they and ``jobs`` (encoding is serial, and any ``jobs``
+    but 1 raises first) stay only for ``perfbench``, which passes them.
     """
     if encoder_kind not in EVAL_KINDS:
         raise ParameterError(f"unknown encoder kind {brief(encoder_kind)}")
@@ -319,6 +319,7 @@ def run_cv_eval(ds: Dataset, encoder_kind: str, plan: CVPlan, *,
         raise ParameterError(f"plan must be a CVPlan, got {type(plan).__name__}")
     if plan.n_instances != ds.n_instances:
         raise ShapeError("plan was built for a different number of instances")
+    encoders.check_options(encoder_kind, ds.n_features, igtd_max_iters, l, u, size)
     splits = [(train_idx, test_idx) for _, _, train_idx, test_idx in plan.iter_splits()]
     if encoder_kind == "tabular":
         predictions = [knn1_tabular(t.X, t.y, ds.X[test_idx], scaling.fit(t.X, l, u))
@@ -329,7 +330,6 @@ def run_cv_eval(ds: Dataset, encoder_kind: str, plan: CVPlan, *,
         stack = None  # the pixel path's image stack, once a group draws one
         for i, (train_idx, _) in enumerate(splits):
             if encoder_kind == "igtd":  # the probe reads its values, not their cells
-                encoders.igtd_iters(ds.n_features, igtd_max_iters)
                 model = scaling.fit(ds.X[train_idx], l, u)
             else:
                 model = encoders.fit(encoder_kind, ds.subset(train_idx), l=l, u=u, size=size)

@@ -80,6 +80,26 @@ class TestFit:
         assert "max_iters must be >= 1" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("encoder, options, message", [
+        ("stml", ["--l", "5", "--u", "-1"], "bounds must satisfy"),
+        ("stml", ["--l", "0.9", "--u", "0.1"], "bounds must satisfy"),
+        ("retire", ["--igtd-iters", "-5"], "max_iters must be"),
+        ("stml", ["--igtd-iters", "-5"], "max_iters must be"),
+        ("retire", ["--igtd-iters", "0"], "max_iters must be >= 1")])
+    def test_option_the_encoder_ignores_exits_2_before_fitting(
+            self, tmp_path, keel_file, capsys, monkeypatch, encoder, options, message):
+        # stml scales nothing and only igtd searches, but each option is checked
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fitted before the options were checked")
+
+        monkeypatch.setattr(encoders, f"fit_{encoder}", no_fit)
+        out = tmp_path / "m.json"
+        code = main(["fit", "--dataset", str(keel_file), "--encoder", encoder, *options,
+                     "--out", str(out)])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["fit", "eval"])
     def test_igtd_patience_is_not_an_option(self, tmp_path, keel_file, capsys, command):
         code = main([command, "--dataset", str(keel_file), "--encoder", "igtd",
@@ -385,7 +405,7 @@ class TestEval:
         ds = load_csv(csv_file)
         report = run_cv_eval(ds, "stml", make_cv_plan(ds, 4), l=0.2, size=(32, 24))
         config = {"dataset": str(csv_file), "encoder": "stml", "l": 0.2, "u": scaling.DEFAULT_U,
-                  "seed": 4, "igtd_iters": encoders.DEFAULT_IGTD_MAX_ITERS, "size": [32, 24]}
+                  "seed": 4, "size": [32, 24]}
         assert read_json(out, EvalReport) == dataclasses.replace(report, config=config)
 
     def test_retire_eval_deterministic(self, tmp_path, csv_file):
@@ -434,14 +454,31 @@ class TestEval:
         assert "unrecognized arguments: --jobs" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("iters", ["0", "-1"])
+    @pytest.mark.parametrize("iters", ["0", "-1", "5"])
     def test_igtd_iters_below_one_exits_2(self, tmp_path, csv_file, capsys, iters):
-        # the igtd eval searches no assignment, but checks --igtd-iters as fit does
+        # no eval searches an assignment, so eval takes no --igtd-iters, of any value
         out = tmp_path / "report.json"
         code = main(["eval", "--dataset", str(csv_file), "--encoder", "igtd",
                      f"--igtd-iters={iters}", "--out", str(out)])
         assert code == 2
-        assert "max_iters must be" in capsys.readouterr().err
+        assert "unrecognized arguments: --igtd-iters" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("encoder", ["stml", "retire", "igtd", "tabular"])
+    @pytest.mark.parametrize("bounds", [("5", "-1"), ("0.9", "0.1")])
+    def test_bad_bounds_exit_2_before_fitting(self, tmp_path, csv_file, capsys, monkeypatch,
+                                              encoder, bounds):
+        # stml scales nothing, but its eval checks --l and --u as the others do
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fitted before the options were checked")
+
+        monkeypatch.setattr(encoders, "fit", no_fit)
+        monkeypatch.setattr(scaling, "fit", no_fit)
+        out = tmp_path / "report.json"
+        code = main(["eval", "--dataset", str(csv_file), "--encoder", encoder,
+                     "--l", bounds[0], "--u", bounds[1], "--out", str(out)])
+        assert code == 2
+        assert "bounds must satisfy" in capsys.readouterr().err
         assert not out.exists()
 
     def test_igtd_one_feature_exits_2(self, tmp_path, capsys):
@@ -458,7 +495,7 @@ class TestEval:
         assert main(["eval", "--dataset", str(csv_file), "--encoder", "tabular",
                      "--out", str(out)]) == 0
         assert list(json.loads(out.read_text())["config"]) == [
-            "dataset", "encoder", "l", "u", "seed", "igtd_iters", "size"]
+            "dataset", "encoder", "l", "u", "seed", "size"]
 
 
 class TestStats:

@@ -961,6 +961,24 @@ class TestGenericSurface:
         with pytest.raises(StateError):
             encoders.encode("not a model", ds.X[0])
 
+    @pytest.mark.parametrize("options", [
+        {"l": 5, "u": -1}, {"l": 0.9, "u": 0.1}, {"u": float("nan")},
+        {"size": (64, 64, 1)}, {"size": (-1, 64)}, {"size": "64x64"},
+        {"igtd_max_iters": -5}, {"igtd_max_iters": 0}, {"igtd_max_iters": 2.5}])
+    @pytest.mark.parametrize("kind", encoders.KINDS)
+    def test_options_the_kind_ignores_are_checked_before_fitting(self, kind, options,
+                                                                 monkeypatch):
+        # stml scales nothing, igtd draws on its own grid and only igtd
+        # searches, but fit checks every option for every kind, up front
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fitted before the options were checked")
+
+        for fit in ("fit_retire", "fit_stml", "fit_igtd"):
+            monkeypatch.setattr(encoders, fit, no_fit)
+        monkeypatch.setattr(scaling, "fit", no_fit)
+        with pytest.raises(ParameterError):
+            encoders.fit(kind, toy_dataset(4), **options)
+
     def test_seed_has_no_effect(self):
         # kept for callers that pass it; no encoder draws random numbers
         ds = toy_dataset(5, seed=11)

@@ -628,6 +628,24 @@ class TestRunCvEval:
         with pytest.raises(ParameterError, match="max_iters"):
             run_cv_eval(ds, "igtd", make_cv_plan(ds, seed=0), igtd_max_iters=iters)
 
+    @pytest.mark.parametrize("options", [
+        {"l": 5, "u": -1}, {"l": 0.9, "u": 0.1}, {"size": (48, 48, 1)}, {"size": (-1, 48)},
+        {"igtd_max_iters": -5}, {"igtd_max_iters": 0}, {"igtd_max_iters": True}])
+    @pytest.mark.parametrize("kind", EVAL_KINDS)
+    def test_options_the_kind_ignores_are_checked_before_fitting(self, kind, options,
+                                                                 monkeypatch):
+        # an eval checks every option once, for every kind, before any split
+        # is fitted: also --size for igtd and tabular, and max_iters for all
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fitted before the options were checked")
+
+        ds = self.small_ds()
+        plan = make_cv_plan(ds, seed=0)
+        monkeypatch.setattr(encoders, "fit", no_fit)
+        monkeypatch.setattr(scaling, "fit", no_fit)
+        with pytest.raises(ParameterError):
+            run_cv_eval(ds, kind, plan, **options)
+
     def test_igtd_eval_needs_two_features_as_a_fit_does(self):
         ds = generate_synthetic(24, 1, seed=2)
         with pytest.raises(FitError, match="at least 2 features"):
