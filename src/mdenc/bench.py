@@ -1,7 +1,8 @@
 """Encode-time sweeps over feature dimensionality, with a least-squares
 linearity check.
 
-Sweeps time on a monotonic clock; the median over repeats resists scheduler
+Sweeps time on a monotonic clock, in rounds of one encode per point, so host
+drift falls on every point alike; the median over rounds resists scheduler
 noise. No thread count is set: the timed encodes make no BLAS call, and only
 the igtd fit, timed apart, sums rows through BLAS at the caller's count.
 """
@@ -43,12 +44,13 @@ def run_timing_sweep(encoder_kind: str, feature_counts=DEFAULT_GRID,
                      budget_secs: float = DEFAULT_BUDGET_SECS,
                      size: tuple[int, int] = encoders.DEFAULT_CANVAS) -> list[TimingRecord]:
     """Per feature count: generate a synthetic dataset, fit the encoder
-    (timed separately, the interesting part for the assignment search),
-    run one untimed warm-up batch, then time ``repeats`` full-batch
-    encodes and record the median.
+    (timed separately, the interesting part for the assignment search) and
+    run one untimed warm-up batch. Then time ``repeats`` rounds of one
+    full-batch encode per point, and record each point's median.
 
-    A sweep point that exhausts ``budget_secs`` (finite and above 0) is
-    cut short and marked truncated instead of hanging the sweep.
+    A point leaves the rotation, marked truncated, once its own fit and
+    timed encodes have used up ``budget_secs`` (finite and above 0); one
+    whose fit alone used it up is neither warmed up nor timed (time NaN).
     """
     counts = [non_negative_int(c, "feature count") for c in feature_counts]
     if not counts:
@@ -60,39 +62,35 @@ def run_timing_sweep(encoder_kind: str, feature_counts=DEFAULT_GRID,
     budget_secs = real_number(budget_secs, "budget_secs")
     if not 0.0 < budget_secs < math.inf:  # also NaN
         raise ParameterError(f"budget_secs must be finite and above 0, got {budget_secs}")
-    records = []
+    points = []  # (X, model, fit time, timed encodes) per feature count
     for index, n_features in enumerate(counts):
         ds = generate_synthetic(n_samples, n_features, seed + index)
-        point_start = time.perf_counter()
+        t0 = time.perf_counter()
         model = encoders.fit(encoder_kind, ds, size=size)
-        fit_time = time.perf_counter() - point_start
-        if fit_time > budget_secs:
-            records.append(TimingRecord(encoder_kind, n_features, n_samples,
-                                        0, math.nan, fit_time, True))
-            continue
-        encoders.encode_batch(model, ds.X)  # warm-up, excluded from the measurement
-        times: list[float] = []
-        for _ in range(repeats):
-            t0 = time.perf_counter()
-            encoders.encode_batch(model, ds.X)
-            times.append(time.perf_counter() - t0)
-            if time.perf_counter() - point_start > budget_secs:
-                break
-        records.append(TimingRecord(encoder_kind, n_features, n_samples,
-                                    len(times), float(np.median(times)),
-                                    fit_time, len(times) < repeats))
-    return records
+        points.append((ds.X, model, time.perf_counter() - t0, []))
+    for X, model, fit_time, _ in points:
+        if fit_time <= budget_secs:
+            encoders.encode_batch(model, X)  # warm-up, excluded from the measurement
+    for _ in range(repeats):
+        for X, model, fit_time, times in points:
+            if fit_time + sum(times) <= budget_secs:
+                t0 = time.perf_counter()
+                encoders.encode_batch(model, X)
+                times.append(time.perf_counter() - t0)
+    return [TimingRecord(encoder_kind, n, n_samples, len(times),
+                         float(np.median(times)) if times else math.nan,
+                         fit_time, len(times) < repeats)
+            for n, (_, _, fit_time, times) in zip(counts, points)]
 
 
 def linearity_fit(records) -> tuple[float, float, float]:
     """Ordinary least squares of median encode time against feature count.
 
     Returns (slope, intercept, r_squared); a constant series has slope 0
-    and r_squared defined as 0. Records without a finite time (truncated
-    before any repeat) are skipped.
+    and r_squared defined as 0. Truncated records are skipped: their
+    medians cover fewer repeats than the others, or none (NaN).
     """
-    points = [(r.n_features, r.encode_time) for r in records
-              if math.isfinite(r.encode_time)]
+    points = [(r.n_features, r.encode_time) for r in records if not r.truncated]
     if len(points) < 3:
         raise FitError("need at least 3 timing records")
     x = np.array([p[0] for p in points], dtype=np.float64)

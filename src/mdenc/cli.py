@@ -24,12 +24,9 @@ from .raster import to_pgm, to_ppm
 def _size_type(text: str) -> tuple[int, int]:
     try:
         w, h = text.lower().split("x")
-        size = (int(w), int(h))
+        return int(w), int(h)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected WxH, got {text!r}") from None
-    if size[0] < 1 or size[1] < 1:
-        raise argparse.ArgumentTypeError("size must be positive")
-    return size
 
 
 def _grid_type(text: str) -> tuple[int, ...]:
@@ -163,9 +160,8 @@ def cmd_bench(args) -> int:
                                      args.repeats, args.seed, args.budget_secs,
                                      args.size)
     _emit(args, "".join(to_json(r, indent=None) + "\n" for r in records))
-    complete = [r for r in records if not r.truncated]
-    if len(complete) >= 3:
-        slope, intercept, r_squared = bench.linearity_fit(complete)
+    if sum(not r.truncated for r in records) >= 3:  # the points the fit takes
+        slope, intercept, r_squared = bench.linearity_fit(records)
         print(f"linear fit: slope {slope:.3e} s/feature, intercept {intercept:.3e} s, "
               f"r^2 {r_squared:.4f}", file=sys.stderr)
     return 0

@@ -115,12 +115,7 @@ class EncoderModel:
             raise StateError(f"{brief(self.kind)} model with a "
                              f"{type(self.layout).__name__} layout")
         object.__setattr__(self, "canvas_size", _canvas(self.canvas_size))
-        if min(self.canvas_size) < 1:
-            raise ParameterError(f"canvas size must be at least 1x1, got {brief(self.canvas_size)}")
         width, height = self.canvas_size
-        if width * height > MAX_CANVAS_PIXELS:
-            raise CapacityError(f"a {brief(width)}x{brief(height)} canvas exceeds "
-                                f"{MAX_CANVAS_PIXELS} pixels")
         if (self.scaler is None) != (self.kind == "stml"):
             raise StateError(f"a {self.kind} model {'takes no' if self.scaler else 'needs a'} scaler")
         if self.scaler is not None and self.scaler.n_features != self.layout.n:
@@ -150,14 +145,20 @@ def exact_float(bound: int) -> type:
 
 
 def _canvas(size) -> tuple[int, int]:
-    """``size`` as a pair of Python ints (width, height); EncoderModel
-    checks that each is 1 or more."""
+    """``size`` as a pair of Python ints (width, height), each 1 or more
+    (ParameterError) and at most ``MAX_CANVAS_PIXELS`` in all (CapacityError)."""
     try:
         width, height = size
     except (TypeError, ValueError):  # not iterable, or not two items
         raise ParameterError(f"canvas size must be a (width, height) pair, "
                              f"got {brief(size)}") from None
-    return non_negative_int(width, "canvas width"), non_negative_int(height, "canvas height")
+    width, height = non_negative_int(width, "canvas width"), non_negative_int(height, "canvas height")
+    if min(width, height) < 1:
+        raise ParameterError(f"canvas size must be at least 1x1, got {brief((width, height))}")
+    if width * height > MAX_CANVAS_PIXELS:
+        raise CapacityError(f"a {brief(width)}x{brief(height)} canvas exceeds "
+                            f"{MAX_CANVAS_PIXELS} pixels")
+    return width, height
 
 
 # ---------------------------------------------------------------------------
@@ -168,8 +169,8 @@ def fit_retire(ds_train: Dataset, l: float = scaling.DEFAULT_L,
                size: tuple[int, int] = DEFAULT_CANVAS) -> EncoderModel:
     """Fit the guard-bound scaler on the training fold and fix the polar
     geometry (one vertex per feature, margin 4 px)."""
-    scaler = scaling.fit(ds_train.X, l, u)
     size = _canvas(size)
+    scaler = scaling.fit(ds_train.X, l, u)
     return EncoderModel("retire", size, scaler, polar_layout(*size, ds_train.n_features))
 
 
@@ -390,7 +391,8 @@ def check_options(kind: str, n_features: int, max_iters, l, u, size=DEFAULT_CANV
     """``max_iters`` as an int, once every option of ``fit`` and ``probe.run_cv_eval``
     is checked, also one ``kind`` ignores: FitError for ``igtd`` under 2
     features, then ParameterError unless ``max_iters`` is an integer >= 1,
-    ``scaling.guard_bounds`` takes ``l`` and ``u`` and ``_canvas`` ``size``."""
+    ``scaling.guard_bounds`` takes ``l`` and ``u`` and ``_canvas`` ``size``
+    (CapacityError past ``MAX_CANVAS_PIXELS``)."""
     if kind == "igtd" and n_features < 2:
         raise FitError("need at least 2 features")
     max_iters = non_negative_int(max_iters, "max_iters")

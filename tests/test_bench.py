@@ -1,9 +1,10 @@
 import json
 import math
+from types import SimpleNamespace
 
 import pytest
 
-from mdenc import encoders
+from mdenc import bench, encoders
 from mdenc._doc import to_json
 from mdenc.bench import (
     TimingRecord,
@@ -41,6 +42,17 @@ class TestLinearityFit:
         slope, _, r_squared = linearity_fit(records)
         assert slope == pytest.approx(2.0, abs=1e-9)
         assert r_squared == pytest.approx(1.0, abs=1e-9)
+
+    def test_truncated_record_with_a_time_skipped(self):
+        # a point cut short after some repeats has a median, over fewer
+        # repeats than the others; the fit leaves it out all the same
+        records = [record(n, 2.0 * n) for n in (5, 10, 20)]
+        records.append(TimingRecord("retire", 40, 100, 2, 1000.0, 0.1, True))
+        slope, _, r_squared = linearity_fit(records)
+        assert slope == pytest.approx(2.0, abs=1e-9)
+        assert r_squared == pytest.approx(1.0, abs=1e-9)
+        with pytest.raises(FitError):
+            linearity_fit(records[1:])
 
 
 class TestTimingSweep:
@@ -88,7 +100,8 @@ class TestTimingSweep:
     @pytest.mark.parametrize("kind", encoders.KINDS)
     def test_times_whole_batches_only(self, monkeypatch, kind):
         # one warm-up plus one encode_batch per repeat, per point, and no
-        # one-row encode
+        # one-row encode: every point's warm-up first, then one round per
+        # repeat of one batch per point
         batches = []
         encode_batch = encoders.encode_batch
 
@@ -102,7 +115,64 @@ class TestTimingSweep:
         monkeypatch.setattr(encoders, "encode_batch", counted)
         monkeypatch.setattr(encoders, "encode", one_row)
         run_timing_sweep(kind, [4, 9], n_samples=6, repeats=3, seed=2, size=(40, 40))
-        assert batches == [(4, 6)] * 4 + [(9, 6)] * 4
+        assert batches == [(4, 6), (9, 6)] * 4
+
+    @staticmethod
+    def fake_timing(monkeypatch, fit_secs=lambda n: 0.0, stalled=range(0)):
+        """A fake clock under the sweep: a fit of n features takes
+        ``fit_secs(n)`` and an encode 1 ms + 0.1 ms per feature, 3x as long
+        for the encode calls numbered in ``stalled`` (from 1). Returns the
+        feature counts of the encode calls, in order."""
+        clock, calls = [0.0], []
+
+        def fit(kind, ds, size):
+            clock[0] += fit_secs(ds.n_features)
+            return None
+
+        def encode_batch(model, X):
+            calls.append(X.shape[1])
+            clock[0] += (1e-3 + 1e-4 * X.shape[1]) * (3 if len(calls) in stalled else 1)
+
+        monkeypatch.setattr(bench, "time", SimpleNamespace(perf_counter=lambda: clock[0]))
+        monkeypatch.setattr(encoders, "fit", fit)
+        monkeypatch.setattr(encoders, "encode_batch", encode_batch)
+        return calls
+
+    def test_a_stall_lands_on_every_point_alike(self, monkeypatch):
+        # 21 encodes in a row at 3x: one point's warm-up and 20 repeats if the
+        # points were timed one after another (n = 350 then reads 3x and the
+        # fit r^2 0.59), but 3 of each point's 20 repeats in rotation, which
+        # no median sees
+        grid = (10, 25, 50, 100, 200, 350, 500)
+        calls = self.fake_timing(monkeypatch, stalled=range(106, 127))
+        records = run_timing_sweep("retire", grid, n_samples=10, repeats=20)
+        assert linearity_fit(records)[2] == pytest.approx(1.0, abs=1e-9)
+        for r in records:
+            assert (r.repeats, r.truncated) == (20, False)
+            assert r.encode_time == pytest.approx(1e-3 + 1e-4 * r.n_features, rel=1e-9)
+        assert calls == list(grid) * 21
+
+    def test_fit_over_budget_skips_only_its_point(self, monkeypatch):
+        # a point whose fit alone used up the budget is neither warmed up
+        # nor timed; the budget counts each point's own work, so the points
+        # after it still run every repeat
+        calls = self.fake_timing(monkeypatch, fit_secs=lambda n: 10.0 if n == 8 else 0.0)
+        records = run_timing_sweep("retire", [4, 8, 16], n_samples=10, repeats=5,
+                                   budget_secs=5.0)
+        assert calls == [4, 16] * 6
+        assert [(r.repeats, r.truncated) for r in records] == [(5, False), (0, True), (5, False)]
+        assert math.isnan(records[1].encode_time) and records[1].fit_time == 10.0
+        assert records[2].encode_time == pytest.approx(1e-3 + 16e-4, rel=1e-9)
+
+    def test_point_leaves_the_rotation_once_its_budget_is_spent(self, monkeypatch):
+        # n = 100 costs 11 ms an encode: after a 5 ms fit it is timed 4 times
+        # under a 40 ms budget (5 + 3 * 11 = 38 ms left it in); n = 4 runs on
+        calls = self.fake_timing(monkeypatch, fit_secs=lambda n: 5e-3)
+        records = run_timing_sweep("retire", [4, 100], n_samples=10, repeats=10,
+                                   budget_secs=0.04)
+        assert calls == [4, 100] * 5 + [4] * 6
+        assert [(r.repeats, r.truncated) for r in records] == [(10, False), (4, True)]
+        assert records[1].encode_time == pytest.approx(11e-3, rel=1e-9)
 
     def test_synthetic_data_deterministic_across_sweeps(self):
         a = run_timing_sweep("retire", [6], n_samples=10, repeats=1, seed=3, size=(32, 32))

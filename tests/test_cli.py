@@ -85,7 +85,10 @@ class TestFit:
         ("stml", ["--l", "0.9", "--u", "0.1"], "bounds must satisfy"),
         ("retire", ["--igtd-iters", "-5"], "max_iters must be"),
         ("stml", ["--igtd-iters", "-5"], "max_iters must be"),
-        ("retire", ["--igtd-iters", "0"], "max_iters must be >= 1")])
+        ("retire", ["--igtd-iters", "0"], "max_iters must be >= 1"),
+        ("igtd", ["--size", "5000x5000"], "exceeds 16777216 pixels"),
+        ("igtd", ["--size", "0x0"], "canvas size must be at least 1x1"),
+        ("retire", ["--size", "0x5"], "canvas size must be at least 1x1")])
     def test_option_the_encoder_ignores_exits_2_before_fitting(
             self, tmp_path, keel_file, capsys, monkeypatch, encoder, options, message):
         # stml scales nothing and only igtd searches, but each option is checked
@@ -465,20 +468,25 @@ class TestEval:
         assert not out.exists()
 
     @pytest.mark.parametrize("encoder", ["stml", "retire", "igtd", "tabular"])
-    @pytest.mark.parametrize("bounds", [("5", "-1"), ("0.9", "0.1")])
-    def test_bad_bounds_exit_2_before_fitting(self, tmp_path, csv_file, capsys, monkeypatch,
-                                              encoder, bounds):
-        # stml scales nothing, but its eval checks --l and --u as the others do
+    @pytest.mark.parametrize("options, message", [
+        (["--l", "5", "--u", "-1"], "bounds must satisfy"),
+        (["--l", "0.9", "--u", "0.1"], "bounds must satisfy"),
+        (["--size", "5000x5000"], "exceeds 16777216 pixels"),
+        (["--size", "0x0"], "canvas size must be at least 1x1")])
+    def test_bad_option_exits_2_before_fitting(self, tmp_path, csv_file, capsys, monkeypatch,
+                                               encoder, options, message):
+        # stml scales nothing, igtd draws on its own grid and tabular draws
+        # nothing, but each eval checks --l, --u and --size as the others do
         def no_fit(*args, **kwargs):
             raise AssertionError("fitted before the options were checked")
 
         monkeypatch.setattr(encoders, "fit", no_fit)
         monkeypatch.setattr(scaling, "fit", no_fit)
         out = tmp_path / "report.json"
-        code = main(["eval", "--dataset", str(csv_file), "--encoder", encoder,
-                     "--l", bounds[0], "--u", bounds[1], "--out", str(out)])
+        code = main(["eval", "--dataset", str(csv_file), "--encoder", encoder, *options,
+                     "--out", str(out)])
         assert code == 2
-        assert "bounds must satisfy" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     def test_igtd_one_feature_exits_2(self, tmp_path, capsys):

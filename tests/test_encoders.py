@@ -963,7 +963,8 @@ class TestGenericSurface:
 
     @pytest.mark.parametrize("options", [
         {"l": 5, "u": -1}, {"l": 0.9, "u": 0.1}, {"u": float("nan")},
-        {"size": (64, 64, 1)}, {"size": (-1, 64)}, {"size": "64x64"},
+        {"size": (64, 64, 1)}, {"size": (-1, 64)}, {"size": "64x64"}, {"size": (0, 0)},
+        {"size": (10**6, 10**6)},
         {"igtd_max_iters": -5}, {"igtd_max_iters": 0}, {"igtd_max_iters": 2.5}])
     @pytest.mark.parametrize("kind", encoders.KINDS)
     def test_options_the_kind_ignores_are_checked_before_fitting(self, kind, options,
@@ -976,7 +977,8 @@ class TestGenericSurface:
         for fit in ("fit_retire", "fit_stml", "fit_igtd"):
             monkeypatch.setattr(encoders, fit, no_fit)
         monkeypatch.setattr(scaling, "fit", no_fit)
-        with pytest.raises(ParameterError):
+        huge = options == {"size": (10**6, 10**6)}
+        with pytest.raises(CapacityError if huge else ParameterError):
             encoders.fit(kind, toy_dataset(4), **options)
 
     def test_seed_has_no_effect(self):

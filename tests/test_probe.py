@@ -12,7 +12,8 @@ from fixtures import glyph_masks, make_benchmark_dataset
 from mdenc import encoders, probe, read_json, scaling, write_json
 from mdenc._doc import from_doc, to_doc
 from mdenc.data import CVPlan, Dataset, generate_synthetic, make_cv_plan
-from mdenc.errors import FitError, MetricError, ParameterError, ShapeError, StateError
+from mdenc.errors import (CapacityError, FitError, MetricError, ParameterError, ShapeError,
+                          StateError)
 from mdenc.probe import EVAL_KINDS, EvalReport, balanced_accuracy, knn1_tabular, run_cv_eval
 
 
@@ -630,6 +631,7 @@ class TestRunCvEval:
 
     @pytest.mark.parametrize("options", [
         {"l": 5, "u": -1}, {"l": 0.9, "u": 0.1}, {"size": (48, 48, 1)}, {"size": (-1, 48)},
+        {"size": (0, 0)}, {"size": (10**6, 10**6)},
         {"igtd_max_iters": -5}, {"igtd_max_iters": 0}, {"igtd_max_iters": True}])
     @pytest.mark.parametrize("kind", EVAL_KINDS)
     def test_options_the_kind_ignores_are_checked_before_fitting(self, kind, options,
@@ -643,7 +645,8 @@ class TestRunCvEval:
         plan = make_cv_plan(ds, seed=0)
         monkeypatch.setattr(encoders, "fit", no_fit)
         monkeypatch.setattr(scaling, "fit", no_fit)
-        with pytest.raises(ParameterError):
+        huge = options == {"size": (10**6, 10**6)}
+        with pytest.raises(CapacityError if huge else ParameterError):
             run_cv_eval(ds, kind, plan, **options)
 
     def test_igtd_eval_needs_two_features_as_a_fit_does(self):
