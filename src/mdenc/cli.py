@@ -71,9 +71,13 @@ def _parse_rows(spec: str, n_rows: int) -> list[int]:
             rows = [int(t) for t in spec.split(",") if t.strip()]
         except ValueError:
             raise ParameterError(f"bad row list {spec!r}") from None
+        seen = set()  # one file per row: a repeated row would overwrite its file
         for r in rows:
             if not 0 <= r < n_rows:
                 raise ParameterError(f"row {r} out of range (dataset has {n_rows} rows)")
+            if r in seen:
+                raise ParameterError(f"row {r} is listed twice")
+            seen.add(r)
     if not rows:
         raise ParameterError("no rows selected")
     return rows

@@ -463,9 +463,12 @@ def encode_igtd(model: EncoderModel, X: np.ndarray, out: np.ndarray) -> None:
 def fit(kind: str, ds_train: Dataset, *, l: float = scaling.DEFAULT_L,
         u: float = scaling.DEFAULT_U, size: tuple[int, int] = DEFAULT_CANVAS,
         igtd_max_iters: int = DEFAULT_IGTD_MAX_ITERS, seed: int = 0) -> EncoderModel:
-    """Fit the ``kind`` encoder on training data, once ``check_options``
-    has passed every option. ``seed`` has no effect, since no encoder draws
-    random numbers; it stays for callers that pass it (``perfbench``)."""
+    """Fit the ``kind`` encoder on a training ``Dataset`` once ``check_options``
+    has passed every option. ``seed`` has no effect (no encoder draws random
+    numbers) but is checked; it stays for callers that pass it (``perfbench``)."""
+    if not isinstance(ds_train, Dataset):
+        raise ParameterError(f"training data must be a Dataset, got {type(ds_train).__name__}")
+    non_negative_int(seed, "seed")
     check_options(kind, ds_train.n_features, igtd_max_iters, l, u, size)
     if kind == "retire":
         return fit_retire(ds_train, l, u, size)

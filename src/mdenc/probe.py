@@ -12,8 +12,9 @@ image stack (``_pixel_distances``, the stamps' test oracle:
 255, so in units of 255²). A pixel distance ignores where each pixel sits,
 so the probe cannot rank ``igtd`` assignments: ``igtd`` takes one
 ``_sq_distances`` of the values its images hold, one per feature (float32
-up to 129 features), with no assignment searched and no image drawn. A
-tabular 1-NN twin on scaled feature vectors serves as the baseline.
+up to 129 features), with no assignment searched and no image drawn. Each
+split takes its labels from its group's matrix by blocks of 128 tested
+rows. A tabular 1-NN twin on scaled feature vectors serves as the baseline.
 """
 
 from __future__ import annotations
@@ -27,7 +28,8 @@ import numpy as np
 from . import _font, encoders, scaling
 from ._doc import from_json, to_json
 from .data import CVPlan, Dataset
-from .errors import MetricError, ParameterError, ShapeError, brief, float_array, real_number
+from .errors import (MetricError, ParameterError, ShapeError, brief, float_array,
+                     non_negative_int, real_number)
 
 
 def balanced_accuracy(y_true, y_pred) -> float:
@@ -42,18 +44,18 @@ def balanced_accuracy(y_true, y_pred) -> float:
     return float(np.mean(recalls))
 
 
-def _sq_distance_blocks(queries: np.ndarray, refs: np.ndarray | None = None,
+def _sq_distance_blocks(queries: np.ndarray, refs: np.ndarray,
                         rows: int | None = None) -> Iterator[np.ndarray]:
     """|q - r|² of ``rows`` queries at a time (all of them by default), each
     block written over the last one's buffer: ``q2 + r2 − 2·product``, the
-    product one matmul (without ``refs``, among the rows of ``queries``:
-    numpy's symmetric A @ A.T). At least one block, empty without queries.
+    product one matmul (numpy's symmetric A @ A.T when ``queries`` and
+    ``refs`` are views of one whole matrix, as ``x[:None]`` and
+    ``x[None:]``). At least one block, empty without queries.
     Non-negative integers of at most m over k features keep every term and
     partial sum within 2·m²·k, exact in ``encoders.exact_float`` of that."""
-    refs = queries if refs is None else refs
     rows = rows or max(len(queries), 1)
     q2 = np.einsum("ij,ij->i", queries, queries)
-    r2 = q2 if refs is queries else np.einsum("ij,ij->i", refs, refs)
+    r2 = np.einsum("ij,ij->i", refs, refs)
     product = queries @ refs.T
     product *= 2.0
     buffer = np.empty((min(rows, len(queries)), len(refs)), dtype=product.dtype)
@@ -64,7 +66,7 @@ def _sq_distance_blocks(queries: np.ndarray, refs: np.ndarray | None = None,
         yield distances
 
 
-def _sq_distances(queries: np.ndarray, refs: np.ndarray | None = None) -> np.ndarray:
+def _sq_distances(queries: np.ndarray, refs: np.ndarray) -> np.ndarray:
     """``_sq_distance_blocks`` of all the queries in one block."""
     return next(_sq_distance_blocks(queries, refs))
 
@@ -114,7 +116,7 @@ def _pixel_distances(pixels: np.ndarray, split: int | None) -> np.ndarray:
         if (block // 255 * 255 != block).any():
             raise ValueError("drawn pixels must be 0 or 255")
         block = np.floor_divide(block, 255, out=block).astype(dtype)
-        distances += _sq_distances(block[:split], None if split is None else block[split:])
+        distances += _sq_distances(block[:split], block[split:])
     return distances
 
 
@@ -286,14 +288,12 @@ def run_cv_eval(ds: Dataset, encoder_kind: str, plan: CVPlan, *,
     one exact matrix of distances from the rows they test to the rows they
     train on, a pure function of (model, rows): ``_stamp_distances`` for
     ``stml``, which draws no row, and ``_pixel_distances`` of the drawn
-    rows for ``retire``. Such a matrix of the whole set against itself
-    (every ``stml`` group) is exactly symmetric, so a split that swaps the
-    folds of the split before it takes its labels from the transpose of
-    that split's block, and a 2-fold repeat takes one block. The eval draws and
-    the probe measures: the eval owns one uint8 image stack, allocated at
-    the first group that draws and replaced only for a group with more rows,
-    and draws each group's rows into its leading rows. ``stml``, ``igtd``
-    and ``tabular`` allocate none.
+    rows for ``retire``. Each split takes its nearest labels from that
+    matrix 128 tested rows at a time, with its training columns. The eval
+    draws and the probe measures: the eval owns one uint8 image stack,
+    allocated at the first group that draws and replaced only for a group
+    with more rows, and draws each group's rows into its leading rows.
+    ``stml``, ``igtd`` and ``tabular`` allocate none.
 
     An ``igtd`` split fits only its guard-bound scaler, which keys its
     group, and the probe measures the (rows, features) ``igtd_values``
@@ -309,12 +309,16 @@ def run_cv_eval(ds: Dataset, encoder_kind: str, plan: CVPlan, *,
     also where the kind ignores them. No eval searches an assignment, and
     ``plan`` carries the CV seed, so ``igtd_max_iters`` and ``seed`` have no
     other effect; they and ``jobs`` (encoding is serial, and any ``jobs``
-    but 1 raises first) stay only for ``perfbench``, which passes them.
+    but 1 raises first) stay only for ``perfbench``, which passes them, and
+    are checked all the same (``seed`` and ``jobs`` as non-negative integers).
     """
     if encoder_kind not in EVAL_KINDS:
         raise ParameterError(f"unknown encoder kind {brief(encoder_kind)}")
-    if jobs != 1:
+    non_negative_int(seed, "seed")
+    if non_negative_int(jobs, "jobs") != 1:
         raise ParameterError(f"jobs must be 1 (encoding is serial), got {jobs}")
+    if not isinstance(ds, Dataset):
+        raise ParameterError(f"dataset must be a Dataset, got {type(ds).__name__}")
     if not isinstance(plan, CVPlan):
         raise ParameterError(f"plan must be a CVPlan, got {type(plan).__name__}")
     if plan.n_instances != ds.n_instances:
@@ -345,7 +349,7 @@ def run_cv_eval(ds: Dataset, encoder_kind: str, plan: CVPlan, *,
             elif encoder_kind == "igtd":
                 values = encoders.igtd_values(model, ds.X[rows]).astype(
                     encoders.exact_float(2 * 255**2 * ds.n_features))
-                distances = _sq_distances(values[:split], None if split is None else values[split:])
+                distances = _sq_distances(values[:split], values[split:])
                 # freed before the labels are taken: held through them, it
                 # left heap holes that made later retire stacks grow the heap
                 del values
@@ -356,23 +360,12 @@ def run_cv_eval(ds: Dataset, encoder_kind: str, plan: CVPlan, *,
                     stack = np.empty((len(rows), height, width), dtype=np.uint8)
                 encoders.encode_batch(model, ds.X[rows], out=stack[:len(rows)])
                 distances = _pixel_distances(stack[:len(rows)].reshape(len(rows), -1), split)
-            last = None  # on a symmetric matrix: the last split's folds and block
             for i in members:
                 train_idx, test_idx = splits[i]
-                if last is not None and np.array_equal(train_idx, last[1]) \
-                        and np.array_equal(test_idx, last[0]):
-                    # the last split with its folds swapped: its block is the
-                    # transpose of the last one's
-                    predictions[i] = _nearest_label(last[2].T, ds.y[train_idx])
-                    last = None
-                    continue
-                last = None  # the last block is freed before the next one is taken
-                block = distances.take(np.searchsorted(q, test_idx), axis=0).take(
-                    np.searchsorted(r, train_idx), axis=1)
-                predictions[i] = _nearest_label(block, ds.y[train_idx])
-                if split is None:
-                    last = (train_idx, test_idx, block)
-                del block
+                tested, training = np.searchsorted(q, test_idx), np.searchsorted(r, train_idx)
+                predictions[i] = np.concatenate([_nearest_label(
+                    distances.take(tested[start:start + 128], axis=0).take(training, axis=1),
+                    ds.y[train_idx]) for start in range(0, max(len(tested), 1), 128)])
     bacs = [balanced_accuracy(ds.y[test_idx], y_pred)
             for (_, test_idx), y_pred in zip(splits, predictions)]
     return EvalReport(ds.name, encoder_kind, tuple(bacs), float(np.mean(bacs)), predictions)

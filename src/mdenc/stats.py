@@ -149,7 +149,7 @@ def wilcoxon_signed_rank(a, b, alpha: float = DEFAULT_ALPHA) -> WilcoxonResult:
     else:
         p_value = _normal_tail(ranks, w, n)
         exact = False
-    p_value = min(1.0, p_value)
+    # p <= 1: w <= total / 2 makes z <= 0; the exact tail counts each of 2^n assignments once
     return WilcoxonResult(w, p_value, p_value < alpha, n, exact)
 
 
@@ -171,9 +171,7 @@ def _normal_tail(ranks: np.ndarray, w: float, n: int) -> float:
     mean = n * (n + 1) / 4.0
     _, tie_sizes = np.unique(ranks, return_counts=True)
     tie_term = float((tie_sizes.astype(np.float64) ** 3 - tie_sizes).sum()) / 48.0
-    var = n * (n + 1) * (2 * n + 1) / 24.0 - tie_term
-    if var <= 0.0:
-        return 1.0 if w >= mean else 0.0
+    var = n * (n + 1) * (2 * n + 1) / 24.0 - tie_term  # > 0: ties take at most (n³ − n) / 48
     z = (w - mean) / math.sqrt(var)
     return 2.0 * _norm_cdf(z)
 

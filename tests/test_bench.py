@@ -36,6 +36,10 @@ class TestLinearityFit:
         with pytest.raises(FitError):
             linearity_fit([record(1, 1.0), record(2, 2.0)])
 
+    def test_one_repeated_feature_count(self):
+        with pytest.raises(FitError, match="feature counts are constant"):
+            linearity_fit([record(10, t) for t in (1.0, 2.0, 3.0)])
+
     def test_truncated_records_skipped(self):
         records = [record(n, 2.0 * n) for n in (5, 10, 20)]
         records.append(TimingRecord("retire", 40, 100, 0, math.nan, 0.1, True))

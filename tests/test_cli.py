@@ -110,6 +110,16 @@ class TestFit:
         assert code == 2
         assert "unrecognized arguments: --igtd-patience" in capsys.readouterr().err
 
+    def test_internal_error_exits_1(self, tmp_path, keel_file, capsys, monkeypatch):
+        def broken_fit(*args, **kwargs):
+            raise RuntimeError("broken")
+
+        monkeypatch.setattr(encoders, "fit", broken_fit)
+        code = main(["fit", "--dataset", str(keel_file), "--encoder", "retire",
+                     "--out", str(tmp_path / "m.json")])
+        assert code == 1
+        assert "internal error: RuntimeError('broken')" in capsys.readouterr().err
+
     def test_unknown_encoder_usage_error(self, tmp_path, keel_file):
         code = main(["fit", "--dataset", str(keel_file), "--encoder", "cnn",
                      "--out", str(tmp_path / "m.json")])
@@ -329,6 +339,17 @@ class TestRowSelection:
     def test_bad_range_exits_2(self, tmp_path, capsys, rows):
         assert self.encode(tmp_path, rows) == (2, [])
         assert "bad row range" in capsys.readouterr().err
+
+    def test_bad_list_exits_2(self, tmp_path, capsys):
+        assert self.encode(tmp_path, "1,x") == (2, [])
+        assert "bad row list '1,x'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("rows, repeated", [("1,1", 1), ("3,0,3,0", 3)])
+    def test_repeated_row_exits_2_before_out_is_made(self, tmp_path, capsys, rows, repeated):
+        # one file per row: a repeated row would write its file twice
+        assert self.encode(tmp_path, rows) == (2, [])
+        assert f"row {repeated} is listed twice" in capsys.readouterr().err
+        assert not (tmp_path / "imgs").exists()
 
 
 class TestDatasetOptions:
@@ -633,6 +654,14 @@ class TestBench:
         captured = capsys.readouterr()
         assert "seed must be a non-negative integer" in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize("option, value, message", [
+        ("--size", "10x", "expected WxH, got '10x'"),
+        ("--grid", "1,a", "expected a comma list of ints, got '1,a'")])
+    def test_malformed_size_or_grid_is_a_usage_error(self, capsys, option, value, message):
+        assert main(["bench", "--encoder", "retire", option, value]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: mdenc bench") and message in err
 
     def test_bad_grid_exits_2(self):
         assert main(["bench", "--encoder", "retire", "--grid", "10,5",

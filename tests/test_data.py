@@ -78,6 +78,31 @@ class TestKeelLoading:
         with pytest.raises(ParseError, match="line 2"):
             load_keel(write(tmp_path / "m.dat", text))
 
+    @pytest.mark.parametrize("text, message", [
+        ("@relation\n@attribute a real\n@attribute c {x, y}\n@data\n1, x\n",
+         "line 1: @relation needs a name"),
+        ("@relation r\n@attribute\n@attribute c {x, y}\n@data\n1, x\n",
+         "line 2: malformed @attribute"),
+        ("@relation r\n@attribute a real\n@attribute c {x, y}\n",
+         "line 3: missing @data section"),
+        ("@relation r\n@data\n1, x\n", "line 2: no @attribute declarations before @data"),
+        (SMALL_KEEL.replace("@outputs cls", "@outputs b, cls"),
+         "exactly one output attribute is supported"),
+        (SMALL_KEEL.replace("@inputs a, b", "@inputs"), "line 5: @inputs directive needs a name"),
+        ("1.0, 2, neg\n" + SMALL_KEEL, "line 1: expected a header directive before @data"),
+    ], ids=["relation-without-name", "attribute-without-name-and-type", "no-data",
+            "no-attribute", "two-outputs", "inputs-without-names", "row-before-header"])
+    def test_malformed_header_raises_parse_error(self, tmp_path, text, message):
+        with pytest.raises(ParseError, match=message):
+            load_keel(write(tmp_path / "h.dat", text))
+
+    def test_nominal_type_without_a_space(self, tmp_path):
+        # "cls{pos,neg}" reads as "cls {pos,neg}"
+        text = SMALL_KEEL.replace("@attribute cls {pos, neg}", "@attribute cls{pos,neg}")
+        ds = load_keel(write(tmp_path / "toy.dat", text))
+        assert (ds.class_names, ds.y.tolist(), ds.X.tolist()) == (
+            ("neg", "pos"), [0, 1, 0, 1], [[1.0, 2.0], [3.5, 4.0], [0.5, 1.0], [2.0, 0.0]])
+
     def test_unknown_directive(self, tmp_path):
         text = "@relation x\n@bogus y\n@data\n"
         with pytest.raises(ParseError, match="line 2"):
@@ -276,6 +301,16 @@ class TestDatasetValidation:
         X = np.array([[1.0, np.nan]])
         with pytest.raises(ParameterError):
             Dataset("x", X, np.zeros(1, dtype=int), ("a", "b"), ("0", "1"))
+
+    @pytest.mark.parametrize("X, y, features, classes, message", [
+        (np.zeros(2), [0, 1], ("a",), ("0", "1"), "X must be a 2-d matrix"),
+        (np.zeros((2, 1)), [0, 0], ("a",), ("0",), "need at least 2 classes"),
+        (np.zeros((2, 2)), [0, 1], ("a",), ("0", "1"),
+         "feature_names length must equal the column count")],
+        ids=["1-d", "one-class", "feature-names"])
+    def test_shape_and_names_checked(self, X, y, features, classes, message):
+        with pytest.raises(ParameterError, match=message):
+            Dataset("x", X, y, features, classes)
 
     def test_class_index_out_of_range(self):
         with pytest.raises(ParameterError):

@@ -536,6 +536,10 @@ class TestStml:
         assert (model.layout.rows, model.layout.cols) == (1, 1)
         assert model.layout.cell_rect(0, 224, 224) == (0, 0, 224, 224)
 
+    def test_no_features_raises_fit_error(self):
+        with pytest.raises(FitError, match="need at least 1 feature"):
+            encoders.fit("stml", toy_dataset(0))
+
     def test_capacity_error(self):
         ds = toy_dataset(5000, n_rows=2)
         with pytest.raises(CapacityError):
@@ -965,7 +969,8 @@ class TestGenericSurface:
         {"l": 5, "u": -1}, {"l": 0.9, "u": 0.1}, {"u": float("nan")},
         {"size": (64, 64, 1)}, {"size": (-1, 64)}, {"size": "64x64"}, {"size": (0, 0)},
         {"size": (10**6, 10**6)},
-        {"igtd_max_iters": -5}, {"igtd_max_iters": 0}, {"igtd_max_iters": 2.5}])
+        {"igtd_max_iters": -5}, {"igtd_max_iters": 0}, {"igtd_max_iters": 2.5},
+        {"seed": "x"}, {"seed": -5}])
     @pytest.mark.parametrize("kind", encoders.KINDS)
     def test_options_the_kind_ignores_are_checked_before_fitting(self, kind, options,
                                                                  monkeypatch):
@@ -980,6 +985,11 @@ class TestGenericSurface:
         huge = options == {"size": (10**6, 10**6)}
         with pytest.raises(CapacityError if huge else ParameterError):
             encoders.fit(kind, toy_dataset(4), **options)
+
+    @pytest.mark.parametrize("kind", encoders.KINDS)
+    def test_training_data_must_be_a_dataset(self, kind):
+        with pytest.raises(ParameterError, match="must be a Dataset, got ndarray"):
+            encoders.fit(kind, toy_dataset(4).X)
 
     def test_seed_has_no_effect(self):
         # kept for callers that pass it; no encoder draws random numbers

@@ -34,10 +34,11 @@ def exact_pixels(stack):
 
 def oracle_pixel_distances(pixels, split, prune=exact_pixels):
     """Oracle for ``_pixel_distances``: ``prune`` the whole matrix, cast
-    both sides whole, one ``_sq_distances``."""
+    it whole, one ``_sq_distances`` of its first ``split`` rows against the
+    rest (of every row against every row when ``split`` is None)."""
     kept, dtype = prune(pixels)
-    sides = np.split(kept, [] if split is None else [split])
-    return probe._sq_distances(*(side.astype(dtype) for side in sides))
+    kept = kept.astype(dtype)
+    return probe._sq_distances(kept[:split], kept[split:])
 
 
 def drawn_distances(model, X, split):
@@ -319,9 +320,11 @@ class TestSqDistances:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_rows_among_themselves(self, dtype):
+        # the probe's split=None form: two views of one matrix, which numpy
+        # multiplies as one symmetric product, give the bytes of a copy
         rng = np.random.default_rng(4)
         rows = rng.integers(0, 2, size=(30, 200)).astype(dtype)
-        got = probe._sq_distances(rows)
+        got = probe._sq_distances(rows[:None], rows[None:])
         expected = ((rows[:, None, :] - rows[None, :, :]) ** 2).sum(axis=2)
         assert got.dtype == dtype
         assert np.array_equal(got, expected)
@@ -512,6 +515,11 @@ class TestKnnTabular:
             knn1_tabular(X, [0], np.zeros((0, 2)), scaler)
         assert knn1_tabular(X, [0, 1], np.zeros((0, 2)), scaler).shape == (0,)
 
+    def test_one_training_row_as_a_vector_raises(self):
+        X = np.array([[0.0, 0.0], [10.0, 10.0]])
+        with pytest.raises(ShapeError, match="training rows must form a 2-d matrix"):
+            knn1_tabular(X[0], [0], X, scaling.fit(X))
+
 
 class TestRunCvEval:
     def small_ds(self):
@@ -574,6 +582,12 @@ class TestRunCvEval:
             with pytest.raises(ParameterError, match="plan must be a CVPlan"):
                 run_cv_eval(ds, kind, plan)
 
+    @pytest.mark.parametrize("kind", EVAL_KINDS)
+    def test_dataset_that_is_not_a_dataset_rejected(self, kind):
+        ds = self.small_ds()
+        with pytest.raises(ParameterError, match="dataset must be a Dataset, got ndarray"):
+            run_cv_eval(ds.X, kind, make_cv_plan(ds, seed=0))
+
     @settings(max_examples=40, deadline=None)
     @given(kind=st.sampled_from(encoders.KINDS), n=st.integers(6, 16),
            n_features=st.integers(2, 6), three_folds=st.booleans(),
@@ -632,7 +646,8 @@ class TestRunCvEval:
     @pytest.mark.parametrize("options", [
         {"l": 5, "u": -1}, {"l": 0.9, "u": 0.1}, {"size": (48, 48, 1)}, {"size": (-1, 48)},
         {"size": (0, 0)}, {"size": (10**6, 10**6)},
-        {"igtd_max_iters": -5}, {"igtd_max_iters": 0}, {"igtd_max_iters": True}])
+        {"igtd_max_iters": -5}, {"igtd_max_iters": 0}, {"igtd_max_iters": True},
+        {"seed": None}, {"seed": -5}, {"seed": "x"}, {"jobs": True}, {"jobs": 1.0}])
     @pytest.mark.parametrize("kind", EVAL_KINDS)
     def test_options_the_kind_ignores_are_checked_before_fitting(self, kind, options,
                                                                  monkeypatch):
@@ -675,7 +690,8 @@ class TestRunCvEval:
         dtype = encoders.exact_float(2 * 255**2 * n_features)
         values = encoders.igtd_values(model.scaler, X).astype(dtype)
         images = encoders.encode_batch(model, X)
-        for got, want in [(probe._sq_distances(values), reference_pixel_distances(images, images)),
+        for got, want in [(probe._sq_distances(values, values),
+                           reference_pixel_distances(images, images)),
                           (probe._sq_distances(values[:n // 2], values[n // 2:]),
                            reference_pixel_distances(images[n // 2:], images[:n // 2]))]:
             assert got.dtype == dtype and got.astype(np.float64).tobytes() == want.tobytes()
@@ -854,17 +870,17 @@ class TestRunCvEval:
         assert report.fold_predictions == reference_fold_predictions(ds, "igtd", plan)
 
     @pytest.mark.parametrize("folds", [2, 3])
-    def test_complementary_splits_read_one_block(self, folds, monkeypatch):
-        # tie-heavy texts on hand-built plans. With 2 folds a repeat's two
-        # splits swap their folds, so the second reads the transpose of the
-        # first one's block; with 3 no split's folds are another's swapped.
-        # Either way the labels are those of each split's own block taken
-        # from the matrix
+    def test_splits_take_their_labels_128_tested_rows_at_a_time(self, folds, monkeypatch):
+        # tie-heavy texts on hand-built plans of 400 rows: 200 or about 133
+        # tested rows per split. Each split gathers its own blocks of at most
+        # 128 tested rows, in order, from the one stml matrix (no block is a
+        # view of another, nor a transpose), and the labels are those of
+        # each split's whole block
         rng = np.random.default_rng(5)
-        X = rng.integers(0, 3, size=(40, 3)).astype(np.float64)
-        ds = Dataset("ties", X, np.arange(40) // 2 % 2, ("a", "b", "c"), ("0", "1"))
-        fold = np.arange(40) % folds
-        plan = CVPlan(3, folds, 0, [fold, np.arange(40) * folds // 40, rng.permutation(fold)])
+        X = rng.integers(0, 3, size=(400, 3)).astype(np.float64)
+        ds = Dataset("ties", X, np.arange(400) // 2 % 2, ("a", "b", "c"), ("0", "1"))
+        fold = np.arange(400) % folds
+        plan = CVPlan(3, folds, 0, [fold, np.arange(400) * folds // 400, rng.permutation(fold)])
         blocks = []
         nearest_label = probe._nearest_label
 
@@ -875,14 +891,11 @@ class TestRunCvEval:
         monkeypatch.setattr(probe, "_nearest_label", recorded)
         report = run_cv_eval(ds, "stml", plan, size=(64, 48))
         monkeypatch.undo()
-        # which earlier block each split's block is a view of, if any
-        shared = [[j for j in range(i) if np.shares_memory(blocks[i], blocks[j])]
-                  for i in range(len(blocks))]
-        if folds == 2:
-            assert shared == [[], [0], [], [2], [], [4]]
-            assert all((blocks[i] == blocks[i - 1].T).all() for i in (1, 3, 5))
-        else:
-            assert shared == [[]] * 9
+        tested = [len(test_idx) for *_, test_idx in plan.iter_splits()]
+        assert [len(block) for block in blocks] == [
+            min(128, n - start) for n in tested for start in range(0, n, 128)]
+        assert not any(np.shares_memory(blocks[i], blocks[j])
+                       for i in range(len(blocks)) for j in range(i))
         distances = probe._stamp_distances(encoders.fit_stml(ds, (64, 48)), ds.X, None)
         want, tied = [], 0
         for _, _, train_idx, test_idx in plan.iter_splits():
@@ -892,7 +905,7 @@ class TestRunCvEval:
             tied += sum(len(set(ds.y[train_idx][row].tolist())) > 1 for row in nearest)
             # the lowest training index among the tied
             want.append(tuple(ds.y[train_idx][nearest.argmax(axis=1)].tolist()))
-        assert tied > 20, tied  # of the 120 tested rows
+        assert tied > 1000, tied  # of the 1,200 tested rows
         assert report.fold_predictions == tuple(want)
 
     @pytest.mark.parametrize("fold", [0, 1])

@@ -169,6 +169,10 @@ class TestParamsFields:
         with pytest.raises(ParameterError, match="fit_fingerprint must be text"):
             scaling.ScalerParams([0.0], [1.0], 0.1, 0.9, fingerprint)
 
+    def test_min_above_max_rejected(self):
+        with pytest.raises(ParameterError, match="every min must be <= the corresponding max"):
+            scaling.ScalerParams([0.0, 2.0], [1.0, 1.5], 0.1, 0.9, "")
+
     def test_bounds_stored_as_floats(self):
         params = scaling.ScalerParams([0.0], [1.0], 0, np.float32(0.5), "")
         assert (params.l, params.u) == (0.0, 0.5)

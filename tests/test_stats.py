@@ -267,6 +267,19 @@ class TestWilcoxon:
                                    correction=False, mode="approx")
         assert mine.p_value == pytest.approx(ref.pvalue, abs=1e-9)
 
+    @pytest.mark.parametrize("n, exact", [(22, False), (6, True)])
+    def test_balanced_signs_of_one_size_give_p_one(self, n, exact):
+        # n differences of one size, half of them positive: w is n(n + 1) / 4
+        # exactly. The normal path's tie term leaves its variance positive
+        # and z at 0; the exact path counts every sign assignment. Either
+        # way the p-value is 1 with no clamp
+        result = wilcoxon_signed_rank(np.where(np.arange(n) < n // 2, 1.0, -1.0), np.zeros(n))
+        assert (result.exact, result.w_stat, result.p_value) == (exact, n * (n + 1) / 4, 1.0)
+
+    def test_unequal_lengths_rejected(self):
+        with pytest.raises(ParameterError, match="equal length"):
+            wilcoxon_signed_rank(np.arange(1.0, 7.0), np.zeros(5))
+
     def test_insufficient_nonzero(self):
         a = np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
         b = a.copy()
@@ -306,6 +319,10 @@ class TestMeanRanks:
     def test_missing_entries_rejected(self):
         with pytest.raises(ParameterError):
             mean_ranks(np.array([[1.0, np.nan]]))
+
+    def test_no_datasets_rejected(self):
+        with pytest.raises(ParameterError, match="non-empty"):
+            mean_ranks(np.zeros((0, 3)))
 
     def test_scores_that_are_not_numbers_raise_shape_error(self):
         with pytest.raises(ShapeError, match="matrix of numbers"):
